@@ -1,10 +1,13 @@
 /// \file bench_contraction_order.cpp
 /// Contraction-order policy sweep: every workload runs the same reach
-/// fixpoint under --order caller, greedy and exact, in a fresh manager per
-/// run, and reports the wall time per policy plus greedy's speedup over the
-/// historical caller fold.  Plans are computed once per prepared circuit
-/// (the Prepared cache), so what this measures is the steady-state effect
-/// of the order itself, with the (microsecond) planning cost amortised in.
+/// fixpoint under --order caller and greedy, in a fresh manager per run,
+/// and reports the wall time per policy plus greedy's speedup over the
+/// circuit-order fold.  The policy steers the monolithic pre-contraction of
+/// the basic and addition engines; pushes and contraction-partition blocks
+/// use the paper's orders under both.  Plans are computed once per
+/// prepared circuit (the Prepared cache), so what this measures is the
+/// steady-state effect of the order itself, with the planning cost
+/// amortised in.
 ///
 /// Usage:
 ///   bench_contraction_order [--steps N] [--repeats K] [--qasm FILE]
@@ -104,10 +107,10 @@ int main(int argc, char** argv) {
     }
   }
 
-  // Engines are chosen per workload to point the sweep at the path the
-  // order actually steers: `basic` prepares each operation as ONE monolithic
-  // network contraction (the planner's natural prey), `contraction:k1,k2`
-  // exercises the block pre-contraction + ket-push plan of §V.
+  // Engines are chosen per workload: `basic` prepares each operation as ONE
+  // monolithic network contraction, the path the policy steers.
+  // `contraction:k1,k2` blocks and pushes always use the paper's orders, so
+  // its rows are a control: both policies run the same contraction there.
   std::vector<Workload> workloads{
       {"ghz6", [](tdd::Manager& m) { return make_ghz_system(m, 6); }, "contraction:4,4"},
       {"bv8", [](tdd::Manager& m) { return make_bv_system(m, 8); }, "basic"},
@@ -142,21 +145,20 @@ int main(int argc, char** argv) {
     }
   }
 
-  const tn::OrderPolicy policies[] = {tn::OrderPolicy::kCaller, tn::OrderPolicy::kGreedy,
-                                      tn::OrderPolicy::kExact};
+  const tn::OrderPolicy policies[] = {tn::OrderPolicy::kCaller, tn::OrderPolicy::kGreedy};
 
   std::cout << "Contraction-order policy sweep — reach fixpoint, min of " << repeats
             << " repeats\n\n";
   std::cout << pad_right("workload", 14) << pad_right("engine", 18)
             << pad_left("caller[ms]", 12) << pad_left("greedy[ms]", 12)
-            << pad_left("exact[ms]", 12) << pad_left("greedy vs caller", 18) << "\n";
+            << pad_left("greedy vs caller", 18) << "\n";
 
   bench::JsonWriter json("order");
   int rc = 0;
   for (const auto& w : workloads) {
     const std::size_t cap = w.steps != 0 ? w.steps : steps;
-    Measurement per_policy[3];
-    for (std::size_t p = 0; p < 3; ++p) {
+    Measurement per_policy[2];
+    for (std::size_t p = 0; p < 2; ++p) {
       per_policy[p] = best_of(w, cap, policies[p], repeats);
       json.add({w.name + "/" + std::string(tn::to_string(policies[p])), per_policy[p].ms,
                 per_policy[p].peak_nodes, 1, false, 0, per_policy[p].table_nodes});
@@ -167,14 +169,13 @@ int main(int argc, char** argv) {
     std::cout << pad_right(w.name, 14) << pad_right(w.engine, 18)
               << pad_left(format_fixed(caller.ms, 2), 12)
               << pad_left(format_fixed(greedy.ms, 2), 12)
-              << pad_left(format_fixed(per_policy[2].ms, 2), 12)
               << pad_left(format_fixed(speedup, 2) + "x", 18) << "\n"
               << std::flush;
     // The free differential oracle: reduced TDDs are canonical, so the
     // verdict must not depend on the order.
-    if (greedy.dim != caller.dim || per_policy[2].dim != caller.dim) {
+    if (greedy.dim != caller.dim) {
       std::cerr << "error: " << w.name << " verdict changed across policies (dims "
-                << caller.dim << "/" << greedy.dim << "/" << per_policy[2].dim << ")\n";
+                << caller.dim << "/" << greedy.dim << ")\n";
       rc = 1;
     }
   }

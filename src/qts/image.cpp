@@ -84,37 +84,27 @@ const ImageComputer::Prepared& ImageComputer::prepared_for(const circ::Circuit& 
 }
 
 ImageComputer::PushPlan ImageComputer::make_push_plan(const tn::CircuitNetwork& net,
-                                                      const std::vector<tn::Tensor>& ops) {
+                                                      std::span<const tn::Tensor> ops) {
   PushPlan push;
-  push.state = state_levels(net.num_qubits);
-  push.keep = net.outputs;
-  std::sort(push.keep.begin(), push.keep.end());
-  push.keep.erase(std::unique(push.keep.begin(), push.keep.end()), push.keep.end());
   push.rename = tn::output_to_state_map(net);
   if (!ops.empty()) {
+    std::vector<Level> keep = net.outputs;
+    std::sort(keep.begin(), keep.end());
+    keep.erase(std::unique(keep.begin(), keep.end()), keep.end());
     std::vector<std::vector<Level>> index_sets;
     index_sets.reserve(ops.size() + 1);
-    index_sets.push_back(push.state);
+    index_sets.push_back(state_levels(net.num_qubits));
     for (const auto& t : ops) index_sets.push_back(t.indices);
-    push.plan = tn::plan_order_indices(index_sets, push.keep, order_policy_, ctx_);
+    push.plan = tn::plan_order_indices(index_sets, keep, tn::OrderPolicy::kCaller, ctx_);
   }
   return push;
 }
 
-Edge ImageComputer::push_through(const tn::CircuitNetwork& net,
-                                 const std::vector<tn::Tensor>& ops, const Edge& ket,
-                                 const PushPlan& push) {
-  Edge result;
-  if (ops.empty()) {
-    result = ket;
-  } else {
-    std::vector<tn::Tensor> tensors;
-    tensors.reserve(ops.size() + 1);
-    tensors.push_back(tn::Tensor{ket, push.state});
-    tensors.insert(tensors.end(), ops.begin(), ops.end());
-    tn::Tensor out = tn::contract_network(mgr_, tensors, push.keep, ctx_, push.plan);
-    result = mgr_.rename(out.edge, push.rename);
-  }
+Edge ImageComputer::push_through(const tn::CircuitNetwork& net, std::span<const tn::Tensor> ops,
+                                 const Edge& ket, const PushPlan& push) {
+  const Edge result =
+      ops.empty() ? ket
+                  : mgr_.rename(tn::contract_planned(mgr_, ket, ops, push.plan, ctx_), push.rename);
   return mgr_.scale(result, net.factor);
 }
 
@@ -167,14 +157,15 @@ std::unique_ptr<ImageComputer::Prepared> AdditionImage::prepare(const circ::Circ
   if (!out->net.tensors.empty()) {
     const auto part = tn::addition_partition(mgr_, out->net, k_);
     const auto keep = out->net.external_indices();
+    // Slicing removes the same indices in every slice, so all slices share
+    // their index sets and one plan serves them all.
+    const auto plan = tn::plan_order(part.slices.front().tensors, keep, order_policy_, ctx_);
     for (const auto& slice : part.slices) {
       ctx_->check_deadline();
-      out->parts.push_back(tn::contract_network(mgr_, slice.tensors, keep, ctx_, order_policy_));
+      out->parts.push_back(tn::contract_network(mgr_, slice.tensors, keep, ctx_, plan));
     }
   }
-  out->push = make_push_plan(
-      out->net, out->parts.empty() ? std::vector<tn::Tensor>{}
-                                   : std::vector<tn::Tensor>{out->parts.front()});
+  out->push = make_push_plan(out->net, std::span(out->parts).first(out->parts.empty() ? 0 : 1));
   out->net.tensors.clear();
   return out;
 }
@@ -187,7 +178,7 @@ Edge AdditionImage::apply(const Prepared& prep, const Edge& ket, std::uint32_t) 
   Edge acc = mgr_.zero();
   for (const auto& part : pp.parts) {
     ctx_->check_deadline();
-    const Edge contribution = push_through(pp.net, {part}, ket, pp.push);
+    const Edge contribution = push_through(pp.net, std::span(&part, 1), ket, pp.push);
     acc = mgr_.add(acc, contribution);
     tdd::record_peak(ctx_, acc);
   }
@@ -199,7 +190,7 @@ Edge AdditionImage::apply(const Prepared& prep, const Edge& ket, std::uint32_t) 
 
 struct ContractionImage::Blocks : ImageComputer::Prepared {
   tn::CircuitNetwork net;
-  std::vector<tn::Tensor> blocks;  // (window, group)-ordered block tensors
+  std::vector<tn::Tensor> blocks;  // (window, group)-ordered, unit blocks dropped
   ImageComputer::PushPlan push;
 
   void collect_roots(std::vector<tdd::Edge>& out) const override {
@@ -211,11 +202,15 @@ std::unique_ptr<ImageComputer::Prepared> ContractionImage::prepare(const circ::C
   auto out = std::make_unique<Blocks>();
   out->net = tn::build_network(mgr_, kraus);
   if (!out->net.tensors.empty()) {
-    const auto blocks = tn::contraction_partition(mgr_, out->net, k1_, k2_, ctx_, order_policy_);
-    for (const auto& b : blocks) out->blocks.push_back(b.tensor);
+    const auto blocks = tn::contraction_partition(mgr_, out->net, k1_, k2_, ctx_);
+    for (const auto& b : blocks) {
+      // Gate-free grid cells are the unit tensor 1 with no index: folding
+      // them into every push would only add contract calls.
+      const bool unit = b.tensor.indices.empty() && b.tensor.edge.is_terminal() &&
+                        b.tensor.edge.weight == cplx{1.0, 0.0};
+      if (!unit) out->blocks.push_back(b.tensor);
+    }
   }
-  // The planner chooses where the ket folds into the block network — for
-  // caller order it goes first, exactly the historical behaviour.
   out->push = make_push_plan(out->net, out->blocks);
   out->net.tensors.clear();
   return out;

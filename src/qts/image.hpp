@@ -114,11 +114,12 @@ class ImageComputer {
   /// parallel engine's workers).
   virtual void clear_prepared() { prepared_.clear(); }
 
-  /// Contraction-order policy (tn/order.hpp) used for every contraction
-  /// this computer performs: prepare-time pre-contractions and the cached
-  /// per-apply push plans.  Defaults to the greedy planner; kCaller restores
-  /// the historical circuit-order fold.  Changing the policy drops prepared
-  /// operators, whose cached plans embed it.  Virtual so delegating engines
+  /// Contraction-order policy (tn/order.hpp) for the monolithic
+  /// pre-contractions of the basic and addition engines.  Defaults to the
+  /// greedy planner; kCaller folds in circuit order.  Push plans (ket first,
+  /// then the operator tensors) and contraction-partition blocks (circuit
+  /// order) always use the paper's orders, whatever the policy.  Changing
+  /// the policy drops prepared operators.  Virtual so delegating engines
   /// (parallel workers, fallback chains) forward it to their inner engines.
   virtual void set_order_policy(tn::OrderPolicy policy) {
     if (policy == order_policy_) return;
@@ -146,16 +147,13 @@ class ImageComputer {
   };
 
   /// Everything about a push that depends only on the prepared circuit, not
-  /// the ket: the canonical state levels, the sorted duplicate-free keep
-  /// set, the output→state rename map, and the contraction plan for
-  /// [ket] + ops.  Computed once in prepare() and replayed on every Kraus
-  /// application of the fixpoint — this is where the planner's cost (and
-  /// the keep sort it subsumed) is amortised away from the hot path.
+  /// the ket: the output→state rename map and the compiled ket-first fold
+  /// of [ket] + ops, sum-out sets included.  Computed once in prepare() and
+  /// replayed on every Kraus application of the fixpoint, so no planning or
+  /// index bookkeeping sits on the image path.
   struct PushPlan {
-    std::vector<tdd::Level> state;                          ///< state_levels(n)
-    std::vector<tdd::Level> keep;                           ///< net outputs, sorted unique
     std::vector<std::pair<tdd::Level, tdd::Level>> rename;  ///< output→state map
-    tn::ContractionPlan plan;                               ///< order for [ket] + ops
+    tn::ContractionPlan plan;                               ///< ket-first fold of [ket] + ops
   };
 
   virtual std::unique_ptr<Prepared> prepare(const circ::Circuit& kraus) = 0;
@@ -165,15 +163,15 @@ class ImageComputer {
   virtual tdd::Edge apply(const Prepared& prep, const tdd::Edge& ket,
                           std::uint32_t num_qubits) = 0;
 
-  /// Build the push plan for contracting [ket] + ops under this computer's
-  /// order policy (ops may be a representative — any list with the same
-  /// length and index sets plans identically).
-  PushPlan make_push_plan(const tn::CircuitNetwork& net, const std::vector<tn::Tensor>& ops);
+  /// Build the push plan for contracting [ket] + ops (ops may be a
+  /// representative — any list with the same length and index sets plans
+  /// identically).
+  PushPlan make_push_plan(const tn::CircuitNetwork& net, std::span<const tn::Tensor> ops);
 
   /// Contract ψ against extra tensors per the precomputed push plan, then
   /// rename outputs back to the state levels and apply the circuit factor.
   /// Shared helper for the subclasses.
-  tdd::Edge push_through(const tn::CircuitNetwork& net, const std::vector<tn::Tensor>& ops,
+  tdd::Edge push_through(const tn::CircuitNetwork& net, std::span<const tn::Tensor> ops,
                          const tdd::Edge& ket, const PushPlan& push);
 
   const Prepared& prepared_for(const circ::Circuit& kraus);

@@ -22,7 +22,8 @@ tdd::Edge apply_circuit_tdd(tdd::Manager& mgr, const circ::Circuit& circuit,
     std::vector<tdd::Level> keep = net.outputs;
     std::sort(keep.begin(), keep.end());
     keep.erase(std::unique(keep.begin(), keep.end()), keep.end());
-    const tn::Tensor out = tn::contract_network(mgr, tensors, keep, ctx);
+    // A push: the ket folds through the gates in circuit order.
+    const tn::Tensor out = tn::contract_network(mgr, tensors, keep, ctx, tn::OrderPolicy::kCaller);
     result = mgr.rename(out.edge, tn::output_to_state_map(net));
   }
   return mgr.scale(result, net.factor);

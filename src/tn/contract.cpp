@@ -1,8 +1,6 @@
 #include "tn/contract.hpp"
 
-#include <algorithm>
-#include <unordered_map>
-#include <utility>
+#include <string>
 
 #include "common/error.hpp"
 
@@ -15,141 +13,54 @@ Edge sum_out(tdd::Manager& mgr, const Edge& e, Level level) {
   return mgr.add(mgr.slice(e, level, 0), mgr.slice(e, level, 1));
 }
 
-namespace {
-
-/// Sum out whatever the accumulator still carries outside `keep`, check the
-/// result's index set is a subset of `keep`, and widen it to `keep`.  The
-/// accumulator may legitimately lack some `keep` indices: a wire that is
-/// only ever a control / diagonal target reuses one index for input and
-/// output, and a tensor constant in an index simply omits its node.
-Tensor finalize(tdd::Manager& mgr, Tensor acc, const std::vector<Level>& keep,
-                ExecutionContext* ctx) {
-  for (Level l : std::vector<Level>(acc.indices)) {
-    if (!std::binary_search(keep.begin(), keep.end(), l)) {
-      acc.edge = sum_out(mgr, acc.edge, l);
-      acc.indices = minus_indices(acc.indices, {l});
-      tdd::record_peak(ctx, acc.edge);
-    }
+Edge contract_planned(tdd::Manager& mgr, const Edge& front, std::span<const Tensor> rest,
+                      const ContractionPlan& plan, ExecutionContext* ctx) {
+  const std::size_t n = rest.size() + 1;
+  if (plan.num_tensors != n || plan.steps.size() + 1 != n) {
+    throw InvalidArgument("contract_network: plan was built for " +
+                          std::to_string(plan.num_tensors) + " tensors with " +
+                          std::to_string(plan.steps.size()) + " steps, got " +
+                          std::to_string(n) + " tensors");
   }
-  for (Level l : acc.indices) {
-    require(std::binary_search(keep.begin(), keep.end(), l),
-            "contract_network: result carries an index outside `keep`");
-  }
-  acc.indices = keep;
-  return acc;
-}
 
-/// The historical left-to-right fold.  Kept as its own loop (rather than a
-/// caller-order plan fed to the executor below) so OrderPolicy::kCaller
-/// costs exactly what it always did: no plan object, no slot table.
-Tensor fold_caller_order(tdd::Manager& mgr, const std::vector<Tensor>& tensors,
-                         const std::vector<Level>& keep, ExecutionContext* ctx) {
-  // remaining[l] = number of NOT-yet-merged tensors whose index set mentions
-  // l, plus one virtual use if l must be kept.
-  std::unordered_map<Level, std::size_t> remaining;
-  for (const auto& t : tensors) {
-    for (Level l : t.indices) remaining[l] += 1;
-  }
-  for (Level l : keep) remaining[l] += 1;
-
-  Tensor acc = tensors.front();
-  for (Level l : acc.indices) remaining[l] -= 1;
-  tdd::record_peak(ctx, acc.edge);
-
-  for (std::size_t i = 1; i < tensors.size(); ++i) {
-    if (ctx != nullptr) ctx->check_deadline();
-    const Tensor& t = tensors[i];
-    for (Level l : t.indices) remaining[l] -= 1;
-
-    // Sum out the indices of acc ∪ t that no one else mentions any more.
-    const auto shared_all = union_indices(acc.indices, t.indices);
-    std::vector<Level> gamma;
-    for (Level l : shared_all) {
-      if (remaining[l] == 0) gamma.push_back(l);
-    }
-    acc.edge = mgr.contract(acc.edge, t.edge, gamma);
-    acc.indices = minus_indices(shared_all, gamma);
-    tdd::record_peak(ctx, acc.edge);
-  }
-  return finalize(mgr, std::move(acc), keep, ctx);
-}
-
-/// Replay a pairwise merge plan in SSA form: slots 0..n-1 are the inputs,
-/// step i's result becomes slot n+i, every slot is consumed exactly once.
-/// The `remaining` bookkeeping generalises the caller fold's: a live use of
-/// level l is any unconsumed slot mentioning it (plus one virtual `keep`
-/// use), and a merge sums out exactly the union indices whose live-use
-/// count hits zero once both operands retire — so a caller-order plan
-/// reproduces fold_caller_order's contract calls verbatim, and any other
-/// plan changes intermediate shapes only, never the final tensor.
-Tensor execute_plan(tdd::Manager& mgr, const std::vector<Tensor>& tensors,
-                    const std::vector<Level>& keep, ExecutionContext* ctx,
-                    const ContractionPlan& plan) {
-  const std::size_t n = tensors.size();
-  require(plan.num_tensors == n, "contract_network: plan was built for " +
-                                     std::to_string(plan.num_tensors) + " tensors, got " +
-                                     std::to_string(n));
-  require(plan.steps.size() + 1 == n, "contract_network: plan must have exactly n-1 steps");
-
-  std::unordered_map<Level, std::size_t> remaining;
-  for (const auto& t : tensors) {
-    for (Level l : t.indices) remaining[l] += 1;
-  }
-  for (Level l : keep) remaining[l] += 1;
-
-  std::vector<Tensor> slots = tensors;
-  slots.reserve(n + plan.steps.size());
-  std::vector<bool> consumed(n + plan.steps.size(), false);
-  for (const Tensor& t : slots) tdd::record_peak(ctx, t.edge);
-
+  // Slot s < n is an input; slot n+i is the result of step i.
+  std::vector<Edge> merged;
+  merged.reserve(plan.steps.size());
+  const auto slot = [&](std::size_t s) -> const Edge& {
+    if (s == 0) return front;
+    if (s < n) return rest[s - 1].edge;
+    if (s - n >= merged.size()) throw InvalidArgument("contract_network: malformed plan step");
+    return merged[s - n];
+  };
   for (const PlanStep& step : plan.steps) {
     if (ctx != nullptr) ctx->check_deadline();
-    require(step.lhs < slots.size() && step.rhs < slots.size() && step.lhs != step.rhs &&
-                !consumed[step.lhs] && !consumed[step.rhs],
-            "contract_network: malformed plan step");
-    consumed[step.lhs] = true;
-    consumed[step.rhs] = true;
-    const Tensor& a = slots[step.lhs];
-    const Tensor& b = slots[step.rhs];
-    for (Level l : a.indices) remaining[l] -= 1;
-    for (Level l : b.indices) remaining[l] -= 1;
-
-    const auto all = union_indices(a.indices, b.indices);
-    std::vector<Level> gamma;
-    for (Level l : all) {
-      if (remaining[l] == 0) gamma.push_back(l);
-    }
-    Tensor merged;
-    merged.edge = mgr.contract(a.edge, b.edge, gamma);
-    merged.indices = minus_indices(all, gamma);
-    for (Level l : merged.indices) remaining[l] += 1;
-    tdd::record_peak(ctx, merged.edge);
-    slots.push_back(std::move(merged));
+    const Edge result = mgr.contract(slot(step.lhs), slot(step.rhs), step.sum);
+    tdd::record_peak(ctx, result);
+    merged.push_back(result);
   }
-  return finalize(mgr, std::move(slots.back()), keep, ctx);
-}
 
-}  // namespace
+  Edge acc = merged.empty() ? front : merged.back();
+  if (merged.empty()) tdd::record_peak(ctx, acc);
+  for (const Level l : plan.tail) {
+    acc = sum_out(mgr, acc, l);
+    tdd::record_peak(ctx, acc);
+  }
+  return acc;
+}
 
 Tensor contract_network(tdd::Manager& mgr, const std::vector<Tensor>& tensors,
                         const std::vector<Level>& keep, ExecutionContext* ctx,
                         OrderPolicy policy) {
   require(!tensors.empty(), "contract_network needs at least one tensor");
-  if (policy == OrderPolicy::kCaller || tensors.size() < 3) {
-    // With fewer than three tensors every order is the caller order.
-    return fold_caller_order(mgr, tensors, keep, ctx);
-  }
-  return execute_plan(mgr, tensors, keep, ctx, plan_order(tensors, keep, policy, ctx));
+  return contract_network(mgr, tensors, keep, ctx, plan_order(tensors, keep, policy, ctx));
 }
 
 Tensor contract_network(tdd::Manager& mgr, const std::vector<Tensor>& tensors,
                         const std::vector<Level>& keep, ExecutionContext* ctx,
                         const ContractionPlan& plan) {
   require(!tensors.empty(), "contract_network needs at least one tensor");
-  if (plan.steps.empty() && tensors.size() == 1) {
-    return finalize(mgr, tensors.front(), keep, ctx);
-  }
-  return execute_plan(mgr, tensors, keep, ctx, plan);
+  const std::span<const Tensor> all(tensors);
+  return Tensor{contract_planned(mgr, all.front().edge, all.subspan(1), plan, ctx), keep};
 }
 
 }  // namespace qts::tn

@@ -2,8 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
-#include <limits>
-#include <map>
+#include <functional>
+#include <tuple>
 #include <utility>
 
 #include "common/error.hpp"
@@ -25,79 +25,28 @@ class IndexSet {
     return (words_[bit >> 6] >> (bit & 63)) & 1u;
   }
 
-  void unite(const IndexSet& other) {
-    for (std::size_t i = 0; i < words_.size(); ++i) words_[i] |= other.words_[i];
-  }
-  void intersect(const IndexSet& other) {
-    for (std::size_t i = 0; i < words_.size(); ++i) words_[i] &= other.words_[i];
-  }
-
-  [[nodiscard]] bool intersects(const IndexSet& other) const {
-    for (std::size_t i = 0; i < words_.size(); ++i) {
-      if ((words_[i] & other.words_[i]) != 0) return true;
-    }
-    return false;
-  }
-
-  [[nodiscard]] std::size_t count() const {
-    std::size_t c = 0;
-    for (const std::uint64_t w : words_) c += static_cast<std::size_t>(__builtin_popcountll(w));
-    return c;
-  }
-
-  [[nodiscard]] std::size_t num_words() const { return words_.size(); }
   [[nodiscard]] std::uint64_t word(std::size_t i) const { return words_[i]; }
+
+  /// Call f(bit) for every set bit, ascending.
+  template <class F>
+  void for_each(F&& f) const {
+    for (std::size_t i = 0; i < words_.size(); ++i) {
+      for (std::uint64_t u = words_[i]; u != 0; u &= u - 1) {
+        f(i * 64 + static_cast<std::size_t>(__builtin_ctzll(u)));
+      }
+    }
+  }
 
  private:
   std::vector<std::uint64_t> words_;
 };
 
-/// Width of the intermediate produced by merging slots with index sets `a`
-/// and `b`, given live-use counts (`uses[l]` = live slots mentioning l, keep
-/// counted as one permanent user).  An index survives the merge iff someone
-/// OTHER than the two operands still mentions it — exactly the executor's
-/// `remaining` test, so planned widths are the real intermediate widths.
-std::size_t merge_width(const IndexSet& a, const IndexSet& b,
-                        const std::vector<std::size_t>& uses) {
-  std::size_t width = 0;
-  for (std::size_t i = 0; i < a.num_words(); ++i) {
-    std::uint64_t u = a.word(i) | b.word(i);
-    while (u != 0) {
-      const std::size_t l = i * 64 + static_cast<std::size_t>(__builtin_ctzll(u));
-      const std::size_t operands = (a.test(l) ? 1u : 0u) + (b.test(l) ? 1u : 0u);
-      if (uses[l] > operands) ++width;
-      u &= u - 1;
-    }
-  }
-  return width;
-}
-
-/// Commit a merge: retire both operands from the use counts, build the
-/// surviving index set, and register it as one new user of each survivor.
-IndexSet commit_merge(const IndexSet& a, const IndexSet& b,
-                      std::vector<std::size_t>& uses, std::size_t words) {
-  IndexSet result(words);
-  for (std::size_t i = 0; i < words; ++i) {
-    std::uint64_t u = a.word(i) | b.word(i);
-    while (u != 0) {
-      const std::size_t l = i * 64 + static_cast<std::size_t>(__builtin_ctzll(u));
-      uses[l] -= (a.test(l) ? 1u : 0u) + (b.test(l) ? 1u : 0u);
-      if (uses[l] > 0) {
-        result.set(l);
-        uses[l] += 1;
-      }
-      u &= u - 1;
-    }
-  }
-  return result;
-}
-
 struct Problem {
-  std::size_t num_levels = 0;
-  std::size_t words = 0;
-  std::vector<IndexSet> tensor;  ///< per input tensor, remapped index set
-  IndexSet keep;                 ///< external indices that must survive
-  std::vector<std::size_t> uses; ///< per level: #tensors mentioning it (+1 if kept)
+  std::vector<tdd::Level> levels;  ///< bit -> level, ascending
+  std::size_t words = 1;
+  std::vector<IndexSet> tensor;    ///< per input tensor, remapped index set
+  IndexSet keep;                   ///< external indices that must survive
+  std::vector<std::size_t> uses;   ///< per level: #tensors mentioning it (+1 if kept)
 
   Problem() : keep(0) {}
 };
@@ -105,208 +54,220 @@ struct Problem {
 Problem build_problem(const std::vector<std::vector<tdd::Level>>& index_sets,
                       const std::vector<tdd::Level>& keep) {
   // Deterministic level remap: sorted order of every level that appears.
-  std::map<tdd::Level, std::size_t> remap;
-  for (const auto& idx : index_sets) {
-    for (const tdd::Level l : idx) remap.emplace(l, 0);
-  }
-  for (const tdd::Level l : keep) remap.emplace(l, 0);
-  std::size_t next = 0;
-  for (auto& [level, bit] : remap) bit = next++;
-
   Problem p;
-  p.num_levels = next;
-  p.words = (next + 63) / 64;
-  if (p.words == 0) p.words = 1;
+  for (const auto& idx : index_sets) p.levels.insert(p.levels.end(), idx.begin(), idx.end());
+  p.levels.insert(p.levels.end(), keep.begin(), keep.end());
+  std::sort(p.levels.begin(), p.levels.end());
+  p.levels.erase(std::unique(p.levels.begin(), p.levels.end()), p.levels.end());
+  const auto bit_of = [&p](tdd::Level l) {
+    return static_cast<std::size_t>(std::lower_bound(p.levels.begin(), p.levels.end(), l) -
+                                    p.levels.begin());
+  };
+
+  p.words = std::max<std::size_t>(1, (p.levels.size() + 63) / 64);
   p.keep = IndexSet(p.words);
-  p.uses.assign(p.num_levels, 0);
+  p.uses.assign(p.levels.size(), 0);
   p.tensor.reserve(index_sets.size());
   for (const auto& idx : index_sets) {
     IndexSet s(p.words);
     for (const tdd::Level l : idx) {
-      const std::size_t bit = remap.at(l);
+      const std::size_t bit = bit_of(l);
       s.set(bit);
       p.uses[bit] += 1;
     }
     p.tensor.push_back(std::move(s));
   }
   for (const tdd::Level l : keep) {
-    const std::size_t bit = remap.at(l);
+    const std::size_t bit = bit_of(l);
     p.keep.set(bit);
     p.uses[bit] += 1;
   }
   return p;
 }
 
-/// The visible index set of a merged group: indices some member mentions
-/// that are also mentioned outside the group or kept.  `members` is the
-/// union of the group's tensor index sets; `outside` the union of every
-/// live slot OTHER than the group, keep included.
-IndexSet visible_set(const IndexSet& members, const IndexSet& outside, std::size_t words) {
-  IndexSet v(words);
-  v.unite(members);
-  v.intersect(outside);
-  return v;
-}
-
-/// Record one merge into the plan's cost gauges.
-void account(ContractionPlan& plan, std::size_t width) {
-  plan.max_width = std::max(plan.max_width, width);
-  plan.estimated_cost += std::ldexp(1.0, static_cast<int>(std::min<std::size_t>(width, 1022)));
-}
-
-/// The caller-order fold as an explicit SSA plan, cost-annotated with the
-/// same use-count mechanics as the executor so the gauges stay comparable
-/// across policies.
-ContractionPlan plan_caller(const Problem& p) {
-  ContractionPlan plan;
-  plan.policy = OrderPolicy::kCaller;
-  const std::size_t n = p.tensor.size();
-  plan.num_tensors = n;
-  if (n < 2) return plan;
-
-  std::vector<std::size_t> uses = p.uses;
-  IndexSet acc = p.tensor[0];
-  for (std::size_t i = 1; i < n; ++i) {
-    account(plan, merge_width(acc, p.tensor[i], uses));
-    acc = commit_merge(acc, p.tensor[i], uses, p.words);
-    plan.steps.push_back({i == 1 ? std::size_t{0} : n + (i - 2), i});
+/// Compiles one plan: commits merges against the live-use counts, records
+/// each step with the levels it sums out, and keeps the cost gauges.
+class PlanBuilder {
+ public:
+  explicit PlanBuilder(const Problem& p) : p_(p), uses_(p.uses) {
+    plan_.num_tensors = p.tensor.size();
+    plan_.steps.reserve(p.tensor.size());
   }
-  return plan;
-}
 
-/// Min-width greedy: repeatedly merge the live pair with the smallest
-/// surviving-index width.  Pairs sharing an index are preferred over
-/// disconnected pairs (an outer product rarely helps); remaining ties break
-/// towards the earliest slot positions via the scan order and strict
-/// comparison, so the plan is fully deterministic.
-ContractionPlan plan_greedy(const Problem& p) {
-  ContractionPlan plan;
-  plan.policy = OrderPolicy::kGreedy;
-  const std::size_t n = p.tensor.size();
-  plan.num_tensors = n;
-  if (n < 2) return plan;
-
-  struct Slot {
-    std::size_t id;    ///< SSA slot number
-    IndexSet members;  ///< surviving index set of the slot
-  };
-
-  // Live-use counts per level: how many live slots mention it (+1 if kept).
-  // A level with count 2 whose two users merge becomes summable — it
-  // vanishes from the merged slot and never contributes width again.
-  std::vector<std::size_t> uses = p.uses;
-
-  std::vector<Slot> live;
-  live.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) live.push_back({i, p.tensor[i]});
-
-  std::size_t next_id = n;
-  while (live.size() > 1) {
-    // Pick the pair (a, b), a < b by position, minimising
-    // (result width, disconnected?, position a, position b).
-    std::size_t best_a = 0;
-    std::size_t best_b = 1;
-    std::size_t best_width = std::numeric_limits<std::size_t>::max();
-    bool best_connected = false;
-    for (std::size_t a = 0; a < live.size(); ++a) {
-      for (std::size_t b = a + 1; b < live.size(); ++b) {
-        const bool connected = live[a].members.intersects(live[b].members);
-        const std::size_t width = merge_width(live[a].members, live[b].members, uses);
-        const bool better =
-            width < best_width || (width == best_width && connected && !best_connected);
-        if (better) {
-          best_a = a;
-          best_b = b;
-          best_width = width;
-          best_connected = connected;
+  /// Merge slots `lhs` and `rhs` (index sets `a` and `b`): retire both
+  /// operands from the use counts, sum out every level nobody else
+  /// mentions, and return the merged index set, registered as one new user
+  /// of each surviving level.
+  IndexSet merge(std::size_t lhs, std::size_t rhs, const IndexSet& a, const IndexSet& b) {
+    IndexSet result(p_.words);
+    PlanStep step{lhs, rhs, {}};
+    std::size_t width = 0;
+    for (std::size_t i = 0; i < p_.words; ++i) {
+      for (std::uint64_t u = a.word(i) | b.word(i); u != 0; u &= u - 1) {
+        const std::size_t l = i * 64 + static_cast<std::size_t>(__builtin_ctzll(u));
+        uses_[l] -= (a.test(l) ? 1u : 0u) + (b.test(l) ? 1u : 0u);
+        if (uses_[l] > 0) {
+          result.set(l);
+          uses_[l] += 1;
+          ++width;
+        } else {
+          step.sum.push_back(p_.levels[l]);
         }
       }
     }
-
-    plan.steps.push_back({live[best_a].id, live[best_b].id});
-    account(plan, best_width);
-    Slot merged{next_id++, commit_merge(live[best_a].members, live[best_b].members,
-                                        uses, p.words)};
-
-    // Replace the pair with the merged slot (erase the later position first
-    // so the earlier one stays valid).
-    live.erase(live.begin() + static_cast<std::ptrdiff_t>(best_b));
-    live[best_a] = std::move(merged);
+    plan_.max_width = std::max(plan_.max_width, width);
+    plan_.estimated_cost += std::ldexp(1.0, static_cast<int>(std::min<std::size_t>(width, 1022)));
+    plan_.steps.push_back(std::move(step));
+    return result;
   }
-  return plan;
+
+  /// Close the plan on the final slot's index set: whatever it still
+  /// carries outside `keep` is the tail summed after the last step (only a
+  /// one-tensor network can have one).
+  ContractionPlan finish(const IndexSet& last) && {
+    last.for_each([this](std::size_t l) {
+      if (!p_.keep.test(l)) plan_.tail.push_back(p_.levels[l]);
+    });
+    return std::move(plan_);
+  }
+
+  [[nodiscard]] const std::vector<std::size_t>& uses() const { return uses_; }
+
+ private:
+  const Problem& p_;
+  std::vector<std::size_t> uses_;  ///< live slots mentioning each level (+1 if kept)
+  ContractionPlan plan_;
+};
+
+/// The caller-order fold as a compiled SSA plan.
+ContractionPlan plan_caller(const Problem& p) {
+  PlanBuilder builder(p);
+  const std::size_t n = p.tensor.size();
+  IndexSet acc = p.tensor[0];
+  for (std::size_t i = 1; i < n; ++i) {
+    acc = builder.merge(i == 1 ? std::size_t{0} : n + (i - 2), i, acc, p.tensor[i]);
+  }
+  return std::move(builder).finish(acc);
 }
 
-/// Subset DP: cost[S] = min over nontrivial splits A ⊂ S of
-/// cost[A] + cost[S\A] + 2^width(S).  width(S) depends on S alone (visible
-/// = mentioned in S and also outside S or kept), which is what makes the
-/// DP well-posed.  Deterministic: subsets are scanned in increasing mask
-/// order and the first best split wins.
-ContractionPlan plan_exact(const Problem& p) {
-  ContractionPlan plan;
-  plan.policy = OrderPolicy::kExact;
+/// A scored merge candidate.  Candidates order by (width, disconnected,
+/// anchor_a, anchor_b), where a slot's anchor is the smallest input
+/// position it contains.  Anchors are exactly the positions of the
+/// textbook O(n^3) scan over a live list in which a merge keeps the lower
+/// position, so the heap minimum is that scan's first-best pair.
+struct Candidate {
+  std::uint32_t width;
+  bool disconnected;
+  std::uint32_t anchor_a;
+  std::uint32_t anchor_b;
+  std::uint32_t a;  ///< slot with the lower anchor
+  std::uint32_t b;
+
+  bool operator>(const Candidate& o) const {
+    return std::tie(width, disconnected, anchor_a, anchor_b) >
+           std::tie(o.width, o.disconnected, o.anchor_a, o.anchor_b);
+  }
+};
+
+/// Min-width greedy: repeatedly merge the live pair with the smallest
+/// surviving-index width, preferring pairs that share an index over
+/// disconnected ones (an outer product rarely helps), ties towards the
+/// lowest anchors.  A pair's width is the number of levels of either
+/// operand that some other live slot (or keep) still mentions, which is
+/// what PlanBuilder::merge keeps.  Incremental: a merge of A and B lowers
+/// the use count only of levels both mention that survive into the merged
+/// slot M, and M keeps every such level visible to any other pair, so no
+/// other pair's width changes.  Each merge therefore scores only M's
+/// pairs; entries naming a merged-away slot are dropped when popped (lazy
+/// deletion).  O(n^2 log n) instead of the rescan's O(n^3).  By the same
+/// argument a slot's count of shared levels never changes, so scoring a
+/// pair only walks the levels it has in common.  Polls the deadline once
+/// per merge and once per row of the initial pair scoring.
+ContractionPlan plan_greedy(const Problem& p, ExecutionContext* ctx) {
+  PlanBuilder builder(p);
   const std::size_t n = p.tensor.size();
-  plan.num_tensors = n;
-  if (n < 2) return plan;
-  require(n <= kExactLimit, "plan_exact: network too large for the subset DP");
+  if (n < 2) return std::move(builder).finish(p.tensor[0]);
 
-  const std::size_t words = p.words;
-  const std::uint32_t full = (n == 32 ? ~0u : (1u << n) - 1u);
-
-  // Per-subset union of member index sets, and the visible width.
-  std::vector<IndexSet> members(full + 1, IndexSet(words));
-  std::vector<std::size_t> width(full + 1, 0);
-  for (std::uint32_t s = 1; s <= full; ++s) {
-    const std::uint32_t low = s & (s - 1);
-    members[s] = members[low];
-    members[s].unite(p.tensor[static_cast<std::size_t>(__builtin_ctz(s))]);
+  struct Slot {
+    IndexSet members;      ///< surviving index set of the slot
+    std::uint32_t anchor;  ///< smallest input position in the slot
+    std::uint32_t shared;  ///< members some other slot or keep mentions
+    bool live = true;
+  };
+  std::vector<Slot> slots;
+  slots.reserve(2 * n - 1);
+  std::vector<std::size_t> live;
+  live.reserve(n);
+  const auto add_slot = [&](IndexSet members, std::size_t anchor) {
+    std::uint32_t shared = 0;
+    members.for_each([&](std::size_t l) { shared += builder.uses()[l] > 1 ? 1 : 0; });
+    slots.push_back({std::move(members), static_cast<std::uint32_t>(anchor), shared});
+  };
+  for (std::size_t i = 0; i < n; ++i) {
+    add_slot(p.tensor[i], i);
+    live.push_back(i);
   }
-  for (std::uint32_t s = 1; s <= full; ++s) {
-    IndexSet outside(words);
-    outside.unite(p.keep);
-    const std::uint32_t rest = full & ~s;
-    if (rest != 0) outside.unite(members[rest]);
-    width[s] = visible_set(members[s], outside, words).count();
-  }
 
-  constexpr double kInf = std::numeric_limits<double>::infinity();
-  std::vector<double> cost(full + 1, kInf);
-  std::vector<std::uint32_t> split(full + 1, 0);
-  for (std::size_t i = 0; i < n; ++i) cost[std::uint32_t{1} << i] = 0.0;
-
-  for (std::uint32_t s = 1; s <= full; ++s) {
-    if ((s & (s - 1)) == 0) continue;  // singleton
-    const double merge_cost =
-        std::ldexp(1.0, static_cast<int>(std::min<std::size_t>(width[s], 1022)));
-    // Enumerate proper submasks; visiting a from s keeps a < s so cost[a]
-    // and cost[s\a] are final.  Each unordered split is seen twice; the
-    // deterministic strict '<' keeps the first (smallest mask) winner.
-    for (std::uint32_t a = (s - 1) & s; a != 0; a = (a - 1) & s) {
-      const std::uint32_t b = s & ~a;
-      if (b == 0) continue;
-      const double c = cost[a] + cost[b] + merge_cost;
-      if (c < cost[s]) {
-        cost[s] = c;
-        split[s] = a;
+  const auto score = [&](std::size_t x, std::size_t y) {
+    if (slots[y].anchor < slots[x].anchor) std::swap(x, y);
+    const Slot& sx = slots[x];
+    const Slot& sy = slots[y];
+    // A level only one operand mentions survives iff it is shared; a common
+    // level (counted in both `shared`) survives iff a third user remains.
+    std::uint32_t common = 0;
+    std::uint32_t closed = 0;
+    for (std::size_t i = 0; i < p.words; ++i) {
+      for (std::uint64_t u = sx.members.word(i) & sy.members.word(i); u != 0; u &= u - 1) {
+        ++common;
+        const std::size_t l = i * 64 + static_cast<std::size_t>(__builtin_ctzll(u));
+        if (builder.uses()[l] == 2) ++closed;
       }
     }
-  }
-
-  // Reconstruct SSA steps bottom-up.  emit(S) returns the slot id holding
-  // the contraction of subset S.
-  std::size_t next_id = n;
-  auto emit = [&](auto&& self, std::uint32_t s) -> std::size_t {
-    if ((s & (s - 1)) == 0) return static_cast<std::size_t>(__builtin_ctz(s));
-    const std::uint32_t a = split[s];
-    const std::uint32_t b = s & ~a;
-    const std::size_t lhs = self(self, a);
-    const std::size_t rhs = self(self, b);
-    plan.steps.push_back({std::min(lhs, rhs), std::max(lhs, rhs)});
-    account(plan, width[s]);
-    return next_id++;
+    return Candidate{sx.shared + sy.shared - common - closed, common == 0, sx.anchor, sy.anchor,
+                     static_cast<std::uint32_t>(x), static_cast<std::uint32_t>(y)};
   };
-  (void)emit(emit, full);
-  plan.estimated_cost = cost[full];
-  return plan;
+  // Min-heap of candidates; the initial O(n^2) pairs are heapified at once.
+  std::vector<Candidate> heap;
+  heap.reserve(n * (n - 1) / 2);
+  for (std::size_t i = 0; i < n; ++i) {
+    if (ctx != nullptr) ctx->check_deadline();
+    for (std::size_t j = i + 1; j < n; ++j) heap.push_back(score(i, j));
+  }
+  const std::greater<> later;
+  std::make_heap(heap.begin(), heap.end(), later);
+  const auto pop = [&] {
+    std::pop_heap(heap.begin(), heap.end(), later);
+    const Candidate c = heap.back();
+    heap.pop_back();
+    return c;
+  };
+
+  while (live.size() > 1) {
+    if (ctx != nullptr) ctx->check_deadline();
+    Candidate c = pop();
+    while (!slots[c.a].live || !slots[c.b].live) c = pop();
+
+    IndexSet merged = builder.merge(c.a, c.b, slots[c.a].members, slots[c.b].members);
+    slots[c.a].live = false;
+    slots[c.b].live = false;
+    std::erase_if(live, [&c](std::size_t s) { return s == c.a || s == c.b; });
+    const std::size_t m = slots.size();
+    add_slot(std::move(merged), slots[c.a].anchor);
+    for (const std::size_t y : live) {
+      heap.push_back(score(m, y));
+      std::push_heap(heap.begin(), heap.end(), later);
+    }
+    live.push_back(m);
+    // Every live pair has exactly one entry; once stale entries outnumber
+    // them, sweep the stale ones out rather than popping each of them.
+    if (heap.size() > live.size() * (live.size() - 1)) {
+      std::erase_if(heap, [&slots](const Candidate& e) {
+        return !slots[e.a].live || !slots[e.b].live;
+      });
+      std::make_heap(heap.begin(), heap.end(), later);
+    }
+  }
+  return std::move(builder).finish(slots.back().members);
 }
 
 }  // namespace
@@ -314,16 +275,14 @@ ContractionPlan plan_exact(const Problem& p) {
 OrderPolicy parse_order_policy(const std::string& text) {
   if (text == "caller") return OrderPolicy::kCaller;
   if (text == "greedy") return OrderPolicy::kGreedy;
-  if (text == "exact") return OrderPolicy::kExact;
   throw InvalidArgument("unknown contraction-order policy '" + text +
-                        "' (expected caller, greedy or exact)");
+                        "' (expected caller or greedy)");
 }
 
 std::string to_string(OrderPolicy policy) {
   switch (policy) {
     case OrderPolicy::kCaller: return "caller";
     case OrderPolicy::kGreedy: return "greedy";
-    case OrderPolicy::kExact: return "exact";
   }
   throw InternalError("to_string(OrderPolicy): invalid enum value");
 }
@@ -331,26 +290,11 @@ std::string to_string(OrderPolicy policy) {
 ContractionPlan plan_order_indices(const std::vector<std::vector<tdd::Level>>& index_sets,
                                    const std::vector<tdd::Level>& keep, OrderPolicy policy,
                                    ExecutionContext* ctx) {
-  WallTimer timer;
-  const Problem p = build_problem(index_sets, keep);
+  const WallTimer timer;
   ContractionPlan plan;
-  switch (policy) {
-    case OrderPolicy::kCaller:
-      plan = plan_caller(p);
-      break;
-    case OrderPolicy::kGreedy:
-      plan = plan_greedy(p);
-      break;
-    case OrderPolicy::kExact:
-      // The subset DP is exponential; big networks degrade to the greedy
-      // heuristic (documented in the header) rather than refusing.
-      if (index_sets.size() <= kExactLimit) {
-        plan = plan_exact(p);
-      } else {
-        plan = plan_greedy(p);
-        plan.policy = OrderPolicy::kExact;
-      }
-      break;
+  if (!index_sets.empty()) {
+    const Problem p = build_problem(index_sets, keep);
+    plan = policy == OrderPolicy::kGreedy ? plan_greedy(p, ctx) : plan_caller(p);
   }
   if (ctx != nullptr) {
     RunStats& s = ctx->stats();

@@ -1,14 +1,12 @@
 /// \file order.hpp
-/// Cost-driven contraction-order planning for contract_network.
+/// Contraction-order planning for contract_network.
 ///
-/// The caller-supplied tensor order (circuit order for a monolithic
-/// pre-contraction, (window, group) order for partition blocks, ket-first
-/// for image pushes) is a reasonable default but carries no cost model at
-/// all.  This planner chooses the pairwise merge order over the *index
-/// sets* alone — the TDD values never matter for planning, only which
-/// indices each tensor touches and which must be kept — so a plan can be
-/// computed once per prepared circuit and reused for every Kraus
-/// application of the fixpoint.
+/// A plan is computed from the *index sets* alone — the TDD values never
+/// matter, only which indices each tensor touches and which must be kept —
+/// so it is computed once per prepared circuit and replayed for every Kraus
+/// application of the fixpoint.  A plan is compiled: every step carries the
+/// levels it sums out, and the plan carries the tail summed after the last
+/// step, so replaying it needs no index bookkeeping at all.
 ///
 /// Cost model: the width of an intermediate is the size of its visible
 /// index set (indices mentioned outside the merged subtree, or in `keep`);
@@ -19,16 +17,18 @@
 /// only, never results.
 ///
 /// Policies:
-///   * kCaller — the historical left-to-right fold, kept as an explicit
-///     policy (plans cost nothing, merge order is the input order);
+///   * kCaller — the left-to-right fold in the caller's tensor order.  This
+///     is the paper's order wherever the order *is* the algorithm: image
+///     pushes fold the ket first through the operator tensors, and
+///     contraction-partition blocks contract in circuit order;
 ///   * kGreedy — min-width pairwise merging: every step merges the pair of
-///     live tensors whose result has the smallest visible width,
-///     preferring pairs that actually share an index, with deterministic
-///     tie-breaks (O(n^3) in the tensor count, fine for circuit-sized
-///     networks and amortised by the prepared-plan cache anyway);
-///   * kExact — optimal pairwise order by subset dynamic programming,
-///     minimising the summed 2^width proxy cost; exponential in the tensor
-///     count, so networks above kExactLimit tensors fall back to kGreedy.
+///     live tensors whose result has the smallest visible width, preferring
+///     pairs that actually share an index, with deterministic position
+///     tie-breaks.  Incremental: a merge changes no other pair's width, so
+///     a lazy-deletion heap scores only the merged slot's new pairs, and
+///     the plans are step-identical to the O(n^3) rescan.  Used for the
+///     monolithic pre-contractions of the basic and addition engines,
+///     where it pays.
 #pragma once
 
 #include <cstddef>
@@ -44,33 +44,32 @@ namespace qts::tn {
 enum class OrderPolicy {
   kCaller,  ///< left-to-right fold in the caller's tensor order
   kGreedy,  ///< min-width greedy pairwise merging
-  kExact,   ///< subset-DP optimal pairwise order (<= kExactLimit tensors)
 };
 
-/// Parse "caller" | "greedy" | "exact" (strict full match).  Throws
-/// InvalidArgument on anything else — "greedyx" is an error, not kGreedy.
+/// Parse "caller" | "greedy" (strict full match).  Throws InvalidArgument
+/// on anything else — "greedyx" is an error, not kGreedy.
 OrderPolicy parse_order_policy(const std::string& text);
 
 /// Canonical spelling; parse_order_policy(to_string(p)) round-trips.
 std::string to_string(OrderPolicy policy);
 
-/// Largest network the exact DP will plan; bigger networks degrade to the
-/// greedy heuristic (the 3^n subset enumeration is past ~100k states here).
-inline constexpr std::size_t kExactLimit = 12;
-
 /// One pairwise merge in SSA form: slots 0..n-1 are the input tensors, the
 /// result of step i becomes slot n+i.  Every slot is consumed exactly once;
-/// after n-1 steps one live slot remains.
+/// after n-1 steps one live slot remains.  `sum` lists the levels (sorted)
+/// that no other live slot and no kept index mentions once both operands
+/// retire: the merge contracts them away.
 struct PlanStep {
   std::size_t lhs = 0;
   std::size_t rhs = 0;
+  std::vector<tdd::Level> sum;
 };
 
-/// A contraction order for one fixed tensor list + keep set.  Reusable
-/// across managers and runs: it references tensors by position only.
+/// A compiled contraction order for one fixed tensor list + keep set.
+/// Reusable across managers and runs: it references tensors by position
+/// only.
 struct ContractionPlan {
-  OrderPolicy policy = OrderPolicy::kCaller;
   std::vector<PlanStep> steps;     ///< n-1 merges in SSA slot numbering
+  std::vector<tdd::Level> tail;    ///< levels summed after the last step
   std::size_t num_tensors = 0;     ///< n the plan was built for
   std::size_t max_width = 0;       ///< widest intermediate index set
   double estimated_cost = 0.0;     ///< sum of 2^width over the merges
@@ -81,7 +80,8 @@ struct ContractionPlan {
 /// node identity, manager state or wall-clock — the same network plans the
 /// same way in every run and every manager.  When `ctx` is non-null the
 /// planner gauges (plans computed, planning seconds, max order width) are
-/// recorded on its RunStats.
+/// recorded on its RunStats, and the greedy planner polls its deadline
+/// while it plans (once per merge).
 ContractionPlan plan_order(const std::vector<Tensor>& tensors,
                            const std::vector<tdd::Level>& keep, OrderPolicy policy,
                            ExecutionContext* ctx = nullptr);

@@ -51,7 +51,7 @@ AdditionPartition addition_partition(tdd::Manager& mgr, const CircuitNetwork& ne
 
 std::vector<Block> contraction_partition(tdd::Manager& mgr, const CircuitNetwork& net,
                                          std::uint32_t k1, std::uint32_t k2,
-                                         ExecutionContext* ctx, OrderPolicy policy) {
+                                         ExecutionContext* ctx) {
   require(k1 >= 1 && k2 >= 1, "contraction partition needs k1, k2 >= 1");
 
   // Assign every gate tensor to a (group, window) block per §V-B: groups are
@@ -138,7 +138,7 @@ std::vector<Block> contraction_partition(tdd::Manager& mgr, const CircuitNetwork
     Block b;
     b.window = key.first;
     b.group = key.second;
-    b.tensor = contract_network(mgr, tensors, keep, ctx, policy);
+    b.tensor = contract_network(mgr, tensors, keep, ctx, OrderPolicy::kCaller);
     blocks.push_back(std::move(b));
   }
   // `by_block` is already ordered by (window, group) thanks to the map key.

@@ -46,13 +46,13 @@ struct Block {
 };
 
 /// Cut the network into blocks per the (k1, k2) rule and pre-contract each
-/// block, keeping exactly the indices visible outside the block.  Blocks are
-/// returned ordered by (window, group) — a good contraction order for image
-/// computation.  `ctx` may be null.  `policy` picks the contraction order
-/// used *inside* each block's pre-contraction (tn/order.hpp).
+/// block in circuit order, keeping exactly the indices visible outside the
+/// block.  Blocks are returned ordered by (window, group) — the paper's
+/// contraction order for image computation.  Every grid cell is a block;
+/// cells holding no gate are the index-less unit tensor.  `ctx` may be
+/// null.
 std::vector<Block> contraction_partition(tdd::Manager& mgr, const CircuitNetwork& net,
                                          std::uint32_t k1, std::uint32_t k2,
-                                         ExecutionContext* ctx = nullptr,
-                                         OrderPolicy policy = OrderPolicy::kGreedy);
+                                         ExecutionContext* ctx = nullptr);
 
 }  // namespace qts::tn

@@ -1,20 +1,21 @@
 /// \file order_test.cpp
 /// The contraction-order planner (tn/order.hpp): policy parsing, plan
-/// well-formedness, determinism across runs and managers, exact-DP
-/// optimality against brute force on hand-built networks, and — the load-
-/// bearing property — bit-identical model-checking results under every
-/// policy on the full workload corpus.  Reduced TDDs are canonical, so the
-/// final projector must not depend on the merge order at all.
+/// well-formedness and compiled sum-out sets, determinism across runs and
+/// managers, step-identity of the incremental greedy planner against the
+/// reference O(n^3) scan, deadline polling, and — the load-bearing
+/// property — bit-identical model-checking results under every policy on
+/// the full workload corpus.  Reduced TDDs are canonical, so the final
+/// projector must not depend on the merge order at all.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <fstream>
 #include <functional>
 #include <limits>
-#include <map>
-#include <set>
+#include <random>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "circuit/generators.hpp"
@@ -34,21 +35,26 @@ namespace {
 
 using tdd::Level;
 
+constexpr OrderPolicy kPolicies[] = {OrderPolicy::kCaller, OrderPolicy::kGreedy};
+
 // ---------------------------------------------------------------------------
 // Policy parsing
 
 TEST(OrderPolicyParse, RoundTripsAndStrictness) {
   EXPECT_EQ(parse_order_policy("caller"), OrderPolicy::kCaller);
   EXPECT_EQ(parse_order_policy("greedy"), OrderPolicy::kGreedy);
-  EXPECT_EQ(parse_order_policy("exact"), OrderPolicy::kExact);
-  for (const auto p : {OrderPolicy::kCaller, OrderPolicy::kGreedy, OrderPolicy::kExact}) {
-    EXPECT_EQ(parse_order_policy(to_string(p)), p);
-  }
+  for (const auto p : kPolicies) EXPECT_EQ(parse_order_policy(to_string(p)), p);
   EXPECT_THROW((void)parse_order_policy("bogus"), InvalidArgument);
   EXPECT_THROW((void)parse_order_policy("greedyx"), InvalidArgument);  // full match only
   EXPECT_THROW((void)parse_order_policy(" greedy"), InvalidArgument);
   EXPECT_THROW((void)parse_order_policy("Greedy"), InvalidArgument);
   EXPECT_THROW((void)parse_order_policy(""), InvalidArgument);
+  try {
+    (void)parse_order_policy("exact");  // not a policy
+    ADD_FAILURE() << "'exact' parsed";
+  } catch (const InvalidArgument& e) {
+    EXPECT_NE(std::string(e.what()).find("expected caller or greedy"), std::string::npos);
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -69,6 +75,7 @@ void expect_valid_ssa(const ContractionPlan& plan) {
     ASSERT_LT(s.lhs, n + i);  // only already-defined slots
     ASSERT_LT(s.rhs, n + i);
     EXPECT_NE(s.lhs, s.rhs);
+    EXPECT_TRUE(std::is_sorted(s.sum.begin(), s.sum.end()));
     consumed[s.lhs] += 1;
     consumed[s.rhs] += 1;
   }
@@ -82,10 +89,11 @@ TEST(OrderPlan, AllPoliciesProduceValidSsaPlans) {
   tdd::Manager mgr;
   const auto net = build_network(mgr, circ::make_qft(5));
   const auto keep = net.external_indices();
-  for (const auto p : {OrderPolicy::kCaller, OrderPolicy::kGreedy, OrderPolicy::kExact}) {
+  for (const auto p : kPolicies) {
     const ContractionPlan plan = plan_order(net.tensors, keep, p);
     EXPECT_EQ(plan.num_tensors, net.tensors.size());
     expect_valid_ssa(plan);
+    EXPECT_TRUE(plan.tail.empty());  // a multi-tensor network sums everything in its steps
     EXPECT_GT(plan.estimated_cost, 0.0);
     EXPECT_GT(plan.max_width, 0u);
   }
@@ -101,36 +109,38 @@ TEST(OrderPlan, CallerPlanIsTheLeftFold) {
   EXPECT_EQ(plan.steps[1].rhs, 2u);
   EXPECT_EQ(plan.steps[2].lhs, 5u);
   EXPECT_EQ(plan.steps[2].rhs, 3u);
+  // Each merge sums exactly the bond it closes; the kept ends survive.
+  EXPECT_EQ(plan.steps[0].sum, std::vector<Level>{1});
+  EXPECT_EQ(plan.steps[1].sum, std::vector<Level>{2});
+  EXPECT_EQ(plan.steps[2].sum, std::vector<Level>{3});
+  EXPECT_TRUE(plan.tail.empty());
+  EXPECT_EQ(plan.max_width, 2u);
+}
+
+TEST(OrderPlan, PrivateIndicesAreSummedAtTheirOnlyMerge) {
+  // Level 7 belongs to tensor 0 alone and is not kept: the first merge
+  // that retires tensor 0 sums it; a lone tensor sums it in the tail.
+  const auto plan = plan_order_indices({{0, 7}, {0, 1}}, {1}, OrderPolicy::kCaller);
+  ASSERT_EQ(plan.steps.size(), 1u);
+  EXPECT_EQ(plan.steps[0].sum, (std::vector<Level>{0, 7}));
+  EXPECT_TRUE(plan.tail.empty());
+  for (const auto p : kPolicies) {
+    const auto one = plan_order_indices({{0, 5, 7}}, {5}, p);
+    EXPECT_TRUE(one.steps.empty());
+    EXPECT_EQ(one.tail, (std::vector<Level>{0, 7}));
+  }
 }
 
 TEST(OrderPlan, TrivialNetworks) {
-  for (const auto p : {OrderPolicy::kCaller, OrderPolicy::kGreedy, OrderPolicy::kExact}) {
+  for (const auto p : kPolicies) {
     const auto one = plan_order_indices({{0, 1}}, {0, 1}, p);
     EXPECT_EQ(one.num_tensors, 1u);
     EXPECT_TRUE(one.steps.empty());
+    EXPECT_TRUE(one.tail.empty());
     const auto two = plan_order_indices({{0, 1}, {1, 2}}, {0, 2}, p);
     ASSERT_EQ(two.steps.size(), 1u);
     EXPECT_EQ(two.steps[0].lhs, 0u);
     EXPECT_EQ(two.steps[0].rhs, 1u);
-  }
-}
-
-TEST(OrderPlan, ExactFallsBackToGreedyAboveTheLimit) {
-  // A chain of kExactLimit + 2 tensors: the exact policy must degrade to
-  // the greedy heuristic instead of attempting a 3^n DP.
-  std::vector<std::vector<Level>> idx;
-  for (std::size_t i = 0; i < kExactLimit + 2; ++i) {
-    idx.push_back({static_cast<Level>(i), static_cast<Level>(i + 1)});
-  }
-  const auto plan =
-      plan_order_indices(idx, {0, static_cast<Level>(idx.size())}, OrderPolicy::kExact);
-  EXPECT_EQ(plan.policy, OrderPolicy::kExact);  // the REQUESTED policy is kept
-  expect_valid_ssa(plan);
-  const auto greedy =
-      plan_order_indices(idx, {0, static_cast<Level>(idx.size())}, OrderPolicy::kGreedy);
-  for (std::size_t i = 0; i < plan.steps.size(); ++i) {
-    EXPECT_EQ(plan.steps[i].lhs, greedy.steps[i].lhs);
-    EXPECT_EQ(plan.steps[i].rhs, greedy.steps[i].rhs);
   }
 }
 
@@ -144,7 +154,7 @@ TEST(OrderPlan, DeterministicAcrossRunsAndManagers) {
   };
   tdd::Manager a;
   tdd::Manager b;
-  for (const auto p : {OrderPolicy::kCaller, OrderPolicy::kGreedy, OrderPolicy::kExact}) {
+  for (const auto p : kPolicies) {
     const auto p1 = plans_for(a, p);
     const auto p2 = plans_for(a, p);  // same manager, repeated
     const auto p3 = plans_for(b, p);  // fresh manager, different node addresses
@@ -155,6 +165,7 @@ TEST(OrderPlan, DeterministicAcrossRunsAndManagers) {
       EXPECT_EQ(p1.steps[i].rhs, p2.steps[i].rhs);
       EXPECT_EQ(p1.steps[i].lhs, p3.steps[i].lhs);
       EXPECT_EQ(p1.steps[i].rhs, p3.steps[i].rhs);
+      EXPECT_EQ(p1.steps[i].sum, p3.steps[i].sum);
     }
     EXPECT_EQ(p1.max_width, p3.max_width);
     EXPECT_EQ(p1.estimated_cost, p3.estimated_cost);
@@ -162,78 +173,161 @@ TEST(OrderPlan, DeterministicAcrossRunsAndManagers) {
 }
 
 // ---------------------------------------------------------------------------
-// Exact-DP optimality
+// Incremental greedy against the reference O(n^3) scan
 
-/// Reference cost model, deliberately re-derived with naive containers: the
-/// cheapest total 2^width over EVERY pairwise merge order, by exhaustive
-/// recursion.  Mirrors the planner's semantics: an index survives a merge
-/// iff a live slot other than the operands (or keep) still mentions it.
-double brute_force_best(std::vector<std::set<Level>> slots, const std::set<Level>& keep) {
-  if (slots.size() < 2) return 0.0;
-  double best = std::numeric_limits<double>::infinity();
-  for (std::size_t a = 0; a < slots.size(); ++a) {
-    for (std::size_t b = a + 1; b < slots.size(); ++b) {
-      std::set<Level> merged;
-      for (Level l : slots[a]) merged.insert(l);
-      for (Level l : slots[b]) merged.insert(l);
-      std::set<Level> surviving;
-      for (Level l : merged) {
-        bool outside = keep.count(l) > 0;
-        for (std::size_t o = 0; o < slots.size() && !outside; ++o) {
-          if (o != a && o != b && slots[o].count(l) > 0) outside = true;
-        }
-        if (outside) surviving.insert(l);
-      }
-      const double merge_cost = std::ldexp(1.0, static_cast<int>(surviving.size()));
-      std::vector<std::set<Level>> rest;
-      for (std::size_t o = 0; o < slots.size(); ++o) {
-        if (o != a && o != b) rest.push_back(slots[o]);
-      }
-      rest.push_back(surviving);
-      best = std::min(best, merge_cost + brute_force_best(rest, keep));
-    }
+/// The textbook greedy scan the incremental planner replaces, kept as an
+/// independent reference: every merge rescans all live pairs in position
+/// order and keeps the first pair minimising (width, disconnected?); the
+/// merged slot takes the lower position.  Levels are remapped to dense ids
+/// and slots are sorted vectors, so the scan shares no code with the
+/// planner.  Returns the merge steps in SSA slot numbering.
+std::vector<std::pair<std::size_t, std::size_t>> reference_greedy(
+    const std::vector<std::vector<Level>>& idx, const std::vector<Level>& keep) {
+  std::vector<Level> levels;
+  for (const auto& t : idx) levels.insert(levels.end(), t.begin(), t.end());
+  levels.insert(levels.end(), keep.begin(), keep.end());
+  std::sort(levels.begin(), levels.end());
+  levels.erase(std::unique(levels.begin(), levels.end()), levels.end());
+  const auto dense = [&](Level l) {
+    return static_cast<std::size_t>(std::lower_bound(levels.begin(), levels.end(), l) -
+                                    levels.begin());
+  };
+
+  struct Slot {
+    std::size_t id;
+    std::vector<std::size_t> members;  // sorted dense levels
+  };
+  std::vector<std::size_t> uses(levels.size(), 0);
+  std::vector<Slot> live;
+  for (std::size_t i = 0; i < idx.size(); ++i) {
+    Slot s{i, {}};
+    for (const Level l : idx[i]) s.members.push_back(dense(l));
+    std::sort(s.members.begin(), s.members.end());
+    for (const std::size_t l : s.members) uses[l] += 1;
+    live.push_back(std::move(s));
   }
-  return best;
+  for (const Level l : keep) uses[dense(l)] += 1;
+
+  // (surviving levels, shared?) of merging a and b under the current uses.
+  const auto survivors = [&uses](const Slot& a, const Slot& b, bool* shared) {
+    std::vector<std::size_t> both;
+    std::set_union(a.members.begin(), a.members.end(), b.members.begin(), b.members.end(),
+                   std::back_inserter(both));
+    *shared = both.size() < a.members.size() + b.members.size();
+    std::vector<std::size_t> out;
+    for (const std::size_t l : both) {
+      const std::size_t operands =
+          (std::binary_search(a.members.begin(), a.members.end(), l) ? 1u : 0u) +
+          (std::binary_search(b.members.begin(), b.members.end(), l) ? 1u : 0u);
+      if (uses[l] > operands) out.push_back(l);
+    }
+    return out;
+  };
+
+  std::vector<std::pair<std::size_t, std::size_t>> steps;
+  std::size_t next_id = idx.size();
+  while (live.size() > 1) {
+    std::size_t best_a = 0;
+    std::size_t best_b = 1;
+    std::size_t best_width = std::numeric_limits<std::size_t>::max();
+    bool best_connected = false;
+    for (std::size_t a = 0; a < live.size(); ++a) {
+      for (std::size_t b = a + 1; b < live.size(); ++b) {
+        bool connected = false;
+        const std::size_t width = survivors(live[a], live[b], &connected).size();
+        if (width < best_width || (width == best_width && connected && !best_connected)) {
+          best_a = a;
+          best_b = b;
+          best_width = width;
+          best_connected = connected;
+        }
+      }
+    }
+    steps.emplace_back(live[best_a].id, live[best_b].id);
+    bool ignored = false;
+    Slot merged{next_id++, survivors(live[best_a], live[best_b], &ignored)};
+    for (const Slot* s : {&live[best_a], &live[best_b]}) {
+      for (const std::size_t l : s->members) uses[l] -= 1;
+    }
+    for (const std::size_t l : merged.members) uses[l] += 1;
+    live.erase(live.begin() + static_cast<std::ptrdiff_t>(best_b));
+    live[best_a] = std::move(merged);
+  }
+  return steps;
 }
 
-void expect_exact_is_optimal(const std::vector<std::vector<Level>>& idx,
-                             const std::vector<Level>& keep) {
-  std::vector<std::set<Level>> slots;
-  for (const auto& t : idx) slots.emplace_back(t.begin(), t.end());
-  const double best = brute_force_best(slots, std::set<Level>(keep.begin(), keep.end()));
-  const auto exact = plan_order_indices(idx, keep, OrderPolicy::kExact);
-  EXPECT_DOUBLE_EQ(exact.estimated_cost, best);
-  const auto greedy = plan_order_indices(idx, keep, OrderPolicy::kGreedy);
-  const auto caller = plan_order_indices(idx, keep, OrderPolicy::kCaller);
-  EXPECT_LE(exact.estimated_cost, greedy.estimated_cost);
-  EXPECT_LE(exact.estimated_cost, caller.estimated_cost);
+void expect_matches_reference(const std::vector<std::vector<Level>>& idx,
+                              const std::vector<Level>& keep) {
+  const auto plan = plan_order_indices(idx, keep, OrderPolicy::kGreedy);
+  const auto ref = reference_greedy(idx, keep);
+  ASSERT_EQ(plan.steps.size(), ref.size());
+  for (std::size_t i = 0; i < ref.size(); ++i) {
+    ASSERT_EQ(plan.steps[i].lhs, ref[i].first) << "step " << i;
+    ASSERT_EQ(plan.steps[i].rhs, ref[i].second) << "step " << i;
+  }
 }
 
-TEST(OrderExact, OptimalOnHandBuiltNetworks) {
-  // Chain: contracting end-to-end in order is optimal; caller already is.
-  expect_exact_is_optimal({{0, 1}, {1, 2}, {2, 3}, {3, 4}, {4, 5}}, {0, 5});
-  // Star: a centre index shared by all, the leaves private.
-  expect_exact_is_optimal({{0, 1}, {0, 2}, {0, 3}, {0, 4}}, {1, 2, 3, 4});
-  // A bad caller order: the two tensors sharing the wide bus come LAST, so
-  // the left fold drags every bus index through each merge.
-  expect_exact_is_optimal(
-      {{0, 10, 11, 12, 13}, {1, 2}, {2, 3}, {1, 10, 11, 12, 13}}, {0, 3});
-  // 2x3 grid of pairwise-shared indices.
-  expect_exact_is_optimal(
-      {{0, 1, 6}, {1, 2, 7}, {2, 8}, {6, 3, 4}, {7, 4, 5}, {8, 5}}, {0, 3});
+TEST(OrderGreedy, StepIdenticalToTheReferenceScanOnRandomNetworks) {
+  std::mt19937 rng(20240611);
+  for (int trial = 0; trial < 200; ++trial) {
+    SCOPED_TRACE(trial);
+    const std::size_t tensors = 1 + rng() % 24;
+    const Level num_levels = 1 + static_cast<Level>(rng() % 30);
+    std::vector<std::vector<Level>> idx(tensors);
+    for (auto& t : idx) {
+      const std::size_t arity = rng() % 5;  // index-less scalars included
+      for (std::size_t k = 0; k < arity; ++k) t.push_back(static_cast<Level>(rng() % num_levels));
+      std::sort(t.begin(), t.end());
+      t.erase(std::unique(t.begin(), t.end()), t.end());
+    }
+    std::vector<Level> keep;
+    for (Level l = 0; l < num_levels; ++l) {
+      if (rng() % 4 == 0) keep.push_back(l);
+    }
+    expect_matches_reference(idx, keep);
+  }
 }
 
-TEST(OrderExact, BeatsCallerWhereTheFoldIsBad) {
-  // The "wide bus last" network above: caller's fold must be strictly worse
-  // (this is the situation the planner exists for).
+TEST(OrderGreedy, StepIdenticalToTheReferenceScanOnMonolithicCircuits) {
+  const std::vector<std::pair<std::string, std::function<TransitionSystem(tdd::Manager&)>>>
+      circuits{
+          {"QFT15", [](tdd::Manager& m) { return make_qft_system(m, 15); }},
+          {"GroverD15", [](tdd::Manager& m) { return make_grover_decomposed_system(m, 15); }},
+          {"BV100", [](tdd::Manager& m) { return make_bv_system(m, 100); }},
+          {"GHZ100", [](tdd::Manager& m) { return make_ghz_system(m, 100); }},
+      };
+  for (const auto& [name, make] : circuits) {
+    SCOPED_TRACE(name);
+    tdd::Manager mgr;
+    const TransitionSystem sys = make(mgr);
+    const auto net = build_network(mgr, sys.operations.at(0).kraus.at(0));
+    std::vector<std::vector<Level>> idx;
+    for (const auto& t : net.tensors) idx.push_back(t.indices);
+    expect_matches_reference(idx, net.external_indices());
+  }
+}
+
+TEST(OrderGreedy, PollsTheDeadlineWhilePlanning) {
+  tdd::Manager mgr;
+  const TransitionSystem sys = make_bv_system(mgr, 200);
+  const auto net = build_network(mgr, sys.operations.at(0).kraus.at(0));
+  ASSERT_GE(net.tensors.size(), 200u);
+  ExecutionContext expired;
+  expired.set_deadline(Deadline::after(1e-12));
+  EXPECT_THROW((void)plan_order(net.tensors, net.external_indices(), OrderPolicy::kGreedy,
+                                &expired),
+               DeadlineExceeded);
+}
+
+TEST(OrderGreedy, BeatsCallerWhereTheFoldIsBad) {
+  // The two tensors sharing the wide bus come LAST, so the left fold drags
+  // every bus index through each merge (the situation greedy exists for).
   const std::vector<std::vector<Level>> idx{
       {0, 10, 11, 12, 13}, {1, 2}, {2, 3}, {1, 10, 11, 12, 13}};
   const auto caller = plan_order_indices(idx, {0, 3}, OrderPolicy::kCaller);
-  const auto exact = plan_order_indices(idx, {0, 3}, OrderPolicy::kExact);
   const auto greedy = plan_order_indices(idx, {0, 3}, OrderPolicy::kGreedy);
-  EXPECT_LT(exact.estimated_cost, caller.estimated_cost);
   EXPECT_LT(greedy.estimated_cost, caller.estimated_cost);
-  EXPECT_LT(exact.max_width, caller.max_width);
+  EXPECT_LT(greedy.max_width, caller.max_width);
 }
 
 // ---------------------------------------------------------------------------
@@ -274,15 +368,12 @@ TEST(OrderContract, SameTensorUnderEveryPolicyAndPlanReplay) {
   const auto keep = net.external_indices();
   const Tensor caller = contract_network(mgr, net.tensors, keep, nullptr, OrderPolicy::kCaller);
   const Tensor greedy = contract_network(mgr, net.tensors, keep, nullptr, OrderPolicy::kGreedy);
-  const Tensor exact = contract_network(mgr, net.tensors, keep, nullptr, OrderPolicy::kExact);
   // Same manager + canonical reduced TDDs: the STRUCTURE (node) is
   // identical under every order.  The top weight is a product of the merge
   // scalars, so it may differ in the last ulp — float contraction is not
   // associative — hence approx on the weight, exact on the node.
   EXPECT_EQ(caller.edge.node, greedy.edge.node);
   EXPECT_TRUE(approx_equal(caller.edge.weight, greedy.edge.weight));
-  EXPECT_EQ(caller.edge.node, exact.edge.node);
-  EXPECT_TRUE(approx_equal(caller.edge.weight, exact.edge.weight));
   EXPECT_EQ(greedy.indices, caller.indices);
 
   // A precomputed plan replays to the same result.
@@ -343,21 +434,16 @@ PolicyRun run_policy(tdd::Manager& mgr, const TransitionSystem& sys, const std::
 void expect_policies_agree(const std::function<TransitionSystem(tdd::Manager&)>& make,
                            const std::string& engine, const std::string& command,
                            std::size_t steps) {
-  // One manager for all three policies: reduced TDDs are canonical there,
+  // One manager for both policies: reduced TDDs are canonical there,
   // so "bit-identical projector" is literal node identity.
   tdd::Manager mgr;
   const TransitionSystem sys = make(mgr);
   const PolicyRun caller = run_policy(mgr, sys, engine, OrderPolicy::kCaller, command, steps);
   const PolicyRun greedy = run_policy(mgr, sys, engine, OrderPolicy::kGreedy, command, steps);
-  const PolicyRun exact = run_policy(mgr, sys, engine, OrderPolicy::kExact, command, steps);
   EXPECT_EQ(caller.dim, greedy.dim) << engine << " " << command;
   EXPECT_EQ(caller.node, greedy.node) << engine << " " << command;
   EXPECT_EQ(caller.weight, greedy.weight) << engine << " " << command;
-  EXPECT_EQ(caller.dim, exact.dim) << engine << " " << command;
-  EXPECT_EQ(caller.node, exact.node) << engine << " " << command;
-  EXPECT_EQ(caller.weight, exact.weight) << engine << " " << command;
   EXPECT_EQ(caller.holds, greedy.holds) << engine << " " << command;
-  EXPECT_EQ(caller.holds, exact.holds) << engine << " " << command;
 }
 
 TransitionSystem load_example_system(tdd::Manager& mgr, const std::string& file) {

@@ -45,15 +45,24 @@ check 0 "$QTSMC" image --engine sparse --noise depol:0.1:0 "$EXAMPLES/ghz.qasm"
 check 0 "$QTSMC" --engines
 
 # 0 — contraction-order policies, on every engine family the planner steers
-# (a strict-parsed knob: anything but caller/greedy/exact is a usage error).
+# (a strict-parsed knob: anything but caller/greedy is a usage error).
 check 0 "$QTSMC" reach --order greedy --stats "$EXAMPLES/ghz.qasm"
 check 0 "$QTSMC" reach --order caller "$EXAMPLES/ghz.qasm"
-check 0 "$QTSMC" reach --order exact --engine basic "$EXAMPLES/ghz.qasm"
+check 0 "$QTSMC" reach --order caller --engine basic "$EXAMPLES/ghz.qasm"
+check 0 "$QTSMC" reach --order greedy --engine addition:1 "$EXAMPLES/ghz.qasm"
 check 0 "$QTSMC" invar --order greedy --engine parallel:2 "$EXAMPLES/phase_oracle.qasm"
-check 0 "$QTSMC" back --order exact --steps 4 "$EXAMPLES/ghz.qasm"
+check 0 "$QTSMC" back --order caller --steps 4 "$EXAMPLES/ghz.qasm"
+check 2 "$QTSMC" reach --order exact --engine basic "$EXAMPLES/ghz.qasm"  # not a policy
 check 2 "$QTSMC" reach --order bogus "$EXAMPLES/ghz.qasm"
 check 2 "$QTSMC" reach --order "" "$EXAMPLES/ghz.qasm"
 check 2 "$QTSMC" reach --order Greedy "$EXAMPLES/ghz.qasm"   # case-sensitive
+
+if "$QTSMC" reach --order exact "$EXAMPLES/ghz.qasm" 2>&1 | grep -q 'expected caller or greedy'; then
+  echo "ok: --order exact names the accepted policies"
+else
+  echo "FAIL: --order exact did not name the accepted policies" >&2
+  failures=$((failures + 1))
+fi
 
 # The planner gauges must reach the --stats output.
 if "$QTSMC" reach --order greedy --stats "$EXAMPLES/ghz.qasm" | grep -q '^planner: greedy policy'; then

@@ -64,14 +64,15 @@
 ///                                          become per-job defaults.
 ///   --k K                                  addition slices (default 1)
 ///   --k1 K --k2 K                          contraction cut (default 4 4)
-///   --order caller|greedy|exact            contraction-order policy for the
-///                                          engine's tensor-network work
-///                                          (tn/order.hpp): greedy = min-width
-///                                          planner (the default), caller =
-///                                          the historical circuit-order fold,
-///                                          exact = optimal subset-DP order
-///                                          for small networks (greedy above
-///                                          12 tensors).  Results are
+///   --order caller|greedy                  contraction-order policy for the
+///                                          basic/addition engines' monolithic
+///                                          pre-contraction (tn/order.hpp):
+///                                          greedy = min-width planner (the
+///                                          default), caller = circuit-order
+///                                          fold.  Image pushes (ket first)
+///                                          and contraction-partition blocks
+///                                          (circuit order) always use the
+///                                          paper's orders.  Results are
 ///                                          bit-identical under every policy;
 ///                                          only intermediate sizes and
 ///                                          wall-clock change
@@ -243,9 +244,10 @@ struct UsageError {
                                          severe per-job code
   --k K                                  addition-partition slices (default 1)
   --k1 K --k2 K                          contraction cut parameters (default 4 4)
-  --order caller|greedy|exact            contraction-order policy (default greedy
-                                         min-width planner; caller = circuit-order
-                                         fold; exact = optimal DP, <= 12 tensors)
+  --order caller|greedy                  order of the basic/addition monolithic
+                                         pre-contraction (default greedy min-width
+                                         planner; caller = circuit-order fold);
+                                         pushes and blocks use the paper's orders
   --initial BITS[,BITS...]               initial basis kets (default all zeros)
   --noise CHANNEL:P:QUBIT                bitflip|phaseflip|depol|damp channel
   --steps N                              fixpoint iteration cap (default 64)
