@@ -3,8 +3,9 @@
 /// is run once against an empty on-disk cache (cold — the full reachability
 /// fixpoint runs and the result is stored) and once against the populated
 /// cache from a FRESH manager and a FRESH ResultCache object (warm — the
-/// fixpoint is skipped and the projector is rehydrated through tdd::io and
-/// make_node, exactly the repeated-traffic path `qtsmc --cache` serves).
+/// fixpoint is skipped and the stored basis and projector are rehydrated
+/// through tdd::io and make_node, exactly the repeated-traffic path
+/// `qtsmc --cache` serves).
 ///
 /// Usage:
 ///   bench_cache [--steps N] [--qasm FILE] [--dir DIR]

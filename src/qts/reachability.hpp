@@ -9,9 +9,9 @@
 /// of frontier-sharding engines (`parallel:<t>`).
 ///
 /// Both loops accept an optional ResultCache (result_cache.hpp): on a
-/// content-hash hit the fixpoint is skipped entirely and the cached
-/// projector/verdict is rehydrated through the engine's manager; on a miss
-/// the finished result is stored for the next identical job.  Cache traffic
+/// content-hash hit the fixpoint is skipped entirely and the cached basis,
+/// projector and verdict are rehydrated through the engine's manager; on a
+/// miss the finished result is stored for the next identical job.  Cache traffic
 /// is counted in RunStats::cache_{hits,misses,stores}.  The key excludes the
 /// engine spec (engines affect speed, never results — the determinism
 /// contract behind --cross-check), so a result computed by any engine,

@@ -2,12 +2,19 @@
 
 #include <unistd.h>
 
+#include <algorithm>
+#include <atomic>
+#include <charconv>
+#include <cmath>
 #include <filesystem>
 #include <fstream>
 #include <iomanip>
+#include <memory>
 #include <sstream>
+#include <vector>
 
 #include "common/error.hpp"
+#include "qts/states.hpp"
 #include "tdd/io.hpp"
 
 namespace qts {
@@ -63,8 +70,48 @@ JobKey fnv1a_128(std::string_view text) {
   return JobKey{static_cast<std::uint64_t>(h >> 64), static_cast<std::uint64_t>(h)};
 }
 
-constexpr std::string_view kRecordHeader = "qtsres v1";
+constexpr std::string_view kRecordHeader = "qtsres v2";
 constexpr std::string_view kRecordSuffix = ".qtsres";
+
+/// Distinguishes the tmp files of concurrent stores within one process.
+std::atomic<std::uint64_t> g_tmp_sequence{0};
+
+/// The value of the "<word> <value>" line at the front of `text` (leading
+/// whitespace skipped; "" for a bare "<word>" line), advancing `text` past
+/// the line.  nullopt when the line carries another word.
+std::optional<std::string_view> field(std::string_view& text, std::string_view word) {
+  const std::size_t start = std::min(text.find_first_not_of(" \t\r\n"), text.size());
+  text.remove_prefix(start);
+  const std::size_t eol = std::min(text.find('\n'), text.size());
+  std::string_view line = text.substr(0, eol);
+  text.remove_prefix(eol);
+  if (!line.starts_with(word)) return std::nullopt;
+  line.remove_prefix(word.size());
+  if (line.empty()) return line;
+  if (line.front() != ' ') return std::nullopt;
+  return line.substr(1);
+}
+
+/// A whole decimal count, or nullopt.
+std::optional<std::size_t> count_of(std::optional<std::string_view> value) {
+  if (!value || value->empty()) return std::nullopt;
+  std::size_t out = 0;
+  const char* end = value->data() + value->size();
+  const auto [ptr, ec] = std::from_chars(value->data(), end, out);
+  if (ec != std::errc{} || ptr != end) return std::nullopt;
+  return out;
+}
+
+std::optional<std::string> read_file(const std::string& path) {
+  std::ifstream in(path, std::ios::binary | std::ios::ate);
+  if (!in) return std::nullopt;
+  const std::streamoff size = in.tellg();
+  if (size < 0) return std::nullopt;
+  std::string text(static_cast<std::size_t>(size), '\0');
+  in.seekg(0);
+  if (!in.read(text.data(), size)) return std::nullopt;
+  return text;
+}
 
 }  // namespace
 
@@ -116,61 +163,54 @@ std::string ResultCache::path_for(const JobKey& key) const {
   return dir_ + "/" + key.hex() + std::string(kRecordSuffix);
 }
 
+std::optional<ResultCache::Entry> ResultCache::parse_record(std::string_view text,
+                                                            tdd::Manager& mgr,
+                                                            std::uint32_t num_qubits,
+                                                            std::string_view property) {
+  if (field(text, "qtsres") != "v2") return std::nullopt;
+  if (field(text, "property") != property) return std::nullopt;
+  if (count_of(field(text, "qubits")) != num_qubits) return std::nullopt;
+  const auto iterations = count_of(field(text, "iterations"));
+  const auto converged = count_of(field(text, "converged"));
+  const auto holds = count_of(field(text, "holds"));
+  const auto dim = count_of(field(text, "dim"));
+  if (!iterations || !converged || !holds || !dim) return std::nullopt;
+  if (field(text, "projector") != "") return std::nullopt;
+  const tdd::Edge projector = tdd::load_roots(mgr, text, 1).front();
+  if (count_of(field(text, "basis")) != dim) return std::nullopt;
+  std::vector<tdd::Edge> basis = tdd::load_roots(mgr, text, *dim);
+  if (field(text, "end") != "") return std::nullopt;
+  // The basis count, the dim line and round(tr P) must agree; a record
+  // failing that is not the cold run's result.
+  const double trace = operator_trace(mgr, projector, num_qubits).real();
+  if (std::llround(trace) != static_cast<long long>(*dim)) return std::nullopt;
+  return Entry{Subspace::from_stored(mgr, num_qubits, std::move(basis), projector), *iterations,
+               *converged != 0, *holds != 0};
+}
+
 std::optional<ResultCache::Entry> ResultCache::lookup(const JobKey& key, tdd::Manager& mgr,
                                                       std::uint32_t num_qubits,
                                                       std::string_view property) {
   const std::string hex = key.hex();
-  std::string text;
-  bool memo_hit = false;
+  std::shared_ptr<const std::string> text;
   {
     const MutexLock lock(memo_mutex_);
-    if (const auto it = memo_.find(hex); it != memo_.end()) {
-      text = it->second;
-      memo_hit = true;
-    }
+    if (const auto it = memo_.find(hex); it != memo_.end()) text = it->second;
   }
-  if (memo_hit) {
-    // fall through to the parse below with the memoised text
-  } else if (!dir_.empty()) {
-    std::ifstream in(path_for(key));
-    if (!in) return std::nullopt;
-    std::ostringstream buf;
-    buf << in.rdbuf();
-    if (!in.good() && !in.eof()) return std::nullopt;
-    text = buf.str();
-  } else {
-    return std::nullopt;
+  const bool memo_hit = text != nullptr;
+  if (!memo_hit) {
+    if (dir_.empty()) return std::nullopt;
+    std::optional<std::string> bytes = read_file(path_for(key));
+    if (!bytes) return std::nullopt;
+    text = std::make_shared<const std::string>(std::move(*bytes));
   }
 
   // Anything wrong with the record — wrong header, wrong property or width,
-  // truncation, a malformed projector blob, a dimension that disagrees with
-  // the rebuilt subspace — is a MISS, never an error: the caller recomputes
-  // and overwrites.
+  // truncation, a malformed blob, counts that disagree — is a MISS, never
+  // an error: the caller recomputes and overwrites.
   try {
-    std::istringstream is(text);
-    std::string word;
-    std::string version;
-    if (!(is >> word >> version) || word != "qtsres" || version != "v1") return std::nullopt;
-    std::string rec_property;
-    std::size_t rec_qubits = 0;
-    Entry e{Subspace(mgr, num_qubits), 0, false, true};
-    std::size_t dim = 0;
-    int converged = 0;
-    int holds = 0;
-    if (!(is >> word >> rec_property) || word != "property") return std::nullopt;
-    if (!(is >> word >> rec_qubits) || word != "qubits") return std::nullopt;
-    if (!(is >> word >> e.iterations) || word != "iterations") return std::nullopt;
-    if (!(is >> word >> converged) || word != "converged") return std::nullopt;
-    if (!(is >> word >> holds) || word != "holds") return std::nullopt;
-    if (!(is >> word >> dim) || word != "dim") return std::nullopt;
-    if (!(is >> word) || word != "projector") return std::nullopt;
-    if (rec_property != property || rec_qubits != num_qubits) return std::nullopt;
-    const tdd::Edge projector = tdd::load(mgr, is);
-    e.space = Subspace::from_projector(mgr, num_qubits, projector);
-    if (e.space.dim() != dim) return std::nullopt;
-    e.converged = converged != 0;
-    e.holds = holds != 0;
-    {
+    std::optional<Entry> e = parse_record(*text, mgr, num_qubits, property);
+    if (e && !memo_hit) {
       const MutexLock lock(memo_mutex_);
       memo_.emplace(hex, std::move(text));
     }
@@ -182,47 +222,51 @@ std::optional<ResultCache::Entry> ResultCache::lookup(const JobKey& key, tdd::Ma
 
 bool ResultCache::store(const JobKey& key, std::string_view property, const Subspace& space,
                         std::size_t iterations, bool converged, bool holds) {
-  std::ostringstream os;
-  os << kRecordHeader << "\n";
-  os << "property " << property << "\n";
-  os << "qubits " << space.num_qubits() << "\n";
-  os << "iterations " << iterations << "\n";
-  os << "converged " << (converged ? 1 : 0) << "\n";
-  os << "holds " << (holds ? 1 : 0) << "\n";
-  os << "dim " << space.dim() << "\n";
-  os << "projector\n";
-  tdd::save(space.projector(), os);
-  std::string text = os.str();
+  std::string record;
+  record += kRecordHeader;
+  record += "\nproperty ";
+  record += property;
+  record += "\nqubits " + std::to_string(space.num_qubits());
+  record += "\niterations " + std::to_string(iterations);
+  record += "\nconverged " + std::string(converged ? "1" : "0");
+  record += "\nholds " + std::string(holds ? "1" : "0");
+  record += "\ndim " + std::to_string(space.dim());
+  record += "\nprojector\n";
+  tdd::save_roots(std::span<const tdd::Edge>(&space.projector(), 1), record);
+  record += "basis " + std::to_string(space.dim()) + "\n";
+  tdd::save_roots(space.basis(), record);
+  record += "end\n";
+  auto text = std::make_shared<const std::string>(std::move(record));
 
   const std::string hex = key.hex();
-  if (dir_.empty()) {
-    const MutexLock lock(memo_mutex_);
-    memo_[hex] = std::move(text);
-    return false;
-  }
-  // Atomic publish: write the whole record to a private tmp file, then
-  // rename onto the final name.  Readers either see the old bytes or the
-  // complete new record, never a torn write; any failure along the way
-  // degrades to memo-only.
-  const std::string final_path = path_for(key);
-  const std::string tmp_path = final_path + ".tmp." + std::to_string(::getpid());
   bool persisted = false;
-  {
-    std::ofstream out(tmp_path, std::ios::trunc);
-    if (out) {
-      out << text;
-      out.flush();
-      persisted = out.good();
+  if (!dir_.empty()) {
+    // Atomic publish: write the whole record to a private tmp file, then
+    // rename onto the final name.  Readers either see the old bytes or the
+    // complete new record, never a torn write; any failure along the way
+    // degrades to memo-only.  The pid and a process-wide sequence number
+    // keep concurrent stores of one key, from any thread or process, out
+    // of each other's tmp files.
+    const std::string final_path = path_for(key);
+    const std::string tmp_path = final_path + ".tmp." + std::to_string(::getpid()) + "." +
+                                 std::to_string(g_tmp_sequence.fetch_add(1));
+    {
+      std::ofstream out(tmp_path, std::ios::binary | std::ios::trunc);
+      if (out) {
+        out.write(text->data(), static_cast<std::streamsize>(text->size()));
+        out.flush();
+        persisted = out.good();
+      }
     }
-  }
-  if (persisted) {
-    std::error_code ec;
-    std::filesystem::rename(tmp_path, final_path, ec);
-    persisted = !ec;
-  }
-  if (!persisted) {
-    std::error_code ec;
-    std::filesystem::remove(tmp_path, ec);
+    if (persisted) {
+      std::error_code ec;
+      std::filesystem::rename(tmp_path, final_path, ec);
+      persisted = !ec;
+    }
+    if (!persisted) {
+      std::error_code ec;
+      std::filesystem::remove(tmp_path, ec);
+    }
   }
   {
     const MutexLock lock(memo_mutex_);

@@ -21,16 +21,19 @@
 ///
 ///   * ResultCache — a two-level store: an in-memory memo (always on; makes
 ///     duplicate jobs inside one `qtsmc --batch` run free) in front of an
-///     optional on-disk directory of one file per key.  Records hold the
-///     verdict, run metadata and the final projector TDD serialised with
-///     tdd::io::save; loads rebuild through make_node, so a cached projector
-///     shares structure with the live manager and is bit-identical to what a
-///     cold run would have produced.  Writes are atomic (tmp file + rename);
-///     corrupt, truncated or version-mismatched entries — and any I/O
-///     failure — degrade to a cache miss, never an error.
+///     optional on-disk directory of one file per key.  Records ("qtsres
+///     v2") hold the verdict, run metadata, the final projector TDD and then
+///     the cold run's orthonormal basis, both serialised with tdd::io.  A
+///     hit rebuilds both through make_node and serves that basis as is —
+///     no re-derivation from the projector — so a cached subspace shares
+///     structure with the live manager and is bit-identical to what the cold
+///     run produced.  Writes are atomic (tmp file + rename); corrupt,
+///     truncated or version-mismatched entries — and any I/O failure —
+///     degrade to a cache miss, never an error.
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -81,7 +84,7 @@ class ResultCache {
 
   /// A cached verdict, rehydrated into the caller's manager.
   struct Entry {
-    Subspace space;              ///< final accumulator, rebuilt canonically
+    Subspace space;              ///< the cold run's basis and projector
     std::size_t iterations = 0;  ///< fixpoint iterations of the original run
     bool converged = false;      ///< original run reached a fixpoint
     bool holds = true;           ///< invariant verdict (true for reach/back)
@@ -89,8 +92,9 @@ class ResultCache {
 
   /// Look `key` up (memo first, then disk).  Returns nullopt on a miss —
   /// including corrupt/truncated/version-mismatched files, a record whose
-  /// property kind or register width disagrees with the request, and any
-  /// read error.  A disk hit is promoted into the memo.
+  /// property kind or register width disagrees with the request, one whose
+  /// basis count, dim line and projector trace disagree, and any read
+  /// error.  A disk hit is promoted into the memo.  Thread-safe.
   std::optional<Entry> lookup(const JobKey& key, tdd::Manager& mgr, std::uint32_t num_qubits,
                               std::string_view property);
 
@@ -98,6 +102,7 @@ class ResultCache {
   /// was given.  Returns true iff the entry reached disk (memory-only caches
   /// and write failures — e.g. a read-only directory — return false, and the
   /// run carries on: the cache degrades, it never fails a job).
+  /// Thread-safe, also for concurrent stores of one key.
   bool store(const JobKey& key, std::string_view property, const Subspace& space,
              std::size_t iterations, bool converged, bool holds);
 
@@ -111,16 +116,23 @@ class ResultCache {
   [[nodiscard]] std::string path_for(const JobKey& key) const;
 
  private:
+  /// Rebuild an Entry from a record's text; nullopt when the record does
+  /// not belong to the request or fails its consistency check.  Throws
+  /// qts::Error on a malformed blob.
+  static std::optional<Entry> parse_record(std::string_view text, tdd::Manager& mgr,
+                                           std::uint32_t num_qubits, std::string_view property);
+
   std::string dir_;  // empty = memory-only
   // The memo holds the serialised record TEXT, not live Edges: rebuilt
-  // through tdd::io::load on every hit, so cached results never need to be
+  // through tdd::load_roots on every hit, so cached results never need to be
   // rooted against the manager's mark-sweep GC (a batch job's collections
-  // would otherwise sweep earlier jobs' memoised projectors).  Guarded so a
-  // future `--serve` front end can share one cache across request threads;
-  // the rehydration (tdd::load) stays outside the lock on the caller's
-  // manager.
+  // would otherwise sweep earlier jobs' memoised results).  Records are
+  // shared immutable strings, so a hit takes a reference under the lock and
+  // parses in place outside it, on the caller's manager.  Guarded so a
+  // future `--serve` front end can share one cache across request threads.
   mutable Mutex memo_mutex_;
-  std::unordered_map<std::string, std::string> memo_ GUARDED_BY(memo_mutex_);
+  std::unordered_map<std::string, std::shared_ptr<const std::string>> memo_
+      GUARDED_BY(memo_mutex_);
 };
 
 }  // namespace qts

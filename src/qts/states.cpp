@@ -1,6 +1,7 @@
 #include "qts/states.hpp"
 
 #include <cmath>
+#include <unordered_map>
 
 #include "common/error.hpp"
 
@@ -109,18 +110,52 @@ Edge apply_operator(tdd::Manager& mgr, const Edge& op, const Edge& ket, std::uin
   return mgr.contract(op, col, bra_levels(n));
 }
 
-cplx operator_trace(tdd::Manager& mgr, const Edge& op, std::uint32_t n) {
-  // Contract against ⊗_q δ(ket_q, bra_q) over every index.
-  Edge delta = mgr.one();
-  for (std::uint32_t q = n; q-- > 0;) {
-    const Edge pick0 = mgr.literal(tdd::bra_level(q), cplx{1.0, 0.0}, cplx{0.0, 0.0});
-    const Edge pick1 = mgr.literal(tdd::bra_level(q), cplx{0.0, 0.0}, cplx{1.0, 0.0});
-    const Edge dq = mgr.make_node(tdd::state_level(q), pick0, pick1);
-    delta = mgr.contract(delta, dq, {});
+namespace {
+
+/// Σ_x ⟨x|op|x⟩ as one walk down the diagonal: at each qubit the bra branch
+/// follows the ket branch, and a qubit the diagram skips contributes a
+/// factor 2.  memo_ holds, per node, the trace of its unit-weight tensor over
+/// the qubits from its own to n-1, so each node is visited once.
+class DiagonalTrace {
+ public:
+  explicit DiagonalTrace(std::uint32_t n) : n_(n) {}
+
+  /// Trace of `e` over qubits q..n-1.
+  cplx of(const Edge& e, std::uint32_t q) {
+    if (e.is_zero()) return cplx{0.0, 0.0};
+    if (e.is_terminal()) return e.weight * std::ldexp(1.0, static_cast<int>(n_ - q));
+    const Level level = e.node->level();
+    const std::uint32_t p = tdd::level_qubit(level);
+    require(p >= q && p < n_ && (level == tdd::state_level(p) || level == tdd::bra_level(p)),
+            "trace did not reduce to a scalar");
+    return e.weight * std::ldexp(1.0, static_cast<int>(p - q)) * of_node(e.node, p);
   }
-  const Edge r = mgr.contract(op, delta, operator_levels(n));
-  require(r.is_terminal(), "trace did not reduce to a scalar");
-  return r.weight;
+
+ private:
+  cplx of_node(const tdd::Node* node, std::uint32_t p) {
+    if (const auto it = memo_.find(node); it != memo_.end()) return it->second;
+    const Edge self{node, cplx{1.0, 0.0}};
+    cplx sum{0.0, 0.0};
+    for (int bit = 0; bit < 2; ++bit) {
+      const Edge row = node->level() == tdd::state_level(p) ? node->child(bit) : self;
+      if (row.node != nullptr && row.node->level() == tdd::bra_level(p)) {
+        sum += row.weight * of(row.node->child(bit), p + 1);
+      } else {
+        sum += of(row, p + 1);
+      }
+    }
+    memo_.emplace(node, sum);
+    return sum;
+  }
+
+  std::uint32_t n_;
+  std::unordered_map<const tdd::Node*, cplx> memo_;
+};
+
+}  // namespace
+
+cplx operator_trace(tdd::Manager& /*mgr*/, const Edge& op, std::uint32_t n) {
+  return DiagonalTrace(n).of(op, 0);
 }
 
 Edge identity_operator(tdd::Manager& mgr, std::uint32_t n) {

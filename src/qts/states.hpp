@@ -56,7 +56,9 @@ tdd::Edge outer(tdd::Manager& mgr, const tdd::Edge& a, const tdd::Edge& b, std::
 tdd::Edge apply_operator(tdd::Manager& mgr, const tdd::Edge& op, const tdd::Edge& ket,
                          std::uint32_t n);
 
-/// Trace of an operator TDD.
+/// Trace of an operator TDD: one memoised walk down its diagonal (ket bit
+/// == bra bit), doubling per qubit the diagram skips.  Reads the diagram
+/// only; `mgr` is kept for symmetry with the other operator helpers.
 cplx operator_trace(tdd::Manager& mgr, const tdd::Edge& op, std::uint32_t n);
 
 /// The identity operator TDD ⊗_q δ(ket_q, bra_q); O(n) nodes at any width.

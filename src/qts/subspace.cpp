@@ -1,6 +1,7 @@
 #include "qts/subspace.hpp"
 
 #include <cmath>
+#include <utility>
 
 #include "common/error.hpp"
 #include "tdd/paths.hpp"
@@ -97,6 +98,14 @@ Subspace Subspace::intersect(const Subspace& other) const {
   Subspace join_of_complements = complement();
   join_of_complements.join(other.complement());
   return join_of_complements.complement();
+}
+
+Subspace Subspace::from_stored(tdd::Manager& mgr, std::uint32_t n, std::vector<Edge> basis,
+                               const Edge& projector) {
+  Subspace s(mgr, n);
+  s.basis_ = std::move(basis);
+  s.projector_ = projector;
+  return s;
 }
 
 Subspace Subspace::from_projector(tdd::Manager& mgr, std::uint32_t n, const Edge& projector) {

@@ -76,6 +76,15 @@ class Subspace {
   [[nodiscard]] Subspace intersect(const Subspace& other) const;
 
  private:
+  friend class ResultCache;
+
+  /// A subspace from a stored orthonormal basis and its projector, taken
+  /// as given: the result cache's hit path, which checks the basis count
+  /// against tr(P) and serves the basis the cold run computed instead of
+  /// re-deriving one with from_projector.
+  static Subspace from_stored(tdd::Manager& mgr, std::uint32_t n, std::vector<tdd::Edge> basis,
+                              const tdd::Edge& projector);
+
   tdd::Manager* mgr_;
   std::uint32_t n_;
   std::vector<tdd::Edge> basis_;

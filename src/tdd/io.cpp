@@ -1,9 +1,10 @@
 #include "tdd/io.hpp"
 
-#include <iomanip>
-#include <sstream>
+#include <algorithm>
+#include <charconv>
+#include <cstdint>
+#include <type_traits>
 #include <unordered_map>
-#include <vector>
 
 #include "common/error.hpp"
 
@@ -13,7 +14,7 @@ namespace {
 
 void collect(const Node* n, std::unordered_map<const Node*, long>& ids,
              std::vector<const Node*>& order) {
-  if (n == nullptr || ids.count(n) != 0) return;
+  if (n == nullptr || ids.contains(n)) return;
   // Children first: the file is bottom-up so load() can rebuild in order.
   collect(n->low().node, ids, order);
   collect(n->high().node, ids, order);
@@ -25,82 +26,192 @@ long id_of(const Node* n, const std::unordered_map<const Node*, long>& ids) {
   return n == nullptr ? -1 : ids.at(n);
 }
 
-}  // namespace
-
-void save(const Edge& root, std::ostream& os) {
-  std::unordered_map<const Node*, long> ids;
-  std::vector<const Node*> order;
-  collect(root.node, ids, order);
-
-  os << "qtdd v1\n";
-  os << "nodes " << order.size() << "\n";
-  os << std::setprecision(17);
-  for (std::size_t i = 0; i < order.size(); ++i) {
-    const Node* n = order[i];
-    os << i << " " << n->level() << " " << id_of(n->low().node, ids) << " "
-       << n->low().weight.real() << " " << n->low().weight.imag() << " "
-       << id_of(n->high().node, ids) << " " << n->high().weight.real() << " "
-       << n->high().weight.imag() << "\n";
+/// Append `v`: integers in decimal, doubles as `%.17g`, the exact text a
+/// std::ostream at precision 17 prints, so the format keeps its bytes.
+template <class T>
+void put(std::string& out, T v) {
+  char buf[32];
+  std::to_chars_result r{};
+  if constexpr (std::is_floating_point_v<T>) {
+    r = std::to_chars(buf, buf + sizeof buf, v, std::chars_format::general, 17);
+  } else {
+    r = std::to_chars(buf, buf + sizeof buf, v);
   }
-  os << "root " << id_of(root.node, ids) << " " << root.weight.real() << " "
-     << root.weight.imag() << "\n";
+  out.append(buf, r.ptr);
 }
 
-Edge load(Manager& mgr, std::istream& is) {
-  auto fail = [](const std::string& what) -> void { throw ParseError("qtdd: " + what); };
+void put_edge(std::string& out, const Edge& e,
+              const std::unordered_map<const Node*, long>& ids) {
+  put(out, id_of(e.node, ids));
+  out += ' ';
+  put(out, e.weight.real());
+  out += ' ';
+  put(out, e.weight.imag());
+}
 
-  std::string word;
-  std::string version;
-  if (!(is >> word >> version) || word != "qtdd" || version != "v1") {
-    fail("bad header (expected 'qtdd v1')");
+[[noreturn]] void fail(const std::string& what) { throw ParseError("qtdd: " + what); }
+
+bool is_space(char c) {
+  return c == ' ' || c == '\n' || c == '\t' || c == '\r' || c == '\v' || c == '\f';
+}
+
+/// Whitespace-separated tokens taken off the front of a buffer; an empty
+/// token means the input ended.
+class BufferTokens {
+ public:
+  explicit BufferTokens(std::string_view& text) : text_(text) {}
+  std::string_view next() {
+    std::size_t i = 0;
+    while (i < text_.size() && is_space(text_[i])) ++i;
+    std::size_t j = i;
+    while (j < text_.size() && !is_space(text_[j])) ++j;
+    const std::string_view token = text_.substr(i, j - i);
+    text_.remove_prefix(j);
+    return token;
   }
-  std::size_t count = 0;
-  if (!(is >> word >> count) || word != "nodes") fail("bad node-count line");
 
-  std::vector<Edge> built(count);  // weight-1 edges to rebuilt nodes
-  auto edge_to = [&](long id, double re, double im) -> Edge {
+ private:
+  std::string_view& text_;
+};
+
+/// The same tokens read from a stream, one extraction each, so the stream
+/// is left just past the last token parsed.
+class StreamTokens {
+ public:
+  explicit StreamTokens(std::istream& is) : is_(is) {}
+  std::string_view next() {
+    if (!(is_ >> token_)) token_.clear();
+    return token_;
+  }
+
+ private:
+  std::istream& is_;
+  std::string token_;
+};
+
+/// The whole token as a number of type T; anything else (empty, a sign on
+/// an unsigned field, trailing bytes, out of range) is a ParseError.
+template <class T>
+T number(std::string_view token, const char* what) {
+  if (token.empty()) fail(std::string("truncated input (expected ") + what + ")");
+  T v{};
+  const char* end = token.data() + token.size();
+  const auto [ptr, ec] = std::from_chars(token.data(), end, v);
+  if (ec != std::errc{} || ptr != end) {
+    fail(std::string("bad ") + what + " '" + std::string(token) + "'");
+  }
+  return v;
+}
+
+// Reservation cap for counts read from the input: a corrupt count must fail
+// on the missing lines, not allocate for them up front.
+constexpr std::size_t kReserveCap = std::size_t{1} << 16;
+
+template <class Tokens>
+std::vector<Edge> parse(Manager& mgr, Tokens& in, std::size_t roots) {
+  if (in.next() != "qtdd" || in.next() != "v1") fail("bad header (expected 'qtdd v1')");
+  if (in.next() != "nodes") fail("bad node-count line");
+  const auto count = number<std::size_t>(in.next(), "node count");
+
+  std::vector<Edge> built;  // weight-1 edges to rebuilt nodes
+  built.reserve(std::min(count, kReserveCap));
+  const auto id = [&](std::string_view token, std::size_t limit) -> std::int64_t {
+    const auto v = number<std::int64_t>(token, "node id");
+    if (v < -1 || v >= static_cast<std::int64_t>(limit)) fail("node id out of range");
+    return v;
+  };
+  const auto edge_to = [&](std::int64_t target, double re, double im) -> Edge {
     const cplx w{re, im};
-    if (id < 0) return mgr.terminal(w);
-    if (static_cast<std::size_t>(id) >= count) fail("child id out of range");
-    return mgr.scale(built[static_cast<std::size_t>(id)], w);
+    if (target < 0) return mgr.terminal(w);
+    const Edge& node = built[static_cast<std::size_t>(target)];
+    // A weight-1 node takes the weight as written: a complex product with 1
+    // can flip the sign of a zero component.
+    if (node.weight != cplx{1.0, 0.0} || w == cplx{0.0, 0.0}) return mgr.scale(node, w);
+    return Edge{node.node, w};
+  };
+  const auto weighted_edge = [&](std::size_t limit) -> Edge {
+    const std::int64_t target = id(in.next(), limit);
+    const auto re = number<double>(in.next(), "weight");
+    const auto im = number<double>(in.next(), "weight");
+    return edge_to(target, re, im);
   };
 
   for (std::size_t i = 0; i < count; ++i) {
-    std::size_t id = 0;
-    Level level = 0;
-    long lo_id = 0;
-    long hi_id = 0;
-    double lr = 0;
-    double li = 0;
-    double hr = 0;
-    double hi = 0;
-    if (!(is >> id >> level >> lo_id >> lr >> li >> hi_id >> hr >> hi)) {
-      fail("truncated node line");
+    if (number<std::size_t>(in.next(), "node id") != i) {
+      fail("node ids must be dense and in order");
     }
-    if (id != i) fail("node ids must be dense and in order");
-    if (lo_id >= static_cast<long>(i) || hi_id >= static_cast<long>(i)) {
-      fail("children must precede their parent");
+    const auto level = number<Level>(in.next(), "level");
+    // Children must precede their parent in the file...
+    const Edge low = weighted_edge(i);
+    const Edge high = weighted_edge(i);
+    // ...and sit below it in the variable order.
+    if (low.top_level() <= level || high.top_level() <= level) {
+      fail("children must sit below their parent");
     }
-    built[i] = mgr.make_node(level, edge_to(lo_id, lr, li), edge_to(hi_id, hr, hi));
+    built.push_back(mgr.make_stored_node(level, low, high));
   }
 
-  long root_id = 0;
-  double rr = 0;
-  double ri = 0;
-  if (!(is >> word >> root_id >> rr >> ri) || word != "root") fail("bad root line");
-  if (root_id >= static_cast<long>(count)) fail("root id out of range");
-  return edge_to(root_id, rr, ri);
+  std::vector<Edge> out;
+  out.reserve(std::min(roots, kReserveCap));
+  for (std::size_t r = 0; r < roots; ++r) {
+    if (in.next() != "root") fail("bad root line");
+    out.push_back(weighted_edge(count));
+  }
+  return out;
+}
+
+}  // namespace
+
+void save_roots(std::span<const Edge> roots, std::string& out) {
+  std::unordered_map<const Node*, long> ids;
+  std::vector<const Node*> order;
+  for (const Edge& root : roots) collect(root.node, ids, order);
+
+  out.reserve(out.size() + 64 * (order.size() + roots.size()) + 32);
+  out += "qtdd v1\nnodes ";
+  put(out, order.size());
+  out += '\n';
+  for (std::size_t i = 0; i < order.size(); ++i) {
+    const Node* n = order[i];
+    put(out, i);
+    out += ' ';
+    put(out, n->level());
+    out += ' ';
+    put_edge(out, n->low(), ids);
+    out += ' ';
+    put_edge(out, n->high(), ids);
+    out += '\n';
+  }
+  for (const Edge& root : roots) {
+    out += "root ";
+    put_edge(out, root, ids);
+    out += '\n';
+  }
+}
+
+std::vector<Edge> load_roots(Manager& mgr, std::string_view& text, std::size_t count) {
+  BufferTokens in(text);
+  return parse(mgr, in, count);
+}
+
+void save(const Edge& root, std::ostream& os) {
+  const std::string text = save_string(root);
+  os.write(text.data(), static_cast<std::streamsize>(text.size()));
+}
+
+Edge load(Manager& mgr, std::istream& is) {
+  StreamTokens in(is);
+  return parse(mgr, in, 1).front();
 }
 
 std::string save_string(const Edge& root) {
-  std::ostringstream os;
-  save(root, os);
-  return os.str();
+  std::string out;
+  save_roots(std::span<const Edge>(&root, 1), out);
+  return out;
 }
 
-Edge load_string(Manager& mgr, const std::string& text) {
-  std::istringstream is(text);
-  return load(mgr, is);
+Edge load_string(Manager& mgr, std::string_view text) {
+  return load_roots(mgr, text, 1).front();
 }
 
 }  // namespace qts::tdd

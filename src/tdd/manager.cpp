@@ -141,6 +141,25 @@ Edge Manager::make_node(Level level, const Edge& low, const Edge& high) {
   return Edge{intern(slot(), level, lo, hi), pivot};
 }
 
+Edge Manager::make_stored_node(Level level, const Edge& low, const Edge& high) {
+  const auto exactly_one = [](const cplx& w) {
+    return w.real() == 1.0 && w.imag() == 0.0 && !std::signbit(w.imag());
+  };
+  // The sibling as make_node leaves it: the zero edge, exactly one, or a
+  // weight neither of its snaps would touch.
+  const auto settled = [&](const Edge& e) {
+    return e.is_zero() || exactly_one(e.weight) || (!approx_zero(e.weight) && !approx_one(e.weight));
+  };
+  const bool low_pivot = std::abs(low.weight) >= std::abs(high.weight) * (1.0 - 1e-9);
+  const Edge& pivot = low_pivot ? low : high;
+  const Edge& sibling = low_pivot ? high : low;
+  const bool canonical = low.top_level() > level && high.top_level() > level &&
+                         exactly_one(pivot.weight) && settled(sibling) &&
+                         !(low.node == high.node && approx_equal(low.weight, high.weight));
+  if (!canonical) return make_node(level, low, high);
+  return Edge{intern(slot(), level, low, high), cplx{1.0, 0.0}};
+}
+
 namespace {
 
 /// Child of `n` under variable `var` taking `value`, for a weight-1 view of

@@ -148,6 +148,15 @@ class Manager {
   /// Canonicalising node constructor (see node.hpp for the invariants).
   Edge make_node(Level level, const Edge& low, const Edge& high);
 
+  /// make_node for children already in canonical form, as tdd::save writes
+  /// them: the pivot child (the one make_node would pick) has weight exactly
+  /// 1 and the sibling is not near zero or near one unless exactly so.
+  /// Such weights are interned bit for bit — make_node would divide them by
+  /// the exact-1 pivot, which can flip the sign of a zero — so a reloaded
+  /// diagram keeps every bit of the saved one.  Other input goes through
+  /// make_node.  Returns a weight-1 edge in the canonical case.
+  Edge make_stored_node(Level level, const Edge& low, const Edge& high);
+
   /// TDD of the single-variable tensor f(x) = (x == 0 ? w0 : w1).
   Edge literal(Level level, const cplx& w0, const cplx& w1) {
     return make_node(level, terminal(w0), terminal(w1));

@@ -214,6 +214,12 @@ else
   echo "FAIL: no .qtsres record in $CACHE_DIR after the cold run" >&2
   failures=$((failures + 1))
 fi
+if [ "$(head -n 1 "$CACHE_DIR"/*.qtsres)" = "qtsres v2" ]; then
+  echo "ok: the record is a qtsres v2 record"
+else
+  echo "FAIL: the record's first line is not 'qtsres v2'" >&2
+  failures=$((failures + 1))
+fi
 warm_out=$("$QTSMC" reach --cache "$CACHE_DIR" --stats "$EXAMPLES/ghz.qasm")
 if echo "$warm_out" | grep -q '^cache:   hit'; then
   echo "ok: warm run reports cache hit"
@@ -225,6 +231,14 @@ if [ "$(echo "$cold_out" | grep '^reach:')" = "$(echo "$warm_out" | grep '^reach
   echo "ok: warm verdict line identical to cold"
 else
   echo "FAIL: warm verdict differs from cold" >&2
+  failures=$((failures + 1))
+fi
+# The audit roots the loaded basis and projector: a hit must audit clean.
+audit_out=$("$QTSMC" reach --cache "$CACHE_DIR" --stats --audit "$EXAMPLES/ghz.qasm")
+if echo "$audit_out" | grep -q '^cache:   hit' && echo "$audit_out" | grep -q '^audit:   clean'; then
+  echo "ok: audited warm hit is clean"
+else
+  echo "FAIL: audited warm run did not report a hit and a clean audit" >&2
   failures=$((failures + 1))
 fi
 # A read-only store still SERVES (the hit path never writes).

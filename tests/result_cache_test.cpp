@@ -3,11 +3,14 @@
 /// the in-memory memo in front of the disk store.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cctype>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
+#include <thread>
+#include <vector>
 
 #include "common/error.hpp"
 #include "common/fault.hpp"
@@ -48,6 +51,18 @@ TEST(JobKey, HexIsThirtyTwoLowercaseHexChars) {
   for (char c : hex) {
     EXPECT_TRUE(std::isdigit(static_cast<unsigned char>(c)) || (c >= 'a' && c <= 'f')) << hex;
   }
+}
+
+TEST(JobKey, GoldenKeysArePinned) {
+  // Keys of two fixed jobs, pinned: canonical_job_text embeds tdd::save and
+  // the circuit matrices at 17 digits, so a formatter change that moved
+  // these would silently orphan every on-disk cache.
+  tdd::Manager mgr;
+  const auto ghz = make_ghz_system(mgr, 3);
+  EXPECT_EQ(job_key(ghz, "reach", mgr.zero(), 20).hex(), "05efc69ed97f9373c9e253d36488c4ab");
+  const auto grover = make_grover_system(mgr, 3);
+  EXPECT_EQ(job_key(grover, "invar", grover.initial.projector(), 10).hex(),
+            "b404c161cae4f4a1988545cac972b73b");
 }
 
 TEST(JobKey, CanonicalAcrossManagers) {
@@ -196,11 +211,153 @@ TEST(ResultCache, VersionBumpedRecordsMiss) {
     ASSERT_TRUE(std::filesystem::exists(cache.path_for(key)));
   }
   ResultCache reader(dir);
-  std::string text = slurp(reader.path_for(key));
-  ASSERT_EQ(text.rfind("qtsres v1", 0), 0u);
-  text.replace(0, 9, "qtsres v2");
-  spit(reader.path_for(key), text);
-  EXPECT_FALSE(reader.lookup(key, mgr, 3, "reach").has_value());
+  const std::string text = slurp(reader.path_for(key));
+  ASSERT_EQ(text.rfind("qtsres v2\n", 0), 0u);
+  // Any other version — a later one, or a v1 record from before the basis
+  // was stored — is a miss, never a misread.
+  for (const char* other : {"qtsres v3", "qtsres v1"}) {
+    std::string bumped = text;
+    bumped.replace(0, 9, other);
+    spit(reader.path_for(key), bumped);
+    ResultCache fresh(dir);
+    EXPECT_FALSE(fresh.lookup(key, mgr, 3, "reach").has_value()) << other;
+  }
+  std::filesystem::remove_all(dir);
+}
+
+/// Same structure and bit-equal weights (memcmp, so the sign of zero
+/// counts), walking both diagrams in step.
+bool bit_identical(const tdd::Edge& a, const tdd::Edge& b) {
+  if (std::memcmp(&a.weight, &b.weight, sizeof a.weight) != 0) return false;
+  if (a.node == nullptr || b.node == nullptr) return a.node == b.node;
+  return a.node->level() == b.node->level() && bit_identical(a.node->low(), b.node->low()) &&
+         bit_identical(a.node->high(), b.node->high());
+}
+
+TEST(ResultCache, HitServesTheColdRunsBasisAndProjector) {
+  // Same manager: the hit is pointer-equal to the cold run, basis vector by
+  // basis vector — the stored basis, not one re-derived from P.
+  {
+    tdd::Manager mgr;
+    ContractionImage computer(mgr, 2, 2);
+    const auto sys = make_qrw_system(mgr, 3, 0.3, true, 0);
+    ResultCache cache;
+    const auto cold = reachable_space(computer, sys, 32, nullptr, nullptr, &cache);
+    const auto warm = reachable_space(computer, sys, 32, nullptr, nullptr, &cache);
+    ASSERT_EQ(computer.stats().cache_hits, 1u);
+    ASSERT_EQ(warm.space.dim(), cold.space.dim());
+    EXPECT_EQ(warm.space.projector().node, cold.space.projector().node);
+    EXPECT_TRUE(bit_identical(warm.space.projector(), cold.space.projector()));
+    for (std::size_t i = 0; i < cold.space.dim(); ++i) {
+      EXPECT_EQ(warm.space.basis()[i].node, cold.space.basis()[i].node) << i;
+      EXPECT_TRUE(bit_identical(warm.space.basis()[i], cold.space.basis()[i])) << i;
+    }
+  }
+  // Fresh managers and cache objects: bit-equal weights throughout.  (The
+  // managers are empty before the lookup: a manager that already holds
+  // tolerance-equal nodes re-interns onto those, signs of zero included.)
+  const std::string dir = scratch_dir("bit_identity");
+  tdd::Manager cold_mgr;
+  ContractionImage cold_computer(cold_mgr, 2, 2);
+  const auto cold_sys = make_ghz_system(cold_mgr, 4);
+  const JobKey key = job_key(cold_sys, "reach", cold_mgr.zero(), 20);
+  const auto cold = [&] {
+    ResultCache cache(dir);
+    return reachable_space(cold_computer, cold_sys, 20, nullptr, nullptr, &cache);
+  }();
+  for (int round = 0; round < 2; ++round) {
+    tdd::Manager mgr;
+    ResultCache cache(dir);
+    const auto warm = cache.lookup(key, mgr, 4, "reach");
+    ASSERT_TRUE(warm.has_value());
+    ASSERT_EQ(warm->space.dim(), cold.space.dim());
+    EXPECT_EQ(warm->iterations, cold.iterations);
+    EXPECT_TRUE(bit_identical(warm->space.projector(), cold.space.projector()));
+    for (std::size_t i = 0; i < cold.space.dim(); ++i) {
+      EXPECT_TRUE(bit_identical(warm->space.basis()[i], cold.space.basis()[i])) << i;
+    }
+  }
+  std::filesystem::remove_all(dir);
+}
+
+TEST(ResultCache, InconsistentOrTruncatedBasisSectionsMiss) {
+  const std::string dir = scratch_dir("basis");
+  tdd::Manager mgr;
+  ContractionImage computer(mgr, 2, 2);
+  const auto sys = make_ghz_system(mgr, 3);
+  const JobKey key = job_key(sys, "reach", mgr.zero(), 20);
+  ResultCache writer(dir);
+  const auto cold = reachable_space(computer, sys, 20, nullptr, nullptr, &writer);
+  const std::string path = writer.path_for(key);
+  const std::string good = slurp(path);
+  const std::string dim_line = "dim " + std::to_string(cold.space.dim()) + "\n";
+  const std::string basis_line = "basis " + std::to_string(cold.space.dim()) + "\n";
+  const std::size_t basis_at = good.find(basis_line);
+  ASSERT_NE(basis_at, std::string::npos);
+  ASSERT_NE(good.find(dim_line), std::string::npos);
+
+  const auto hits = [&](const std::string& text) {
+    spit(path, text);
+    ResultCache reader(dir);
+    return reader.lookup(key, mgr, 3, "reach").has_value();
+  };
+  const auto replaced = [&](const std::string& from, const std::string& to) {
+    std::string t = good;
+    t.replace(t.find(from), from.size(), to);
+    return t;
+  };
+  const std::string more = std::to_string(cold.space.dim() + 1) + "\n";
+  const std::string fewer = std::to_string(cold.space.dim() - 1) + "\n";
+  EXPECT_FALSE(hits(replaced(basis_line, "basis " + more)));  // count > dim
+  EXPECT_FALSE(hits(replaced(basis_line, "basis " + fewer)));  // count < dim
+  EXPECT_FALSE(hits(replaced(dim_line, "dim " + fewer)));      // dim line disagrees
+  // A projector whose trace is not the dimension (here: the zero projector).
+  const std::size_t proj_at = good.find("projector\n") + 10;
+  EXPECT_FALSE(hits(good.substr(0, proj_at) + "qtdd v1\nnodes 0\nroot -1 0 0\n" +
+                    good.substr(basis_at)));
+  // Every truncation inside the basis section, up to a cut-off "end"
+  // trailer (only its final newline may go).
+  for (std::size_t len = basis_at; len + 1 < good.size(); len += 3) {
+    EXPECT_FALSE(hits(good.substr(0, len))) << "prefix of length " << len;
+  }
+  EXPECT_FALSE(hits(good.substr(0, good.size() - 2)));
+  EXPECT_TRUE(hits(good));
+  std::filesystem::remove_all(dir);
+}
+
+TEST(ResultCache, ConcurrentStoresOfOneKeyPublishAHit) {
+  // Four threads of one process store the same key at once: each writes its
+  // own tmp file, every rename succeeds, and the published record hits.
+  const std::string dir = scratch_dir("concurrent");
+  tdd::Manager mgr;
+  ContractionImage computer(mgr, 2, 2);
+  const auto sys = make_ghz_system(mgr, 3);
+  const JobKey key = job_key(sys, "reach", mgr.zero(), 20);
+  const auto cold = reachable_space(computer, sys, 20);
+  ResultCache cache(dir);
+  std::atomic<int> persisted{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < 4; ++t) {
+    threads.emplace_back([&] {
+      for (int rep = 0; rep < 8; ++rep) {
+        if (cache.store(key, "reach", cold.space, cold.iterations, cold.converged, true)) {
+          persisted.fetch_add(1);
+        }
+      }
+    });
+  }
+  for (auto& th : threads) th.join();
+  EXPECT_EQ(persisted.load(), 32);
+  std::size_t files = 0;
+  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+    EXPECT_EQ(entry.path().extension(), ".qtsres") << entry.path();  // no tmp left behind
+    ++files;
+  }
+  EXPECT_EQ(files, 1u);
+  ResultCache reader(dir);
+  const auto hit = reader.lookup(key, mgr, 3, "reach");
+  ASSERT_TRUE(hit.has_value());
+  EXPECT_EQ(hit->space.projector().node, cold.space.projector().node);
   std::filesystem::remove_all(dir);
 }
 

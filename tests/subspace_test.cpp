@@ -97,6 +97,46 @@ TEST(States, OperatorDenseRoundTrip) {
   EXPECT_TRUE(approx_equal(operator_trace(mgr, op, 3), m.trace(), 1e-8));
 }
 
+TEST(States, OperatorTraceMatchesDenseOnRandomOperators) {
+  // The diagonal walk against the dense trace: random full operators (some
+  // entries zero, so diagrams skip levels), and operators that skip whole
+  // qubits (the identity, a terminal, a product that ignores a qubit).
+  tdd::Manager mgr;
+  Prng rng(41);
+  for (std::uint32_t n = 1; n <= 4; ++n) {
+    const std::size_t dim = std::size_t{1} << n;
+    for (int rep = 0; rep < 6; ++rep) {
+      la::Matrix m(dim, dim);
+      for (std::size_t r = 0; r < dim; ++r) {
+        for (std::size_t c = 0; c < dim; ++c) {
+          m(r, c) = rng.uniform() < 0.3 ? cplx{0.0, 0.0} : rng.complex_unit_box();
+        }
+      }
+      const auto op = operator_from_dense(mgr, m, n);
+      EXPECT_TRUE(approx_equal(operator_trace(mgr, op, n), m.trace(), 1e-9)) << n << "/" << rep;
+    }
+    const auto id = identity_operator(mgr, n);
+    EXPECT_EQ(operator_trace(mgr, id, n), cplx(static_cast<double>(dim), 0.0));
+    const auto scalar = mgr.terminal(cplx{0.5, -2.0});
+    EXPECT_TRUE(approx_equal(operator_trace(mgr, scalar, n),
+                             cplx{0.5, -2.0} * static_cast<double>(dim), 1e-12));
+    const auto v = random_ket(mgr, rng, n);
+    const auto w = random_ket(mgr, rng, n);
+    const auto vw = outer(mgr, v, w, n);
+    EXPECT_TRUE(approx_equal(operator_trace(mgr, vw, n),
+                             operator_to_dense(vw, n).trace(), 1e-9));
+  }
+  // |0⟩⟨0| on qubit 1 of 3, nothing on qubits 0 and 2: trace 4.
+  const auto p1 = mgr.make_node(tdd::state_level(1),
+                                mgr.literal(tdd::bra_level(1), cplx{1, 0}, cplx{0, 0}),
+                                mgr.zero());
+  EXPECT_EQ(operator_trace(mgr, p1, 3), cplx(4.0, 0.0));
+  // A level that is not an operator index does not reduce to a scalar.
+  EXPECT_THROW((void)operator_trace(mgr, mgr.literal(tdd::wire_level(0, 3), cplx{1, 0},
+                                                     cplx{1, 1}), 2),
+               Error);
+}
+
 TEST(Subspace, StartsEmpty) {
   tdd::Manager mgr;
   const Subspace s(mgr, 3);

@@ -3,6 +3,8 @@
 #include <cmath>
 #include <cstring>
 #include <limits>
+#include <sstream>
+#include <string_view>
 
 #include "common/error.hpp"
 #include "qts/states.hpp"
@@ -166,6 +168,123 @@ TEST(TddIo, MalformedInputsThrow) {
   EXPECT_THROW((void)load_string(mgr, "qtdd v1\nnodes 1\n0 3 -1 1 0\nroot 0 1 0\n"),
                ParseError);  // truncated node line
   EXPECT_THROW((void)load_string(mgr, "qtdd v1\nnodes 0\nroot 4 1 0\n"), ParseError);
+}
+
+TEST(TddIo, GoldenTextIsPinned) {
+  // The exact bytes of save_string, pinned: the canonical job text embeds
+  // tdd::save, so any formatter drift would silently re-key every on-disk
+  // result cache.  The TDD holds a negative zero, a denormal and
+  // 17-significant-digit weights.
+  Manager mgr;
+  const double denorm = std::numeric_limits<double>::denorm_min() * 1e4;
+  const Edge sub = mgr.literal(5, cplx{1.0, 0.0}, cplx{0.1, -0.0});
+  const Edge top = mgr.make_node(2, sub, mgr.scale(sub, cplx{-1.0 / 3.0, 0.0}));
+  const Edge e = mgr.scale(top, cplx{1.0 / 3.0, denorm});
+  const std::string golden =
+      "qtdd v1\n"
+      "nodes 2\n"
+      "0 5 -1 1 0 -1 0.10000000000000001 -0\n"
+      "1 2 0 1 0 0 -0.33333333333333331 0\n"
+      "root 1 0.33333333333333331 4.9406564584124654e-320\n";
+  EXPECT_EQ(save_string(e), golden);
+  std::ostringstream os;
+  save(e, os);
+  EXPECT_EQ(os.str(), golden);
+  const Edge back = load_string(mgr, golden);
+  EXPECT_EQ(back.node, e.node);
+  EXPECT_TRUE(bit_equal(back.weight, e.weight));
+}
+
+TEST(TddIo, NumericTokensAreStrict) {
+  Manager mgr;
+  const std::string good = "qtdd v1\nnodes 1\n0 3 -1 1 0 -1 0.5 0\nroot 0 1 0\n";
+  ASSERT_EQ(load_string(mgr, good).node->level(), 3u);
+  const auto bad = [&](std::string_view from, std::string_view to) {
+    std::string t = good;
+    const std::size_t at = t.find(from);
+    EXPECT_NE(at, std::string::npos) << from;
+    t.replace(at, from.size(), to);
+    EXPECT_THROW((void)load_string(mgr, t), ParseError) << t;
+    std::istringstream is(t);
+    EXPECT_THROW((void)load(mgr, is), ParseError) << t;
+  };
+  bad("0.5 0\n", "0.5x 0\n");                 // trailing bytes on a weight
+  bad("root 0 1 0\n", "root 0 1 0x\n");       // ... at the end of the root line
+  bad("root 0", "root 0z");                   // ... on an id
+  bad("nodes 1", "nodes 1q");                 // ... on the count
+  bad("0 3 -1", "0 -3 -1");                   // negative level
+  bad("0 3 -1", "0 99999999999999999999999 -1");  // level beyond 64 bits
+  bad("0 3 -1", "0 18446744073709551615 -1");     // the terminal's pseudo-level
+  bad("0 3 -1", "0 3 -2");                    // negative id other than the terminal
+  bad("0 3 -1", "0 3 -99999999999999999999"); // id beyond 64 bits
+  bad("root 0", "root -2");                   // negative root id
+  bad("root 0", "root 1");                    // root id out of range
+  bad("0 3", "+0 3");                         // no signs on ids
+  bad("0.5 0\n", "0.5 1e999\n");              // weight out of range
+}
+
+TEST(TddIo, ChildrenAboveTheirParentAreAParseError) {
+  Manager mgr;
+  EXPECT_THROW((void)load_string(mgr,
+                                 "qtdd v1\nnodes 2\n0 3 -1 1 0 -1 0.5 0\n"
+                                 "1 4 0 1 0 -1 0 0\nroot 1 1 0\n"),
+               ParseError);
+}
+
+TEST(TddIo, MultiRootBlobsShareOneNodeTable) {
+  Manager mgr;
+  const Edge sub = mgr.literal(5, cplx{1, 0}, cplx{0.5, 0.5});
+  const Edge a = mgr.make_node(1, sub, mgr.scale(sub, cplx{0.25, 0}));
+  const Edge b = mgr.make_node(2, mgr.zero(), sub);
+  const std::vector<Edge> roots{a, b, mgr.zero(), mgr.terminal(cplx{0.5, -1})};
+  std::string text;
+  save_roots(roots, text);
+  // sub, a and b once each; one root line per root.
+  EXPECT_NE(text.find("nodes 3\n"), std::string::npos);
+
+  Manager fresh;
+  std::string_view rest = text;
+  const std::vector<Edge> back = load_roots(fresh, rest, roots.size());
+  EXPECT_TRUE(rest == "\n");  // left just past the last root line's tokens
+  ASSERT_EQ(back.size(), roots.size());
+  EXPECT_EQ(back[0].node->low().node, back[1].node->high().node);  // shared
+  for (std::size_t i = 0; i < roots.size(); ++i) {
+    EXPECT_TRUE(bit_equal(back[i].weight, roots[i].weight)) << i;
+  }
+  EXPECT_TRUE(back[2].is_zero());
+  rest = text;
+  const std::vector<Edge> same = load_roots(mgr, rest, roots.size());
+  for (std::size_t i = 0; i < roots.size(); ++i) {
+    EXPECT_EQ(same[i].node, roots[i].node) << i;  // re-interned in place
+  }
+
+  // The single-root blob is the one-root case of the same format.
+  std::string one;
+  save_roots(std::span<const Edge>(&a, 1), one);
+  EXPECT_EQ(one, save_string(a));
+
+  // No roots: just the node table.
+  std::string none;
+  save_roots({}, none);
+  EXPECT_EQ(none, "qtdd v1\nnodes 0\n");
+  rest = none;
+  EXPECT_TRUE(load_roots(mgr, rest, 0).empty());
+
+  // A blob with fewer root lines than requested is truncated.
+  rest = text;
+  EXPECT_THROW((void)load_roots(mgr, rest, roots.size() + 1), ParseError);
+}
+
+TEST(TddIo, StreamLoadConsumesExactlyOneBlob) {
+  Manager mgr;
+  const Edge a = mgr.literal(2, cplx{1.0 / 3.0, 0}, cplx{0.25, -0.75});
+  const Edge b = mgr.literal(4, cplx{0.5, 0}, cplx{1, 0});
+  std::istringstream is(save_string(a) + save_string(b) + "tail\n");
+  EXPECT_EQ(load(mgr, is).node, a.node);
+  EXPECT_EQ(load(mgr, is).node, b.node);
+  std::string word;
+  is >> word;
+  EXPECT_EQ(word, "tail");
 }
 
 TEST(CacheStats, CountersAdvanceThroughBoundContext) {
