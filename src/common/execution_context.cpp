@@ -63,13 +63,6 @@ void ExecutionContext::join_worker(const ExecutionContext& worker) {
   if (w.table_shards > stats_.table_shards) stats_.table_shards = w.table_shards;
   if (w.arena_blocks > stats_.arena_blocks) stats_.arena_blocks = w.arena_blocks;
   if (w.arena_capacity > stats_.arena_capacity) stats_.arena_capacity = w.arena_capacity;
-  if (w.op_slots > stats_.op_slots) stats_.op_slots = w.op_slots;
-  if (w.slot_add_hits > stats_.slot_add_hits) stats_.slot_add_hits = w.slot_add_hits;
-  if (w.slot_add_misses > stats_.slot_add_misses) stats_.slot_add_misses = w.slot_add_misses;
-  if (w.slot_cont_hits > stats_.slot_cont_hits) stats_.slot_cont_hits = w.slot_cont_hits;
-  if (w.slot_cont_misses > stats_.slot_cont_misses) {
-    stats_.slot_cont_misses = w.slot_cont_misses;
-  }
 }
 
 }  // namespace qts

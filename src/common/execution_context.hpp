@@ -76,18 +76,6 @@ struct RunStats {
   std::size_t table_shards = 0;       ///< lock stripes in the unique table
   std::size_t arena_blocks = 0;       ///< node slabs allocated
   std::size_t arena_capacity = 0;     ///< node slots across all slabs
-
-  // Per-slot operation-cache tallies, aggregated over every ThreadSlot of
-  // the shared manager (sampled via Manager::sample_storage alongside the
-  // table/arena gauges above, and max-merged on join the same way).  Unlike
-  // the context-summed add/cont counters above these count EVERY slot,
-  // including worker slots whose context was never joined and slots created
-  // without a context at all.
-  std::size_t op_slots = 0;         ///< ThreadSlots ever created (incl. main)
-  std::size_t slot_add_hits = 0;    ///< add-cache hits summed over all slots
-  std::size_t slot_add_misses = 0;  ///< add-cache misses summed over all slots
-  std::size_t slot_cont_hits = 0;   ///< cont-cache hits summed over all slots
-  std::size_t slot_cont_misses = 0; ///< cont-cache misses summed over all slots
 };
 
 /// hits / (hits + misses) as a percentage; 0 when no lookups happened.

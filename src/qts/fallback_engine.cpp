@@ -67,32 +67,12 @@ auto FallbackImage::with_fallback(Fn&& fn) -> decltype(fn()) {
   }
 }
 
-Subspace FallbackImage::image(const QuantumOperation& op, const Subspace& s) {
-  return with_fallback([&] { return active().image(op, s); });
-}
-
-std::vector<tdd::Edge> FallbackImage::frontier_candidates(const TransitionSystem& sys,
-                                                          std::span<const tdd::Edge> frontier,
-                                                          std::uint32_t n,
-                                                          const tdd::Edge& acc_projector,
-                                                          std::size_t* shards_used) {
-  return with_fallback([&]() -> std::vector<tdd::Edge> {
-    ImageComputer& eng = active();
-    if (eng.shards_frontier()) {
-      return eng.frontier_candidates(sys, frontier, n, acc_projector, shards_used);
-    }
-    // Sequential active element (basic/addition/contraction): emulate the
-    // claimed contract with the driver's sequential feed plus the
-    // accumulator-snapshot pre-filter the claimed path promises.
-    if (shards_used != nullptr) *shards_used = frontier.empty() ? 0 : 1;
-    const std::vector<tdd::Edge> raw = eng.image_kets(sys, frontier, n);
-    std::vector<tdd::Edge> fresh;
-    fresh.reserve(raw.size());
-    for (const tdd::Edge& phi : raw) {
-      if (!Subspace::projector_contains(mgr_, acc_projector, phi, n)) fresh.push_back(phi);
-    }
-    return fresh;
-  });
+std::vector<tdd::Edge> FallbackImage::image_step(std::span<const QuantumOperation> ops,
+                                                 std::span<const tdd::Edge> kets,
+                                                 std::uint32_t n, const tdd::Edge& acc_projector,
+                                                 std::size_t* shards_used) {
+  return with_fallback(
+      [&] { return active().image_step(ops, kets, n, acc_projector, shards_used); });
 }
 
 void FallbackImage::clear_prepared() {
@@ -114,13 +94,11 @@ std::vector<tdd::Edge> FallbackImage::prepared_roots() const {
 }
 
 std::unique_ptr<ImageComputer::Prepared> FallbackImage::prepare(const circ::Circuit&) {
-  throw InternalError("FallbackImage::prepare: the fallback chain delegates whole "
-                      "iterations to its active engine; per-ket preparation is not reachable");
+  no_per_ket_path();
 }
 
 tdd::Edge FallbackImage::apply(const Prepared&, const tdd::Edge&, std::uint32_t) {
-  throw InternalError("FallbackImage::apply: the fallback chain delegates whole "
-                      "iterations to its active engine; per-ket application is not reachable");
+  no_per_ket_path();
 }
 
 }  // namespace qts

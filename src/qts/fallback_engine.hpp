@@ -11,6 +11,13 @@
 /// fastest representation the workload allows and finishes on the one that
 /// always works.
 ///
+/// The chain overrides one hook, ImageComputer::image_step: the active
+/// element's step, run inside a degrade-and-retry loop.  Every entry point
+/// (image, image_kets, the driver's frontier step) therefore degrades the
+/// same way, and a switch re-runs only the step that failed, on the next
+/// element.  Whether that step filters against the accumulator or shards is
+/// the active element's business.
+///
 /// Only ResourceExhausted triggers a switch.  InvalidArgument (caller bug),
 /// InternalError (library bug) and DeadlineExceeded (the whole run's budget,
 /// not one backend's) propagate unchanged: degrading could only mask them.
@@ -73,20 +80,16 @@ class FallbackImage final : public ImageComputer {
     observer_ = std::move(observer);
   }
 
-  Subspace image(const QuantumOperation& op, const Subspace& s) override;
+  /// Forwards to the active element, which can change between steps when
+  /// a backend degrades.
+  [[nodiscard]] bool shards_frontier() const override { return active_engine().shards_frontier(); }
 
-  /// The chain always claims whole frontier iterations, whatever the active
-  /// element does: the FixpointDriver decides sequential-vs-claimed per
-  /// run, and a mid-run switch (say statevector -> basic) must not strand
-  /// the driver on the wrong feed.  Non-claiming actives are served by
-  /// emulating the claimed contract (sequential image_kets + accumulator-
-  /// snapshot filter) below.
-  [[nodiscard]] bool shards_frontier() const override { return true; }
-
-  std::vector<tdd::Edge> frontier_candidates(const TransitionSystem& sys,
-                                             std::span<const tdd::Edge> frontier, std::uint32_t n,
-                                             const tdd::Edge& acc_projector,
-                                             std::size_t* shards_used) override;
+  /// The active element's image step, degrading down the chain on
+  /// ResourceExhausted and re-running the step on the next element.
+  std::vector<tdd::Edge> image_step(std::span<const QuantumOperation> ops,
+                                    std::span<const tdd::Edge> kets, std::uint32_t n,
+                                    const tdd::Edge& acc_projector,
+                                    std::size_t* shards_used) override;
 
   void clear_prepared() override;
   [[nodiscard]] std::vector<tdd::Edge> prepared_roots() const override;
@@ -96,8 +99,8 @@ class FallbackImage final : public ImageComputer {
   void set_order_policy(tn::OrderPolicy policy) override;
 
  protected:
-  // Per-ket delegation is never reachable: the chain claims whole frontier
-  // iterations and overrides image(op, s).
+  // The chain images only through image_step; public apply_kraus on it
+  // throws InvalidArgument (no_per_ket_path).
   std::unique_ptr<Prepared> prepare(const circ::Circuit& kraus) override;
   tdd::Edge apply(const Prepared& prep, const tdd::Edge& ket, std::uint32_t n) override;
 

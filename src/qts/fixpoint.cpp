@@ -174,25 +174,13 @@ FixpointDriver::Result FixpointDriver::run() {
     it.gc = collect;
 
     // Imaging only the frontier is sound because T(A ∨ B) = T(A) ∨ T(B)
-    // (Proposition 1) and previously imaged vectors add nothing new.  Either
-    // path ends in the single authoritative Gram-Schmidt pass of
-    // add_states: one orthogonalisation per image vector, whose surviving
+    // (Proposition 1) and previously imaged vectors add nothing new.  The
+    // engine's image step may pre-filter against the accumulator snapshot;
+    // either way the step ends in the single authoritative Gram-Schmidt pass
+    // of add_states: one orthogonalisation per candidate, whose surviving
     // residuals are the next frontier.
-    // Re-read per iteration: a fallback chain's active engine (and with it
-    // the claim) can change between iterations when a backend degrades.
-    const bool claimed = computer_.shards_frontier();
-    std::vector<Edge> candidates;
-    if (claimed) {
-      // The engine runs the whole iteration body — sharded across workers
-      // (parallel) or densely (statevector) — and pre-filters against the
-      // accumulator snapshot; only genuinely-new candidates (plus
-      // duplicates the add_states pass below dedups) come back.
-      it.shards = 0;
-      candidates = computer_.frontier_candidates(sys_, frontier, n, acc.projector(), &it.shards);
-    } else {
-      candidates = computer_.image_kets(sys_, frontier, n);
-      it.shards = 1;
-    }
+    const std::vector<Edge> candidates =
+        computer_.frontier_candidates(sys_, frontier, n, acc.projector(), &it.shards);
     it.candidates = candidates.size();
     std::vector<Edge> survivors = acc.add_states(candidates);
     tdd::record_peak(&ctx, acc.projector());
@@ -203,14 +191,8 @@ FixpointDriver::Result FixpointDriver::run() {
     if (oracle_ != nullptr) {
       // Same iteration body, driven through the oracle's own execution path
       // and its own accumulator/frontier.
-      std::vector<Edge> oracle_candidates;
-      if (oracle_->shards_frontier()) {
-        std::size_t oracle_shards = 0;
-        oracle_candidates = oracle_->frontier_candidates(sys_, oracle_frontier, n,
-                                                         oracle_acc.projector(), &oracle_shards);
-      } else {
-        oracle_candidates = oracle_->image_kets(sys_, oracle_frontier, n);
-      }
+      const std::vector<Edge> oracle_candidates =
+          oracle_->frontier_candidates(sys_, oracle_frontier, n, oracle_acc.projector(), nullptr);
       std::vector<Edge> oracle_survivors = oracle_acc.add_states(oracle_candidates);
 
       if (it.frontier_dim != oracle_frontier.size()) {

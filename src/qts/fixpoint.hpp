@@ -3,25 +3,24 @@
 ///
 /// `reachable_space` and `check_invariant` used to carry near-duplicated
 /// frontier bookkeeping; FixpointDriver owns it once: the accumulated and
-/// frontier subspaces, GC root collection, deadline ticks, per-iteration
-/// statistics, and the choice between the sequential and the sharded
-/// execution path.  The loops on top reduce to thin policies — invariant
+/// frontier subspaces, GC root collection, deadline ticks and per-iteration
+/// statistics.  The loops on top reduce to thin policies — invariant
 /// checking is nothing but an early-exit predicate on each frontier
 /// survivor.
 ///
-/// Each iteration images the current frontier, filters the image vectors
-/// against the accumulator and extends it — all in ONE Gram-Schmidt pass per
-/// image vector (`Subspace::add_states`): the surviving orthonormal
-/// residuals ARE the next frontier, carried as a bare ket family (nothing
-/// ever projects onto the frontier, so no projector is maintained for it).
-///
-/// When the engine claims frontiers (`ImageComputer::shards_frontier` — the
-/// `parallel:<t>` engine, or a representation-changing engine like
-/// `statevector`), the whole iteration body — imaging *and* the
-/// orthogonalise-against-accumulator filtering — runs inside the engine:
-/// sharded across per-worker managers (parallel) or densely (statevector).
-/// The authoritative accumulator extension happens on the caller's thread
-/// afterwards, so the fixpoint result is independent of how the body ran.
+/// Each iteration is one engine image step plus one Gram-Schmidt pass.  The
+/// driver hands the frontier and the accumulator's projector to
+/// `ImageComputer::frontier_candidates`, i.e. to the engine's one
+/// `image_step` hook, whatever the engine: sequential engines return every
+/// raw image, the parallel engine shards the step across workers and drops
+/// images already inside the accumulator there, and representation-changing
+/// engines (statevector, sparse) cross their seam once per step.  The
+/// returned candidates then extend the accumulator in ONE Gram-Schmidt pass
+/// per vector (`Subspace::add_states`) on the caller's thread: the
+/// surviving orthonormal residuals ARE the next frontier, carried as a bare
+/// ket family (nothing ever projects onto the frontier, so no projector is
+/// maintained for it).  The fixpoint result is therefore independent of how
+/// the engine ran its step.
 ///
 /// With set_oracle, a second engine runs the same iteration in lockstep as a
 /// differential cross-check; dimension or survivor-count divergence throws
@@ -40,13 +39,13 @@ namespace qts {
 struct IterationStats {
   std::size_t iteration = 0;     ///< 1-based iteration number
   std::size_t frontier_dim = 0;  ///< frontier basis vectors imaged
-  /// Image vectors fed to the accumulator's Gram-Schmidt pass.  On the
-  /// sequential path this is every raw Kraus×ket image; on the sharded path
-  /// the workers' snapshot pre-filter has already dropped images inside the
-  /// accumulator, so the number is lower for the same computation.
+  /// Image vectors fed to the accumulator's Gram-Schmidt pass.  For a
+  /// sequential engine this is every raw Kraus×ket image; engines that
+  /// pre-filter against the accumulator (parallel, statevector, sparse)
+  /// return fewer for the same computation.
   std::size_t candidates = 0;
   std::size_t survivors = 0;     ///< residuals that extended the accumulator
-  std::size_t shards = 0;        ///< frontier shards dispatched (1 = sequential path)
+  std::size_t shards = 0;        ///< shards the image step dispatched (1 = undivided)
   std::size_t acc_dim = 0;       ///< accumulated dimension after the iteration
   std::size_t live_nodes = 0;    ///< manager live nodes entering the iteration
   bool gc = false;               ///< a collection ran before this iteration's imaging
@@ -80,7 +79,7 @@ class FixpointDriver {
   /// projectors (mutual containment).  Any mismatch throws InternalError
   /// ("a library bug": two registered engines computed different images).
   /// The oracle must be built on the same manager as the primary computer;
-  /// it may be any registered engine, including frontier-claiming ones.
+  /// it may be any registered engine.
   /// The observer, history and frontier predicate see the primary run only.
   FixpointDriver& set_oracle(ImageComputer& oracle);
 

@@ -9,27 +9,16 @@ namespace qts {
 using tdd::Edge;
 using tdd::Level;
 
-Subspace ImageComputer::image(const QuantumOperation& op, const Subspace& s) {
+std::vector<Edge> ImageComputer::image_step(std::span<const QuantumOperation> ops,
+                                            std::span<const Edge> kets, std::uint32_t n,
+                                            const Edge&, std::size_t* shards_used) {
   ScopedTimer timer(ctx_);
-  Subspace out(mgr_, s.num_qubits());
-  for (const auto& kraus : op.kraus) {
-    for (const auto& b : s.basis()) {
-      const Edge phi = apply_kraus(kraus, b, s.num_qubits());
-      out.add_state(phi);
-      tdd::record_peak(ctx_, out.projector());
-    }
-  }
-  return out;
-}
-
-std::vector<Edge> ImageComputer::image_kets(const TransitionSystem& sys,
-                                            std::span<const Edge> kets, std::uint32_t n) {
-  ScopedTimer timer(ctx_);
+  if (shards_used != nullptr) *shards_used = 1;
   std::size_t kraus_total = 0;
-  for (const auto& op : sys.operations) kraus_total += op.kraus.size();
+  for (const auto& op : ops) kraus_total += op.kraus.size();
   std::vector<Edge> out;
   out.reserve(kraus_total * kets.size());
-  for (const auto& op : sys.operations) {
+  for (const auto& op : ops) {
     for (const auto& kraus : op.kraus) {
       for (const auto& b : kets) out.push_back(apply_kraus(kraus, b, n));
     }
@@ -37,11 +26,17 @@ std::vector<Edge> ImageComputer::image_kets(const TransitionSystem& sys,
   return out;
 }
 
-std::vector<Edge> ImageComputer::frontier_candidates(const TransitionSystem&,
-                                                     std::span<const Edge>, std::uint32_t,
-                                                     const Edge&, std::size_t*) {
-  throw InternalError("ImageComputer::frontier_candidates: engine '" + name() +
-                      "' does not shard frontier iterations (shards_frontier() is false)");
+Subspace ImageComputer::image(const QuantumOperation& op, const Subspace& s) {
+  // image_step accounts its own time; the ScopedTimer here adds the join.
+  const std::vector<Edge> images =
+      image_step(std::span(&op, 1), s.basis(), s.num_qubits(), mgr_.zero(), nullptr);
+  ScopedTimer timer(ctx_);
+  Subspace out(mgr_, s.num_qubits());
+  for (const Edge& phi : images) {
+    out.add_state(phi);
+    tdd::record_peak(ctx_, out.projector());
+  }
+  return out;
 }
 
 Edge ImageComputer::apply_kraus(const circ::Circuit& kraus, const Edge& ket,
@@ -64,6 +59,12 @@ Subspace ImageComputer::image(const TransitionSystem& sys, const Subspace& s) {
     tdd::record_peak(ctx_, out.projector());
   }
   return out;
+}
+
+void ImageComputer::no_per_ket_path() const {
+  throw InvalidArgument("apply_kraus: the '" + name() +
+                        "' engine has no per-ket path; it images kets only through "
+                        "image_step (or image, image_kets, frontier_candidates)");
 }
 
 std::vector<tdd::Edge> ImageComputer::prepared_roots() const {

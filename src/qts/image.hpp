@@ -3,8 +3,19 @@
 ///
 /// All three share the outer loop of Algorithm 1: decompose the input
 /// subspace into a basis, push every basis state through every Kraus
-/// operator, and join the resulting rays.  They differ in how a Kraus
-/// circuit is applied to a state:
+/// operator, and join the resulting rays.  ImageComputer owns that loop as
+/// ONE virtual hook, `image_step`: a family of kets pushed through every
+/// Kraus circuit of a span of operations, returned op-major, Kraus-major,
+/// ket-minor, optionally pre-filtered against an accumulator projector.
+/// Every entry point — image(op, S), image(sys, S), image_kets and the
+/// FixpointDriver's frontier_candidates — is a non-virtual wrapper over it,
+/// so an engine that changes how the loop runs (the parallel engine shards
+/// it, the seam engines run it in a foreign representation, the fallback
+/// chain retries it) overrides exactly one function and serves every entry
+/// point.
+///
+/// The three algorithms differ only in how a Kraus circuit is applied to a
+/// state (prepare + apply, one cell of the loop):
 ///
 ///   * BasicImage (§IV-C) pre-contracts the whole circuit into one
 ///     monolithic operator TDD and contracts the state against it;
@@ -45,53 +56,58 @@ class ImageComputer {
 
   [[nodiscard]] virtual std::string name() const = 0;
 
+  /// The one image step every entry point runs through: image every ket of
+  /// `kets` through every Kraus circuit of every operation in `ops`, and
+  /// return the images op-major, Kraus-major, ket-minor.  The span of the
+  /// result equals the span of the raw images modulo `acc_projector`: an
+  /// engine may drop images already inside it (a zero projector filters
+  /// nothing), and may return any spanning family of what is left.
+  /// `shards_used`, when non-null, receives the number of shards dispatched
+  /// (1 when the step ran undivided on the caller's thread).  The default is
+  /// the sequential apply_kraus loop on this computer's manager, with no
+  /// filtering; engines that shard the loop or change representation
+  /// override it.
+  virtual std::vector<tdd::Edge> image_step(std::span<const QuantumOperation> ops,
+                                            std::span<const tdd::Edge> kets, std::uint32_t n,
+                                            const tdd::Edge& acc_projector,
+                                            std::size_t* shards_used);
+
   /// T_σ(S): the join of span{E|b⟩} over Kraus operators E and basis kets b.
-  /// Virtual so engines that shard the whole Kraus×basis loop (the parallel
-  /// engine) can replace the sequential iteration; the default runs it in
-  /// Kraus-major, basis-minor order on this computer's manager.
-  virtual Subspace image(const QuantumOperation& op, const Subspace& s);
+  Subspace image(const QuantumOperation& op, const Subspace& s);
 
   /// T(S) = ⋁_σ T_σ(S) over every operation of the system.
   Subspace image(const TransitionSystem& sys, const Subspace& s);
 
-  /// Every raw image ket of a frontier family — op-major, Kraus-major,
-  /// ket-minor, no subspace assembly at all.  This is the FixpointDriver's
-  /// sequential feed into Subspace::add_states: the one authoritative
-  /// Gram-Schmidt pass there is the ONLY orthogonalisation any image vector
-  /// sees per iteration.  Note this entry point does not go through an
-  /// engine's image(op, s) override; frontier-sharding engines are served
-  /// by frontier_candidates instead.
+  /// Every raw image ket of a ket family: the step over every operation of
+  /// `sys`, unfiltered.
   std::vector<tdd::Edge> image_kets(const TransitionSystem& sys, std::span<const tdd::Edge> kets,
-                                    std::uint32_t n);
+                                    std::uint32_t n) {
+    return image_step(sys.operations, kets, n, mgr_.zero(), nullptr);
+  }
 
-  /// Engines that claim a *whole frontier iteration* — imaging plus the
-  /// filtering against the accumulator — return true; the FixpointDriver
-  /// then feeds them through frontier_candidates instead of image_kets() +
-  /// Subspace::add_states.  Two kinds of engine want the whole body: the
-  /// parallel engine (to shard it across workers) and representation-
-  /// changing engines like statevector (to cross into their representation
-  /// once per iteration instead of once per Kraus application).
+  /// One fixpoint frontier step: the step over every operation of `sys`,
+  /// pre-filtered against the accumulator snapshot `acc_projector` by the
+  /// engines that filter.
+  std::vector<tdd::Edge> frontier_candidates(const TransitionSystem& sys,
+                                             std::span<const tdd::Edge> frontier, std::uint32_t n,
+                                             const tdd::Edge& acc_projector,
+                                             std::size_t* shards_used) {
+    return image_step(sys.operations, frontier, n, acc_projector, shards_used);
+  }
+
+  /// True for engines whose image_step runs the whole frontier body itself:
+  /// the parallel engine shards it across workers and filters against the
+  /// accumulator there, and representation-changing engines (statevector,
+  /// sparse) cross into their representation once per step.  Informational:
+  /// every engine serves every entry point.
   [[nodiscard]] virtual bool shards_frontier() const { return false; }
-
-  /// One whole frontier step: image every ket of the `frontier` family
-  /// through every Kraus circuit of every operation of `sys`, drop images
-  /// already inside the accumulator snapshot `acc_projector`, and return
-  /// surviving candidate kets whose span equals the span of the raw images
-  /// modulo the snapshot, in an order independent of how the work was
-  /// divided.  `shards_used`, when non-null, receives the number of shards
-  /// dispatched (1 when the body ran undivided on the caller's thread).
-  /// Only engines with shards_frontier() == true implement this; the base
-  /// class throws.
-  virtual std::vector<tdd::Edge> frontier_candidates(const TransitionSystem& sys,
-                                                     std::span<const tdd::Edge> frontier,
-                                                     std::uint32_t n,
-                                                     const tdd::Edge& acc_projector,
-                                                     std::size_t* shards_used);
 
   /// One cell of the Kraus×basis loop: apply a single Kraus circuit to a ket
   /// (preparing and caching the operator on first use) and account for it —
   /// deadline poll, peak record, kraus_applications counter.  The public
-  /// building block for engines that shard the loop across workers.
+  /// building block for engines that shard the loop across workers.  The
+  /// parallel engine and fallback chains have no per-ket path and throw
+  /// InvalidArgument here.
   tdd::Edge apply_kraus(const circ::Circuit& kraus, const tdd::Edge& ket,
                         std::uint32_t num_qubits);
 
@@ -175,6 +191,18 @@ class ImageComputer {
                          const tdd::Edge& ket, const PushPlan& push);
 
   const Prepared& prepared_for(const circ::Circuit& kraus);
+
+  /// prepare/apply body of engines that image only through image_step (the
+  /// parallel engine, fallback chains): public apply_kraus reaches it.
+  [[noreturn]] void no_per_ket_path() const;
+
+  /// The image_step pre-filter: true when `phi` is not inside the
+  /// accumulator snapshot `acc_projector`.  A zero snapshot keeps every
+  /// image without a containment test.
+  [[nodiscard]] bool outside(const tdd::Edge& acc_projector, const tdd::Edge& phi,
+                             std::uint32_t n) const {
+    return acc_projector.is_zero() || !Subspace::projector_contains(mgr_, acc_projector, phi, n);
+  }
 
   tdd::Manager& mgr_;
   ExecutionContext own_ctx_;

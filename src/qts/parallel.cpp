@@ -1,7 +1,6 @@
 #include "qts/parallel.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <exception>
 #include <thread>
 #include <vector>
@@ -56,76 +55,22 @@ std::size_t ParallelImage::shard_count(std::size_t tasks) const {
   return std::min(workers_.size(), by_load);
 }
 
-Subspace ParallelImage::image(const QuantumOperation& op, const Subspace& s) {
+std::vector<Edge> ParallelImage::image_step(std::span<const QuantumOperation> ops,
+                                            std::span<const Edge> kets, std::uint32_t n,
+                                            const Edge& acc_projector, std::size_t* shards_used) {
   ScopedTimer timer(ctx_);
-  const std::uint32_t n = s.num_qubits();
-
-  // Fix the task list in the sequential loop's order (Kraus-major,
-  // basis-minor) before any worker starts; the reduction below consumes
-  // results in exactly this order, making the output independent of the
-  // worker count and of which worker computed what.
+  // The task list in the step's own (op, Kraus, ket) order, fixed before any
+  // worker starts.  Sharding at task grain rather than ket grain keeps the
+  // whole pool busy even when a narrow frontier meets a wide Kraus family
+  // (one ket x 16 noise circuits is 16 tasks, not 1 shard).
   struct Task {
     const circ::Circuit* kraus;
     const Edge* ket;
   };
   std::vector<Task> tasks;
-  tasks.reserve(op.kraus.size() * s.basis().size());
-  for (const auto& kraus : op.kraus) {
-    for (const auto& ket : s.basis()) tasks.push_back({&kraus, &ket});
-  }
-
-  Subspace out(mgr_, n);
-  if (tasks.empty()) return out;
-
-  // Results land straight in the shared manager — no per-worker pools, no
-  // ket shipping: the input kets are immutable shared data while workers
-  // run, and a result edge is valid in the parent's hands the moment its
-  // worker stores it.
-  std::vector<Edge> results(tasks.size());
-  std::atomic<std::size_t> cursor{0};
-
-  const std::size_t active = shard_count(tasks.size());
-  run_pool(active, [&](std::size_t idx) {
-    Worker& w = *workers_[idx];
-    for (;;) {
-      const std::size_t i = cursor.fetch_add(1, std::memory_order_relaxed);
-      if (i >= tasks.size()) break;
-      results[i] = w.engine->apply_kraus(*tasks[i].kraus, *tasks[i].ket, n);
-    }
-  });
-
-  // Deterministic join: reduce in task order, mirroring the sequential loop
-  // body.
-  for (const Edge& result : results) {
-    out.add_state(result);
-    tdd::record_peak(ctx_, out.projector());
-  }
-  return out;
-}
-
-std::vector<Edge> ParallelImage::frontier_candidates(const TransitionSystem& sys,
-                                                     std::span<const Edge> kets,
-                                                     std::uint32_t n, const Edge& acc_projector,
-                                                     std::size_t* shards_used) {
-  ScopedTimer timer(ctx_);
-  if (shards_used != nullptr) *shards_used = 0;
-  if (kets.empty()) return {};
-
-  // The frontier's task list in ket-major (ket, op, Kraus) order, fixed
-  // before any worker starts.  Sharding at task grain rather than ket grain
-  // keeps the whole pool busy even when a narrow frontier meets a wide
-  // Kraus family (one ket x 16 noise circuits is 16 tasks, not 1 shard).
-  struct Task {
-    const Edge* ket;
-    const circ::Circuit* kraus;
-  };
-  std::size_t kraus_total = 0;
-  for (const auto& op : sys.operations) kraus_total += op.kraus.size();
-  std::vector<Task> tasks;
-  tasks.reserve(kets.size() * kraus_total);
-  for (const auto& ket : kets) {
-    for (const auto& op : sys.operations) {
-      for (const auto& kraus : op.kraus) tasks.push_back({&ket, &kraus});
+  for (const auto& op : ops) {
+    for (const auto& kraus : op.kraus) {
+      for (const auto& ket : kets) tasks.push_back({&kraus, &ket});
     }
   }
 
@@ -134,12 +79,16 @@ std::vector<Edge> ParallelImage::frontier_candidates(const TransitionSystem& sys
   // tasks up to the worker count.
   const std::size_t nshards = shard_count(tasks.size());
   if (shards_used != nullptr) *shards_used = nshards;
+  if (nshards == 0) return {};
   std::vector<std::size_t> bounds(nshards + 1, 0);
   for (std::size_t s = 0; s < nshards; ++s) {
     bounds[s + 1] = bounds[s] + tasks.size() / nshards + (s < tasks.size() % nshards ? 1 : 0);
   }
 
-  // Per-shard survivors; every edge already lives in the shared manager.
+  // Per-shard survivors.  Results land straight in the shared manager — no
+  // per-worker pools, no ket shipping: the input kets are immutable shared
+  // data while workers run, and a result edge is valid in the parent's
+  // hands the moment its worker stores it.
   std::vector<std::vector<Edge>> kept(nshards);
 
   run_pool(nshards, [&](std::size_t s) {
@@ -151,12 +100,12 @@ std::vector<Edge> ParallelImage::frontier_candidates(const TransitionSystem& sys
     // boundaries fall — the source of the thread-count invariance.
     for (std::size_t i = bounds[s]; i < bounds[s + 1]; ++i) {
       const Edge phi = w.engine->apply_kraus(*tasks[i].kraus, *tasks[i].ket, n);
-      if (!Subspace::projector_contains(mgr_, acc_projector, phi, n)) kept[s].push_back(phi);
+      if (outside(acc_projector, phi, n)) kept[s].push_back(phi);
     }
   });
 
   // Deterministic join: concatenating shard survivors in shard order is the
-  // task list's own (ket-major) order, whatever the worker count was.
+  // task list's own order, whatever the worker count was.
   std::vector<Edge> out;
   for (std::size_t s = 0; s < nshards; ++s) {
     for (const Edge& phi : kept[s]) {
@@ -247,7 +196,6 @@ void ParallelImage::run_pool(std::size_t active, const std::function<void(std::s
 }
 
 void ParallelImage::clear_prepared() {
-  ImageComputer::clear_prepared();
   for (const auto& w : workers_) w->engine->clear_prepared();
 }
 
@@ -257,7 +205,7 @@ void ParallelImage::set_order_policy(tn::OrderPolicy policy) {
 }
 
 std::vector<Edge> ParallelImage::prepared_roots() const {
-  std::vector<Edge> roots = ImageComputer::prepared_roots();
+  std::vector<Edge> roots;
   for (const auto& w : workers_) {
     const auto worker_roots = w->engine->prepared_roots();
     roots.insert(roots.end(), worker_roots.begin(), worker_roots.end());
@@ -266,13 +214,9 @@ std::vector<Edge> ParallelImage::prepared_roots() const {
 }
 
 std::unique_ptr<ImageComputer::Prepared> ParallelImage::prepare(const circ::Circuit&) {
-  throw InternalError("ParallelImage::prepare: the parallel engine shards whole "
-                      "Kraus×basis loops; per-circuit preparation lives in its workers");
+  no_per_ket_path();
 }
 
-Edge ParallelImage::apply(const Prepared&, const Edge&, std::uint32_t) {
-  throw InternalError("ParallelImage::apply: the parallel engine shards whole "
-                      "Kraus×basis loops; per-circuit application lives in its workers");
-}
+Edge ParallelImage::apply(const Prepared&, const Edge&, std::uint32_t) { no_per_ket_path(); }
 
 }  // namespace qts

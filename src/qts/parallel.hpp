@@ -1,23 +1,26 @@
 /// \file parallel.hpp
-/// The parallel image engine: shard the Kraus×basis loop across worker
-/// threads sharing ONE concurrent TDD manager.
+/// The parallel image engine: shard the image step across worker threads
+/// sharing ONE concurrent TDD manager.
 ///
-/// `ImageComputer::image(op, s)` is embarrassingly parallel at the
-/// Kraus×basis grain — every `apply` is independent and the results are only
-/// combined at the end.  Since the tdd::Manager became thread-safe (sharded
-/// unique table, arena node storage, per-thread operation caches),
-/// ParallelImage runs a pool of workers directly on the caller's manager:
+/// ImageComputer::image_step is embarrassingly parallel at the Kraus×ket
+/// grain — every `apply` is independent and the results are only combined
+/// at the end.  Since the tdd::Manager became thread-safe (sharded unique
+/// table, arena node storage, per-thread operation caches), ParallelImage
+/// overrides that one hook with a pool of workers running directly on the
+/// caller's manager, so image(op, S), image(sys, S), image_kets and the
+/// FixpointDriver's frontier_candidates all run through the same loop:
 ///
-///   1. the task list (one task per Kraus operator × basis ket) is fixed in
-///      the sequential loop's order before any worker starts;
-///   2. workers claim tasks from an atomic cursor and apply the Kraus
-///      operator in place — input kets, prepared operators and result kets
-///      all live in the one shared manager, so nothing is ever copied
-///      between node pools (`tdd::transfer` is not involved; a test pins
-///      this at zero calls);
-///   3. after all workers join, the parent reduces the result edges *in
-///      task order*, so the output subspace is bit-for-bit independent of
-///      the worker count.
+///   1. the task list (one task per operation × Kraus circuit × ket, in the
+///      step's op-major, Kraus-major, ket-minor order) is cut into
+///      contiguous shards before any worker starts;
+///   2. each worker applies its shard's Kraus circuits in place and drops
+///      images already inside the accumulator snapshot, if one was given —
+///      input kets, prepared operators and result kets all live in the one
+///      shared manager, so nothing is ever copied between node pools
+///      (`tdd::transfer` is not involved; a test pins this at zero calls);
+///   3. after all workers join, the parent concatenates the survivors in
+///      shard order, i.e. *task order*, so the output is bit-for-bit
+///      independent of the worker count.
 ///
 /// Each worker owns a Manager::ThreadSlot (operation caches, allocation
 /// free-list, stats sink) installed via SlotGuard for the duration of a
@@ -74,29 +77,25 @@ class ParallelImage final : public ImageComputer {
   /// an empty round.
   [[nodiscard]] std::size_t shard_count(std::size_t tasks) const;
 
-  using ImageComputer::image;
-  Subspace image(const QuantumOperation& op, const Subspace& s) override;
-
-  /// The parallel engine also shards whole frontier iterations: the
-  /// FixpointDriver hands it the frontier and an accumulator snapshot via
-  /// frontier_candidates instead of calling image() per operation.
+  /// The parallel engine runs whole frontier bodies: sharded, and filtered
+  /// against the accumulator inside the workers.
   [[nodiscard]] bool shards_frontier() const override { return true; }
 
-  /// One sharded frontier step.  The frontier's ket-major ket×Kraus task
-  /// list is split into contiguous balanced shards (shard_count of them)
-  /// *before* any worker starts; each worker applies its Kraus×ket tasks on
-  /// the shared manager and locally drops images already inside the
-  /// accumulator projector (Subspace::projector_contains) — the projector
-  /// needs no snapshot copy, it is immutable shared data while workers run.
-  /// Survivors are concatenated in shard order — the task list's own
-  /// ket-major order — so the result is bit-for-bit independent of the
-  /// worker count: the shard boundaries move with `threads`, but every
-  /// per-candidate value and keep/drop verdict depends only on the projector
-  /// and the task itself, never on a sibling shard.
-  std::vector<tdd::Edge> frontier_candidates(const TransitionSystem& sys,
-                                             std::span<const tdd::Edge> frontier,
-                                             std::uint32_t n, const tdd::Edge& acc_projector,
-                                             std::size_t* shards_used) override;
+  /// The one sharded loop.  The step's (op, Kraus, ket) task list is split
+  /// into contiguous balanced shards (shard_count of them) *before* any
+  /// worker starts; each worker applies its tasks on the shared manager and
+  /// locally drops images already inside `acc_projector`
+  /// (Subspace::projector_contains) — the projector needs no snapshot copy,
+  /// it is immutable shared data while workers run.  Survivors are
+  /// concatenated in shard order — the task list's own order — so the
+  /// result is bit-for-bit independent of the worker count: the shard
+  /// boundaries move with `threads`, but every per-candidate value and
+  /// keep/drop verdict depends only on the projector and the task itself,
+  /// never on a sibling shard.
+  std::vector<tdd::Edge> image_step(std::span<const QuantumOperation> ops,
+                                    std::span<const tdd::Edge> kets, std::uint32_t n,
+                                    const tdd::Edge& acc_projector,
+                                    std::size_t* shards_used) override;
 
   /// The prepared-operator caches live in the workers' inner engines (keyed
   /// on Circuit addresses, like any sequential engine's); forward the drop.
@@ -106,14 +105,14 @@ class ParallelImage final : public ImageComputer {
   void set_order_policy(tn::OrderPolicy policy) override;
 
   /// Everything the workers' prepared caches keep alive in the SHARED
-  /// manager, plus the base engine's own cache.  Driver GCs must see these
+  /// manager (the engine itself prepares nothing).  Driver GCs must see these
   /// or they would sweep live operators out from under the workers.
   [[nodiscard]] std::vector<tdd::Edge> prepared_roots() const override;
 
  protected:
-  // The parallel engine shards at the image level; per-circuit preparation
-  // and application live in the workers' inner engines.  Reaching these
-  // indicates a library bug.
+  // Per-circuit preparation and application live in the workers' inner
+  // engines; public apply_kraus on the parallel engine itself throws
+  // InvalidArgument (no_per_ket_path).
   std::unique_ptr<Prepared> prepare(const circ::Circuit& kraus) override;
   tdd::Edge apply(const Prepared& prep, const tdd::Edge& ket, std::uint32_t n) override;
 
@@ -124,7 +123,7 @@ class ParallelImage final : public ImageComputer {
   /// views, per-round thread spawn (inline when active == 1), the worker's
   /// ThreadSlot installed for the round, deterministic error capture with
   /// sibling cancellation, stat merge on join, and rethrow of the first
-  /// error.  Shared by image() and frontier_candidates().
+  /// error.
   void run_pool(std::size_t active, const std::function<void(std::size_t)>& task);
 
   EngineSpec inner_;

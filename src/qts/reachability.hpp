@@ -5,8 +5,8 @@
 ///
 /// Both loops are thin policies over qts::FixpointDriver (fixpoint.hpp),
 /// which owns the frontier iteration — accumulator/frontier bookkeeping,
-/// deadline ticks, GC, per-iteration stats, and the sharded execution path
-/// of frontier-sharding engines (`parallel:<t>`).
+/// deadline ticks, GC and per-iteration stats — and runs each iteration
+/// through the engine's one image step (sharded under `parallel:<t>`).
 ///
 /// Both loops accept an optional ResultCache (result_cache.hpp): on a
 /// content-hash hit the fixpoint is skipped entirely and the cached basis,

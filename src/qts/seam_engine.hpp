@@ -2,12 +2,14 @@
 /// The shared engine body of the state-representation seam.
 ///
 /// Every non-TDD backend (dense statevector, sparse amplitude map, and the
-/// ROADMAP's next candidates) runs the *same* iteration skeleton — decode
-/// the frontier once, image it through every Kraus circuit in the foreign
+/// ROADMAP's next candidates) runs the *same* image step — decode the kets
+/// once, image them through every Kraus circuit in the foreign
 /// representation, reduce the batch to its residual basis there, re-encode
-/// only the survivors, filter against the accumulator snapshot in TDD
-/// space — and differs only in how states are stored and crossed over.
-/// SeamImage<Rep> owns that skeleton once; a representation policy supplies
+/// only the survivors, filter against the accumulator snapshot (if any) in
+/// TDD space — and differs only in how states are stored and crossed over.
+/// SeamImage<Rep> owns that step once, as its ImageComputer::image_step
+/// override, so image(op, S), image_kets and the FixpointDriver's frontier
+/// step all cross the seam the same way.  A representation policy supplies
 /// the five points of variation:
 ///
 ///   struct Rep {
@@ -31,7 +33,7 @@
 /// fault probes report so injected qubit/non-zero faults fire only in the
 /// matching representation.  The ExecutionContext handed to the apply hooks
 /// lets the sim kernels poll the deadline mid-sweep.  A new backend is a
-/// policy struct plus a name, not a re-implementation of the iteration body
+/// policy struct plus a name, not a re-implementation of the image step
 /// that could silently drift from its siblings.
 #pragma once
 
@@ -51,74 +53,37 @@ class SeamImage : public ImageComputer {
   SeamImage(tdd::Manager& mgr, Rep rep, ExecutionContext* ctx)
       : ImageComputer(mgr, ctx), rep_(std::move(rep)) {}
 
-  using ImageComputer::image;
-
-  /// T_σ(S), computed in the foreign representation: decode the basis once,
-  /// image it through every Kraus operator, orthonormalise the batch over
-  /// there (span(residuals) = span(images), so the TDD-side subspace is the
-  /// same T_σ(S) the other engines build), and re-encode only the surviving
-  /// residuals.
-  Subspace image(const QuantumOperation& op, const Subspace& s) override {
-    ScopedTimer timer(ctx_);
-    const std::uint32_t n = s.num_qubits();
-
-    std::vector<typename Rep::State> kets;
-    kets.reserve(s.basis().size());
-    for (const auto& b : s.basis()) {
-      ctx_->fault_codec(Rep::kGuard);
-      kets.push_back(rep_.decode(b, n));
-    }
-
-    ctx_->check_deadline();
-    const std::vector<typename Rep::State> images = rep_.apply_operation(op.kraus, kets, ctx_);
-    ctx_->stats().kraus_applications += images.size();
-
-    typename Rep::Batch batch = rep_.make_batch(n);
-    const std::vector<typename Rep::State> residuals = batch.add_states(images);
-
-    Subspace out(mgr_, n);
-    for (const auto& r : residuals) {
-      ctx_->check_deadline();
-      ctx_->fault_codec(Rep::kGuard);
-      out.add_state(rep_.encode(mgr_, r, n));
-      tdd::record_peak(ctx_, out.projector());
-    }
-    return out;
-  }
-
-  /// Representation-changing engines claim whole frontier iterations (the
-  /// same hook the parallel engine uses to shard them): each frontier ket
-  /// crosses the seam exactly once per iteration instead of once per Kraus
-  /// application.
+  /// Representation-changing engines run whole frontier bodies: each
+  /// frontier ket crosses the seam exactly once per step instead of once
+  /// per Kraus application.
   [[nodiscard]] bool shards_frontier() const override { return true; }
 
-  /// One whole frontier step: decode the frontier once, apply every Kraus
-  /// circuit of every operation in the sequential feed's order (op-major,
-  /// Kraus-major, ket-minor), run one Gram-Schmidt pass over the image
-  /// batch in the foreign representation, re-encode the residuals and drop
-  /// those already inside the accumulator snapshot.  Reports one "shard" —
-  /// the whole iteration ran on the caller's thread.
-  std::vector<tdd::Edge> frontier_candidates(const TransitionSystem& sys,
-                                             std::span<const tdd::Edge> frontier,
-                                             std::uint32_t n, const tdd::Edge& acc_projector,
-                                             std::size_t* shards_used) override {
+  /// The image step in the foreign representation: decode the kets once,
+  /// apply every Kraus circuit of every operation in the step's order
+  /// (op-major, Kraus-major, ket-minor), run one Gram-Schmidt pass over the
+  /// image batch over there (span(residuals) = span(images)), re-encode only
+  /// the residuals and drop those already inside `acc_projector`.  Reports
+  /// one "shard" — the whole step ran on the caller's thread.
+  std::vector<tdd::Edge> image_step(std::span<const QuantumOperation> ops,
+                                    std::span<const tdd::Edge> kets, std::uint32_t n,
+                                    const tdd::Edge& acc_projector,
+                                    std::size_t* shards_used) override {
     ScopedTimer timer(ctx_);
-    if (shards_used != nullptr) *shards_used = 0;
-    if (frontier.empty()) return {};
-    if (shards_used != nullptr) *shards_used = 1;
+    if (shards_used != nullptr) *shards_used = kets.empty() ? 0 : 1;
+    if (kets.empty()) return {};
 
-    std::vector<typename Rep::State> kets;
-    kets.reserve(frontier.size());
-    for (const auto& b : frontier) {
+    std::vector<typename Rep::State> decoded;
+    decoded.reserve(kets.size());
+    for (const auto& b : kets) {
       ctx_->fault_codec(Rep::kGuard);
-      kets.push_back(rep_.decode(b, n));
+      decoded.push_back(rep_.decode(b, n));
     }
 
     typename Rep::Batch batch = rep_.make_batch(n);
     std::vector<typename Rep::State> residuals;
-    for (const auto& op : sys.operations) {
+    for (const auto& op : ops) {
       ctx_->check_deadline();
-      std::vector<typename Rep::State> images = rep_.apply_operation(op.kraus, kets, ctx_);
+      std::vector<typename Rep::State> images = rep_.apply_operation(op.kraus, decoded, ctx_);
       ctx_->stats().kraus_applications += images.size();
       std::vector<typename Rep::State> fresh = batch.add_states(images);
       residuals.insert(residuals.end(), std::make_move_iterator(fresh.begin()),
@@ -134,13 +99,13 @@ class SeamImage : public ImageComputer {
       ctx_->fault_codec(Rep::kGuard);
       const tdd::Edge phi = rep_.encode(mgr_, r, n);
       tdd::record_peak(ctx_, phi);
-      if (!Subspace::projector_contains(mgr_, acc_projector, phi, n)) out.push_back(phi);
+      if (outside(acc_projector, phi, n)) out.push_back(phi);
     }
     return out;
   }
 
  protected:
-  /// Per-ket path for delegating callers (parallel workers, image_kets):
+  /// Per-ket path for delegating callers (parallel workers, apply_kraus):
   /// nothing is pre-contracted — the representation applies the circuit's
   /// gates directly — so Prepared only pins the circuit reference.
   struct PinnedKraus : Prepared {

@@ -46,11 +46,9 @@ Edge Manager::cont_rec(ThreadSlot& sl, const Node* a, const Node* b, std::span<c
 
   ContKey key{a, b, pos};
   if (auto it = cache.find(key); it != cache.end()) {
-    ++sl.cont_hits_;
     if (RunStats* st = sl.stats()) ++st->cont_hits;
     return it->second;
   }
-  ++sl.cont_misses_;
   if (RunStats* st = sl.stats()) ++st->cont_misses;
   sl.tick();
 

@@ -204,11 +204,9 @@ Edge Manager::add_norm(ThreadSlot& sl, const Node* a, const Node* b, const cplx&
   }
   AddKey key{a, b, bucketed(ratio)};
   if (auto it = sl.add_cache_.find(key); it != sl.add_cache_.end()) {
-    ++sl.add_hits_;
     if (RunStats* st = sl.stats()) ++st->add_hits;
     return it->second;
   }
-  ++sl.add_misses_;
   if (RunStats* st = sl.stats()) ++st->add_misses;
   sl.tick();
 
@@ -303,12 +301,6 @@ Manager::StorageStats Manager::storage_stats() {
   {
     const MutexLock lock(slots_mutex_);
     s.op_slots = slots_.size();
-    for (const auto& slot : slots_) {
-      s.add_hits += slot->add_hits_;
-      s.add_misses += slot->add_misses_;
-      s.cont_hits += slot->cont_hits_;
-      s.cont_misses += slot->cont_misses_;
-    }
   }
   return s;
 }
@@ -320,11 +312,6 @@ void Manager::sample_storage(RunStats& stats) {
   stats.table_shards = s.table_shards;
   stats.arena_blocks = s.arena_blocks;
   stats.arena_capacity = s.arena_capacity;
-  stats.op_slots = s.op_slots;
-  stats.slot_add_hits = s.add_hits;
-  stats.slot_add_misses = s.add_misses;
-  stats.slot_cont_hits = s.cont_hits;
-  stats.slot_cont_misses = s.cont_misses;
 }
 
 std::size_t node_count(const Edge& root) {

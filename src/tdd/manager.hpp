@@ -105,13 +105,6 @@ class Manager {
     std::unordered_map<AddKey, Edge, AddKeyHash> add_cache_;
     ContCache cont_scratch_;  // reused (moved out/in) by contract()
     std::uint64_t ticks_ = 0;
-    // Slot-local op-cache tallies, kept even when no context is attached so
-    // storage_stats() can report cache effectiveness for EVERY slot (worker
-    // slots without a context are invisible to the RunStats counters).
-    std::size_t add_hits_ = 0;
-    std::size_t add_misses_ = 0;
-    std::size_t cont_hits_ = 0;
-    std::size_t cont_misses_ = 0;
   };
 
   /// RAII installation of a slot on the calling thread.  Operations on the
@@ -234,13 +227,7 @@ class Manager {
     std::size_t arena_capacity = 0;  ///< node slots across all blocks
     std::size_t live_nodes = 0;
     std::size_t allocated_nodes = 0;
-    // Operation-cache effectiveness summed over every ThreadSlot (quiescent
-    // points only, like the rest of storage_stats).
-    std::size_t op_slots = 0;
-    std::size_t add_hits = 0;
-    std::size_t add_misses = 0;
-    std::size_t cont_hits = 0;
-    std::size_t cont_misses = 0;
+    std::size_t op_slots = 0;  ///< ThreadSlots ever created (incl. main)
   };
   [[nodiscard]] StorageStats storage_stats();
 

@@ -36,29 +36,6 @@ const std::vector<tdd::Level>& IndexGraph::neighbours(tdd::Level v) const {
   return it->second;
 }
 
-std::size_t IndexGraph::contracted_width(tdd::Level a, tdd::Level b) const {
-  const auto& na = neighbours(a);
-  const auto& nb = neighbours(b);
-  // Count |na ∪ nb| minus any occurrence of a or b, walking both sorted
-  // lists once.
-  std::size_t width = 0;
-  std::size_t i = 0;
-  std::size_t j = 0;
-  while (i < na.size() || j < nb.size()) {
-    tdd::Level l;
-    if (j >= nb.size() || (i < na.size() && na[i] <= nb[j])) {
-      l = na[i];
-      if (i < na.size() && j < nb.size() && na[i] == nb[j]) ++j;
-      ++i;
-    } else {
-      l = nb[j];
-      ++j;
-    }
-    if (l != a && l != b) ++width;
-  }
-  return width;
-}
-
 std::vector<tdd::Level> IndexGraph::top_degree(std::size_t k) const {
   std::vector<std::pair<std::size_t, tdd::Level>> ranked;
   ranked.reserve(adjacency_.size());

@@ -29,12 +29,6 @@ class IndexGraph {
   /// without std::set churn; the vertex must exist.
   [[nodiscard]] const std::vector<tdd::Level>& neighbours(tdd::Level v) const;
 
-  /// Width of the vertex obtained by contracting the edge {a, b}: the
-  /// number of distinct neighbours of a or b other than a and b themselves
-  /// (|N(a) ∪ N(b) \ {a, b}|).  This is the planner's min-width metric on
-  /// the index graph; both vertices must exist.
-  [[nodiscard]] std::size_t contracted_width(tdd::Level a, tdd::Level b) const;
-
   /// The k highest-degree vertices; ties broken towards smaller levels so
   /// the choice is deterministic.
   [[nodiscard]] std::vector<tdd::Level> top_degree(std::size_t k) const;

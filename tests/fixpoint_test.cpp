@@ -3,9 +3,11 @@
 /// sequential engines over the workload circuits, bit-for-bit determinism
 /// across runs and thread counts, deadline propagation out of frontier
 /// shards, GC safety (including the invariant subspace as an extra root),
-/// and the per-iteration statistics surface.
+/// the per-iteration statistics surface, and every image entry point over
+/// the one image_step hook on every kind of engine.
 #include <gtest/gtest.h>
 
+#include <cctype>
 #include <string>
 #include <vector>
 
@@ -314,14 +316,79 @@ TEST(FixpointDriver, AdaptiveGcTriggersOnGrowthAndKeepsVerdictsUnchanged) {
   EXPECT_EQ(default_ctx.stats().gc_runs, 0u);
 }
 
-TEST(FixpointDriver, SequentialEngineRejectsFrontierCandidates) {
+// ---------------------------------------------------------------------------
+// Every entry point over the one image_step hook, on every kind of engine
+
+/// Span of a ket family, as a subspace.
+Subspace span_of(tdd::Manager& mgr, std::uint32_t n, const std::vector<tdd::Edge>& kets) {
+  Subspace out(mgr, n);
+  (void)out.add_states(kets);
+  return out;
+}
+
+class EntryPoints : public ::testing::TestWithParam<std::string> {};
+
+TEST_P(EntryPoints, SpanTheSameSubspaceAsBasic) {
+  const std::pair<std::string, SystemFactory> systems[] = {
+      {"ghz3", [](tdd::Manager& m) { return make_ghz_system(m, 3); }},
+      {"bitflip-code", [](tdd::Manager& m) { return make_bitflip_code_system(m); }},
+  };
+  for (const auto& [label, make_system] : systems) {
+    tdd::Manager mgr;
+    const TransitionSystem sys = make_system(mgr);
+    const Subspace& s = sys.initial;
+    const std::uint32_t n = s.num_qubits();
+    const auto reference = make_engine(mgr, "basic");
+    const auto engine = make_engine(mgr, GetParam());
+
+    for (const QuantumOperation& op : sys.operations) {
+      EXPECT_TRUE(engine->image(op, s).same_subspace(reference->image(op, s))) << label;
+    }
+    const Subspace expected = reference->image(sys, s);
+    EXPECT_TRUE(engine->image(sys, s).same_subspace(expected)) << label;
+    EXPECT_TRUE(span_of(mgr, n, engine->image_kets(sys, s.basis(), n)).same_subspace(expected))
+        << label;
+
+    // A frontier step filtered against S: candidates ∪ S spans T(S) ∨ S.
+    Subspace expected_step = s;
+    expected_step.join(expected);
+    Subspace step = s;
+    std::size_t shards = 0;
+    (void)step.add_states(engine->frontier_candidates(sys, s.basis(), n, s.projector(), &shards));
+    EXPECT_TRUE(step.same_subspace(expected_step)) << label;
+    EXPECT_GE(shards, 1u) << label;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(EveryEngine, EntryPoints,
+                         ::testing::Values("basic", "addition:1", "contraction:2,2", "statevector",
+                                           "sparse", "parallel:2", "parallel:2,statevector",
+                                           "fallback:statevector:2;basic"),
+                         [](const ::testing::TestParamInfo<std::string>& info) {
+                           std::string name = info.param;
+                           for (char& c : name) {
+                             if (std::isalnum(static_cast<unsigned char>(c)) == 0) c = '_';
+                           }
+                           return name;
+                         });
+
+TEST(FixpointDriver, ApplyKrausOnStepOnlyEnginesIsAnInvalidArgument) {
+  // The parallel engine and fallback chains image only through image_step;
+  // the public per-ket building block must say so, not claim a library bug.
   tdd::Manager mgr;
-  const auto engine = make_engine(mgr, "basic");
   const TransitionSystem sys = make_ghz_system(mgr, 3);
-  EXPECT_FALSE(engine->shards_frontier());
-  EXPECT_THROW(
-      (void)engine->frontier_candidates(sys, sys.initial.basis(), 3, mgr.zero(), nullptr),
-      InternalError);
+  const circ::Circuit& kraus = sys.operations.front().kraus.front();
+  for (const char* spec : {"parallel:2", "fallback:statevector:2;basic"}) {
+    const auto engine = make_engine(mgr, spec);
+    try {
+      (void)engine->apply_kraus(kraus, sys.initial.basis().front(), 3);
+      ADD_FAILURE() << spec << ": apply_kraus did not throw";
+    } catch (const InvalidArgument& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find(engine->name()), std::string::npos) << what;
+      EXPECT_NE(what.find("image_step"), std::string::npos) << what;
+    }
+  }
 }
 
 }  // namespace

@@ -1,11 +1,12 @@
 /// \file index_graph_test.cpp
 /// Direct unit suite for IndexGraph (tn/index_graph.hpp): the sorted-unique
-/// vector adjacency, the contracted-pair width metric the planner leans on,
-/// and determinism of top_degree.  tn_test.cpp covers the Fig. 5 paper
-/// claims; this file pins the accessor contracts themselves.
+/// vector adjacency, hand-computed neighbourhoods and the contracted-pair
+/// widths they imply, and determinism of top_degree.  tn_test.cpp covers the
+/// Fig. 5 paper claims; this file pins the accessor contracts themselves.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <iterator>
 #include <vector>
 
 #include "circuit/circuit.hpp"
@@ -21,6 +22,21 @@ using tdd::Level;
 IndexGraph graph_of(const circ::Circuit& c) {
   tdd::Manager mgr;
   return IndexGraph::from_network(build_network(mgr, c));
+}
+
+std::vector<Level> sorted(std::vector<Level> v) {
+  std::sort(v.begin(), v.end());
+  return v;
+}
+
+// Width of the index set left visible by merging vertices `a` and `b`:
+// |N(a) ∪ N(b) \ {a, b}|, read off the sorted neighbour vectors.
+std::size_t contracted_width(const IndexGraph& g, Level a, Level b) {
+  std::vector<Level> u;
+  std::set_union(g.neighbours(a).begin(), g.neighbours(a).end(), g.neighbours(b).begin(),
+                 g.neighbours(b).end(), std::back_inserter(u));
+  return static_cast<std::size_t>(
+      std::count_if(u.begin(), u.end(), [&](Level v) { return v != a && v != b; }));
 }
 
 TEST(IndexGraphDirect, NeighboursAreSortedUniqueAndMatchDegree) {
@@ -47,7 +63,7 @@ TEST(IndexGraphDirect, AdjacencyIsSymmetric) {
   }
 }
 
-TEST(IndexGraphDirect, ContractedWidthHandComputed) {
+TEST(IndexGraphDirect, NeighboursHandComputed) {
   // cx(0,1): clique over {q0.t0, q1.t0, q1.t1} (the control index is
   // reused, so qubit 0 contributes a single vertex).
   circ::Circuit c(2);
@@ -56,10 +72,34 @@ TEST(IndexGraphDirect, ContractedWidthHandComputed) {
   const Level a = tdd::wire_level(0, 0);
   const Level b = tdd::wire_level(1, 0);
   const Level b1 = tdd::wire_level(1, 1);
+  EXPECT_EQ(g.neighbours(a), sorted({b, b1}));
+  EXPECT_EQ(g.neighbours(b), sorted({a, b1}));
+  EXPECT_EQ(g.neighbours(b1), sorted({a, b}));
+
+  // Two gates sharing the control make q0.t0 a hyperedge vertex:
+  // N(q0.t0) = {q1.t0, q1.t1, q2.t0, q2.t1}, while each target wire sees
+  // only the control and its own gate's other wire.
+  circ::Circuit h(3);
+  h.cx(0, 1).cx(0, 2);
+  const IndexGraph gh = graph_of(h);
+  const Level q1in = tdd::wire_level(1, 0);
+  const Level q1out = tdd::wire_level(1, 1);
+  EXPECT_EQ(gh.neighbours(a),
+            sorted({q1in, q1out, tdd::wire_level(2, 0), tdd::wire_level(2, 1)}));
+  EXPECT_EQ(gh.neighbours(q1in), sorted({a, q1out}));
+}
+
+TEST(IndexGraphDirect, ContractedWidthHandComputed) {
+  circ::Circuit c(2);
+  c.cx(0, 1);
+  const IndexGraph g = graph_of(c);
+  const Level a = tdd::wire_level(0, 0);
+  const Level b = tdd::wire_level(1, 0);
+  const Level b1 = tdd::wire_level(1, 1);
   // N(a) = {b, b1}, N(b) = {a, b1}: merging {a, b} leaves only b1 outside.
-  EXPECT_EQ(g.contracted_width(a, b), 1u);
+  EXPECT_EQ(contracted_width(g, a, b), 1u);
   // N(a) ∪ N(b1) \ {a, b1} = {b}.
-  EXPECT_EQ(g.contracted_width(a, b1), 1u);
+  EXPECT_EQ(contracted_width(g, a, b1), 1u);
 }
 
 TEST(IndexGraphDirect, ContractedWidthExcludesBothEndpointsOnly) {
@@ -71,21 +111,10 @@ TEST(IndexGraphDirect, ContractedWidthExcludesBothEndpointsOnly) {
   const Level ctrl = tdd::wire_level(0, 0);
   const Level q1in = tdd::wire_level(1, 0);
   // N(ctrl) ∪ N(q1in) \ {ctrl, q1in} = {q1.t1, q2.t0, q2.t1}.
-  EXPECT_EQ(g.contracted_width(ctrl, q1in), 3u);
-  // Merging the two target wires of ONE gate: everything else they touch
-  // is the shared control plus the other gate's targets through it — none,
-  // N(q1.t0) = {ctrl, q1.t1}, N(q1.t1) = {ctrl, q1.t0} → just {ctrl}.
-  EXPECT_EQ(g.contracted_width(q1in, tdd::wire_level(1, 1)), 1u);
-}
-
-TEST(IndexGraphDirect, ContractedWidthIsSymmetric) {
-  const IndexGraph g = graph_of(circ::make_qft(4));
-  const std::vector<Level> vs = g.vertices();
-  for (std::size_t i = 0; i < vs.size(); ++i) {
-    for (std::size_t j = i + 1; j < vs.size(); ++j) {
-      EXPECT_EQ(g.contracted_width(vs[i], vs[j]), g.contracted_width(vs[j], vs[i]));
-    }
-  }
+  EXPECT_EQ(contracted_width(g, ctrl, q1in), 3u);
+  // Merging the two target wires of ONE gate: N(q1.t0) = {ctrl, q1.t1},
+  // N(q1.t1) = {ctrl, q1.t0} → just {ctrl}.
+  EXPECT_EQ(contracted_width(g, q1in, tdd::wire_level(1, 1)), 1u);
 }
 
 TEST(IndexGraphDirect, IsolatedVerticesHaveZeroWidthPairs) {
@@ -96,10 +125,9 @@ TEST(IndexGraphDirect, IsolatedVerticesHaveZeroWidthPairs) {
   const Level i2 = tdd::state_level(2);
   EXPECT_EQ(g.degree(i1), 0u);
   EXPECT_TRUE(g.neighbours(i1).empty());
-  EXPECT_EQ(g.contracted_width(i1, i2), 0u);
-  // Isolated + connected: the width is the connected side's other
-  // neighbours.  N(q0.t0) = {q0.t1}.
-  EXPECT_EQ(g.contracted_width(i1, tdd::wire_level(0, 0)), 1u);
+  EXPECT_TRUE(g.neighbours(i2).empty());
+  // The connected side: N(q0.t0) = {q0.t1}.
+  EXPECT_EQ(g.neighbours(tdd::wire_level(0, 0)), (std::vector<Level>{tdd::wire_level(0, 1)}));
 }
 
 TEST(IndexGraphDirect, TopDegreeDeterministicAndTieBrokenBySmallerLevel) {

@@ -645,16 +645,13 @@ JobOutcome run_job(const Options& opt, tdd::Manager& mgr, ResultCache* shared_ca
               << "% hit, cont " << format_fixed(hit_rate_pct(s.cont_hits, s.cont_misses), 1)
               << "% hit, unique "
               << format_fixed(hit_rate_pct(s.unique_hits, s.unique_misses), 1) << "% hit\n";
-    // Shared-manager storage shape at the end of the run, including the
-    // per-slot op-cache tallies (every ThreadSlot, context-bound or not).
+    // Shared-manager storage shape at the end of the run.
     const tdd::Manager::StorageStats st = mgr.storage_stats();
     std::cout << "storage: unique table " << st.table_nodes << " node(s) in "
               << st.table_shards << " shard(s), load " << format_fixed(st.table_load_factor, 3)
               << "; arena " << st.arena_blocks << " block(s), capacity " << st.arena_capacity
               << " node(s), " << st.allocated_nodes << " ever constructed"
-              << "; op caches " << st.op_slots << " slot(s), add "
-              << format_fixed(hit_rate_pct(st.add_hits, st.add_misses), 1) << "% hit, cont "
-              << format_fixed(hit_rate_pct(st.cont_hits, st.cont_misses), 1) << "% hit\n";
+              << "; op caches " << st.op_slots << " slot(s)\n";
   }
   return out;
 }
