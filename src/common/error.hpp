@@ -34,7 +34,8 @@ enum class Resource {
   kQubits,    ///< dense statevector qubit cap (statevector:<maxq>)
   kNonzeros,  ///< sparse per-ket non-zero budget (sparse:<maxnz>)
   kNodes,     ///< live TDD node budget (--max-nodes)
-  kMemory,    ///< allocation failure at the node-arena slab boundary
+  kMemory,    ///< allocation failure at the node-arena slab boundary, or a
+              ///< TDD hash table past 2^32 - 1 entries
 };
 
 /// Stable lower-case name for a Resource ("qubits", "nonzeros", ...).

@@ -72,7 +72,7 @@ struct RunStats {
   // copies its current shape in via Manager::sample_storage; join_worker
   // max-merges them since every worker shares the one manager).
   std::size_t table_nodes = 0;        ///< entries across all unique-table shards
-  double table_load_factor = 0.0;     ///< table_nodes / hash buckets
+  double table_load_factor = 0.0;     ///< table_nodes / allocated table slots
   std::size_t table_shards = 0;       ///< lock stripes in the unique table
   std::size_t arena_blocks = 0;       ///< node slabs allocated
   std::size_t arena_capacity = 0;     ///< node slots across all slabs

@@ -2,12 +2,11 @@
 
 #include <cmath>
 #include <sstream>
-#include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "common/complex.hpp"
 #include "common/mutex.hpp"
+#include "tdd/flat_table.hpp"
 #include "tdd/unique_table.hpp"
 
 namespace qts::tdd {
@@ -31,11 +30,15 @@ class AuditAccess {
 
   template <typename F>
   static void for_each_add_entry(const Manager::ThreadSlot& sl, F&& f) {
-    for (const auto& [key, value] : sl.add_cache_) f(key.a, key.b, value);
+    sl.add_cache_.for_each([&](const Manager::AddKey& key, const Edge& value) {
+      f(key.a, key.b, value);
+    });
   }
   template <typename F>
   static void for_each_cont_entry(const Manager::ThreadSlot& sl, F&& f) {
-    for (const auto& [key, value] : sl.cont_scratch_) f(key.a, key.b, value);
+    sl.cont_scratch_.for_each([&](const Manager::ContKey& key, const Edge& value) {
+      f(key.a, key.b, value);
+    });
   }
   template <typename F>
   static void for_each_slot_free(const Manager::ThreadSlot& sl, F&& f) {
@@ -49,38 +52,54 @@ class AuditAccess {
   static const Node* raw_intern(Manager& mgr, Level level, const Edge& lo, const Edge& hi) {
     Manager::ThreadSlot& sl = mgr.slot();
     Node* n = mgr.allocate_node(sl, level, lo, hi);
-    const NodeKey key{level, lo.node, hi.node, bucketed(lo.weight), bucketed(hi.weight)};
+    const NodeKey key = NodeKey::of(*n);
     bool inserted = false;
     mgr.unique_.insert(key, NodeKeyHash{}(key), n, &inserted);
     return n;
   }
 
-  /// Move the first table entry found into the next shard over.
+  /// Take the first entry of the first non-empty shard out of that shard;
+  /// returns its shard, or kShards when the table is empty.
+  static std::size_t take_first_entry(UniqueTable& table, std::uint64_t* hash, Node** node) {
+    for (std::size_t s = 0; s < UniqueTable::kShards; ++s) {
+      UniqueTable::Shard& shard = table.shards_[s];
+      const SpinGuard guard(shard.lock);
+      if (shard.table.size() == 0) continue;
+      shard.table.for_each([&](std::uint64_t, Node* n) {
+        if (*node == nullptr) *node = n;
+      });
+      *hash = shard.table.erase(*node);
+      return s;
+    }
+    return UniqueTable::kShards;
+  }
+
+  /// Move the first table entry found into the next shard over, keeping its
+  /// stored hash.  The target shard may never have been allocated.
   static bool misplace_entry(Manager& mgr) {
     UniqueTable& table = mgr.unique_;
-    for (std::size_t s = 0; s < UniqueTable::kShards; ++s) {
-      NodeKey key{};
-      Node* node = nullptr;
-      bool found = false;
-      {
-        UniqueTable::Shard& shard = table.shards_[s];
-        const SpinGuard guard(shard.lock);
-        if (!shard.map.empty()) {
-          const auto it = shard.map.begin();
-          key = it->first;
-          node = it->second;
-          shard.map.erase(it);
-          found = true;
-        }
-      }
-      if (found) {
-        UniqueTable::Shard& wrong = table.shards_[(s + 1) % UniqueTable::kShards];
-        const SpinGuard guard(wrong.lock);
-        wrong.map.emplace(key, node);
-        return true;
-      }
-    }
-    return false;
+    std::uint64_t hash = 0;
+    Node* node = nullptr;
+    const std::size_t s = take_first_entry(table, &hash, &node);
+    if (s == UniqueTable::kShards) return false;
+    UniqueTable::Shard& wrong = table.shards_[(s + 1) % UniqueTable::kShards];
+    const SpinGuard guard(wrong.lock);
+    wrong.table.place(hash, node);
+    return true;
+  }
+
+  /// Re-store the first table entry found under a different hash that
+  /// still selects the same shard.
+  static bool rehash_entry(Manager& mgr) {
+    UniqueTable& table = mgr.unique_;
+    std::uint64_t hash = 0;
+    Node* node = nullptr;
+    const std::size_t s = take_first_entry(table, &hash, &node);
+    if (s == UniqueTable::kShards) return false;
+    UniqueTable::Shard& shard = table.shards_[s];
+    const SpinGuard guard(shard.lock);
+    shard.table.place(hash ^ (std::uint64_t{1} << UniqueTable::kShardBits), node);
+    return true;
   }
 
   // Deliberate corruption of a node reached through a const Edge: the hook
@@ -212,29 +231,26 @@ bool audit(Manager& mgr, AuditReport& report, std::span<const Edge> roots) {
   NodeArena& arena = AuditAccess::arena(mgr);
 
   // -- pass 1: the unique table, entry by entry -----------------------------
-  // Per-node occurrence counts catch double interning; the key recompute
-  // catches a table key drifting away from the node it maps to.
-  std::unordered_map<const Node*, std::size_t> interned;
+  // Per-node occurrence counts catch double interning; the hash recompute
+  // catches a stored hash drifting away from the node it indexes.
+  FlatCache<const Node*, std::size_t> interned;
   std::size_t entries = 0;
-  table.for_each_entry([&](std::size_t shard, const NodeKey& key, const Node* node) {
+  table.for_each_entry([&](std::size_t shard, std::uint64_t hash, const Node* node) {
     ++entries;
-    ++interned[node];
-    if (node == nullptr) {
-      rec.fail(AuditCheck::kResidency, nullptr, "null node interned");
-      return;
+    if (std::size_t* count = interned.find(node)) {
+      ++*count;
+    } else {
+      interned.insert(node, 1);
     }
-    const std::size_t hash = NodeKeyHash{}(key);
     if (UniqueTable::shard_of(hash) != shard) {
       std::ostringstream os;
-      os << describe(node) << ": entry in shard " << shard << ", key hashes to shard "
+      os << describe(node) << ": entry in shard " << shard << ", stored hash selects shard "
          << UniqueTable::shard_of(hash);
       rec.fail(AuditCheck::kShardPlacement, node, os.str());
     }
-    const NodeKey expect{node->level(), node->low().node, node->high().node,
-                         bucketed(node->low().weight), bucketed(node->high().weight)};
-    if (!(expect == key)) {
+    if (NodeKeyHash{}(NodeKey::of(*node)) != hash) {
       rec.fail(AuditCheck::kHashConsistency, node,
-               describe(node) + ": table key disagrees with the node's fields");
+               describe(node) + ": stored hash disagrees with the node's fields");
     }
     if (AuditAccess::freed(*node)) {
       rec.fail(AuditCheck::kResidency, node, describe(node) + ": interned node is freed");
@@ -242,19 +258,20 @@ bool audit(Manager& mgr, AuditReport& report, std::span<const Edge> roots) {
     check_canonical(node, rec);
   });
   report.interned_nodes = entries;
-  for (const auto& [node, count] : interned) {
+  interned.for_each([&](const Node* node, std::size_t count) {
     if (count > 1) {
       rec.fail(AuditCheck::kResidency, node,
                describe(node) + ": interned " + std::to_string(count) + " times");
     }
-  }
+  });
 
   // -- pass 2: reachability from the caller's roots -------------------------
-  std::unordered_set<const Node*> reachable;
+  struct Seen {};
+  FlatCache<const Node*, Seen> reachable;
   {
     std::vector<const Node*> stack;
     for (const Edge& r : roots) {
-      if (r.node != nullptr && reachable.insert(r.node).second) stack.push_back(r.node);
+      if (r.node != nullptr && reachable.insert(r.node, Seen{})) stack.push_back(r.node);
     }
     while (!stack.empty()) {
       const Node* n = stack.back();
@@ -266,7 +283,7 @@ bool audit(Manager& mgr, AuditReport& report, std::span<const Edge> roots) {
         rec.fail(AuditCheck::kResidency, n, describe(n) + ": reachable node not interned");
       }
       for (const Node* child : {n->low().node, n->high().node}) {
-        if (child != nullptr && reachable.insert(child).second) stack.push_back(child);
+        if (child != nullptr && reachable.insert(child, Seen{})) stack.push_back(child);
       }
     }
   }
@@ -353,6 +370,8 @@ void corrupt_plant_denormalised_node(Manager& mgr) {
 }
 
 bool corrupt_misplace_shard_entry(Manager& mgr) { return AuditAccess::misplace_entry(mgr); }
+
+bool corrupt_rehash_entry(Manager& mgr) { return AuditAccess::rehash_entry(mgr); }
 
 void corrupt_free_reachable_node(Manager& mgr, const Edge& root) {
   require(root.node != nullptr, "corrupt_free_reachable_node: root must be non-terminal");

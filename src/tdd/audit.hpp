@@ -42,8 +42,8 @@ enum class AuditCheck {
                      ///< or a near-zero weight not stored as the canonical zero edge)
   kResidency,        ///< reachable node not interned, or interned more than once,
                      ///< or an interned node already freed
-  kShardPlacement,   ///< table entry parked in a shard other than shard_of(hash)
-  kHashConsistency,  ///< table key disagrees with the node's actual fields
+  kShardPlacement,   ///< table entry parked in a shard other than shard_of(stored hash)
+  kHashConsistency,  ///< stored hash disagrees with the hash of the node's fields
   kFreedReachable,   ///< free-listed node still reachable from the roots
   kCounts,           ///< live/constructed/table occupancy bookkeeping disagrees
   kOpCache,          ///< op-cache entry references a freed or un-interned node
@@ -112,9 +112,17 @@ void corrupt_plant_redundant_node(Manager& mgr);
 /// the weight-normalisation rule is violated.  Fires kWeightNorm.
 void corrupt_plant_denormalised_node(Manager& mgr);
 
-/// Move one unique-table entry into the wrong shard.  Fires kShardPlacement.
-/// Returns false (and plants nothing) if the table is empty.
+/// Move one unique-table entry into the wrong shard, keeping its stored
+/// hash; the target shard may be one that was never allocated.  Fires
+/// kShardPlacement.  Returns false (and plants nothing) if the table is
+/// empty.
 bool corrupt_misplace_shard_entry(Manager& mgr);
+
+/// Rewrite one unique-table entry's stored hash to a different value that
+/// selects the same shard.  Fires kHashConsistency (and not
+/// kShardPlacement).  Returns false (and plants nothing) if the table is
+/// empty.
+bool corrupt_rehash_entry(Manager& mgr);
 
 /// Mark the root's node freed while it stays interned and reachable.  Fires
 /// kFreedReachable (and the bookkeeping checks).  `root` must be

@@ -23,14 +23,15 @@ Edge Manager::contract(const Edge& a, const Edge& b, std::span<const Level> gamm
   }
   // Weights factor straight out of a multilinear contraction; the cache then
   // only ever sees weight-1 operands.  The cache itself is call-local but its
-  // capacity is recycled through the thread slot's scratch slot: moving it
-  // out (instead of borrowing a reference) keeps re-entrant contract calls —
-  // and a future work-stealing scheduler — safe.
+  // chunks and index are recycled through the thread slot's scratch slot:
+  // moving it out (instead of borrowing a reference) keeps re-entrant
+  // contract calls — and a future work-stealing scheduler — safe.  clear()
+  // is O(1); a call that outgrew kContKeepChunks gives the excess back.
   ThreadSlot& sl = slot();
   ContCache cache = std::move(sl.cont_scratch_);
   cache.clear();
-  if (cache.bucket_count() == 0) cache.reserve(256);
   Edge r = cont_rec(sl, a.node, b.node, gamma, 0, cache);
+  if (cache.chunks() > kContKeepChunks) cache.trim(kContKeepChunks);
   sl.cont_scratch_ = std::move(cache);
   return scale(r, a.weight * b.weight);
 }
@@ -44,10 +45,10 @@ Edge Manager::cont_rec(ThreadSlot& sl, const Node* a, const Node* b, std::span<c
     return terminal(cplx{std::ldexp(1.0, remaining), 0.0});
   }
 
-  ContKey key{a, b, pos};
-  if (auto it = cache.find(key); it != cache.end()) {
+  const ContKey key{a, b, pos};
+  if (const Edge* hit = cache.find(key)) {
     if (RunStats* st = sl.stats()) ++st->cont_hits;
-    return it->second;
+    return *hit;
   }
   if (RunStats* st = sl.stats()) ++st->cont_misses;
   sl.tick();
@@ -70,7 +71,7 @@ Edge Manager::cont_rec(ThreadSlot& sl, const Node* a, const Node* b, std::span<c
   const Edge r1 = scale(cont_rec(sl, a1.node, b1.node, gamma, next, cache), a1.weight * b1.weight);
 
   const Edge result = summed ? add(r0, r1) : make_node(x, r0, r1);
-  cache.emplace(key, result);
+  cache.insert(key, result);
   return result;
 }
 

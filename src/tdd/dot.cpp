@@ -1,17 +1,19 @@
 #include "tdd/dot.hpp"
 
 #include <sstream>
-#include <unordered_map>
+
+#include "tdd/flat_table.hpp"
 
 namespace qts::tdd {
 
 namespace {
 
-void emit(const Node* n, std::ostream& os, std::unordered_map<const Node*, int>& ids,
-          int& next_id) {
-  if (n == nullptr || ids.count(n) != 0) return;
+using NodeIds = FlatCache<const Node*, int>;
+
+void emit(const Node* n, std::ostream& os, NodeIds& ids, int& next_id) {
+  if (n == nullptr || ids.contains(n)) return;
   const int id = next_id++;
-  ids.emplace(n, id);
+  ids.insert(n, id);
   os << "  n" << id << " [label=\"" << level_name(n->level()) << "\"];\n";
   emit(n->low().node, os, ids, next_id);
   emit(n->high().node, os, ids, next_id);
@@ -23,7 +25,7 @@ void emit(const Node* n, std::ostream& os, std::unordered_map<const Node*, int>&
     if (c.is_terminal()) {
       os << "term";
     } else {
-      os << "n" << ids.at(c.node);
+      os << "n" << *ids.find(c.node);
     }
     os << " [color=" << colour;
     if (!approx_one(c.weight)) os << ", label=\"" << to_string(c.weight) << "\"";
@@ -37,14 +39,14 @@ void to_dot(const Edge& root, std::ostream& os, const std::string& graph_name) {
   os << "digraph " << graph_name << " {\n";
   os << "  entry [shape=point];\n";
   os << "  term [shape=box, label=\"1\"];\n";
-  std::unordered_map<const Node*, int> ids;
+  NodeIds ids;
   int next_id = 0;
   emit(root.node, os, ids, next_id);
   os << "  entry -> ";
   if (root.is_terminal()) {
     os << "term";
   } else {
-    os << "n" << ids.at(root.node);
+    os << "n" << *ids.find(root.node);
   }
   os << " [label=\"" << to_string(root.weight) << "\"];\n";
   os << "}\n";

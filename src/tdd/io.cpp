@@ -4,26 +4,28 @@
 #include <charconv>
 #include <cstdint>
 #include <type_traits>
-#include <unordered_map>
 
 #include "common/error.hpp"
+#include "tdd/flat_table.hpp"
 
 namespace qts::tdd {
 
 namespace {
 
-void collect(const Node* n, std::unordered_map<const Node*, long>& ids,
+using NodeIds = FlatCache<const Node*, long>;
+
+void collect(const Node* n, NodeIds& ids,
              std::vector<const Node*>& order) {
   if (n == nullptr || ids.contains(n)) return;
   // Children first: the file is bottom-up so load() can rebuild in order.
   collect(n->low().node, ids, order);
   collect(n->high().node, ids, order);
-  ids.emplace(n, static_cast<long>(order.size()));
+  ids.insert(n, static_cast<long>(order.size()));
   order.push_back(n);
 }
 
-long id_of(const Node* n, const std::unordered_map<const Node*, long>& ids) {
-  return n == nullptr ? -1 : ids.at(n);
+long id_of(const Node* n, const NodeIds& ids) {
+  return n == nullptr ? -1 : *ids.find(n);
 }
 
 /// Append `v`: integers in decimal, doubles as `%.17g`, the exact text a
@@ -40,8 +42,7 @@ void put(std::string& out, T v) {
   out.append(buf, r.ptr);
 }
 
-void put_edge(std::string& out, const Edge& e,
-              const std::unordered_map<const Node*, long>& ids) {
+void put_edge(std::string& out, const Edge& e, const NodeIds& ids) {
   put(out, id_of(e.node, ids));
   out += ' ';
   put(out, e.weight.real());
@@ -163,7 +164,7 @@ std::vector<Edge> parse(Manager& mgr, Tokens& in, std::size_t roots) {
 }  // namespace
 
 void save_roots(std::span<const Edge> roots, std::string& out) {
-  std::unordered_map<const Node*, long> ids;
+  NodeIds ids;
   std::vector<const Node*> order;
   for (const Edge& root : roots) collect(root.node, ids, order);
 

@@ -2,7 +2,6 @@
 
 #include <cmath>
 #include <new>
-#include <unordered_set>
 #include <vector>
 
 #include "common/error.hpp"
@@ -29,20 +28,6 @@ Manager::ThreadSlot& Manager::create_slot(ExecutionContext* ctx) {
   const MutexLock lock(slots_mutex_);
   slots_.push_back(std::unique_ptr<ThreadSlot>(new ThreadSlot(this, ctx)));
   return *slots_.back();
-}
-
-std::size_t Manager::AddKeyHash::operator()(const AddKey& k) const {
-  std::size_t h = std::hash<const void*>{}(k.a);
-  h = hash_combine(h, std::hash<const void*>{}(k.b));
-  h = hash_combine(h, std::hash<double>{}(k.ratio.real()));
-  h = hash_combine(h, std::hash<double>{}(k.ratio.imag()));
-  return h;
-}
-
-std::size_t Manager::ContKeyHash::operator()(const ContKey& k) const {
-  std::size_t h = std::hash<const void*>{}(k.a);
-  h = hash_combine(h, std::hash<const void*>{}(k.b));
-  return hash_combine(h, std::hash<std::size_t>{}(k.pos));
 }
 
 Node* Manager::allocate_node(ThreadSlot& sl, Level level, const Edge& low, const Edge& high) {
@@ -88,7 +73,7 @@ void Manager::recycle_candidate(ThreadSlot& sl, Node* n) {
 
 const Node* Manager::intern(ThreadSlot& sl, Level level, const Edge& low, const Edge& high) {
   const NodeKey key{level, low.node, high.node, bucketed(low.weight), bucketed(high.weight)};
-  const std::size_t hash = NodeKeyHash{}(key);
+  const std::uint64_t hash = NodeKeyHash{}(key);
   if (const Node* hit = unique_.find(key, hash); hit != nullptr) {
     if (RunStats* st = sl.stats()) ++st->unique_hits;
     return hit;
@@ -202,10 +187,10 @@ Edge Manager::add_norm(ThreadSlot& sl, const Node* a, const Node* b, const cplx&
     const cplx w = cplx{1.0, 0.0} + ratio;
     return terminal(w);
   }
-  AddKey key{a, b, bucketed(ratio)};
-  if (auto it = sl.add_cache_.find(key); it != sl.add_cache_.end()) {
+  const AddKey key{a, b, bucketed(ratio)};
+  if (const Edge* hit = sl.add_cache_.find(key)) {
     if (RunStats* st = sl.stats()) ++st->add_hits;
-    return it->second;
+    return *hit;
   }
   if (RunStats* st = sl.stats()) ++st->add_misses;
   sl.tick();
@@ -224,7 +209,7 @@ Edge Manager::add_norm(ThreadSlot& sl, const Node* a, const Node* b, const cplx&
     const Edge r1 = add(a1, scale(b1, ratio));
     result = make_node(x, r0, r1);
   }
-  sl.add_cache_.emplace(key, result);
+  sl.add_cache_.insert(key, result);
   return result;
 }
 
@@ -236,8 +221,8 @@ void Manager::bind_context(ExecutionContext* ctx) {
 void Manager::clear_caches() {
   const MutexLock lock(slots_mutex_);
   for (auto& sl : slots_) {
-    sl->add_cache_.clear();
-    sl->cont_scratch_.clear();
+    sl->add_cache_.release();
+    sl->cont_scratch_.release();
   }
 }
 
@@ -273,9 +258,7 @@ std::size_t Manager::gc(std::span<const Edge> roots) {
   arena_.for_each_constructed([&](Node& n) {
     if (n.freed_) return;  // already on a free list (GC pool or a thread's)
     if (n.mark_ == epoch) {
-      unique_.rebuild_insert(NodeKey{n.level(), n.low().node, n.high().node,
-                                     bucketed(n.low().weight), bucketed(n.high().weight)},
-                             &n);
+      unique_.rebuild_insert(&n);
     } else {
       n.freed_ = true;
       dead.push_back(&n);
@@ -291,7 +274,7 @@ Manager::StorageStats Manager::storage_stats() {
   const UniqueTable::Stats t = unique_.stats();
   StorageStats s;
   s.table_nodes = t.nodes;
-  s.table_buckets = t.buckets;
+  s.table_slots = t.slots;
   s.table_shards = t.shards;
   s.table_load_factor = t.load_factor;
   s.arena_blocks = arena_.blocks();
@@ -301,6 +284,10 @@ Manager::StorageStats Manager::storage_stats() {
   {
     const MutexLock lock(slots_mutex_);
     s.op_slots = slots_.size();
+    for (const auto& sl : slots_) {
+      s.op_cache_entries += sl->add_cache_.size() + sl->cont_scratch_.size();
+      s.op_cache_bytes += sl->add_cache_.bytes() + sl->cont_scratch_.bytes();
+    }
   }
   return s;
 }
@@ -316,20 +303,19 @@ void Manager::sample_storage(RunStats& stats) {
 
 std::size_t node_count(const Edge& root) {
   // This runs on every record_peak call — once per Kraus application — so it
-  // is hot: a reserved unordered_set (no payload) and an explicit stack
-  // instead of the old unordered_map<const Node*, bool> recursion.
+  // is hot: a flat visited set (no payload) and an explicit stack.
   if (root.node == nullptr) return 0;
-  std::unordered_set<const Node*> seen;
-  seen.reserve(64);
+  struct Seen {};
+  FlatCache<const Node*, Seen> seen;
   std::vector<const Node*> stack;
   stack.reserve(64);
-  seen.insert(root.node);
+  seen.insert(root.node, Seen{});
   stack.push_back(root.node);
   while (!stack.empty()) {
     const Node* n = stack.back();
     stack.pop_back();
     for (const Node* child : {n->low().node, n->high().node}) {
-      if (child != nullptr && seen.insert(child).second) stack.push_back(child);
+      if (child != nullptr && seen.insert(child, Seen{})) stack.push_back(child);
     }
   }
   return seen.size();

@@ -6,7 +6,6 @@
 #include <deque>
 #include <memory>
 #include <span>
-#include <unordered_map>
 #include <vector>
 
 #include "common/complex.hpp"
@@ -14,6 +13,7 @@
 #include "common/mutex.hpp"
 #include "common/thread_annotations.hpp"
 #include "tdd/arena.hpp"
+#include "tdd/flat_table.hpp"
 #include "tdd/node.hpp"
 #include "tdd/unique_table.hpp"
 
@@ -58,7 +58,11 @@ class Manager {
     bool operator==(const AddKey&) const = default;
   };
   struct AddKeyHash {
-    std::size_t operator()(const AddKey& k) const;
+    std::uint64_t operator()(const AddKey& k) const {
+      std::uint64_t h = hash_step(hash_word(k.a), hash_word(k.b));
+      h = hash_step(h, hash_word(k.ratio.real()));
+      return hash_finish(hash_step(h, hash_word(k.ratio.imag())));
+    }
   };
   struct ContKey {
     const Node* a;
@@ -67,9 +71,12 @@ class Manager {
     bool operator==(const ContKey&) const = default;
   };
   struct ContKeyHash {
-    std::size_t operator()(const ContKey& k) const;
+    std::uint64_t operator()(const ContKey& k) const {
+      return hash_finish(hash_step(hash_step(hash_word(k.a), hash_word(k.b)), k.pos));
+    }
   };
-  using ContCache = std::unordered_map<ContKey, Edge, ContKeyHash>;
+  using AddCache = FlatCache<AddKey, Edge, AddKeyHash>;
+  using ContCache = FlatCache<ContKey, Edge, ContKeyHash>;
 
  public:
   /// Per-thread execution state: the add cache and contraction scratch cache
@@ -78,6 +85,12 @@ class Manager {
   /// deadline-tick counter.  Created once per worker via create_slot (the
   /// manager owns it, addresses are stable) and installed on the worker's
   /// thread with a SlotGuard for the duration of a round.
+  ///
+  /// Both op caches are FlatCaches (flat_table.hpp): chunked dense entries
+  /// behind an open-addressing index, allocated on first use.  The add cache
+  /// persists across calls until gc() / clear_caches() release it; the
+  /// contraction cache is per call — contract() clears it in O(1) on entry
+  /// and trims it back to kContKeepChunks chunks when a call outgrew that.
   class ThreadSlot {
    public:
     ThreadSlot(const ThreadSlot&) = delete;
@@ -86,9 +99,7 @@ class Manager {
    private:
     friend class Manager;
     friend class AuditAccess;  // quiescent-point op-cache/free-list audit
-    ThreadSlot(Manager* owner, ExecutionContext* ctx) : owner_(owner), ctx_(ctx) {
-      add_cache_.reserve(1 << 12);
-    }
+    ThreadSlot(Manager* owner, ExecutionContext* ctx) : owner_(owner), ctx_(ctx) {}
 
     /// Cooperative deadline poll: cheap counter, one real clock read every
     /// ~16k cache misses.
@@ -102,8 +113,8 @@ class Manager {
     std::vector<Node*> free_list_;
     NodeArena::Block* block_ = nullptr;
     std::size_t bump_ = 0;
-    std::unordered_map<AddKey, Edge, AddKeyHash> add_cache_;
-    ContCache cont_scratch_;  // reused (moved out/in) by contract()
+    AddCache add_cache_;      // persistent memo of add_norm
+    ContCache cont_scratch_;  // per-call memo of cont_rec, moved out/in by contract()
     std::uint64_t ticks_ = 0;
   };
 
@@ -217,17 +228,20 @@ class Manager {
   /// Returns the number of nodes freed.
   std::size_t gc(std::span<const Edge> roots);
 
-  /// Storage observability: unique-table occupancy/load and arena shape.
+  /// Storage observability: unique-table occupancy/load, arena shape and
+  /// op-cache footprint.
   struct StorageStats {
     std::size_t table_nodes = 0;
-    std::size_t table_buckets = 0;
+    std::size_t table_slots = 0;  ///< allocated slots across all shards
     std::size_t table_shards = 0;
-    double table_load_factor = 0.0;
+    double table_load_factor = 0.0;  ///< table_nodes / table_slots
     std::size_t arena_blocks = 0;
     std::size_t arena_capacity = 0;  ///< node slots across all blocks
     std::size_t live_nodes = 0;
     std::size_t allocated_nodes = 0;
     std::size_t op_slots = 0;  ///< ThreadSlots ever created (incl. main)
+    std::size_t op_cache_entries = 0;  ///< live add + contraction cache entries, all slots
+    std::size_t op_cache_bytes = 0;    ///< heap bytes those caches hold, all slots
   };
   [[nodiscard]] StorageStats storage_stats();
 
@@ -246,6 +260,10 @@ class Manager {
   }
 
   const Node* intern(ThreadSlot& sl, Level level, const Edge& low, const Edge& high);
+
+  /// Chunks (of ContCache::kChunkEntries entries) a slot's contraction cache
+  /// keeps between calls; a call that used more gives the rest back.
+  static constexpr std::size_t kContKeepChunks = 16;
 
   /// Allocate-and-construct a node through `sl`: local free-list first, then
   /// the slot's bump block, refilling from the arena's global pools when both

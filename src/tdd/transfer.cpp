@@ -1,8 +1,9 @@
 #include "tdd/transfer.hpp"
 
 #include <atomic>
-#include <unordered_map>
 #include <vector>
+
+#include "tdd/flat_table.hpp"
 
 namespace qts::tdd {
 
@@ -19,35 +20,34 @@ Edge transfer(const Edge& root, Manager& dst) {
   // Post-order over the source DAG with an explicit stack: a node is rebuilt
   // once both children are memoised, so children always exist in `dst` before
   // their parents — the same bottom-up discipline as the io text format.
-  std::unordered_map<const Node*, Edge> memo;  // source node -> rebuilt edge in dst
-  memo.reserve(64);
+  FlatCache<const Node*, Edge> memo;  // source node -> rebuilt edge in dst
   std::vector<const Node*> stack;
   stack.reserve(64);
   stack.push_back(root.node);
 
   const auto rebuilt_child = [&](const Edge& child) -> Edge {
     if (child.node == nullptr) return dst.terminal(child.weight);
-    return dst.scale(memo.at(child.node), child.weight);
+    return dst.scale(*memo.find(child.node), child.weight);
   };
 
   while (!stack.empty()) {
     const Node* n = stack.back();
-    if (memo.count(n) != 0) {  // reached again through a second parent
+    if (memo.contains(n)) {  // reached again through a second parent
       stack.pop_back();
       continue;
     }
     bool ready = true;
     for (const Node* child : {n->low().node, n->high().node}) {
-      if (child != nullptr && memo.count(child) == 0) {
+      if (child != nullptr && !memo.contains(child)) {
         stack.push_back(child);
         ready = false;
       }
     }
     if (!ready) continue;
     stack.pop_back();
-    memo.emplace(n, dst.make_node(n->level(), rebuilt_child(n->low()), rebuilt_child(n->high())));
+    memo.insert(n, dst.make_node(n->level(), rebuilt_child(n->low()), rebuilt_child(n->high())));
   }
-  return dst.scale(memo.at(root.node), root.weight);
+  return dst.scale(*memo.find(root.node), root.weight);
 }
 
 }  // namespace qts::tdd

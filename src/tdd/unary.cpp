@@ -1,5 +1,4 @@
 #include <algorithm>
-#include <unordered_map>
 
 #include "common/error.hpp"
 #include "tdd/manager.hpp"
@@ -8,29 +7,32 @@ namespace qts::tdd {
 
 namespace {
 
+/// Per-call memo: source node -> result edge.
+using Memo = FlatCache<const Node*, Edge>;
+
 Edge slice_rec(Manager& mgr, const Node* n, Level var, int value,
-               std::unordered_map<const Node*, Edge>& memo) {
+               Memo& memo) {
   if (n == nullptr || n->level() > var) return Edge{n, cplx{1.0, 0.0}};
   if (n->level() == var) return n->child(value);
-  if (auto it = memo.find(n); it != memo.end()) return it->second;
+  if (const Edge* hit = memo.find(n)) return *hit;
   const Edge lo = n->low();
   const Edge hi = n->high();
   const Edge r0 = mgr.scale(slice_rec(mgr, lo.node, var, value, memo), lo.weight);
   const Edge r1 = mgr.scale(slice_rec(mgr, hi.node, var, value, memo), hi.weight);
   const Edge result = mgr.make_node(n->level(), r0, r1);
-  memo.emplace(n, result);
+  memo.insert(n, result);
   return result;
 }
 
-Edge conj_rec(Manager& mgr, const Node* n, std::unordered_map<const Node*, Edge>& memo) {
+Edge conj_rec(Manager& mgr, const Node* n, Memo& memo) {
   if (n == nullptr) return Edge{nullptr, cplx{1.0, 0.0}};
-  if (auto it = memo.find(n); it != memo.end()) return it->second;
+  if (const Edge* hit = memo.find(n)) return *hit;
   const Edge lo = n->low();
   const Edge hi = n->high();
   const Edge r0 = mgr.scale(conj_rec(mgr, lo.node, memo), std::conj(lo.weight));
   const Edge r1 = mgr.scale(conj_rec(mgr, hi.node, memo), std::conj(hi.weight));
   const Edge result = mgr.make_node(n->level(), r0, r1);
-  memo.emplace(n, result);
+  memo.insert(n, result);
   return result;
 }
 
@@ -43,15 +45,15 @@ Level mapped_level(Level level, std::span<const std::pair<Level, Level>> map) {
 }
 
 Edge rename_rec(Manager& mgr, const Node* n, std::span<const std::pair<Level, Level>> map,
-                std::unordered_map<const Node*, Edge>& memo) {
+                Memo& memo) {
   if (n == nullptr) return Edge{nullptr, cplx{1.0, 0.0}};
-  if (auto it = memo.find(n); it != memo.end()) return it->second;
+  if (const Edge* hit = memo.find(n)) return *hit;
   const Edge lo = n->low();
   const Edge hi = n->high();
   const Edge r0 = mgr.scale(rename_rec(mgr, lo.node, map, memo), lo.weight);
   const Edge r1 = mgr.scale(rename_rec(mgr, hi.node, map, memo), hi.weight);
   const Edge result = mgr.make_node(mapped_level(n->level(), map), r0, r1);
-  memo.emplace(n, result);
+  memo.insert(n, result);
   return result;
 }
 
@@ -60,13 +62,13 @@ Edge rename_rec(Manager& mgr, const Node* n, std::span<const std::pair<Level, Le
 Edge Manager::slice(const Edge& a, Level var, int value) {
   require(value == 0 || value == 1, "slice value must be 0 or 1");
   if (a.is_zero()) return zero();
-  std::unordered_map<const Node*, Edge> memo;
+  Memo memo;
   return scale(slice_rec(*this, a.node, var, value, memo), a.weight);
 }
 
 Edge Manager::conjugate(const Edge& a) {
   if (a.is_zero()) return zero();
-  std::unordered_map<const Node*, Edge> memo;
+  Memo memo;
   return scale(conj_rec(*this, a.node, memo), std::conj(a.weight));
 }
 
@@ -76,7 +78,7 @@ Edge Manager::rename(const Edge& a, std::span<const std::pair<Level, Level>> map
             "rename: map must be sorted with strictly increasing images");
   }
   if (a.is_zero()) return zero();
-  std::unordered_map<const Node*, Edge> memo;
+  Memo memo;
   return scale(rename_rec(*this, a.node, map, memo), a.weight);
 }
 

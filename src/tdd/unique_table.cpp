@@ -2,53 +2,59 @@
 
 namespace qts::tdd {
 
-UniqueTable::UniqueTable() {
-  // Same total reservation as the old single map (1 << 16), spread evenly.
-  // (Constructors run pre-publication; the analysis exempts them.)
-  for (auto& shard : shards_) shard.map.reserve((std::size_t{1} << 16) / kShards);
-}
-
-const Node* UniqueTable::find(const NodeKey& key, std::size_t hash) {
-  Shard& shard = shards_[shard_of(hash)];
-  const SpinGuard guard(shard.lock);
-  const auto it = shard.map.find(key);
-  return (it != shard.map.end()) ? it->second : nullptr;
-}
-
-const Node* UniqueTable::insert(const NodeKey& key, std::size_t hash, Node* candidate,
-                                bool* inserted) {
-  Shard& shard = shards_[shard_of(hash)];
-  const Node* winner = nullptr;
-  {
-    const SpinGuard guard(shard.lock);
-    const auto [it, fresh] = shard.map.try_emplace(key, candidate);
-    winner = it->second;
-    *inserted = fresh;
+void UniqueTable::ShardTable::grow() {
+  std::vector<Slot> old = std::move(slots_);
+  slots_.assign(std::max(kMinSlots, 2 * old.size()), Slot{});
+  const std::size_t mask = slots_.size() - 1;
+  for (const Slot& s : old) {
+    if (s.node == nullptr) continue;
+    std::size_t i = (s.hash >> kShardBits) & mask;
+    while (slots_[i].node != nullptr) i = (i + 1) & mask;
+    slots_[i] = s;
   }
-  return winner;
+}
+
+std::uint64_t UniqueTable::ShardTable::erase(const Node* node) {
+  // Rebuild without the entry: linear probing cannot simply blank a slot,
+  // and this serves only the auditor's corruption hooks.
+  std::vector<Slot> old = std::move(slots_);
+  slots_.assign(old.size(), Slot{});
+  count_ = 0;
+  std::uint64_t hash = 0;
+  for (const Slot& s : old) {
+    if (s.node == nullptr) continue;
+    if (s.node == node) {
+      hash = s.hash;
+    } else {
+      place(s.hash, s.node);
+    }
+  }
+  return hash;
 }
 
 void UniqueTable::clear() {
   for (auto& shard : shards_) {
     const SpinGuard guard(shard.lock);
-    shard.map.clear();
+    shard.table.clear();
   }
 }
 
-void UniqueTable::rebuild_insert(const NodeKey& key, Node* node) {
-  Shard& shard = shards_[shard_of(NodeKeyHash{}(key))];
+void UniqueTable::rebuild_insert(Node* node) {
+  const NodeKey key = NodeKey::of(*node);
+  const std::uint64_t hash = NodeKeyHash{}(key);
+  Shard& shard = shards_[shard_of(hash)];
   const SpinGuard guard(shard.lock);
-  shard.map.emplace(key, node);
+  shard.table.insert(key, hash, node);
 }
 
 UniqueTable::Stats UniqueTable::stats() {
   Stats s;
   for (auto& shard : shards_) {
     const SpinGuard guard(shard.lock);
-    s.nodes += shard.map.size();
-    s.buckets += shard.map.bucket_count();
+    s.nodes += shard.table.size();
+    s.slots += shard.table.capacity();
   }
-  if (s.buckets > 0) s.load_factor = static_cast<double>(s.nodes) / static_cast<double>(s.buckets);
+  if (s.slots > 0) s.load_factor = static_cast<double>(s.nodes) / static_cast<double>(s.slots);
   return s;
 }
 

@@ -216,6 +216,36 @@ TEST(AuditCorruption, ShardMisplacementFires) {
   EXPECT_TRUE(has_check(report, AuditCheck::kShardPlacement)) << report.summary();
 }
 
+TEST(AuditCorruption, ShardMisplacementIntoAnUnallocatedShardFires) {
+  // One interned node: exactly one shard has slots, so the hook's target
+  // shard has never been allocated.
+  tdd::Manager mgr;
+  const Edge lit = mgr.literal(0, cplx{1.0, 0.0}, cplx{0.5, 0.0});
+  ASSERT_NE(lit.node, nullptr);
+  const std::size_t slots_before = mgr.storage_stats().table_slots;
+  ASSERT_TRUE(tdd::corrupt_misplace_shard_entry(mgr));
+  EXPECT_EQ(mgr.storage_stats().table_slots, 2 * slots_before);
+  AuditReport report;
+  EXPECT_FALSE(tdd::audit(mgr, report));
+  EXPECT_TRUE(has_check(report, AuditCheck::kShardPlacement)) << report.summary();
+  EXPECT_FALSE(has_check(report, AuditCheck::kHashConsistency)) << report.summary();
+}
+
+TEST(AuditCorruption, StoredHashDriftFiresHashConsistency) {
+  tdd::Manager mgr;
+  EXPECT_FALSE(tdd::corrupt_rehash_entry(mgr));  // empty table: nothing planted
+  (void)make_ghz_system(mgr, 3);
+  AuditReport clean;
+  ASSERT_TRUE(tdd::audit(mgr, clean)) << clean.summary();
+  ASSERT_TRUE(tdd::corrupt_rehash_entry(mgr));
+  AuditReport report;
+  EXPECT_FALSE(tdd::audit(mgr, report));
+  EXPECT_TRUE(has_check(report, AuditCheck::kHashConsistency)) << report.summary();
+  // The rewritten hash still selects the entry's own shard.
+  EXPECT_FALSE(has_check(report, AuditCheck::kShardPlacement)) << report.summary();
+  EXPECT_EQ(report.interned_nodes, clean.interned_nodes);
+}
+
 TEST(AuditCorruption, FreedReachableNodeFires) {
   tdd::Manager mgr;
   const TransitionSystem sys = make_ghz_system(mgr, 3);

@@ -1,0 +1,85 @@
+/// Golden identity pins: two fixed sequential jobs whose op-cache and
+/// unique-table hit/miss counters and result projector bytes are pinned.
+/// The TDD kernel's memo tables are exact (no eviction, no lossy hashing
+/// shortcut), so any change to them that alters what is found, recomputed
+/// or interned moves these numbers.  A deliberate change of memo semantics
+/// must update the pins on purpose.
+#include <gtest/gtest.h>
+
+#include <memory>
+#include <string>
+#include <vector>
+
+#include "circuit/generators.hpp"
+#include "circuit/noise.hpp"
+#include "common/execution_context.hpp"
+#include "qts/engine.hpp"
+#include "qts/reachability.hpp"
+#include "qts/states.hpp"
+#include "qts/workloads.hpp"
+#include "tdd/io.hpp"
+#include "tdd/manager.hpp"
+
+namespace qts {
+namespace {
+
+/// The RunStats cache counters, in field order.
+struct Pins {
+  std::size_t add_hits, add_misses, cont_hits, cont_misses, unique_hits, unique_misses;
+};
+
+void expect_counters(const RunStats& s, const Pins& p) {
+  EXPECT_EQ(s.add_hits, p.add_hits);
+  EXPECT_EQ(s.add_misses, p.add_misses);
+  EXPECT_EQ(s.cont_hits, p.cont_hits);
+  EXPECT_EQ(s.cont_misses, p.cont_misses);
+  EXPECT_EQ(s.unique_hits, p.unique_hits);
+  EXPECT_EQ(s.unique_misses, p.unique_misses);
+}
+
+TEST(GoldenIdentity, Ghz3BitFlipReachUnderContraction) {
+  tdd::Manager mgr;
+  ExecutionContext ctx;
+  mgr.bind_context(&ctx);
+  const std::vector<circ::Circuit> kraus =
+      circ::apply_channel({circ::make_ghz(3)}, circ::bit_flip(0.1), 0);
+  const TransitionSystem sys{3, Subspace::from_states(mgr, 3, {ket_basis(mgr, 3, 0)}),
+                             {QuantumOperation{"step", kraus}}};
+  const std::unique_ptr<ImageComputer> engine = make_engine(mgr, "contraction:4,4", &ctx);
+  const ReachabilityResult r = reachable_space(*engine, sys);
+  const std::string text = tdd::save_string(r.space.projector());
+  expect_counters(ctx.stats(), Pins{52, 134, 511, 1066, 677, 242});
+  EXPECT_EQ(text,
+            "qtdd v1\n"
+            "nodes 9\n"
+            "0 3145727 -1 1 0 -1 0 0\n"
+            "1 3145727 -1 0 0 -1 1 0\n"
+            "2 2097152 0 1 0 1 1 0\n"
+            "3 2097151 2 1 0 -1 0 0\n"
+            "4 2097151 -1 0 0 2 1 0\n"
+            "5 1048576 3 1 0 4 1 0\n"
+            "6 1048575 5 1 0 -1 0 0\n"
+            "7 1048575 -1 0 0 5 1 0\n"
+            "8 0 6 1 0 7 1 0\n"
+            "root 8 1 0\n");
+}
+
+TEST(GoldenIdentity, Qft8ImageUnderBasic) {
+  tdd::Manager mgr;
+  ExecutionContext ctx;
+  mgr.bind_context(&ctx);
+  const TransitionSystem sys = make_qft_system(mgr, 8);
+  const std::unique_ptr<ImageComputer> engine = make_engine(mgr, "basic", &ctx);
+  const Subspace image = engine->image(sys, sys.initial);
+  const std::string text = tdd::save_string(image.projector());
+  expect_counters(ctx.stats(), Pins{0, 310, 1698, 2487, 772, 1485});
+  // QFT|0...0> is the uniform superposition: its projector is the constant
+  // 2^-8 over all 16 indices, a terminal edge.
+  EXPECT_EQ(text,
+            "qtdd v1\n"
+            "nodes 0\n"
+            "root -1 0.00390625 0\n");
+}
+
+}  // namespace
+}  // namespace qts

@@ -72,6 +72,15 @@ else
   failures=$((failures + 1))
 fi
 
+# The storage line reports unique-table slots and the op caches' footprint.
+if "$QTSMC" reach --stats "$EXAMPLES/ghz.qasm" |
+   grep -Eq '^storage: unique table [0-9]+ node\(s\) in [0-9]+ slot\(s\) over 64 shard\(s\), load 0\.([0-4][0-9]*|500);.*; op caches [0-9]+ slot\(s\), [0-9]+ entr(y|ies), [0-9]+ B$'; then
+  echo "ok: --stats reports table slots and op-cache entries/bytes"
+else
+  echo "FAIL: --stats storage line lacks table slots or op-cache entries/bytes" >&2
+  failures=$((failures + 1))
+fi
+
 # The sparse engine works past the dense qubit cap (ghz16.qasm is 16 qubits:
 # the statevector engine refuses with the resource-exhausted code, the sparse
 # engine pays only for the two-entry support).  The full 16-qubit reach

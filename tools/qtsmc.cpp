@@ -648,10 +648,13 @@ JobOutcome run_job(const Options& opt, tdd::Manager& mgr, ResultCache* shared_ca
     // Shared-manager storage shape at the end of the run.
     const tdd::Manager::StorageStats st = mgr.storage_stats();
     std::cout << "storage: unique table " << st.table_nodes << " node(s) in "
-              << st.table_shards << " shard(s), load " << format_fixed(st.table_load_factor, 3)
-              << "; arena " << st.arena_blocks << " block(s), capacity " << st.arena_capacity
-              << " node(s), " << st.allocated_nodes << " ever constructed"
-              << "; op caches " << st.op_slots << " slot(s)\n";
+              << st.table_slots << " slot(s) over " << st.table_shards << " shard(s), load "
+              << format_fixed(st.table_load_factor, 3) << "; arena " << st.arena_blocks
+              << " block(s), capacity " << st.arena_capacity << " node(s), "
+              << st.allocated_nodes << " ever constructed"
+              << "; op caches " << st.op_slots << " slot(s), " << st.op_cache_entries
+              << " entr" << (st.op_cache_entries == 1 ? "y" : "ies") << ", "
+              << st.op_cache_bytes << " B\n";
   }
   return out;
 }
