@@ -1,6 +1,8 @@
 #include "qts/subspace.hpp"
 
 #include <cmath>
+#include <cstdint>
+#include <string>
 #include <utility>
 
 #include "common/error.hpp"
@@ -36,6 +38,13 @@ bool Subspace::add_state(const Edge& state) {
   const double res2 = inner(mgr, u, u, n_).real();
   if (res2 <= kResidualTol2) return false;
 
+  // A survivor past 2^n orthonormal vectors is not orthogonal to the basis:
+  // the run is numerically broken, and a larger-than-space answer is wrong.
+  if (n_ < 64 && dim() >= (std::uint64_t{1} << n_)) {
+    throw InternalError("Gram-Schmidt admitted a survivor past dimension 2^" +
+                        std::to_string(n_) + " = " + std::to_string(std::uint64_t{1} << n_) +
+                        ": the basis lost orthogonality");
+  }
   const Edge v = mgr.scale(u, cplx{1.0 / std::sqrt(res2), 0.0});
   basis_.push_back(v);
   projector_ = mgr.add(projector_, outer(mgr, v, v, n_));

@@ -37,6 +37,8 @@ class Subspace {
   /// Returns true iff the dimension grew.  `state` need not be normalised.
   /// The zero-norm and residual cutoffs are the shared representation-seam
   /// constants of common/complex.hpp (kZeroNormTol / kResidualTol2).
+  /// Throws InternalError if a survivor would push dim() past 2^n (n < 64):
+  /// the basis has then lost orthogonality and the result would be wrong.
   bool add_state(const tdd::Edge& state);
 
   /// Batched single-pass extension: add_state every vector in order and

@@ -36,7 +36,7 @@ class AuditAccess {
   }
   template <typename F>
   static void for_each_cont_entry(const Manager::ThreadSlot& sl, F&& f) {
-    sl.cont_scratch_.for_each([&](const Manager::ContKey& key, const Edge& value) {
+    sl.cont_cache_.for_each([&](const Manager::ContKey& key, const Edge& value) {
       f(key.a, key.b, value);
     });
   }

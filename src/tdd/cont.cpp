@@ -1,5 +1,6 @@
 #include <cmath>
-#include <utility>
+#include <cstdint>
+#include <vector>
 
 #include "common/error.hpp"
 #include "tdd/manager.hpp"
@@ -22,22 +23,37 @@ Edge Manager::contract(const Edge& a, const Edge& b, std::span<const Level> gamm
     require(gamma[i - 1] < gamma[i], "contract: gamma must be sorted and duplicate-free");
   }
   // Weights factor straight out of a multilinear contraction; the cache then
-  // only ever sees weight-1 operands.  The cache itself is call-local but its
-  // chunks and index are recycled through the thread slot's scratch slot:
-  // moving it out (instead of borrowing a reference) keeps re-entrant
-  // contract calls — and a future work-stealing scheduler — safe.  clear()
-  // is O(1); a call that outgrew kContKeepChunks gives the excess back.
+  // only ever sees weight-1 operands.  A cont_rec result depends on its
+  // operands and on the gamma suffix still to be summed out, so the cache
+  // names that suffix by an interned id: gamma[pos..] is {gamma[pos], id of
+  // gamma[pos+1..]}, interned back to front in O(|gamma|).  Entries then stay
+  // valid across calls and gammas.  A call that outgrew kContKeepChunks
+  // empties the cache and the suffix table together (ids restart with it).
+  // cont_rec never re-enters contract(), so it may borrow the slot's cache
+  // and id vector in place.
   ThreadSlot& sl = slot();
-  ContCache cache = std::move(sl.cont_scratch_);
-  cache.clear();
-  Edge r = cont_rec(sl, a.node, b.node, gamma, 0, cache);
-  if (cache.chunks() > kContKeepChunks) cache.trim(kContKeepChunks);
-  sl.cont_scratch_ = std::move(cache);
+  std::vector<std::uint32_t>& ids = sl.suffix_ids_;
+  ids.resize(gamma.size() + 1);
+  ids[gamma.size()] = 0;
+  for (std::size_t i = gamma.size(); i-- > 0;) {
+    const SuffixKey key{gamma[i], ids[i + 1]};
+    if (const std::uint32_t* id = sl.suffixes_.find(key)) {
+      ids[i] = *id;
+    } else {
+      ids[i] = static_cast<std::uint32_t>(sl.suffixes_.size() + 1);
+      sl.suffixes_.insert(key, ids[i]);
+    }
+  }
+  const Edge r = cont_rec(sl, a.node, b.node, gamma, 0);
+  if (sl.cont_cache_.chunks() > kContKeepChunks) {
+    sl.cont_cache_.trim(kContKeepChunks);
+    sl.suffixes_.clear();
+  }
   return scale(r, a.weight * b.weight);
 }
 
 Edge Manager::cont_rec(ThreadSlot& sl, const Node* a, const Node* b, std::span<const Level> gamma,
-                       std::size_t pos, ContCache& cache) {
+                       std::size_t pos) {
   if (a == nullptr && b == nullptr) {
     // Both operands are constant 1.  Every gamma variable still pending is
     // summed over {0,1} with a constant integrand, contributing a factor 2.
@@ -45,8 +61,8 @@ Edge Manager::cont_rec(ThreadSlot& sl, const Node* a, const Node* b, std::span<c
     return terminal(cplx{std::ldexp(1.0, remaining), 0.0});
   }
 
-  const ContKey key{a, b, pos};
-  if (const Edge* hit = cache.find(key)) {
+  const ContKey key{a, b, sl.suffix_ids_[pos]};
+  if (const Edge* hit = sl.cont_cache_.find(key)) {
     if (RunStats* st = sl.stats()) ++st->cont_hits;
     return *hit;
   }
@@ -67,11 +83,11 @@ Edge Manager::cont_rec(ThreadSlot& sl, const Node* a, const Node* b, std::span<c
   const Edge b0 = slice_top(b, x, 0);
   const Edge b1 = slice_top(b, x, 1);
 
-  const Edge r0 = scale(cont_rec(sl, a0.node, b0.node, gamma, next, cache), a0.weight * b0.weight);
-  const Edge r1 = scale(cont_rec(sl, a1.node, b1.node, gamma, next, cache), a1.weight * b1.weight);
+  const Edge r0 = scale(cont_rec(sl, a0.node, b0.node, gamma, next), a0.weight * b0.weight);
+  const Edge r1 = scale(cont_rec(sl, a1.node, b1.node, gamma, next), a1.weight * b1.weight);
 
   const Edge result = summed ? add(r0, r1) : make_node(x, r0, r1);
-  cache.insert(key, result);
+  sl.cont_cache_.insert(key, result);
   return result;
 }
 

@@ -3,7 +3,8 @@
 /// allocation-free per entry, as in CUDD's and Sylvan's tables.
 ///
 /// `FlatCache<K, V, Hash>` is the exact memo behind the operation caches
-/// (add, contraction) and the per-call memos of slice / conjugate / rename,
+/// (add, contraction), which persist across calls, the contraction cache's
+/// gamma-suffix table, and the per-call memos of slice / conjugate / rename,
 /// node_count, transfer, io and the auditor:
 ///
 ///   * entries sit densely, in insertion order, in fixed chunks of

@@ -222,7 +222,8 @@ void Manager::clear_caches() {
   const MutexLock lock(slots_mutex_);
   for (auto& sl : slots_) {
     sl->add_cache_.release();
-    sl->cont_scratch_.release();
+    sl->cont_cache_.release();
+    sl->suffixes_.release();
   }
 }
 
@@ -285,8 +286,10 @@ Manager::StorageStats Manager::storage_stats() {
     const MutexLock lock(slots_mutex_);
     s.op_slots = slots_.size();
     for (const auto& sl : slots_) {
-      s.op_cache_entries += sl->add_cache_.size() + sl->cont_scratch_.size();
-      s.op_cache_bytes += sl->add_cache_.bytes() + sl->cont_scratch_.bytes();
+      s.add_cache_entries += sl->add_cache_.size();
+      s.add_cache_bytes += sl->add_cache_.bytes();
+      s.cont_cache_entries += sl->cont_cache_.size();
+      s.cont_cache_bytes += sl->cont_cache_.bytes() + sl->suffixes_.bytes();
     }
   }
   return s;

@@ -67,30 +67,45 @@ class Manager {
   struct ContKey {
     const Node* a;
     const Node* b;
-    std::size_t pos;  // index into the gamma suffix still to be summed out
+    std::uint32_t suffix;  // interned id of the gamma suffix still to be summed out
     bool operator==(const ContKey&) const = default;
   };
   struct ContKeyHash {
     std::uint64_t operator()(const ContKey& k) const {
-      return hash_finish(hash_step(hash_step(hash_word(k.a), hash_word(k.b)), k.pos));
+      return hash_finish(hash_step(hash_step(hash_word(k.a), hash_word(k.b)), k.suffix));
+    }
+  };
+  /// One cell of an interned gamma suffix: its first level and the id of the
+  /// rest.  Id 0 is the empty suffix; interned suffixes are numbered from 1.
+  struct SuffixKey {
+    Level head;
+    std::uint32_t tail;
+    bool operator==(const SuffixKey&) const = default;
+  };
+  struct SuffixKeyHash {
+    std::uint64_t operator()(const SuffixKey& k) const {
+      return hash_finish(hash_step(k.head, k.tail));
     }
   };
   using AddCache = FlatCache<AddKey, Edge, AddKeyHash>;
   using ContCache = FlatCache<ContKey, Edge, ContKeyHash>;
+  using SuffixTable = FlatCache<SuffixKey, std::uint32_t, SuffixKeyHash>;
 
  public:
-  /// Per-thread execution state: the add cache and contraction scratch cache
-  /// (hot lookups stay lock-free while node identity is global), the node
+  /// Per-thread execution state: the add and contraction caches (hot
+  /// lookups stay lock-free while node identity is global), the node
   /// free-list and bump-allocation block, the statistics sink, and the
   /// deadline-tick counter.  Created once per worker via create_slot (the
   /// manager owns it, addresses are stable) and installed on the worker's
   /// thread with a SlotGuard for the duration of a round.
   ///
   /// Both op caches are FlatCaches (flat_table.hpp): chunked dense entries
-  /// behind an open-addressing index, allocated on first use.  The add cache
-  /// persists across calls until gc() / clear_caches() release it; the
-  /// contraction cache is per call — contract() clears it in O(1) on entry
-  /// and trims it back to kContKeepChunks chunks when a call outgrew that.
+  /// behind an open-addressing index, allocated on first use, and both
+  /// persist across calls until gc() / clear_caches() release them.  The
+  /// contraction cache is keyed on interned gamma suffixes (suffixes_), so
+  /// calls over different gammas never collide and calls that share a suffix
+  /// share entries.  It keeps at most kContKeepChunks chunks between calls: a
+  /// call that outgrew them empties it, together with the suffix table.
   class ThreadSlot {
    public:
     ThreadSlot(const ThreadSlot&) = delete;
@@ -113,8 +128,10 @@ class Manager {
     std::vector<Node*> free_list_;
     NodeArena::Block* block_ = nullptr;
     std::size_t bump_ = 0;
-    AddCache add_cache_;      // persistent memo of add_norm
-    ContCache cont_scratch_;  // per-call memo of cont_rec, moved out/in by contract()
+    AddCache add_cache_;    // memo of add_norm
+    ContCache cont_cache_;  // memo of cont_rec
+    SuffixTable suffixes_;  // gamma suffix ids named by cont_cache_ keys
+    std::vector<std::uint32_t> suffix_ids_;  // contract()'s per-call id of each gamma[pos..]
     std::uint64_t ticks_ = 0;
   };
 
@@ -131,6 +148,11 @@ class Manager {
    private:
     ThreadSlot* prev_;
   };
+
+  /// Chunks (of FlatCache::kChunkEntries entries) a slot's contraction cache
+  /// keeps between calls; a call that used more empties it and gives the
+  /// rest back.
+  static constexpr std::size_t kContKeepChunks = 16;
 
   Manager();
   Manager(const Manager&) = delete;
@@ -240,8 +262,11 @@ class Manager {
     std::size_t live_nodes = 0;
     std::size_t allocated_nodes = 0;
     std::size_t op_slots = 0;  ///< ThreadSlots ever created (incl. main)
-    std::size_t op_cache_entries = 0;  ///< live add + contraction cache entries, all slots
-    std::size_t op_cache_bytes = 0;    ///< heap bytes those caches hold, all slots
+    std::size_t add_cache_entries = 0;   ///< live add-cache entries, all slots
+    std::size_t add_cache_bytes = 0;     ///< heap bytes the add caches hold, all slots
+    std::size_t cont_cache_entries = 0;  ///< live contraction-cache entries, all slots
+    std::size_t cont_cache_bytes = 0;    ///< heap bytes the contraction caches and
+                                         ///< their suffix tables hold, all slots
   };
   [[nodiscard]] StorageStats storage_stats();
 
@@ -261,10 +286,6 @@ class Manager {
 
   const Node* intern(ThreadSlot& sl, Level level, const Edge& low, const Edge& high);
 
-  /// Chunks (of ContCache::kChunkEntries entries) a slot's contraction cache
-  /// keeps between calls; a call that used more gives the rest back.
-  static constexpr std::size_t kContKeepChunks = 16;
-
   /// Allocate-and-construct a node through `sl`: local free-list first, then
   /// the slot's bump block, refilling from the arena's global pools when both
   /// run dry.  (Lives on Manager, not ThreadSlot, because only Manager is a
@@ -278,7 +299,7 @@ class Manager {
   // Recursion helpers; see the .cpp files.
   Edge add_norm(ThreadSlot& sl, const Node* a, const Node* b, const cplx& ratio);
   Edge cont_rec(ThreadSlot& sl, const Node* a, const Node* b, std::span<const Level> gamma,
-                std::size_t pos, ContCache& cache);
+                std::size_t pos);
 
   static thread_local ThreadSlot* tl_slot_;
 

@@ -72,12 +72,13 @@ else
   failures=$((failures + 1))
 fi
 
-# The storage line reports unique-table slots and the op caches' footprint.
+# The storage line reports unique-table slots and the op caches' footprint,
+# split into the add cache and the contraction cache.
 if "$QTSMC" reach --stats "$EXAMPLES/ghz.qasm" |
-   grep -Eq '^storage: unique table [0-9]+ node\(s\) in [0-9]+ slot\(s\) over 64 shard\(s\), load 0\.([0-4][0-9]*|500);.*; op caches [0-9]+ slot\(s\), [0-9]+ entr(y|ies), [0-9]+ B$'; then
-  echo "ok: --stats reports table slots and op-cache entries/bytes"
+   grep -Eq '^storage: unique table [0-9]+ node\(s\) in [0-9]+ slot\(s\) over 64 shard\(s\), load 0\.([0-4][0-9]*|500);.*; op caches [0-9]+ slot\(s\), add [0-9]+ entr(y|ies) \([0-9]+ B\), cont [0-9]+ entr(y|ies) \([0-9]+ B\)$'; then
+  echo "ok: --stats reports table slots and add/cont op-cache entries/bytes"
 else
-  echo "FAIL: --stats storage line lacks table slots or op-cache entries/bytes" >&2
+  echo "FAIL: --stats storage line lacks table slots or add/cont op-cache entries/bytes" >&2
   failures=$((failures + 1))
 fi
 

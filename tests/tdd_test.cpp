@@ -3,6 +3,8 @@
 #include <algorithm>
 
 #include "common/error.hpp"
+#include "common/execution_context.hpp"
+#include "tdd/audit.hpp"
 #include "tdd/dense.hpp"
 #include "tdd/dot.hpp"
 #include "tdd/levels.hpp"
@@ -196,6 +198,165 @@ TEST(Contract, RejectsUnsortedGamma) {
   Manager mgr;
   const std::vector<Level> gamma{3, 1};
   EXPECT_THROW((void)mgr.contract(mgr.one(), mgr.one(), gamma), InvalidArgument);
+}
+
+// -- the contraction memo, kept across contract() calls ----------------------
+
+/// Dense reference for Manager::contract: multiply `a` (over `ia`) and `b`
+/// (over `ib`) pointwise and sum out every level of `gamma`, including gamma
+/// levels in neither operand.  The result is over `out`, the operands'
+/// levels minus gamma, ascending.
+std::vector<cplx> dense_contract(const Edge& a, const std::vector<Level>& ia, const Edge& b,
+                                 const std::vector<Level>& ib, const std::vector<Level>& gamma,
+                                 std::vector<Level>& out) {
+  std::vector<Level> all = ia;
+  all.insert(all.end(), ib.begin(), ib.end());
+  all.insert(all.end(), gamma.begin(), gamma.end());
+  std::sort(all.begin(), all.end());
+  all.erase(std::unique(all.begin(), all.end()), all.end());
+  out.clear();
+  for (const Level l : all) {
+    if (!std::binary_search(gamma.begin(), gamma.end(), l)) out.push_back(l);
+  }
+  // The MSB-first assignment of `sub` (a subsequence of `all`) within an
+  // assignment of `all`.
+  const auto project = [&](std::uint64_t x, const std::vector<Level>& sub) {
+    std::uint64_t y = 0;
+    for (const Level l : sub) {
+      const auto at = static_cast<std::size_t>(std::find(all.begin(), all.end(), l) - all.begin());
+      y = (y << 1) | ((x >> (all.size() - 1 - at)) & 1U);
+    }
+    return y;
+  };
+  std::vector<cplx> r(std::size_t{1} << out.size());
+  for (std::uint64_t x = 0; x < (std::uint64_t{1} << all.size()); ++x) {
+    r[project(x, out)] += value_at(a, ia, project(x, ia)) * value_at(b, ib, project(x, ib));
+  }
+  return r;
+}
+
+/// contract(a, b, gamma) agrees with the dense reference.
+void expect_contract_matches(Manager& mgr, const Edge& a, const std::vector<Level>& ia,
+                             const Edge& b, const std::vector<Level>& ib,
+                             const std::vector<Level>& gamma) {
+  std::vector<Level> out;
+  const std::vector<cplx> want = dense_contract(a, ia, b, ib, gamma, out);
+  test::expect_tdd_matches(mgr.contract(a, b, gamma), out, want);
+}
+
+TEST(Contract, MemoServesEveryGammaInEitherCallOrder) {
+  Manager mgr;
+  Prng rng(31);
+  const std::vector<Level> ia{0, 1, 2, 3};
+  const std::vector<Level> ib{2, 3, 4};
+  const Edge a = from_dense(mgr, test::random_dense(rng, ia.size()), ia);
+  const Edge b = from_dense(mgr, test::random_dense(rng, ib.size()), ib);
+  // No summation, one shared level, all shared levels, and a level in
+  // neither operand (7, a factor 2) next to a summed non-shared level.
+  const std::vector<std::vector<Level>> gammas{{}, {3}, {2, 3}, {1, 2, 3, 7}};
+  for (const auto& gamma : gammas) expect_contract_matches(mgr, a, ia, b, ib, gamma);
+  for (auto it = gammas.rbegin(); it != gammas.rend(); ++it) {
+    expect_contract_matches(mgr, a, ia, b, ib, *it);
+  }
+  // The other operand order, on the warm memo.
+  for (const auto& gamma : gammas) expect_contract_matches(mgr, b, ib, a, ia, gamma);
+}
+
+TEST(Contract, GammasSharingASuffixShareEntries) {
+  Manager mgr;
+  ExecutionContext ctx;
+  mgr.bind_context(&ctx);
+  Prng rng(32);
+  const std::vector<Level> ia{0, 1, 2, 3};
+  const std::vector<Level> ib{2, 3};
+  const Edge a = from_dense(mgr, test::random_dense(rng, ia.size(), 0.0), ia);
+  const Edge b = from_dense(mgr, test::random_dense(rng, ib.size(), 0.0), ib);
+  expect_contract_matches(mgr, a, ia, b, ib, {0, 2, 3});
+  const std::size_t hits = ctx.stats().cont_hits;
+  // {1, 2, 3} shares the suffix {2, 3}: below level 1 the sub-contractions
+  // are the ones {0, 2, 3} already memoised.
+  expect_contract_matches(mgr, a, ia, b, ib, {1, 2, 3});
+  EXPECT_GT(ctx.stats().cont_hits, hits);
+  // A gamma with the same length but another suffix must not be served
+  // from those entries.
+  expect_contract_matches(mgr, a, ia, b, ib, {1, 2, 4});
+  mgr.bind_context(nullptr);
+}
+
+TEST(Contract, RepeatedCallAddsNoMisses) {
+  Manager mgr;
+  ExecutionContext ctx;
+  mgr.bind_context(&ctx);
+  Prng rng(33);
+  const std::vector<Level> idx{0, 1, 2, 3, 4};
+  const Edge a = from_dense(mgr, test::random_dense(rng, idx.size()), idx);
+  const Edge b = from_dense(mgr, test::random_dense(rng, idx.size()), idx);
+  const std::vector<Level> gamma{1, 3};
+  const Edge first = mgr.contract(a, b, gamma);
+  const RunStats before = ctx.stats();
+  EXPECT_GT(before.cont_misses, 0U);
+  const Edge second = mgr.contract(a, b, gamma);
+  EXPECT_EQ(ctx.stats().cont_misses, before.cont_misses);
+  EXPECT_EQ(ctx.stats().cont_hits, before.cont_hits + 1);
+  EXPECT_EQ(second.node, first.node);
+  EXPECT_EQ(second.weight, first.weight);
+  mgr.bind_context(nullptr);
+}
+
+TEST(Contract, GcAndClearCachesEmptyTheMemo) {
+  Manager mgr;
+  Prng rng(34);
+  const std::vector<Level> idx{0, 1, 2, 3, 4};
+  const Edge a = from_dense(mgr, test::random_dense(rng, idx.size()), idx);
+  const Edge b = from_dense(mgr, test::random_dense(rng, idx.size()), idx);
+  const std::vector<Level> gamma{0, 2, 4};
+  const auto expect_clean = [&](const std::vector<Edge>& roots) {
+    AuditReport report;
+    EXPECT_TRUE(audit(mgr, report, roots)) << report.summary();
+  };
+  Edge r = mgr.contract(a, b, gamma);
+  // Live entries between calls reference only interned nodes.
+  EXPECT_GT(mgr.storage_stats().cont_cache_entries, 0U);
+  expect_clean({a, b, r});
+
+  const std::vector<Edge> roots{a, b};
+  (void)mgr.gc(roots);
+  EXPECT_EQ(mgr.storage_stats().cont_cache_entries, 0U);
+  EXPECT_EQ(mgr.storage_stats().cont_cache_bytes, 0U);  // suffix table too
+  expect_contract_matches(mgr, a, idx, b, idx, gamma);
+  expect_clean(roots);
+
+  r = mgr.contract(b, a, gamma);
+  EXPECT_GT(mgr.storage_stats().cont_cache_entries, 0U);
+  mgr.clear_caches();
+  EXPECT_EQ(mgr.storage_stats().cont_cache_entries, 0U);
+  EXPECT_EQ(mgr.storage_stats().cont_cache_bytes, 0U);
+  expect_clean({a, b, r});
+}
+
+TEST(Contract, MemoStaysWithinItsBudgetBetweenCalls) {
+  Manager mgr;
+  ExecutionContext ctx;
+  mgr.bind_context(&ctx);
+  Prng rng(35);
+  const std::size_t budget =
+      Manager::kContKeepChunks * FlatCache<const Node*, Edge>::kChunkEntries;
+  const std::vector<Level> idx{0, 1, 2, 3, 4, 5, 6, 7, 8, 9};
+  const Edge first_a = from_dense(mgr, test::random_dense(rng, idx.size(), 0.0), idx);
+  const Edge first_b = from_dense(mgr, test::random_dense(rng, idx.size(), 0.0), idx);
+  (void)mgr.contract(first_a, first_b, {});
+  // Fresh random operand pairs until the memo has had to give back entries
+  // several times over.
+  while (ctx.stats().cont_misses < 3 * budget) {
+    const Edge a = from_dense(mgr, test::random_dense(rng, idx.size(), 0.0), idx);
+    const Edge b = from_dense(mgr, test::random_dense(rng, idx.size(), 0.0), idx);
+    (void)mgr.contract(a, b, std::vector<Level>{3, 7});
+    ASSERT_LE(mgr.storage_stats().cont_cache_entries, budget);
+  }
+  // Results stay right after the memo and its suffix ids restarted.
+  expect_contract_matches(mgr, first_a, idx, first_b, idx, {});
+  expect_contract_matches(mgr, first_a, idx, first_b, idx, {3, 7});
+  mgr.bind_context(nullptr);
 }
 
 TEST(Rename, ShiftsLevelsPreservingValues) {

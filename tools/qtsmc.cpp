@@ -137,6 +137,7 @@
 #include <memory>
 #include <new>
 #include <sstream>
+#include <string>
 
 #include "circuit/noise.hpp"
 #include "circuit/qasm.hpp"
@@ -647,14 +648,17 @@ JobOutcome run_job(const Options& opt, tdd::Manager& mgr, ResultCache* shared_ca
               << format_fixed(hit_rate_pct(s.unique_hits, s.unique_misses), 1) << "% hit\n";
     // Shared-manager storage shape at the end of the run.
     const tdd::Manager::StorageStats st = mgr.storage_stats();
+    const auto entries = [](std::size_t k) {
+      return std::to_string(k) + (k == 1 ? " entry" : " entries");
+    };
     std::cout << "storage: unique table " << st.table_nodes << " node(s) in "
               << st.table_slots << " slot(s) over " << st.table_shards << " shard(s), load "
               << format_fixed(st.table_load_factor, 3) << "; arena " << st.arena_blocks
               << " block(s), capacity " << st.arena_capacity << " node(s), "
               << st.allocated_nodes << " ever constructed"
-              << "; op caches " << st.op_slots << " slot(s), " << st.op_cache_entries
-              << " entr" << (st.op_cache_entries == 1 ? "y" : "ies") << ", "
-              << st.op_cache_bytes << " B\n";
+              << "; op caches " << st.op_slots << " slot(s), add "
+              << entries(st.add_cache_entries) << " (" << st.add_cache_bytes << " B), cont "
+              << entries(st.cont_cache_entries) << " (" << st.cont_cache_bytes << " B)\n";
   }
   return out;
 }
