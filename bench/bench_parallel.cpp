@@ -13,14 +13,10 @@
 /// reports wall-clock time and speedup versus the 1-thread row; a
 /// sequential reference row (the inner engine run directly, no worker pool)
 /// is printed first.  Results land in BENCH_parallel.json.
-#include <atomic>
 #include <cstring>
 #include <iostream>
-#include <memory>
 #include <optional>
 #include <string>
-#include <thread>
-#include <unordered_map>
 #include <vector>
 
 #include "bench_json.hpp"
@@ -29,7 +25,6 @@
 #include "common/timer.hpp"
 #include "qts/engine.hpp"
 #include "qts/workloads.hpp"
-#include "tdd/transfer.hpp"
 
 namespace {
 
@@ -67,91 +62,6 @@ Measurement run_once(const std::string& engine_spec, std::uint32_t n, double p,
   } catch (const DeadlineExceeded&) {
     m.ms = std::nullopt;
   }
-  m.peak_nodes = ctx.stats().peak_nodes;
-  return m;
-}
-
-/// The pre-shared-manager parallel architecture, kept here as the bench
-/// baseline: per-worker PRIVATE managers, inputs shipped out with
-/// tdd::transfer, results shipped back and reduced in task order.  The
-/// production engine no longer works this way — this local reimplementation
-/// exists so BENCH_parallel.json records shared-manager vs transfer-copy
-/// numbers side by side on the same workload.
-Measurement run_transfer_mode(std::size_t nthreads, const std::string& inner, std::uint32_t n,
-                              double p, std::uint32_t noisy_qubits, double timeout_s) {
-  ExecutionContext ctx;
-  if (timeout_s > 0) ctx.set_deadline(Deadline::after(timeout_s));
-  tdd::Manager mgr;
-  mgr.bind_context(&ctx);
-  const TransitionSystem sys = make_noisy_grover(mgr, n, p, noisy_qubits);
-
-  struct Worker {
-    tdd::Manager mgr;
-    ExecutionContext ctx;
-    std::unique_ptr<ImageComputer> engine;
-  };
-  std::vector<std::unique_ptr<Worker>> workers;
-  for (std::size_t i = 0; i < nthreads; ++i) {
-    auto w = std::make_unique<Worker>();
-    w->ctx = ctx.worker_view();
-    w->mgr.bind_context(&w->ctx);
-    w->engine = make_engine(w->mgr, inner, &w->ctx);
-    workers.push_back(std::move(w));
-  }
-
-  const QuantumOperation& op = sys.operations.at(0);
-  const Subspace& s = sys.initial;
-  struct Task {
-    const circ::Circuit* kraus;
-    const tdd::Edge* ket;
-  };
-  std::vector<Task> tasks;
-  for (const auto& kraus : op.kraus) {
-    for (const auto& ket : s.basis()) tasks.push_back({&kraus, &ket});
-  }
-
-  Measurement m;
-  WallTimer timer;
-  std::vector<tdd::Edge> results(tasks.size());
-  std::atomic<std::size_t> cursor{0};
-  std::atomic<bool> timed_out{false};
-  const auto body = [&](std::size_t idx) {
-    Worker& w = *workers[idx];
-    std::unordered_map<const tdd::Edge*, tdd::Edge> ket_cache;
-    try {
-      for (;;) {
-        const std::size_t i = cursor.fetch_add(1, std::memory_order_relaxed);
-        if (i >= tasks.size()) break;
-        auto it = ket_cache.find(tasks[i].ket);
-        if (it == ket_cache.end()) {
-          it = ket_cache.emplace(tasks[i].ket, tdd::transfer(*tasks[i].ket, w.mgr)).first;
-        }
-        results[i] = w.engine->apply_kraus(*tasks[i].kraus, it->second, n);
-      }
-    } catch (const DeadlineExceeded&) {
-      timed_out.store(true, std::memory_order_relaxed);
-      w.ctx.request_cancel();  // flag is shared with every sibling view
-    }
-  };
-  if (nthreads == 1) {
-    body(0);
-  } else {
-    std::vector<std::thread> pool;
-    for (std::size_t i = 0; i < nthreads; ++i) pool.emplace_back(body, i);
-    for (auto& t : pool) t.join();
-  }
-  try {
-    if (timed_out.load(std::memory_order_relaxed)) throw DeadlineExceeded{};
-    Subspace out(mgr, n);
-    for (const tdd::Edge& result : results) {
-      out.add_state(tdd::transfer(result, mgr));
-      tdd::record_peak(&ctx, out.projector());
-    }
-    m.ms = timer.seconds() * 1e3;
-  } catch (const DeadlineExceeded&) {
-    m.ms = std::nullopt;
-  }
-  for (const auto& w : workers) ctx.join_worker(w->ctx);
   m.peak_nodes = ctx.stats().peak_nodes;
   return m;
 }
@@ -223,7 +133,7 @@ int main(int argc, char** argv) {
   };
 
   // Sequential reference: the inner engine run directly in the parent
-  // manager, no worker pool, no transfer overhead.
+  // manager, no worker pool.
   const Measurement seq = run_once(inner, n, p, noisy_qubits, timeout_s);
   report(inner, 1, seq, seq.ms);
 
@@ -234,14 +144,6 @@ int main(int argc, char** argv) {
     const std::string spec = "parallel:" + std::to_string(t) + "," + inner;
     const Measurement m = run_once(spec, n, p, noisy_qubits, timeout_s);
     if (t == 1 && m.ms) base_ms = m.ms;
-    report(spec, t, m, base_ms);
-  }
-
-  // The retired architecture as a baseline: per-worker private managers with
-  // tdd::transfer copies in and out, same task grain, same inner engine.
-  for (std::size_t t : threads) {
-    const std::string spec = "transfer:" + std::to_string(t) + "," + inner;
-    const Measurement m = run_transfer_mode(t, inner, n, p, noisy_qubits, timeout_s);
     report(spec, t, m, base_ms);
   }
   return 0;

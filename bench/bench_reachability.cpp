@@ -134,7 +134,7 @@ int main(int argc, char** argv) {
   };
 
   // Sequential reference: the inner engine run directly — the driver's
-  // single-pass Gram-Schmidt path with no worker pool and no transfers.
+  // single-pass Gram-Schmidt path with no worker pool.
   const Measurement seq = run_once(inner, n, p, steps, timeout_s);
   report(inner, 1, seq, seq.ms);
 

@@ -19,7 +19,7 @@ if [[ "${SKIP_BUILD:-0}" != "1" ]]; then
 fi
 
 benches=(bench_table1 bench_table2 bench_ablation bench_parallel bench_reachability
-         bench_statevector bench_sparse bench_cache bench_contraction_order)
+         bench_statevector bench_sparse bench_cache)
 
 cd "$root"
 status=0

@@ -10,7 +10,8 @@
 ///   "parallel:t[,spec]"        the Kraus×basis loop sharded across t worker
 ///                              threads (0 = hardware concurrency), each
 ///                              running the nested sequential engine `spec`
-///                              (default contraction:4,4) on a private manager
+///                              (default contraction:4,4) on the caller's
+///                              shared manager
 ///   "statevector[:maxq]"       dense statevector backend (sim::) behind the
 ///                              same seam — frontier kets are decoded to
 ///                              2^n amplitudes, imaged densely and re-encoded;
@@ -29,7 +30,9 @@
 ///                              chains cannot nest and cannot be a parallel
 ///                              inner engine.
 ///
-/// (Methods without parameters use the defaults below.)  Later backends
+/// (Methods without parameters use the defaults below.)  The spec is the
+/// whole configuration: each algorithm fixes its own contraction order
+/// (tn/order.hpp), and no other setting reaches an engine.  Later backends
 /// plug in through register_engine without touching any call site.
 #pragma once
 
@@ -76,8 +79,9 @@ using EngineFactory =
     std::function<std::unique_ptr<ImageComputer>(tdd::Manager&, const EngineSpec&,
                                                  ExecutionContext*)>;
 
-/// Register (or replace) a factory under `method`.  The three built-ins are
-/// pre-registered.  Returns true if a previous registration was replaced.
+/// Register (or replace) a factory under `method`.  The seven built-ins
+/// (basic, addition, contraction, parallel, statevector, sparse, fallback)
+/// are pre-registered.  Returns true if a previous registration was replaced.
 bool register_engine(const std::string& method, EngineFactory factory);
 
 /// Sorted names of every registered engine method.

@@ -79,11 +79,6 @@ void FallbackImage::clear_prepared() {
   for (const auto& eng : engines_) eng->clear_prepared();
 }
 
-void FallbackImage::set_order_policy(tn::OrderPolicy policy) {
-  ImageComputer::set_order_policy(policy);
-  for (const auto& eng : engines_) eng->set_order_policy(policy);
-}
-
 std::vector<tdd::Edge> FallbackImage::prepared_roots() const {
   std::vector<tdd::Edge> roots;
   for (const auto& eng : engines_) {

@@ -94,10 +94,6 @@ class FallbackImage final : public ImageComputer {
   void clear_prepared() override;
   [[nodiscard]] std::vector<tdd::Edge> prepared_roots() const override;
 
-  /// Every chain element must agree on the ordering policy, or a mid-run
-  /// degradation would silently change it.
-  void set_order_policy(tn::OrderPolicy policy) override;
-
  protected:
   // The chain images only through image_step; public apply_kraus on it
   // throws InvalidArgument (no_per_ket_path).

@@ -127,7 +127,8 @@ std::unique_ptr<ImageComputer::Prepared> BasicImage::prepare(const circ::Circuit
   mono->net = tn::build_network(mgr_, kraus);
   if (!mono->net.tensors.empty()) {
     const auto keep = mono->net.external_indices();
-    mono->op.push_back(tn::contract_network(mgr_, mono->net.tensors, keep, ctx_, order_policy_));
+    mono->op.push_back(
+        tn::contract_network(mgr_, mono->net.tensors, keep, ctx_, tn::OrderPolicy::kGreedy));
   }
   mono->push = make_push_plan(mono->net, mono->op);
   mono->net.tensors.clear();
@@ -160,7 +161,8 @@ std::unique_ptr<ImageComputer::Prepared> AdditionImage::prepare(const circ::Circ
     const auto keep = out->net.external_indices();
     // Slicing removes the same indices in every slice, so all slices share
     // their index sets and one plan serves them all.
-    const auto plan = tn::plan_order(part.slices.front().tensors, keep, order_policy_, ctx_);
+    const auto plan =
+        tn::plan_order(part.slices.front().tensors, keep, tn::OrderPolicy::kGreedy, ctx_);
     for (const auto& slice : part.slices) {
       ctx_->check_deadline();
       out->parts.push_back(tn::contract_network(mgr_, slice.tensors, keep, ctx_, plan));

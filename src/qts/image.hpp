@@ -130,20 +130,6 @@ class ImageComputer {
   /// parallel engine's workers).
   virtual void clear_prepared() { prepared_.clear(); }
 
-  /// Contraction-order policy (tn/order.hpp) for the monolithic
-  /// pre-contractions of the basic and addition engines.  Defaults to the
-  /// greedy planner; kCaller folds in circuit order.  Push plans (ket first,
-  /// then the operator tensors) and contraction-partition blocks (circuit
-  /// order) always use the paper's orders, whatever the policy.  Changing
-  /// the policy drops prepared operators.  Virtual so delegating engines
-  /// (parallel workers, fallback chains) forward it to their inner engines.
-  virtual void set_order_policy(tn::OrderPolicy policy) {
-    if (policy == order_policy_) return;
-    order_policy_ = policy;
-    clear_prepared();
-  }
-  [[nodiscard]] tn::OrderPolicy order_policy() const { return order_policy_; }
-
   /// TDD roots held by the prepared-operator cache.  Long-running fixpoint
   /// loops pass these (plus their own live subspaces) to Manager::gc so the
   /// node pool stays bounded without invalidating cached operators.  Virtual
@@ -207,7 +193,6 @@ class ImageComputer {
   tdd::Manager& mgr_;
   ExecutionContext own_ctx_;
   ExecutionContext* ctx_;
-  tn::OrderPolicy order_policy_ = tn::OrderPolicy::kGreedy;
 
  private:
   std::unordered_map<const circ::Circuit*, std::unique_ptr<Prepared>> prepared_;

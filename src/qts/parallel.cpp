@@ -199,11 +199,6 @@ void ParallelImage::clear_prepared() {
   for (const auto& w : workers_) w->engine->clear_prepared();
 }
 
-void ParallelImage::set_order_policy(tn::OrderPolicy policy) {
-  ImageComputer::set_order_policy(policy);
-  for (const auto& w : workers_) w->engine->set_order_policy(policy);
-}
-
 std::vector<Edge> ParallelImage::prepared_roots() const {
   std::vector<Edge> roots;
   for (const auto& w : workers_) {

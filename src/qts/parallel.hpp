@@ -16,8 +16,8 @@
 ///   2. each worker applies its shard's Kraus circuits in place and drops
 ///      images already inside the accumulator snapshot, if one was given —
 ///      input kets, prepared operators and result kets all live in the one
-///      shared manager, so nothing is ever copied between node pools
-///      (`tdd::transfer` is not involved; a test pins this at zero calls);
+///      shared manager, so nothing is ever copied between node pools (a test
+///      pins the projector node-identical to the sequential engine's);
 ///   3. after all workers join, the parent concatenates the survivors in
 ///      shard order, i.e. *task order*, so the output is bit-for-bit
 ///      independent of the worker count.
@@ -100,9 +100,6 @@ class ParallelImage final : public ImageComputer {
   /// The prepared-operator caches live in the workers' inner engines (keyed
   /// on Circuit addresses, like any sequential engine's); forward the drop.
   void clear_prepared() override;
-
-  /// Contraction ordering happens inside the workers' inner engines too.
-  void set_order_policy(tn::OrderPolicy policy) override;
 
   /// Everything the workers' prepared caches keep alive in the SHARED
   /// manager (the engine itself prepares nothing).  Driver GCs must see these

@@ -14,14 +14,35 @@ namespace {
 
 using NodeIds = FlatCache<const Node*, long>;
 
-void collect(const Node* n, NodeIds& ids,
-             std::vector<const Node*>& order) {
-  if (n == nullptr || ids.contains(n)) return;
-  // Children first: the file is bottom-up so load() can rebuild in order.
-  collect(n->low().node, ids, order);
-  collect(n->high().node, ids, order);
-  ids.insert(n, static_cast<long>(order.size()));
-  order.push_back(n);
+/// Number every node reachable from `root` that `ids` does not hold yet, in
+/// post-order, low child before high: the file is bottom-up so load() can
+/// rebuild in order.  The walk keeps an explicit stack, so a diagram's depth
+/// is not bounded by the call stack; a node stays on the stack until both
+/// children are numbered, and the low child is pushed last so its subtree is
+/// numbered first.  The numbering fixes the file's bytes, which result-cache
+/// records and the golden text test pin.
+void collect(const Node* root, NodeIds& ids, std::vector<const Node*>& order) {
+  std::vector<const Node*> stack;
+  if (root != nullptr) stack.push_back(root);
+  while (!stack.empty()) {
+    const Node* n = stack.back();
+    if (ids.contains(n)) {  // reached again through a second parent
+      stack.pop_back();
+      continue;
+    }
+    const Node* low = n->low().node;
+    const Node* high = n->high().node;
+    const bool low_done = low == nullptr || ids.contains(low);
+    const bool high_done = high == nullptr || ids.contains(high);
+    if (low_done && high_done) {
+      stack.pop_back();
+      ids.insert(n, static_cast<long>(order.size()));
+      order.push_back(n);
+      continue;
+    }
+    if (!high_done) stack.push_back(high);
+    if (!low_done) stack.push_back(low);
+  }
 }
 
 long id_of(const Node* n, const NodeIds& ids) {

@@ -21,10 +21,11 @@ namespace qts::tn {
 /// null).
 ///
 /// `policy` chooses the pairwise merge order (tn/order.hpp).  The default
-/// is the greedy min-width planner, which pays on monolithic networks;
-/// OrderPolicy::kCaller folds in the given tensor order.  Because reduced
-/// TDDs are canonical the returned tensor is bit-identical under every
-/// policy — only intermediate sizes and wall-clock change.
+/// is the greedy min-width planner, which the basic and addition engines'
+/// monolithic pre-contractions use; contraction-partition blocks and
+/// `simulate` pass OrderPolicy::kCaller to fold in the given tensor order.
+/// Because reduced TDDs are canonical the returned tensor is bit-identical
+/// under every policy — only intermediate sizes and wall-clock change.
 Tensor contract_network(tdd::Manager& mgr, const std::vector<Tensor>& tensors,
                         const std::vector<tdd::Level>& keep, ExecutionContext* ctx = nullptr,
                         OrderPolicy policy = OrderPolicy::kGreedy);

@@ -6,7 +6,6 @@
 #include <tuple>
 #include <utility>
 
-#include "common/error.hpp"
 #include "common/timer.hpp"
 
 namespace qts::tn {
@@ -271,21 +270,6 @@ ContractionPlan plan_greedy(const Problem& p, ExecutionContext* ctx) {
 }
 
 }  // namespace
-
-OrderPolicy parse_order_policy(const std::string& text) {
-  if (text == "caller") return OrderPolicy::kCaller;
-  if (text == "greedy") return OrderPolicy::kGreedy;
-  throw InvalidArgument("unknown contraction-order policy '" + text +
-                        "' (expected caller or greedy)");
-}
-
-std::string to_string(OrderPolicy policy) {
-  switch (policy) {
-    case OrderPolicy::kCaller: return "caller";
-    case OrderPolicy::kGreedy: return "greedy";
-  }
-  throw InternalError("to_string(OrderPolicy): invalid enum value");
-}
 
 ContractionPlan plan_order_indices(const std::vector<std::vector<tdd::Level>>& index_sets,
                                    const std::vector<tdd::Level>& keep, OrderPolicy policy,

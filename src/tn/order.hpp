@@ -26,14 +26,16 @@
 ///     pairs that actually share an index, with deterministic position
 ///     tie-breaks.  Incremental: a merge changes no other pair's width, so
 ///     a lazy-deletion heap scores only the merged slot's new pairs, and
-///     the plans are step-identical to the O(n^3) rescan.  Used for the
-///     monolithic pre-contractions of the basic and addition engines,
-///     where it pays.
+///     the plans are step-identical to the O(n^3) rescan.  Always used for
+///     the monolithic pre-contractions of the basic and addition engines,
+///     where it beats the caller fold on every Table I cell.
+///
+/// The policy is not a user setting: each caller fixes the order its
+/// algorithm needs.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
-#include <string>
 #include <vector>
 
 #include "common/execution_context.hpp"
@@ -45,13 +47,6 @@ enum class OrderPolicy {
   kCaller,  ///< left-to-right fold in the caller's tensor order
   kGreedy,  ///< min-width greedy pairwise merging
 };
-
-/// Parse "caller" | "greedy" (strict full match).  Throws InvalidArgument
-/// on anything else — "greedyx" is an error, not kGreedy.
-OrderPolicy parse_order_policy(const std::string& text);
-
-/// Canonical spelling; parse_order_policy(to_string(p)) round-trips.
-std::string to_string(OrderPolicy policy);
 
 /// One pairwise merge in SSA form: slots 0..n-1 are the input tensors, the
 /// result of step i becomes slot n+i.  Every slot is consumed exactly once;

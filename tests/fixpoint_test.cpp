@@ -17,7 +17,6 @@
 #include "qts/fixpoint.hpp"
 #include "qts/reachability.hpp"
 #include "qts/workloads.hpp"
-#include "tdd/transfer.hpp"
 #include "test_helpers.hpp"
 
 namespace qts {
@@ -109,16 +108,20 @@ TEST(ShardedReachability, BitForBitDeterministicAcrossRunsAndThreadCounts) {
 TEST(ShardedReachability, FrontierPathPerformsZeroTransfers) {
   // The shared-manager engine works in place: workers apply Kraus operators
   // and filter against the accumulator projector directly on the one
-  // manager.  tdd::transfer is an io/interop facility only — a whole
-  // multi-threaded fixpoint must not perform a single cross-manager copy.
+  // manager, so no diagram is copied between node pools.  The multi-threaded
+  // fixpoint therefore lands on the very projector node the sequential
+  // engine builds in the same manager.
   tdd::Manager mgr;
   const TransitionSystem sys = with_depolarizing(make_qrw_system(mgr, 4, 0.1, true, 0));
-  const auto engine = make_engine(mgr, "parallel:4");
-  const std::uint64_t transfers_before = tdd::transfer_calls();
-  const auto r = reachable_space(*engine, sys, 32);
+  const auto sequential = make_engine(mgr, "contraction:4,4");
+  const auto parallel = make_engine(mgr, "parallel:4");
+  const auto seq = reachable_space(*sequential, sys, 32);
+  const auto r = reachable_space(*parallel, sys, 32);
   EXPECT_TRUE(r.converged);
   EXPECT_GE(r.space.dim(), 1u);
-  EXPECT_EQ(tdd::transfer_calls(), transfers_before);
+  EXPECT_EQ(r.space.dim(), seq.space.dim());
+  EXPECT_EQ(r.space.projector().node, seq.space.projector().node);
+  EXPECT_TRUE(tdd::same_tensor(r.space.projector(), seq.space.projector()));
 }
 
 TEST(ShardedReachability, DeadlineInsideFrontierShardPropagatesAndRearms) {

@@ -1,11 +1,12 @@
 /// \file order_test.cpp
-/// The contraction-order planner (tn/order.hpp): policy parsing, plan
-/// well-formedness and compiled sum-out sets, determinism across runs and
-/// managers, step-identity of the incremental greedy planner against the
-/// reference O(n^3) scan, deadline polling, and — the load-bearing
-/// property — bit-identical model-checking results under every policy on
-/// the full workload corpus.  Reduced TDDs are canonical, so the final
-/// projector must not depend on the merge order at all.
+/// The contraction-order planner (tn/order.hpp): plan well-formedness and
+/// compiled sum-out sets, determinism across runs and managers,
+/// step-identity of the incremental greedy planner against the reference
+/// O(n^3) scan, deadline polling, the greedy plan behind the basic and
+/// addition engines' pre-contraction, and — the load-bearing property —
+/// bit-identical model-checking results across engines whose contraction
+/// orders differ, on the full workload corpus.  Reduced TDDs are
+/// canonical, so the final projector must not depend on the merge order.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -29,6 +30,7 @@
 #include "tn/circuit_tensors.hpp"
 #include "tn/contract.hpp"
 #include "tn/order.hpp"
+#include "tn/partition.hpp"
 
 namespace qts::tn {
 namespace {
@@ -36,26 +38,6 @@ namespace {
 using tdd::Level;
 
 constexpr OrderPolicy kPolicies[] = {OrderPolicy::kCaller, OrderPolicy::kGreedy};
-
-// ---------------------------------------------------------------------------
-// Policy parsing
-
-TEST(OrderPolicyParse, RoundTripsAndStrictness) {
-  EXPECT_EQ(parse_order_policy("caller"), OrderPolicy::kCaller);
-  EXPECT_EQ(parse_order_policy("greedy"), OrderPolicy::kGreedy);
-  for (const auto p : kPolicies) EXPECT_EQ(parse_order_policy(to_string(p)), p);
-  EXPECT_THROW((void)parse_order_policy("bogus"), InvalidArgument);
-  EXPECT_THROW((void)parse_order_policy("greedyx"), InvalidArgument);  // full match only
-  EXPECT_THROW((void)parse_order_policy(" greedy"), InvalidArgument);
-  EXPECT_THROW((void)parse_order_policy("Greedy"), InvalidArgument);
-  EXPECT_THROW((void)parse_order_policy(""), InvalidArgument);
-  try {
-    (void)parse_order_policy("exact");  // not a policy
-    ADD_FAILURE() << "'exact' parsed";
-  } catch (const InvalidArgument& e) {
-    EXPECT_NE(std::string(e.what()).find("expected caller or greedy"), std::string::npos);
-  }
-}
 
 // ---------------------------------------------------------------------------
 // Plan well-formedness
@@ -393,26 +375,79 @@ TEST(OrderContract, MismatchedPlanIsRejected) {
 }
 
 // ---------------------------------------------------------------------------
-// End-to-end differential oracle: reach/invar/back on the workload corpus
+// The engines' fixed orders
 
-struct PolicyRun {
+/// Prepare `sys`'s first Kraus circuit under `spec` in a fresh manager and
+/// return the planner width and peak #node that preparation recorded.
+std::pair<std::size_t, std::size_t> prepare_gauges(const std::string& spec,
+                                                   TransitionSystem (*make)(tdd::Manager&)) {
+  ExecutionContext ctx;
+  tdd::Manager mgr;
+  mgr.bind_context(&ctx);
+  const TransitionSystem sys = make(mgr);
+  const auto computer = make_engine(mgr, spec, &ctx);
+  (void)computer->apply_kraus(sys.operations.at(0).kraus.at(0), sys.initial.basis().at(0),
+                              sys.num_qubits);
+  return {ctx.stats().plan_max_width, ctx.stats().peak_nodes};
+}
+
+/// The same gauges for contracting each of `networks` (which share their
+/// index sets, like the slices of an addition partition) under one plan.
+std::pair<std::size_t, std::size_t> plan_gauges(tdd::Manager& mgr,
+                                                const std::vector<std::vector<Tensor>>& networks,
+                                                const std::vector<Level>& keep,
+                                                OrderPolicy policy) {
+  ExecutionContext ctx;
+  const ContractionPlan plan = plan_order(networks.front(), keep, policy);
+  for (const auto& tensors : networks) (void)contract_network(mgr, tensors, keep, &ctx, plan);
+  return {plan.max_width, ctx.stats().peak_nodes};
+}
+
+TEST(OrderGreedy, BasicAndAdditionPrepareWithTheGreedyPlan) {
+  // Nothing configures the pre-contraction order: basic and addition always
+  // plan their monolithic networks greedily.  On grover7 both orders reach
+  // the operator's full width, but their intermediate peaks differ, so the
+  // recorded gauges tell them apart.
+  const auto make = [](tdd::Manager& m) { return make_grover_system(m, 7); };
+  tdd::Manager mgr;
+  const TransitionSystem sys = make(mgr);
+  const auto net = build_network(mgr, sys.operations.at(0).kraus.at(0));
+  const auto keep = net.external_indices();
+
+  const auto greedy = plan_gauges(mgr, {net.tensors}, keep, OrderPolicy::kGreedy);
+  const auto caller = plan_gauges(mgr, {net.tensors}, keep, OrderPolicy::kCaller);
+  ASSERT_NE(greedy.second, caller.second);
+  EXPECT_EQ(prepare_gauges("basic", make), greedy);
+
+  std::vector<std::vector<Tensor>> slices;
+  for (auto& slice : addition_partition(mgr, net, 1).slices) slices.push_back(slice.tensors);
+  const auto greedy_slices = plan_gauges(mgr, slices, keep, OrderPolicy::kGreedy);
+  const auto caller_slices = plan_gauges(mgr, slices, keep, OrderPolicy::kCaller);
+  ASSERT_NE(greedy_slices.second, caller_slices.second);
+  EXPECT_EQ(prepare_gauges("addition:1", make), greedy_slices);
+}
+
+// ---------------------------------------------------------------------------
+// End-to-end differential oracle: reach/invar/back on the workload corpus,
+// engines with greedy pre-contraction (basic, addition) against engines
+// that fold the ket through blocks in circuit order (contraction)
+
+struct EngineRun {
   std::size_t dim = 0;
   const tdd::Node* node = nullptr;
   cplx weight{0.0, 0.0};
   bool holds = false;
 };
 
-/// Run one model-checking command under `policy` in a FRESH manager and
-/// return the final projector identity (node pointer comparison is only
-/// meaningful within one manager, so callers compare runs made in the SAME
-/// manager — see below).
-PolicyRun run_policy(tdd::Manager& mgr, const TransitionSystem& sys, const std::string& engine,
-                     OrderPolicy policy, const std::string& command, std::size_t steps) {
+/// Run one model-checking command under `engine` in `mgr` and return the
+/// final projector identity (node pointer comparison is only meaningful
+/// within one manager, so callers compare runs made in the SAME manager).
+EngineRun run_engine(tdd::Manager& mgr, const TransitionSystem& sys, const std::string& engine,
+                     const std::string& command, std::size_t steps) {
   ExecutionContext ctx;
   mgr.bind_context(&ctx);
   const auto computer = make_engine(mgr, engine, &ctx);
-  computer->set_order_policy(policy);
-  PolicyRun out;
+  EngineRun out;
   if (command == "reach") {
     const auto r = reachable_space(*computer, sys, steps);
     out.dim = r.space.dim();
@@ -431,19 +466,22 @@ PolicyRun run_policy(tdd::Manager& mgr, const TransitionSystem& sys, const std::
   return out;
 }
 
-void expect_policies_agree(const std::function<TransitionSystem(tdd::Manager&)>& make,
-                           const std::string& engine, const std::string& command,
-                           std::size_t steps) {
-  // One manager for both policies: reduced TDDs are canonical there,
-  // so "bit-identical projector" is literal node identity.
+/// Run `command` under `greedy` (a basic or addition spec) and `caller` (a
+/// contraction spec) in one manager and require the same result.
+void expect_engines_agree(const std::function<TransitionSystem(tdd::Manager&)>& make,
+                          const std::string& greedy, const std::string& caller,
+                          const std::string& command, std::size_t steps) {
+  // One manager for both engines: reduced TDDs are canonical there, so
+  // "bit-identical projector" is literal node identity.
   tdd::Manager mgr;
   const TransitionSystem sys = make(mgr);
-  const PolicyRun caller = run_policy(mgr, sys, engine, OrderPolicy::kCaller, command, steps);
-  const PolicyRun greedy = run_policy(mgr, sys, engine, OrderPolicy::kGreedy, command, steps);
-  EXPECT_EQ(caller.dim, greedy.dim) << engine << " " << command;
-  EXPECT_EQ(caller.node, greedy.node) << engine << " " << command;
-  EXPECT_EQ(caller.weight, greedy.weight) << engine << " " << command;
-  EXPECT_EQ(caller.holds, greedy.holds) << engine << " " << command;
+  const EngineRun g = run_engine(mgr, sys, greedy, command, steps);
+  const EngineRun c = run_engine(mgr, sys, caller, command, steps);
+  const std::string trace = greedy + " vs " + caller + " " + command;
+  EXPECT_EQ(g.dim, c.dim) << trace;
+  EXPECT_EQ(g.node, c.node) << trace;
+  EXPECT_EQ(g.weight, c.weight) << trace;
+  EXPECT_EQ(g.holds, c.holds) << trace;
 }
 
 TransitionSystem load_example_system(tdd::Manager& mgr, const std::string& file) {
@@ -470,16 +508,16 @@ TEST(OrderDifferential, ReachBitIdenticalOnAllWorkloads) {
     SCOPED_TRACE(name);
     // basic exercises the monolithic pre-contraction plan, contraction the
     // blocks + ket push plan — the two genuinely multi-tensor paths.
-    expect_policies_agree(make, "basic", "reach", 16);
-    expect_policies_agree(make, "contraction:4,4", "reach", 16);
+    expect_engines_agree(make, "basic", "contraction:4,4", "reach", 16);
+    expect_engines_agree(make, "basic", "contraction:2,2", "reach", 16);
   }
 }
 
 TEST(OrderDifferential, AdditionEngineAgreesToo) {
-  expect_policies_agree([](tdd::Manager& m) { return make_qft_system(m, 5); }, "addition:1",
-                        "reach", 16);
-  expect_policies_agree([](tdd::Manager& m) { return make_bitflip_code_system(m); },
-                        "addition:2", "reach", 16);
+  expect_engines_agree([](tdd::Manager& m) { return make_qft_system(m, 5); }, "addition:1",
+                       "contraction:4,4", "reach", 16);
+  expect_engines_agree([](tdd::Manager& m) { return make_bitflip_code_system(m); },
+                       "addition:2", "contraction:2,2", "reach", 16);
 }
 
 TEST(OrderDifferential, InvarAndBackBitIdentical) {
@@ -487,8 +525,8 @@ TEST(OrderDifferential, InvarAndBackBitIdentical) {
   const auto bitflip = [](tdd::Manager& m) { return make_bitflip_code_system(m); };
   for (const auto* command : {"invar", "back"}) {
     SCOPED_TRACE(command);
-    expect_policies_agree(qrw, "contraction:4,4", command, 12);
-    expect_policies_agree(bitflip, "basic", command, 12);
+    expect_engines_agree(qrw, "addition:1", "contraction:4,4", command, 12);
+    expect_engines_agree(bitflip, "basic", "contraction:2,2", command, 12);
   }
 }
 
@@ -498,9 +536,9 @@ TEST(OrderDifferential, ExampleQasmBitIdentical) {
     const auto make = [file](tdd::Manager& m) { return load_example_system(m, file); };
     // The 16-qubit GHZ converges only after thousands of iterations; the
     // small cap keeps this a real multi-iteration differential run.
-    expect_policies_agree(make, "contraction:4,4", "reach", 6);
-    expect_policies_agree(make, "basic", "invar", 4);
-    expect_policies_agree(make, "basic", "back", 4);
+    expect_engines_agree(make, "basic", "contraction:4,4", "reach", 6);
+    expect_engines_agree(make, "basic", "contraction:4,4", "invar", 4);
+    expect_engines_agree(make, "addition:1", "contraction:2,2", "back", 4);
   }
 }
 

@@ -1,14 +1,15 @@
-/// Tests for the in-memory cross-manager transfer (tdd/transfer.hpp):
-/// random TDDs round-tripped through transfer() land on exactly the same
-/// canonical diagram as an io::save/load round-trip, with identical node
-/// counts and dense read-back; deep diagrams exercise the iterative
-/// traversals (transfer, node_count, GC mark).
+/// Tests for cross-manager transfer through the text codec (tdd/io.hpp): a
+/// diagram saved from one manager and loaded into another lands on the
+/// canonical diagram there, identical between the string and stream forms
+/// of the codec, with identical node counts and dense read-back; deep
+/// diagrams exercise the iterative traversals (io save and load,
+/// node_count, GC mark).
 #include <gtest/gtest.h>
 
+#include <sstream>
 #include <vector>
 
 #include "tdd/io.hpp"
-#include "tdd/transfer.hpp"
 #include "test_helpers.hpp"
 
 namespace qts::tdd {
@@ -19,6 +20,9 @@ std::vector<Level> consecutive_levels(std::size_t rank) {
   for (std::size_t i = 0; i < rank; ++i) levels[i] = static_cast<Level>(i);
   return levels;
 }
+
+/// Copy the diagram rooted at `root` into `dst` through the text codec.
+Edge transfer(const Edge& root, Manager& dst) { return load_string(dst, save_string(root)); }
 
 TEST(Transfer, TerminalEdges) {
   Manager src;
@@ -40,7 +44,9 @@ TEST(Transfer, RandomTensorsMatchIoRoundTrip) {
       const Edge e = from_dense(src, dense, levels);
 
       const Edge transferred = transfer(e, dst);
-      const Edge loaded = load_string(dst, save_string(e));
+      std::stringstream stream;
+      save(e, stream);
+      const Edge loaded = load(dst, stream);
 
       // Identical canonical diagram in the destination: same node pointer
       // (hash-consing), same weight, same size, same dense tensor.
@@ -80,8 +86,8 @@ TEST(Transfer, IntoTheOwningManagerIsIdentity) {
 }
 
 /// A path-shaped diagram with `depth` nodes: level i tests variable i and
-/// only the low branch continues.  Deep enough that the old recursive
-/// traversals (node_count, GC mark, io collect) would overflow the stack.
+/// only the low branch continues.  Deep enough that a recursive traversal
+/// (node_count, GC mark, io save) would overflow the stack.
 Edge make_deep_chain(Manager& mgr, std::size_t depth) {
   Edge e = mgr.one();
   for (std::size_t i = depth; i-- > 0;) {
@@ -97,7 +103,7 @@ TEST(Transfer, DeepDiagramsDoNotOverflowTheStack) {
   const Edge chain = make_deep_chain(src, kDepth);
   EXPECT_EQ(node_count(chain), kDepth);  // iterative node_count
 
-  const Edge moved = transfer(chain, dst);  // iterative transfer
+  const Edge moved = transfer(chain, dst);  // iterative io save and load
   EXPECT_EQ(node_count(moved), kDepth);
 
   // Iterative GC mark: everything reachable from the chain survives.

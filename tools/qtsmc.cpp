@@ -24,8 +24,8 @@
 ///                                          specA and degrades to the next
 ///                                          spec on resource exhaustion,
 ///                                          resuming from the last completed
-///                                          iteration
-///   --method basic|addition|contraction    shorthand for --engine METHOD
+///                                          iteration.  The spec is the
+///                                          engine's whole configuration
 ///   --cross-check SPEC                     run a second engine as a differential
 ///                                          oracle: frontier dims, survivor
 ///                                          counts and the final subspace are
@@ -62,20 +62,6 @@
 ///                                          severe per-job code.  Top-level
 ///                                          --cache/--timeout/--stats/--verbose
 ///                                          become per-job defaults.
-///   --k K                                  addition slices (default 1)
-///   --k1 K --k2 K                          contraction cut (default 4 4)
-///   --order caller|greedy                  contraction-order policy for the
-///                                          basic/addition engines' monolithic
-///                                          pre-contraction (tn/order.hpp):
-///                                          greedy = min-width planner (the
-///                                          default), caller = circuit-order
-///                                          fold.  Image pushes (ket first)
-///                                          and contraction-partition blocks
-///                                          (circuit order) always use the
-///                                          paper's orders.  Results are
-///                                          bit-identical under every policy;
-///                                          only intermediate sizes and
-///                                          wall-clock change
 ///   --initial BITSTRING[,BITSTRING...]     initial basis kets (default 0…0)
 ///   --noise CHANNEL:P:QUBIT                append a noise channel, e.g.
 ///                                          bitflip:0.1:0 or depol:0.05:2
@@ -193,8 +179,6 @@ struct Options {
   EngineSpec engine;
   bool cross_check = false;
   EngineSpec oracle;
-  bool has_order = false;
-  tn::OrderPolicy order = tn::OrderPolicy::kGreedy;
   std::vector<std::string> initial;
   std::vector<std::string> noise;
   std::size_t steps = 64;
@@ -228,7 +212,6 @@ struct UsageError {
                                          non-zeros per ket) |
                                          fallback:specA;specB[;...] (degrade to
                                          the next spec on resource exhaustion)
-  --method basic|addition|contraction    shorthand for --engine METHOD
   --cross-check SPEC                     differential oracle engine; divergence
                                          from the primary engine exits 4
                                          (SPEC "null" = deliberately wrong
@@ -243,12 +226,6 @@ struct UsageError {
                                          FILE over a shared manager; per-job
                                          report lines; exits with the most
                                          severe per-job code
-  --k K                                  addition-partition slices (default 1)
-  --k1 K --k2 K                          contraction cut parameters (default 4 4)
-  --order caller|greedy                  order of the basic/addition monolithic
-                                         pre-contraction (default greedy min-width
-                                         planner; caller = circuit-order fold);
-                                         pushes and blocks use the paper's orders
   --initial BITS[,BITS...]               initial basis kets (default all zeros)
   --noise CHANNEL:P:QUBIT                bitflip|phaseflip|depol|damp channel
   --steps N                              fixpoint iteration cap (default 64)
@@ -275,13 +252,10 @@ exit codes: 0 success/holds, 1 property violated, 2 usage or parse error,
 /// std::stoul silently accepted trailing garbage ("--steps 10x" ran 10
 /// steps) and wrapped negatives ("--gc-nodes -1" became a huge threshold);
 /// anything but pure digits is now a usage error (exit 2).
-std::uint64_t parse_count(const std::string& flag, const std::string& text,
-                          std::uint64_t max_value = ~std::uint64_t{0}) {
+std::uint64_t parse_count(const std::string& flag, const std::string& text) {
   const auto value = parse_uint(text);
-  if (!value.has_value() || *value > max_value) {
-    throw UsageError{flag + " expects a non-negative integer" +
-                     (max_value == ~std::uint64_t{0} ? "" : " <= " + std::to_string(max_value)) +
-                     ", got '" + text + "'"};
+  if (!value.has_value()) {
+    throw UsageError{flag + " expects a non-negative integer, got '" + text + "'"};
   }
   return *value;
 }
@@ -311,19 +285,6 @@ Options parse_args(const std::vector<std::string>& args) {
     } else if (a == "--cross-check") {
       opt.cross_check = true;
       opt.oracle = EngineSpec::parse(next());
-    } else if (a == "--method") {
-      opt.engine.method = next();
-    } else if (a == "--k") {
-      opt.engine.k = static_cast<std::size_t>(parse_count(a, next()));
-    } else if (a == "--k1") {
-      opt.engine.k1 = static_cast<std::uint32_t>(parse_count(a, next(), 0xFFFFFFFFu));
-    } else if (a == "--k2") {
-      opt.engine.k2 = static_cast<std::uint32_t>(parse_count(a, next(), 0xFFFFFFFFu));
-    } else if (a == "--order") {
-      // Strict parse: "--order bogus" is a usage error (exit 2), like every
-      // other malformed flag value.
-      opt.order = tn::parse_order_policy(next());
-      opt.has_order = true;
     } else if (a == "--initial") {
       opt.initial = split(next(), ",");
     } else if (a == "--noise") {
@@ -457,14 +418,10 @@ JobOutcome run_job(const Options& opt, tdd::Manager& mgr, ResultCache* shared_ca
                        {QuantumOperation{"step", kraus}}};
 
   const std::unique_ptr<ImageComputer> computer = make_engine(mgr, opt.engine, &ctx);
-  if (opt.has_order) computer->set_order_policy(opt.order);
   // The oracle shares the manager and context: FixpointDriver::set_oracle
   // requires the former, and the latter folds its work into one stats line.
   std::unique_ptr<ImageComputer> oracle;
-  if (opt.cross_check) {
-    oracle = make_engine(mgr, opt.oracle, &ctx);
-    if (opt.has_order) oracle->set_order_policy(opt.order);
-  }
+  if (opt.cross_check) oracle = make_engine(mgr, opt.oracle, &ctx);
 
   if (!quiet) {
     std::cout << "circuit: " << opt.path << " (" << n << " qubits, " << circuit.size()
@@ -619,8 +576,7 @@ JobOutcome run_job(const Options& opt, tdd::Manager& mgr, ResultCache* shared_ca
                 << s.audited_nodes << " node(s)\n";
     }
     if (s.plans_computed > 0) {
-      std::cout << "planner: " << to_string(computer->order_policy()) << " policy, "
-                << s.plans_computed << " network(s) planned in "
+      std::cout << "planner: " << s.plans_computed << " network(s) planned in "
                 << format_fixed(s.plan_seconds * 1e3, 2) << " ms, max order width "
                 << s.plan_max_width << "\n";
     }
