@@ -63,4 +63,10 @@ inline void require(bool cond, const std::string& message) {
   if (!cond) throw InvalidArgument(message);
 }
 
+/// The string-literal form: builds the message only on failure, so a passing
+/// check on a hot path (make_node, contract) never allocates.
+inline void require(bool cond, const char* message) {
+  if (!cond) throw InvalidArgument(message);
+}
+
 }  // namespace qts

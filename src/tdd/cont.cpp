@@ -83,8 +83,15 @@ Edge Manager::cont_rec(ThreadSlot& sl, const Node* a, const Node* b, std::span<c
   const Edge b0 = slice_top(b, x, 0);
   const Edge b1 = slice_top(b, x, 1);
 
-  const Edge r0 = scale(cont_rec(sl, a0.node, b0.node, gamma, next), a0.weight * b0.weight);
-  const Edge r1 = scale(cont_rec(sl, a1.node, b1.node, gamma, next), a1.weight * b1.weight);
+  // A branch with a zero factor is zero.  It must not recurse: cont_rec
+  // reads the zero edge's null node as the constant 1, so it would walk the
+  // other factor's whole subtree only to scale the result by 0.
+  const auto branch = [&](const Edge& fa, const Edge& fb) {
+    if (fa.is_zero() || fb.is_zero()) return zero();
+    return scale(cont_rec(sl, fa.node, fb.node, gamma, next), fa.weight * fb.weight);
+  };
+  const Edge r0 = branch(a0, b0);
+  const Edge r1 = branch(a1, b1);
 
   const Edge result = summed ? add(r0, r1) : make_node(x, r0, r1);
   sl.cont_cache_.insert(key, result);

@@ -202,7 +202,10 @@ class Manager {
   /// level).  Variables not in gamma that occur in both operands are treated
   /// as shared (hyperedge) indices and survive in the result.  A gamma
   /// variable occurring in neither operand contributes a factor 2, matching
-  /// the tensor-network semantics of summing a constant over {0,1}.
+  /// the tensor-network semantics of summing a constant over {0,1}.  A
+  /// branch where either factor is the zero edge is zero and is never
+  /// expanded, so applying an operator to a basis ket costs O(result), not
+  /// O(operator).
   Edge contract(const Edge& a, const Edge& b, std::span<const Level> gamma);
 
   /// Fix variable `var` to `value` (0 or 1) and drop it from the tensor.

@@ -359,6 +359,33 @@ TEST(Contract, MemoStaysWithinItsBudgetBetweenCalls) {
   mgr.bind_context(nullptr);
 }
 
+TEST(Contract, OperatorOnBasisKetCostsTheResultNotTheOperator) {
+  // A basis ket is zero on every branch but one, so a dense operator applied
+  // to it must not walk the operator's other columns: the misses are bounded
+  // by the result's size (3 per node), not by the operator's 2^(2n) - 1
+  // nodes.
+  Manager mgr;
+  ExecutionContext ctx;
+  mgr.bind_context(&ctx);
+  Prng rng(36);
+  constexpr std::uint32_t n = 6;
+  constexpr std::size_t dim = std::size_t{1} << n;
+  la::Matrix m(dim, dim);
+  for (std::size_t r = 0; r < dim; ++r) {
+    for (std::size_t c = 0; c < dim; ++c) m(r, c) = rng.complex_unit_box();
+  }
+  const Edge op = operator_from_dense(mgr, m, n);
+  const Edge ket = ket_basis(mgr, n, 0);
+  const std::size_t misses = ctx.stats().cont_misses;
+  const Edge result = apply_operator(mgr, op, ket, n);
+  const std::size_t result_misses = ctx.stats().cont_misses - misses;
+  std::vector<cplx> column(dim);
+  for (std::size_t r = 0; r < dim; ++r) column[r] = m(r, 0);
+  test::expect_dense_eq(ket_to_dense(result, n), column);
+  EXPECT_LE(result_misses, 3 * node_count(result));
+  mgr.bind_context(nullptr);
+}
+
 TEST(Rename, ShiftsLevelsPreservingValues) {
   Manager mgr;
   Prng rng(8);
