@@ -1,9 +1,9 @@
 /// \file bench_reachability.cpp
-/// Frontier-shard thread sweep of the reachable-subspace fixpoint: the whole
-/// iteration body — imaging the frontier AND the orthogonalise-against-
-/// accumulator filtering — runs sharded across the worker pool when the
-/// engine is `parallel:<t>`, so this sweep measures the FixpointDriver's
-/// sharded path end to end, not just a single image() call.
+/// Frontier-shard thread sweep of the reachable-subspace fixpoint: each
+/// iteration's frontier images run sharded across the worker pool when the
+/// engine is `parallel:<t>`, and the Gram-Schmidt pass that extends the
+/// accumulator runs on the caller's thread, so this sweep measures the
+/// FixpointDriver's sharded path end to end, not just a single image() call.
 ///
 /// Usage:
 ///   bench_reachability [--n QUBITS] [--p PROB] [--steps N]

@@ -35,6 +35,7 @@ void ExecutionContext::join_worker(const ExecutionContext& worker) {
   stats_.fixpoint_iterations += w.fixpoint_iterations;
   stats_.frontier_kets += w.frontier_kets;
   stats_.frontier_shards += w.frontier_shards;
+  stats_.frontier_candidates += w.frontier_candidates;
   stats_.frontier_survivors += w.frontier_survivors;
   if (w.max_frontier_dim > stats_.max_frontier_dim) stats_.max_frontier_dim = w.max_frontier_dim;
   stats_.audits_run += w.audits_run;

@@ -33,6 +33,7 @@ struct RunStats {
   std::size_t fixpoint_iterations = 0;  ///< frontier iterations driven
   std::size_t frontier_kets = 0;        ///< frontier basis vectors imaged, summed over iterations
   std::size_t frontier_shards = 0;      ///< frontier shards dispatched (1 per sequential iteration)
+  std::size_t frontier_candidates = 0;  ///< image vectors handed to Gram-Schmidt
   std::size_t frontier_survivors = 0;   ///< image vectors that extended the accumulator
   std::size_t max_frontier_dim = 0;     ///< widest frontier seen in any iteration
 

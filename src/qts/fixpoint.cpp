@@ -174,11 +174,12 @@ FixpointDriver::Result FixpointDriver::run() {
     it.gc = collect;
 
     // Imaging only the frontier is sound because T(A ∨ B) = T(A) ∨ T(B)
-    // (Proposition 1) and previously imaged vectors add nothing new.  The
-    // engine's image step may pre-filter against the accumulator snapshot;
-    // either way the step ends in the single authoritative Gram-Schmidt pass
-    // of add_states: one orthogonalisation per candidate, whose surviving
-    // residuals are the next frontier.
+    // (Proposition 1) and previously imaged vectors add nothing new.  Only
+    // the seam engines pre-filter against the accumulator snapshot; every
+    // step ends in the single authoritative Gram-Schmidt pass of add_states:
+    // at most one orthogonalisation per candidate (scalar multiples of an
+    // earlier candidate are skipped by node), whose surviving residuals are
+    // the next frontier.
     const std::vector<Edge> candidates =
         computer_.frontier_candidates(sys_, frontier, n, acc.projector(), &it.shards);
     it.candidates = candidates.size();
@@ -211,6 +212,7 @@ FixpointDriver::Result FixpointDriver::run() {
     s.fixpoint_iterations += 1;
     s.frontier_kets += it.frontier_dim;
     s.frontier_shards += it.shards;
+    s.frontier_candidates += it.candidates;
     s.frontier_survivors += it.survivors;
     if (it.frontier_dim > s.max_frontier_dim) s.max_frontier_dim = it.frontier_dim;
     history_.push_back(it);

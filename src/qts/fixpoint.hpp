@@ -12,11 +12,11 @@
 /// driver hands the frontier and the accumulator's projector to
 /// `ImageComputer::frontier_candidates`, i.e. to the engine's one
 /// `image_step` hook, whatever the engine: sequential engines return every
-/// raw image, the parallel engine shards the step across workers and drops
-/// images already inside the accumulator there, and representation-changing
-/// engines (statevector, sparse) cross their seam once per step.  The
-/// returned candidates then extend the accumulator in ONE Gram-Schmidt pass
-/// per vector (`Subspace::add_states`) on the caller's thread: the
+/// raw image, the parallel engine shards the step across workers and returns
+/// the same raw images, and representation-changing engines (statevector,
+/// sparse) cross their seam once per step and drop residuals already inside
+/// the accumulator.  The returned candidates then extend the accumulator in
+/// ONE Gram-Schmidt pass (`Subspace::add_states`) on the caller's thread: the
 /// surviving orthonormal residuals ARE the next frontier, carried as a bare
 /// ket family (nothing ever projects onto the frontier, so no projector is
 /// maintained for it).  The fixpoint result is therefore independent of how
@@ -40,9 +40,9 @@ struct IterationStats {
   std::size_t iteration = 0;     ///< 1-based iteration number
   std::size_t frontier_dim = 0;  ///< frontier basis vectors imaged
   /// Image vectors fed to the accumulator's Gram-Schmidt pass.  For a
-  /// sequential engine this is every raw Kraus×ket image; engines that
-  /// pre-filter against the accumulator (parallel, statevector, sparse)
-  /// return fewer for the same computation.
+  /// sequential or parallel engine this is every raw Kraus×ket image; the
+  /// seam engines (statevector, sparse) pre-filter against the accumulator
+  /// and return fewer for the same computation.
   std::size_t candidates = 0;
   std::size_t survivors = 0;     ///< residuals that extended the accumulator
   std::size_t shards = 0;        ///< shards the image step dispatched (1 = undivided)

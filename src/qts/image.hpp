@@ -6,7 +6,8 @@
 /// operator, and join the resulting rays.  ImageComputer owns that loop as
 /// ONE virtual hook, `image_step`: a family of kets pushed through every
 /// Kraus circuit of a span of operations, returned op-major, Kraus-major,
-/// ket-minor, optionally pre-filtered against an accumulator projector.
+/// ket-minor; the seam engines also pre-filter against an accumulator
+/// projector.
 /// Every entry point — image(op, S), image(sys, S), image_kets and the
 /// FixpointDriver's frontier_candidates — is a non-virtual wrapper over it,
 /// so an engine that changes how the loop runs (the parallel engine shards
@@ -61,12 +62,13 @@ class ImageComputer {
   /// return the images op-major, Kraus-major, ket-minor.  The span of the
   /// result equals the span of the raw images modulo `acc_projector`: an
   /// engine may drop images already inside it (a zero projector filters
-  /// nothing), and may return any spanning family of what is left.
-  /// `shards_used`, when non-null, receives the number of shards dispatched
-  /// (1 when the step ran undivided on the caller's thread).  The default is
-  /// the sequential apply_kraus loop on this computer's manager, with no
-  /// filtering; engines that shard the loop or change representation
-  /// override it.
+  /// nothing), and may return any spanning family of what is left.  Only
+  /// the seam engines (statevector, sparse) use that freedom; every other
+  /// engine returns the raw images.  `shards_used`, when non-null, receives
+  /// the number of shards dispatched (1 when the step ran undivided on the
+  /// caller's thread).  The default is the sequential apply_kraus loop on
+  /// this computer's manager; engines that shard the loop or change
+  /// representation override it.
   virtual std::vector<tdd::Edge> image_step(std::span<const QuantumOperation> ops,
                                             std::span<const tdd::Edge> kets, std::uint32_t n,
                                             const tdd::Edge& acc_projector,
@@ -87,7 +89,7 @@ class ImageComputer {
 
   /// One fixpoint frontier step: the step over every operation of `sys`,
   /// pre-filtered against the accumulator snapshot `acc_projector` by the
-  /// engines that filter.
+  /// seam engines only; on every other engine it equals image_kets.
   std::vector<tdd::Edge> frontier_candidates(const TransitionSystem& sys,
                                              std::span<const tdd::Edge> frontier, std::uint32_t n,
                                              const tdd::Edge& acc_projector,
@@ -96,10 +98,11 @@ class ImageComputer {
   }
 
   /// True for engines whose image_step runs the whole frontier body itself:
-  /// the parallel engine shards it across workers and filters against the
-  /// accumulator there, and representation-changing engines (statevector,
-  /// sparse) cross into their representation once per step.  Informational:
-  /// every engine serves every entry point.
+  /// the parallel engine shards it across workers, and
+  /// representation-changing engines (statevector, sparse) cross into their
+  /// representation once per step and filter the re-encoded residuals
+  /// against the accumulator.  Informational: every engine serves every
+  /// entry point.
   [[nodiscard]] virtual bool shards_frontier() const { return false; }
 
   /// One cell of the Kraus×basis loop: apply a single Kraus circuit to a ket
@@ -182,8 +185,8 @@ class ImageComputer {
   /// parallel engine, fallback chains): public apply_kraus reaches it.
   [[noreturn]] void no_per_ket_path() const;
 
-  /// The image_step pre-filter: true when `phi` is not inside the
-  /// accumulator snapshot `acc_projector`.  A zero snapshot keeps every
+  /// The seam engines' image_step pre-filter: true when `phi` is not inside
+  /// the accumulator snapshot `acc_projector`.  A zero snapshot keeps every
   /// image without a containment test.
   [[nodiscard]] bool outside(const tdd::Edge& acc_projector, const tdd::Edge& phi,
                              std::uint32_t n) const {

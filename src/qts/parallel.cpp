@@ -57,7 +57,8 @@ std::size_t ParallelImage::shard_count(std::size_t tasks) const {
 
 std::vector<Edge> ParallelImage::image_step(std::span<const QuantumOperation> ops,
                                             std::span<const Edge> kets, std::uint32_t n,
-                                            const Edge& acc_projector, std::size_t* shards_used) {
+                                            const Edge& /*acc_projector*/,
+                                            std::size_t* shards_used) {
   ScopedTimer timer(ctx_);
   // The task list in the step's own (op, Kraus, ket) order, fixed before any
   // worker starts.  Sharding at task grain rather than ket grain keeps the
@@ -85,34 +86,19 @@ std::vector<Edge> ParallelImage::image_step(std::span<const QuantumOperation> op
     bounds[s + 1] = bounds[s] + tasks.size() / nshards + (s < tasks.size() % nshards ? 1 : 0);
   }
 
-  // Per-shard survivors.  Results land straight in the shared manager — no
-  // per-worker pools, no ket shipping: the input kets are immutable shared
-  // data while workers run, and a result edge is valid in the parent's
-  // hands the moment its worker stores it.
-  std::vector<std::vector<Edge>> kept(nshards);
-
+  // Every image lands in its task's own slot, so the output is in task order
+  // whatever the worker count was.  Results live straight in the shared
+  // manager — no per-worker pools, no ket shipping: the input kets are
+  // immutable shared data while workers run, and a result edge is valid in
+  // the parent's hands the moment its worker stores it.  Each worker's
+  // apply_kraus records the image's size; the join max-merges those peaks.
+  std::vector<Edge> out(tasks.size());
   run_pool(nshards, [&](std::size_t s) {
     Worker& w = *workers_[s];
-    // The accumulator projector is immutable shared data while workers run
-    // (the driver only grows it between iterations), so every shard filters
-    // against the identical diagram: a task's keep/drop verdict depends only
-    // on the projector and the task itself, never on where the shard
-    // boundaries fall — the source of the thread-count invariance.
     for (std::size_t i = bounds[s]; i < bounds[s + 1]; ++i) {
-      const Edge phi = w.engine->apply_kraus(*tasks[i].kraus, *tasks[i].ket, n);
-      if (outside(acc_projector, phi, n)) kept[s].push_back(phi);
+      out[i] = w.engine->apply_kraus(*tasks[i].kraus, *tasks[i].ket, n);
     }
   });
-
-  // Deterministic join: concatenating shard survivors in shard order is the
-  // task list's own order, whatever the worker count was.
-  std::vector<Edge> out;
-  for (std::size_t s = 0; s < nshards; ++s) {
-    for (const Edge& phi : kept[s]) {
-      out.push_back(phi);
-      tdd::record_peak(ctx_, out.back());
-    }
-  }
   return out;
 }
 

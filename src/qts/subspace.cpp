@@ -3,6 +3,7 @@
 #include <cmath>
 #include <cstdint>
 #include <string>
+#include <unordered_set>
 #include <utility>
 
 #include "common/error.hpp"
@@ -24,11 +25,12 @@ Subspace Subspace::from_states(tdd::Manager& mgr, std::uint32_t n,
 }
 
 bool Subspace::add_state(const Edge& state) {
-  auto& mgr = *mgr_;
-  const double in_norm = norm(mgr, state, n_);
-  if (in_norm <= kZeroNormTol) return false;
-  Edge u = mgr.scale(state, cplx{1.0 / in_norm, 0.0});
+  const double in_norm = norm(*mgr_, state, n_);
+  return in_norm > kZeroNormTol && add_unit(mgr_->scale(state, cplx{1.0 / in_norm, 0.0}));
+}
 
+bool Subspace::add_unit(Edge u) {
+  auto& mgr = *mgr_;
   // Two orthogonalisation passes (CGS2) for numerical robustness.
   for (int pass = 0; pass < 2; ++pass) {
     if (projector_.is_zero()) break;
@@ -52,9 +54,22 @@ bool Subspace::add_state(const Edge& state) {
 }
 
 std::vector<Edge> Subspace::add_states(const std::vector<Edge>& states) {
+  auto& mgr = *mgr_;
   std::vector<Edge> survivors;
+  // Nodes of the states already orthogonalised in this call.  Nodes are
+  // hash-consed, so a later state on one of them is a scalar multiple of an
+  // earlier one, whose direction is already in the span.  A node enters
+  // only after its state passed the zero-norm test, so a negligible copy
+  // never hides a real one, and the zero edge never enters: its null node
+  // also stands for the constant ket.
+  std::unordered_set<const tdd::Node*> orthogonalised;
+  orthogonalised.reserve(states.size());
   for (const auto& v : states) {
-    if (add_state(v)) survivors.push_back(basis_.back());
+    if (orthogonalised.contains(v.node)) continue;
+    const double in_norm = norm(mgr, v, n_);
+    if (in_norm <= kZeroNormTol) continue;
+    orthogonalised.insert(v.node);
+    if (add_unit(mgr.scale(v, cplx{1.0 / in_norm, 0.0}))) survivors.push_back(basis_.back());
   }
   return survivors;
 }

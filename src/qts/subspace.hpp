@@ -45,7 +45,10 @@ class Subspace {
   /// return the orthonormal residuals that were appended — exactly the
   /// basis of "what was new" in `states`.  Filtering and extension become
   /// one Gram-Schmidt pass where callers previously paid two
-  /// (contains() to build a frontier, then add_state() to extend).
+  /// (contains() to build a frontier, then add_state() to extend).  A
+  /// state on the same node as an earlier non-zero state of the call is a
+  /// scalar multiple of it (hash-consing) and is skipped without a norm or
+  /// a projection; the result is the same as adding it.
   std::vector<tdd::Edge> add_states(const std::vector<tdd::Edge>& states);
 
   /// Join S ∨ T: extend by every basis vector of `other`.
@@ -56,8 +59,8 @@ class Subspace {
 
   /// Membership test against a bare projector TDD, without a Subspace (the
   /// projector alone determines the subspace).  Used where only the
-  /// projector crosses a manager boundary — a frontier-shard worker filters
-  /// its images against the accumulator snapshot it was shipped.
+  /// projector is at hand — the seam engines filter their re-encoded
+  /// residuals against the accumulator snapshot they were given.
   [[nodiscard]] static bool projector_contains(tdd::Manager& mgr, const tdd::Edge& projector,
                                                const tdd::Edge& state, std::uint32_t n,
                                                double tol = kMembershipTol);
@@ -86,6 +89,10 @@ class Subspace {
   /// re-deriving one with from_projector.
   static Subspace from_stored(tdd::Manager& mgr, std::uint32_t n, std::vector<tdd::Edge> basis,
                               const tdd::Edge& projector);
+
+  /// add_state's body after the zero-norm test: orthogonalise the unit
+  /// vector `u` against the subspace and grow it by the residual, if any.
+  bool add_unit(tdd::Edge u);
 
   tdd::Manager* mgr_;
   std::uint32_t n_;

@@ -187,16 +187,18 @@ TEST(FixpointDriver, ShardCountsReportedOnTheShardedPath) {
   // spreads its 4 depolarizing Kraus circuits over both workers.
   EXPECT_TRUE(saw_multi_shard);
   // The context's aggregate counters mirror the history.
-  std::size_t kets = 0, shards = 0, survivors = 0, widest = 0;
+  std::size_t kets = 0, shards = 0, candidates = 0, survivors = 0, widest = 0;
   for (const auto& it : driver.history()) {
     kets += it.frontier_dim;
     shards += it.shards;
+    candidates += it.candidates;
     survivors += it.survivors;
     widest = std::max(widest, it.frontier_dim);
   }
   EXPECT_EQ(ctx.stats().fixpoint_iterations, r.iterations);
   EXPECT_EQ(ctx.stats().frontier_kets, kets);
   EXPECT_EQ(ctx.stats().frontier_shards, shards);
+  EXPECT_EQ(ctx.stats().frontier_candidates, candidates);
   EXPECT_EQ(ctx.stats().frontier_survivors, survivors);
   EXPECT_EQ(ctx.stats().max_frontier_dim, widest);
 }

@@ -11,6 +11,7 @@
 #include "common/error.hpp"
 #include "qts/backward.hpp"
 #include "qts/engine.hpp"
+#include "qts/fixpoint.hpp"
 #include "qts/parallel.hpp"
 #include "qts/reachability.hpp"
 #include "qts/workloads.hpp"
@@ -128,6 +129,50 @@ TEST(ParallelImage, ReachabilityFixpointMatchesSequential) {
   EXPECT_EQ(r_par.converged, r_seq.converged);
   EXPECT_EQ(r_par.space.dim(), r_seq.space.dim());
   EXPECT_TRUE(r_par.space.same_subspace(r_seq.space));
+}
+
+TEST(ParallelImage, FrontierStepReturnsEveryImage) {
+  tdd::Manager mgr;
+  const TransitionSystem sys = make_bitflip_code_system(mgr);
+  const std::uint32_t n = sys.num_qubits;
+  const auto sequential = make_engine(mgr, "contraction:4,4");
+  const auto parallel = make_engine(mgr, "parallel:4");
+
+  // One fixpoint step, so some images of the new frontier already lie in
+  // the accumulator.
+  Subspace acc = sys.initial;
+  const std::vector<tdd::Edge> frontier =
+      acc.add_states(sequential->image_kets(sys, sys.initial.basis(), n));
+  ASSERT_FALSE(frontier.empty());
+  const std::vector<tdd::Edge> images = sequential->image_kets(sys, frontier, n);
+  std::size_t inside = 0;
+  for (const auto& phi : images) inside += acc.contains(phi) ? 1 : 0;
+  ASSERT_GT(inside, 0u);
+
+  // The parallel engine filters nothing: its frontier step is image_kets,
+  // node for node and weight for weight, in the same order.
+  const std::vector<tdd::Edge> candidates =
+      parallel->frontier_candidates(sys, frontier, n, acc.projector(), nullptr);
+  const std::vector<tdd::Edge> own = parallel->image_kets(sys, frontier, n);
+  ASSERT_EQ(candidates.size(), images.size());
+  ASSERT_EQ(own.size(), images.size());
+  for (std::size_t i = 0; i < images.size(); ++i) {
+    EXPECT_EQ(candidates[i].node, own[i].node) << "image " << i;
+    EXPECT_EQ(candidates[i].weight, own[i].weight) << "image " << i;
+    EXPECT_TRUE(candidates[i].approx(images[i])) << "image " << i;
+  }
+
+  // So the driver hands Gram-Schmidt the same candidates per iteration.
+  FixpointDriver by_par(*parallel, sys);
+  FixpointDriver by_seq(*sequential, sys);
+  by_par.set_max_iterations(64);
+  by_seq.set_max_iterations(64);
+  (void)by_par.run();
+  (void)by_seq.run();
+  ASSERT_EQ(by_par.history().size(), by_seq.history().size());
+  for (std::size_t i = 0; i < by_seq.history().size(); ++i) {
+    EXPECT_EQ(by_par.history()[i].candidates, by_seq.history()[i].candidates) << "iteration " << i;
+  }
 }
 
 TEST(ParallelImage, DriverGcPolicyCoversWorkerAllocationsInTheSharedManager) {

@@ -72,6 +72,16 @@ else
   failures=$((failures + 1))
 fi
 
+# The frontier line reports the survivors against the candidates handed to
+# Gram-Schmidt.
+if "$QTSMC" reach --engine parallel:2 --stats "$EXAMPLES/ghz.qasm" |
+   grep -Eq '^frontier: [0-9]+ iteration\(s\), .* [0-9]+ survivor\(s\) of [0-9]+ candidate\(s\), '; then
+  echo "ok: --stats reports survivors of candidates on the frontier line"
+else
+  echo "FAIL: --stats frontier line lacks the candidate count" >&2
+  failures=$((failures + 1))
+fi
+
 # The storage line reports unique-table slots and the op caches' footprint,
 # split into the add cache and the contraction cache.
 if "$QTSMC" reach --stats "$EXAMPLES/ghz.qasm" |

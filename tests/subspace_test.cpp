@@ -2,12 +2,17 @@
 
 #include <array>
 #include <numbers>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "common/error.hpp"
+#include "common/execution_context.hpp"
 #include "common/prng.hpp"
 #include "linalg/gram_schmidt.hpp"
 #include "qts/states.hpp"
 #include "qts/subspace.hpp"
+#include "tdd/io.hpp"
 #include "test_helpers.hpp"
 
 namespace qts {
@@ -327,6 +332,62 @@ TEST(Subspace, AddStatesReturnsAppendedResiduals) {
   for (const auto& v : states) incremental.add_state(v);
   EXPECT_TRUE(batched.same_subspace(incremental));
   EXPECT_TRUE(batched.add_states({}).empty());
+}
+
+TEST(Subspace, AddStatesSkipsScalarMultiplesByNode) {
+  // Two independent, non-orthogonal 3-qubit product kets.
+  const auto kets = [](tdd::Manager& mgr) {
+    const std::array<cplx, 2> plus{cplx{1 / kS2, 0}, cplx{1 / kS2, 0}};
+    const std::array<cplx, 2> zero{cplx{1, 0}, cplx{0, 0}};
+    const std::array<cplx, 2> tilted{cplx{0.6, 0}, cplx{0, 0.8}};
+    const std::vector<std::array<cplx, 2>> k{plus, zero, tilted};
+    const std::vector<std::array<cplx, 2>> k2{tilted, plus, plus};
+    return std::pair{ket_product(mgr, k), ket_product(mgr, k2)};
+  };
+  struct Run {
+    std::size_t survivors;
+    std::string projector;
+    std::size_t cont_misses;
+  };
+  // Each run in a fresh manager, so the op caches start equal.
+  const auto run = [&kets](bool with_multiples) {
+    ExecutionContext ctx;
+    tdd::Manager mgr;
+    mgr.bind_context(&ctx);
+    const auto [k, k2] = kets(mgr);
+    std::vector<tdd::Edge> states{k};
+    if (with_multiples) {
+      states.push_back(mgr.scale(k, cplx{2, 0}));
+      states.push_back(mgr.scale(k, cplx{0, 1}));
+    }
+    states.push_back(k2);
+    Subspace s(mgr, 3);
+    const std::size_t before = ctx.stats().cont_misses;
+    const std::size_t survivors = s.add_states(states).size();
+    return Run{survivors, tdd::save_string(s.projector()), ctx.stats().cont_misses - before};
+  };
+  const Run plain = run(false);
+  const Run with_multiples = run(true);
+  EXPECT_EQ(plain.survivors, 2u);
+  EXPECT_EQ(with_multiples.survivors, 2u);
+  EXPECT_EQ(with_multiples.projector, plain.projector);
+  // The multiples are skipped before any contraction: no norm, no projection.
+  EXPECT_EQ(with_multiples.cont_misses, plain.cont_misses);
+
+  tdd::Manager mgr;
+  const tdd::Edge k = kets(mgr).first;
+  // A negligible copy is rejected as zero and does not hide the real one on
+  // the same node.
+  Subspace s(mgr, 3);
+  const auto survivors = s.add_states({mgr.scale(k, cplx{1e-13, 0}), k});
+  ASSERT_EQ(survivors.size(), 1u);
+  EXPECT_EQ(survivors[0].node, k.node);
+  EXPECT_TRUE(s.contains(k));
+  // The zero edge shares the null node with the constant (uniform) ket, but
+  // never enters the skip set.
+  Subspace constant(mgr, 3);
+  EXPECT_EQ(constant.add_states({mgr.zero(), mgr.scale(mgr.one(), cplx{0.5, 0})}).size(), 1u);
+  EXPECT_EQ(constant.dim(), 1u);
 }
 
 TEST(Subspace, AddStatesSurvivorsAreOrthonormal) {

@@ -566,7 +566,8 @@ JobOutcome run_job(const Options& opt, tdd::Manager& mgr, ResultCache* shared_ca
     if (s.fixpoint_iterations > 0) {
       std::cout << "frontier: " << s.fixpoint_iterations << " iteration(s), "
                 << s.frontier_kets << " ket(s) imaged in " << s.frontier_shards
-                << " shard(s), " << s.frontier_survivors << " survivor(s), max frontier dim "
+                << " shard(s), " << s.frontier_survivors << " survivor(s) of "
+                << s.frontier_candidates << " candidate(s), max frontier dim "
                 << s.max_frontier_dim << "\n";
     }
     if (s.audits_run > 0) {
