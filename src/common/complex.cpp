@@ -6,25 +6,6 @@
 
 namespace qts {
 
-bool approx_equal(double a, double b, double eps) { return std::abs(a - b) <= eps; }
-
-bool approx_equal(const cplx& a, const cplx& b, double eps) {
-  return approx_equal(a.real(), b.real(), eps) && approx_equal(a.imag(), b.imag(), eps);
-}
-
-bool approx_zero(const cplx& a, double eps) { return approx_equal(a, cplx{0.0, 0.0}, eps); }
-
-bool approx_one(const cplx& a, double eps) { return approx_equal(a, cplx{1.0, 0.0}, eps); }
-
-cplx bucketed(const cplx& a, double eps) {
-  const double inv = 1.0 / eps;
-  // llround keeps the bucket stable for values straddling representable grid
-  // points; +0.0 normalises the sign of zero so -0.0 and 0.0 share a bucket.
-  const double re = static_cast<double>(std::llround(a.real() * inv)) + 0.0;
-  const double im = static_cast<double>(std::llround(a.imag() * inv)) + 0.0;
-  return {re, im};
-}
-
 std::size_t hash_value(const cplx& a, double eps) {
   const cplx b = bucketed(a, eps);
   std::size_t h = std::hash<double>{}(b.real());

@@ -8,6 +8,7 @@
 /// equality is a componentwise comparison with the same tolerance.
 #pragma once
 
+#include <cmath>
 #include <complex>
 #include <cstdint>
 #include <string>
@@ -32,20 +33,47 @@ inline constexpr double kZeroNormTol = 1e-12;
 inline constexpr double kResidualTol2 = 1e-14;
 inline constexpr double kMembershipTol = 1e-7;
 
-/// Componentwise approximate equality with tolerance `kEps`.
-bool approx_equal(const cplx& a, const cplx& b, double eps = kEps);
-
 /// Approximate equality for doubles.
-bool approx_equal(double a, double b, double eps = kEps);
+inline bool approx_equal(double a, double b, double eps = kEps) { return std::abs(a - b) <= eps; }
+
+/// Componentwise approximate equality with tolerance `kEps`.
+inline bool approx_equal(const cplx& a, const cplx& b, double eps = kEps) {
+  return approx_equal(a.real(), b.real(), eps) && approx_equal(a.imag(), b.imag(), eps);
+}
 
 /// True if `a` is within `kEps` of zero (both components).
-bool approx_zero(const cplx& a, double eps = kEps);
+inline bool approx_zero(const cplx& a, double eps = kEps) {
+  return approx_equal(a, cplx{0.0, 0.0}, eps);
+}
 
 /// True if `a` is within `kEps` of one.
-bool approx_one(const cplx& a, double eps = kEps);
+inline bool approx_one(const cplx& a, double eps = kEps) {
+  return approx_equal(a, cplx{1.0, 0.0}, eps);
+}
+
+/// `x` rounded to the nearest integer, halves away from zero, as a double:
+/// the value std::llround gives wherever that fits in a long long, but
+/// exact at every magnitude instead of overflowing past 2^63.  +0.0 for
+/// every zero result, so -0.0 and 0.0 share a bucket.
+inline double round_half_away(double x) {
+  // At or above 2^52 every double is already an integer (NaN passes too).
+  constexpr double kIntegral = 4503599627370496.0;
+  const double ax = std::abs(x);
+  if (!(ax < kIntegral)) return x;
+  // Both steps are exact below 2^52: truncation through int64, and the
+  // fraction ax - t (no `ax + 0.5`, which rounds 0.5 - 2^-54 up to 1).
+  double t = static_cast<double>(static_cast<std::int64_t>(ax));
+  if (ax - t >= 0.5) t += 1.0;
+  return std::copysign(t, x) + 0.0;
+}
 
 /// Round onto the `kEps` grid; used only for hashing, never for arithmetic.
-cplx bucketed(const cplx& a, double eps = kEps);
+/// Distinct grid points stay distinct at any magnitude: a weight ratio of
+/// 1e9 and one of 2e9 must not share an add-cache key.
+inline cplx bucketed(const cplx& a, double eps = kEps) {
+  const double inv = 1.0 / eps;
+  return {round_half_away(a.real() * inv), round_half_away(a.imag() * inv)};
+}
 
 /// Hash compatible with `approx_equal` for values that are not adjacent to a
 /// bucket boundary (the standard, imperfect-but-practical DD compromise).

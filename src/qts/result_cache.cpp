@@ -21,37 +21,50 @@ namespace qts {
 
 namespace {
 
-/// One doubles formatter for every weight and matrix entry in the canonical
-/// text and the record files: 17 significant digits round-trip any double
-/// exactly, matching tdd::io's convention.
-void put_double(std::ostream& os, double v) { os << std::setprecision(17) << v; }
+using tdd::put;
 
-void put_cplx(std::ostream& os, const cplx& w) {
-  put_double(os, w.real());
-  os << " ";
-  put_double(os, w.imag());
+void put_cplx(std::string& out, const cplx& w) {
+  put(out, w.real());
+  out += ' ';
+  put(out, w.imag());
 }
 
-void put_circuit(std::ostream& os, const circ::Circuit& c) {
-  os << "circuit " << c.num_qubits() << " factor ";
-  put_cplx(os, c.global_factor());
-  os << " gates " << c.size() << "\n";
+void put_circuit(std::string& out, const circ::Circuit& c) {
+  out += "circuit ";
+  put(out, c.num_qubits());
+  out += " factor ";
+  put_cplx(out, c.global_factor());
+  out += " gates ";
+  put(out, c.size());
+  out += '\n';
   for (const circ::Gate& g : c.gates()) {
-    os << "gate " << g.name() << " targets " << g.targets().size();
-    for (std::uint32_t q : g.targets()) os << " " << q;
-    os << " controls " << g.controls().size();
+    out += "gate ";
+    out += g.name();
+    out += " targets ";
+    put(out, g.targets().size());
+    for (const std::uint32_t q : g.targets()) {
+      out += ' ';
+      put(out, q);
+    }
+    out += " controls ";
+    put(out, g.controls().size());
     for (const circ::Control& ctl : g.controls()) {
-      os << " " << ctl.qubit << (ctl.positive ? "+" : "-");
+      out += ' ';
+      put(out, ctl.qubit);
+      out += ctl.positive ? '+' : '-';
     }
     const la::Matrix& m = g.base();
-    os << " matrix " << m.rows() << " " << m.cols();
+    out += " matrix ";
+    put(out, m.rows());
+    out += ' ';
+    put(out, m.cols());
     for (std::size_t r = 0; r < m.rows(); ++r) {
       for (std::size_t col = 0; col < m.cols(); ++col) {
-        os << " ";
-        put_cplx(os, m(r, col));
+        out += ' ';
+        put_cplx(out, m(r, col));
       }
     }
-    os << "\n";
+    out += '\n';
   }
 }
 
@@ -124,24 +137,31 @@ std::string JobKey::hex() const {
 std::string canonical_job_text(const TransitionSystem& sys, std::string_view property,
                                const tdd::Edge& property_projector,
                                std::size_t max_iterations) {
-  std::ostringstream os;
-  os << "qtsjob v1\n";
-  os << "property " << property << "\n";
-  os << "qubits " << sys.num_qubits << "\n";
-  os << "steps " << max_iterations << "\n";
+  std::string out = "qtsjob v1\nproperty ";
+  out += property;
+  out += "\nqubits ";
+  put(out, sys.num_qubits);
+  out += "\nsteps ";
+  put(out, max_iterations);
   // The projector TDD is the canonical representation of a subspace (P is
   // unique as an operator and the TDD of P is canonical), so equal initial
   // subspaces serialise identically however their bases were chosen.
-  os << "initial\n";
-  tdd::save(sys.initial.projector(), os);
-  os << "operations " << sys.operations.size() << "\n";
+  out += "\ninitial\n";
+  tdd::save_roots(std::span<const tdd::Edge>(&sys.initial.projector(), 1), out);
+  out += "operations ";
+  put(out, sys.operations.size());
+  out += '\n';
   for (const QuantumOperation& op : sys.operations) {
-    os << "operation " << op.symbol << " kraus " << op.kraus.size() << "\n";
-    for (const circ::Circuit& k : op.kraus) put_circuit(os, k);
+    out += "operation ";
+    out += op.symbol;
+    out += " kraus ";
+    put(out, op.kraus.size());
+    out += '\n';
+    for (const circ::Circuit& k : op.kraus) put_circuit(out, k);
   }
-  os << "propertyprojector\n";
-  tdd::save(property_projector, os);
-  return os.str();
+  out += "propertyprojector\n";
+  tdd::save_roots(std::span<const tdd::Edge>(&property_projector, 1), out);
+  return out;
 }
 
 JobKey job_key(const TransitionSystem& sys, std::string_view property,
@@ -192,27 +212,41 @@ std::optional<ResultCache::Entry> ResultCache::lookup(const JobKey& key, tdd::Ma
                                                       std::uint32_t num_qubits,
                                                       std::string_view property) {
   const std::string hex = key.hex();
-  std::shared_ptr<const std::string> text;
+  Memo memo;
   {
     const MutexLock lock(memo_mutex_);
-    if (const auto it = memo_.find(hex); it != memo_.end()) text = it->second;
+    if (const auto it = memo_.find(hex); it != memo_.end()) memo = it->second;
   }
-  const bool memo_hit = text != nullptr;
-  if (!memo_hit) {
+  // Decoded in this manager and generation: its edges are still live.  The
+  // checks are parse_record's, so a mismatch misses here as it would there.
+  if (const Decoded* d = memo.decoded.get();
+      d != nullptr && d->generation == mgr.generation()) {
+    if (d->property != property || d->entry.space.num_qubits() != num_qubits) {
+      return std::nullopt;
+    }
+    return d->entry;
+  }
+  if (memo.text == nullptr) {
     if (dir_.empty()) return std::nullopt;
     std::optional<std::string> bytes = read_file(path_for(key));
     if (!bytes) return std::nullopt;
-    text = std::make_shared<const std::string>(std::move(*bytes));
+    memo.text = std::make_shared<const std::string>(std::move(*bytes));
   }
 
   // Anything wrong with the record — wrong header, wrong property or width,
   // truncation, a malformed blob, counts that disagree — is a MISS, never
   // an error: the caller recomputes and overwrites.
   try {
-    std::optional<Entry> e = parse_record(*text, mgr, num_qubits, property);
-    if (e && !memo_hit) {
+    std::optional<Entry> e = parse_record(*memo.text, mgr, num_qubits, property);
+    if (e) {
+      auto decoded = std::make_shared<const Decoded>(
+          Decoded{mgr.generation(), std::string(property), *e});
       const MutexLock lock(memo_mutex_);
-      memo_.emplace(hex, std::move(text));
+      Memo& slot = memo_[hex];
+      // A store since our read replaced the text: keep its entry.
+      if (slot.text == nullptr || slot.text == memo.text) {
+        slot = Memo{std::move(memo.text), std::move(decoded)};
+      }
     }
     return e;
   } catch (const Error&) {
@@ -237,6 +271,9 @@ bool ResultCache::store(const JobKey& key, std::string_view property, const Subs
   tdd::save_roots(space.basis(), record);
   record += "end\n";
   auto text = std::make_shared<const std::string>(std::move(record));
+  auto decoded = std::make_shared<const Decoded>(Decoded{
+      space.manager().generation(), std::string(property),
+      Entry{space, iterations, converged, holds}});
 
   const std::string hex = key.hex();
   bool persisted = false;
@@ -270,7 +307,7 @@ bool ResultCache::store(const JobKey& key, std::string_view property, const Subs
   }
   {
     const MutexLock lock(memo_mutex_);
-    memo_[hex] = std::move(text);
+    memo_[hex] = Memo{std::move(text), std::move(decoded)};
   }
   return persisted;
 }

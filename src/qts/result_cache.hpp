@@ -24,12 +24,17 @@
 ///     optional on-disk directory of one file per key.  Records ("qtsres
 ///     v2") hold the verdict, run metadata, the final projector TDD and then
 ///     the cold run's orthonormal basis, both serialised with tdd::io.  A
-///     hit rebuilds both through make_node and serves that basis as is —
-///     no re-derivation from the projector — so a cached subspace shares
+///     disk hit rebuilds both through make_node and serves that basis as is
+///     — no re-derivation from the projector — so a cached subspace shares
 ///     structure with the live manager and is bit-identical to what the cold
-///     run produced.  Writes are atomic (tmp file + rename); corrupt,
-///     truncated or version-mismatched entries — and any I/O failure —
-///     degrade to a cache miss, never an error.
+///     run produced.  The memo keeps each record's text and its decoded
+///     subspace, stamped with the tdd::Manager::generation() it lives in: a
+///     hit in that same manager, with no gc() since, is served from the
+///     decoded subspace without touching the text; any other manager or
+///     generation parses the text, as a disk hit does.  Writes are atomic
+///     (tmp file + rename); corrupt, truncated or version-mismatched
+///     entries — and any I/O failure — degrade to a cache miss, never an
+///     error.
 #pragma once
 
 #include <cstdint>
@@ -94,14 +99,19 @@ class ResultCache {
   /// including corrupt/truncated/version-mismatched files, a record whose
   /// property kind or register width disagrees with the request, one whose
   /// basis count, dim line and projector trace disagree, and any read
-  /// error.  A disk hit is promoted into the memo.  Thread-safe.
+  /// error.  A memo entry decoded in `mgr` at its current generation() is
+  /// served without parsing; otherwise the record text is parsed into
+  /// `mgr` and that decoding is memoised (a disk hit is promoted into the
+  /// memo this way).  Thread-safe.
   std::optional<Entry> lookup(const JobKey& key, tdd::Manager& mgr, std::uint32_t num_qubits,
                               std::string_view property);
 
-  /// Record a finished job.  Always memoised; persisted too when a directory
-  /// was given.  Returns true iff the entry reached disk (memory-only caches
-  /// and write failures — e.g. a read-only directory — return false, and the
-  /// run carries on: the cache degrades, it never fails a job).
+  /// Record a finished job.  Always memoised, `space` as given (so a lookup
+  /// in its manager before the next gc() needs no parse); persisted too
+  /// when a directory was given.  Returns true iff the entry reached disk
+  /// (memory-only caches and write failures — e.g. a read-only directory —
+  /// return false, and the run carries on: the cache degrades, it never
+  /// fails a job).
   /// Thread-safe, also for concurrent stores of one key.
   bool store(const JobKey& key, std::string_view property, const Subspace& space,
              std::size_t iterations, bool converged, bool holds);
@@ -122,17 +132,28 @@ class ResultCache {
   static std::optional<Entry> parse_record(std::string_view text, tdd::Manager& mgr,
                                            std::uint32_t num_qubits, std::string_view property);
 
+  /// A record decoded in the manager whose generation() was `generation`.
+  struct Decoded {
+    std::uint64_t generation = 0;
+    std::string property;
+    Entry entry;
+  };
+  struct Memo {
+    std::shared_ptr<const std::string> text;
+    std::shared_ptr<const Decoded> decoded;
+  };
+
   std::string dir_;  // empty = memory-only
-  // The memo holds the serialised record TEXT, not live Edges: rebuilt
-  // through tdd::load_roots on every hit, so cached results never need to be
-  // rooted against the manager's mark-sweep GC (a batch job's collections
-  // would otherwise sweep earlier jobs' memoised results).  Records are
-  // shared immutable strings, so a hit takes a reference under the lock and
-  // parses in place outside it, on the caller's manager.  Guarded so a
-  // future `--serve` front end can share one cache across request threads.
+  // Each memo entry keeps the serialised record TEXT and the last decoding
+  // of it.  The decoded edges are not GC roots: a batch job's collection
+  // may sweep them, but it also moves its manager to a new generation(), so
+  // a stale decoding is never served — the hit falls back to parsing the
+  // text into the caller's manager, and memoises that.  Records and
+  // decodings are shared immutable objects, so a hit takes references under
+  // the lock and copies or parses outside it.  Guarded so a future
+  // `--serve` front end can share one cache across request threads.
   mutable Mutex memo_mutex_;
-  std::unordered_map<std::string, std::shared_ptr<const std::string>> memo_
-      GUARDED_BY(memo_mutex_);
+  std::unordered_map<std::string, Memo> memo_ GUARDED_BY(memo_mutex_);
 };
 
 }  // namespace qts

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <charconv>
 #include <cstdint>
-#include <type_traits>
 
 #include "common/error.hpp"
 #include "tdd/flat_table.hpp"
@@ -47,20 +46,6 @@ void collect(const Node* root, NodeIds& ids, std::vector<const Node*>& order) {
 
 long id_of(const Node* n, const NodeIds& ids) {
   return n == nullptr ? -1 : *ids.find(n);
-}
-
-/// Append `v`: integers in decimal, doubles as `%.17g`, the exact text a
-/// std::ostream at precision 17 prints, so the format keeps its bytes.
-template <class T>
-void put(std::string& out, T v) {
-  char buf[32];
-  std::to_chars_result r{};
-  if constexpr (std::is_floating_point_v<T>) {
-    r = std::to_chars(buf, buf + sizeof buf, v, std::chars_format::general, 17);
-  } else {
-    r = std::to_chars(buf, buf + sizeof buf, v);
-  }
-  out.append(buf, r.ptr);
 }
 
 void put_edge(std::string& out, const Edge& e, const NodeIds& ids) {

@@ -24,16 +24,33 @@
 /// and the canonical job text do).
 #pragma once
 
+#include <charconv>
 #include <istream>
 #include <ostream>
 #include <span>
 #include <string>
 #include <string_view>
+#include <type_traits>
 #include <vector>
 
 #include "tdd/manager.hpp"
 
 namespace qts::tdd {
+
+/// Append `v` to `out`: integers in decimal, doubles as `%.17g` — the exact
+/// text a std::ostream at precision 17 prints — so every weight this format
+/// (and the result cache's texts built with it) writes round-trips.
+template <class T>
+void put(std::string& out, T v) {
+  char buf[32];
+  std::to_chars_result r{};
+  if constexpr (std::is_floating_point_v<T>) {
+    r = std::to_chars(buf, buf + sizeof buf, v, std::chars_format::general, 17);
+  } else {
+    r = std::to_chars(buf, buf + sizeof buf, v);
+  }
+  out.append(buf, r.ptr);
+}
 
 /// Append one blob holding every root in `roots` (shared node table, one
 /// root line per root, in order) to `out`.

@@ -1,5 +1,6 @@
 #include "tdd/manager.hpp"
 
+#include <atomic>
 #include <cmath>
 #include <new>
 #include <vector>
@@ -15,9 +16,14 @@ namespace {
 /// amortise the pool mutex, small enough not to strand recycled nodes on an
 /// idle thread.
 constexpr std::size_t kRefillBatch = 64;
+
+/// Source of every manager's gc_epoch_; starts at 1, so 0 is never drawn.
+std::atomic<std::uint64_t> g_next_epoch{1};
+
+std::uint64_t draw_epoch() { return g_next_epoch.fetch_add(1, std::memory_order_relaxed); }
 }  // namespace
 
-Manager::Manager() {
+Manager::Manager() : gc_epoch_(draw_epoch()) {
   // Constructors run pre-publication; the thread-safety analysis exempts
   // them, and no other thread can hold a reference yet.
   slots_.push_back(std::unique_ptr<ThreadSlot>(new ThreadSlot(this, nullptr)));
@@ -248,7 +254,8 @@ void Manager::mark(const Node* n, std::uint64_t epoch) const {
 std::size_t Manager::gc(std::span<const Edge> roots) {
   // Quiescent point: no concurrent mutators (the caller joined its workers).
   if (ctx_ != nullptr) ++ctx_->stats().gc_runs;
-  const std::uint64_t epoch = ++gc_epoch_;
+  gc_epoch_ = draw_epoch();
+  const std::uint64_t epoch = gc_epoch_;
   for (const Edge& r : roots) mark(r.node, epoch);
 
   clear_caches();

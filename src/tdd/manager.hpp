@@ -253,6 +253,14 @@ class Manager {
   /// Returns the number of nodes freed.
   std::size_t gc(std::span<const Edge> roots);
 
+  /// A stamp unique within the process to this manager and its current GC
+  /// epoch: fresh at construction, redrawn by every gc(), never 0.  gc() is
+  /// the only operation that frees published nodes, so edges taken while
+  /// generation() had a given value stay valid while it keeps it — the
+  /// result cache uses this to serve a memoised subspace without
+  /// re-parsing it.  Read at quiescent points, like gc().
+  [[nodiscard]] std::uint64_t generation() const { return gc_epoch_; }
+
   /// Storage observability: unique-table occupancy/load, arena shape and
   /// op-cache footprint.
   struct StorageStats {
@@ -313,7 +321,10 @@ class Manager {
   // each slot's *contents* are thread-private to the installing worker.
   std::deque<std::unique_ptr<ThreadSlot>> slots_ GUARDED_BY(slots_mutex_);
   ThreadSlot* main_slot_;
-  std::uint64_t gc_epoch_ = 0;
+  // The mark stamp of the last gc() and the manager's generation(): drawn
+  // from one process-wide counter, so no two managers (and no two epochs of
+  // one) share a value, and never 0, the mark of a node no gc() has visited.
+  std::uint64_t gc_epoch_;
   ExecutionContext* ctx_ = nullptr;
 };
 

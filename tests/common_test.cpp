@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstring>
 #include <set>
 
 #include "common/complex.hpp"
@@ -38,6 +40,39 @@ TEST(Complex, HashSeparatesDistantValues) {
 
 TEST(Complex, NegativeZeroSharesBucketWithZero) {
   EXPECT_EQ(hash_value(cplx{-0.0, 0.0}), hash_value(cplx{0.0, -0.0}));
+}
+
+TEST(Complex, BucketedNeverSaturates) {
+  // Past 2^63 grid steps (about 9.22e8 at kEps) llround overflows to one
+  // value, so every large weight ratio would share a bucket.
+  const cplx b1 = bucketed(cplx{1e9, 0.0});
+  const cplx b2 = bucketed(cplx{2e9, 0.0});
+  const cplx b3 = bucketed(cplx{-3e9, 0.0});
+  EXPECT_NE(b1, b2);
+  EXPECT_NE(b1, b3);
+  EXPECT_NE(b2, b3);
+  EXPECT_NE(bucketed(cplx{0.0, 1e9}), bucketed(cplx{0.0, 2e9}));
+  EXPECT_EQ(bucketed(cplx{1e9, 0.0}).real(), 1e19);
+}
+
+TEST(Complex, BucketedMatchesLlroundAtHalfwayPoints) {
+  // Bit for bit what llround gave wherever it did not overflow, so every
+  // unique-table and add-cache key below that range is unchanged; -0.0 and
+  // everything in (-0.5, 0) give +0.0, as `llround(x) + 0.0` does.
+  const auto same_bits = [](double x) {
+    const double want = static_cast<double>(std::llround(x)) + 0.0;
+    const double got = bucketed(cplx{x, 0.0}, 1.0).real();
+    return std::memcmp(&want, &got, sizeof want) == 0;
+  };
+  for (const double k : {0.0, 1.0, 2.0, 7.0, 1e6, 4503599627370495.0, 1e17}) {
+    for (const double x : {k, k + 0.5, k - 0.5, std::nextafter(k + 0.5, 0.0),
+                           std::nextafter(k + 0.5, 1e300), std::nextafter(k - 0.5, 0.0),
+                           std::nextafter(k - 0.5, 1e300)}) {
+      EXPECT_TRUE(same_bits(x)) << x;
+      EXPECT_TRUE(same_bits(-x)) << -x;
+    }
+  }
+  EXPECT_TRUE(same_bits(0.49999999999999994));  // where x + 0.5 would round up
 }
 
 TEST(Complex, ToStringFormats) {

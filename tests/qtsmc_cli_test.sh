@@ -8,6 +8,7 @@ set -u
 
 QTSMC=$1
 EXAMPLES=$2
+TESTS=$(cd "$(dirname "$0")" && pwd)
 failures=0
 
 check() {
@@ -43,6 +44,20 @@ check 0 "$QTSMC" reach --engine sparse:1024 --stats "$EXAMPLES/ghz.qasm"
 check 0 "$QTSMC" reach --engine parallel:2,sparse "$EXAMPLES/ghz.qasm"
 check 0 "$QTSMC" image --engine sparse --noise depol:0.1:0 "$EXAMPLES/ghz.qasm"
 check 0 "$QTSMC" --engines
+
+# Noisy QFT6: Gram-Schmidt residuals that nearly cancel and add-cache
+# weight ratios past 9.22e8.  Every spec must report the whole space.
+for spec in contraction:4,4 contraction:6,6 basic; do
+  out=$("$QTSMC" reach --engine "$spec" --noise depol:0.05:0 --noise depol:0.05:1 \
+        "$TESTS/qft6.qasm" 2>&1)
+  rc=$?
+  if [ "$rc" -eq 0 ] && grep -q '^reach:   dimension 64 of 64 ' <<<"$out"; then
+    echo "ok: noisy QFT6 reaches dimension 64 of 64 under $spec"
+  else
+    echo "FAIL: noisy QFT6 under $spec: exit $rc, want 0 with dimension 64 of 64" >&2
+    failures=$((failures + 1))
+  fi
+done
 
 # 2 — an engine is configured by its --engine spec alone: the removed
 # order knob and engine aliases are unknown options, and the spec's own

@@ -3,7 +3,6 @@
 #include <memory>
 #include <string>
 
-#include "common/error.hpp"
 #include "circuit/generators.hpp"
 #include "circuit/noise.hpp"
 #include "qts/engine.hpp"
@@ -65,21 +64,15 @@ TEST(Reachability, IterationBudgetReported) {
 }
 
 /// Noisy QFT6: depolarising noise (p = 0.05) on qubits 0 and 1.  Its
-/// Gram-Schmidt residuals nearly cancel, so a sum that is off by the add
-/// cache's bucket width can leave a "survivor" that is not orthogonal to the
-/// basis.  Whatever the caches hold, a run must reach the whole 64-dim
-/// space or stop with InternalError: never report more than 2^6.
+/// Gram-Schmidt residuals nearly cancel, so any sum served wrongly from the
+/// add cache leaves a "survivor" that is not orthogonal to the basis.  Its
+/// weight ratios pass 9.22e8, where a saturating bucket once put them all
+/// on one add-cache key.  Whatever the caches hold, every engine spec must
+/// reach exactly the whole 64-dimensional space.
 TEST(DimensionGuard, NoisyQft6ReachNeverExceedsTheSpace) {
-  const auto expect_sound = [](ImageComputer& engine, const TransitionSystem& sys,
-                               const std::string& label) {
-    try {
-      EXPECT_EQ(reachable_space(engine, sys).space.dim(), 64u) << label;
-    } catch (const InternalError&) {
-      SUCCEED() << label << ": dimension guard fired";
-    }
-  };
   for (const std::string spec : {"contraction:4,4", "contraction:6,6", "contraction:6,1",
-                                 "addition:1"}) {
+                                 "contraction:2,2", "contraction:3,5", "addition:1",
+                                 "basic"}) {
     tdd::Manager mgr;
     TransitionSystem sys = make_qft_system(mgr, 6);
     for (const std::uint32_t q : {0u, 1u}) {
@@ -87,8 +80,9 @@ TEST(DimensionGuard, NoisyQft6ReachNeverExceedsTheSpace) {
           circ::apply_channel(sys.operations[0].kraus, circ::depolarizing(0.05), q);
     }
     const std::unique_ptr<ImageComputer> engine = make_engine(mgr, spec);
-    expect_sound(*engine, sys, spec + " (fresh manager)");
-    expect_sound(*engine, sys, spec + " (warm manager)");
+    for (const char* run : {"fresh manager", "warm manager"}) {
+      EXPECT_EQ(reachable_space(*engine, sys).space.dim(), 64u) << spec << " (" << run << ")";
+    }
   }
 }
 

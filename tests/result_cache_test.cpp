@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "common/error.hpp"
+#include "common/execution_context.hpp"
 #include "common/fault.hpp"
 #include "qts/backward.hpp"
 #include "qts/reachability.hpp"
@@ -469,8 +470,9 @@ TEST(Batch, SharedManagerMemoMakesDuplicateJobsFree) {
 }
 
 TEST(Batch, MemoSurvivesManagerGcBetweenJobs) {
-  // The memo stores record TEXT, not live edges, precisely so that a later
-  // job's mark-sweep collection cannot sweep an earlier job's result.
+  // The memo's decoded subspace is not a GC root, so a later job's
+  // mark-sweep collection may sweep it; the memo keeps the record TEXT too,
+  // and gc() moves the manager to a new generation, so the hit parses.
   tdd::Manager mgr;
   ResultCache cache;
   JobKey key;
@@ -484,11 +486,116 @@ TEST(Batch, MemoSurvivesManagerGcBetweenJobs) {
   // of the first job's result is swept.
   const std::size_t swept = mgr.gc({});
   EXPECT_GT(swept, 0u);
-  // The memo still serves, rebuilding the projector through make_node.
+  // The memo still serves, rebuilding the projector from the text.
   const auto hit = cache.lookup(key, mgr, 3, "reach");
   ASSERT_TRUE(hit.has_value());
   EXPECT_TRUE(hit->converged);
   EXPECT_EQ(hit->space.dim(), 8u);  // noisy walk saturates coin ⊗ position
+}
+
+/// Unique-table probes (hits + misses) `ctx` has counted: zero for a hit
+/// served from the memo's decoded subspace, one per node for a parse.
+std::size_t unique_probes(const ExecutionContext& ctx) {
+  return ctx.stats().unique_hits + ctx.stats().unique_misses;
+}
+
+/// Every node and weight of `got` is the one in `want` (same manager).
+void expect_node_identical(const Subspace& got, const Subspace& want) {
+  ASSERT_EQ(got.dim(), want.dim());
+  EXPECT_EQ(&got.manager(), &want.manager());
+  EXPECT_EQ(got.projector().node, want.projector().node);
+  EXPECT_TRUE(bit_identical(got.projector(), want.projector()));
+  for (std::size_t i = 0; i < want.dim(); ++i) {
+    EXPECT_EQ(got.basis()[i].node, want.basis()[i].node) << i;
+    EXPECT_TRUE(bit_identical(got.basis()[i], want.basis()[i])) << i;
+  }
+}
+
+TEST(MemoDecoded, SameManagerHitTouchesNoUniqueTable) {
+  tdd::Manager mgr;
+  ExecutionContext ctx;
+  mgr.bind_context(&ctx);
+  ContractionImage computer(mgr, 2, 2, &ctx);
+  const auto sys = make_qrw_system(mgr, 3, 0.3, true, 0);
+  const JobKey key = job_key(sys, "reach", mgr.zero(), 32);
+  ResultCache cache;
+  const auto cold = reachable_space(computer, sys, 32, nullptr, nullptr, &cache);
+  for (int round = 0; round < 2; ++round) {
+    const std::size_t before = unique_probes(ctx);
+    const auto hit = cache.lookup(key, mgr, 3, "reach");
+    EXPECT_EQ(unique_probes(ctx), before) << "round " << round;
+    ASSERT_TRUE(hit.has_value());
+    EXPECT_EQ(hit->iterations, cold.iterations);
+    EXPECT_EQ(hit->converged, cold.converged);
+    expect_node_identical(hit->space, cold.space);
+  }
+}
+
+TEST(MemoDecoded, HitAfterGcParsesTheText) {
+  tdd::Manager mgr;
+  ExecutionContext ctx;
+  mgr.bind_context(&ctx);
+  ContractionImage computer(mgr, 2, 2, &ctx);
+  const auto sys = make_qrw_system(mgr, 3, 0.3, true, 0);
+  const JobKey key = job_key(sys, "reach", mgr.zero(), 32);
+  ResultCache cache;
+  const auto cold = reachable_space(computer, sys, 32, nullptr, nullptr, &cache);
+  std::vector<tdd::Edge> roots = cold.space.basis();
+  roots.push_back(cold.space.projector());
+  const std::uint64_t before_gc = mgr.generation();
+  (void)mgr.gc(roots);
+  EXPECT_NE(mgr.generation(), before_gc);
+
+  std::size_t before = unique_probes(ctx);
+  const auto parsed = cache.lookup(key, mgr, 3, "reach");
+  EXPECT_GT(unique_probes(ctx), before);  // a new generation: the text is parsed
+  ASSERT_TRUE(parsed.has_value());
+  expect_node_identical(parsed->space, cold.space);
+  // What it parsed is memoised for this generation.
+  before = unique_probes(ctx);
+  const auto again = cache.lookup(key, mgr, 3, "reach");
+  EXPECT_EQ(unique_probes(ctx), before);
+  ASSERT_TRUE(again.has_value());
+  expect_node_identical(again->space, cold.space);
+}
+
+TEST(MemoDecoded, SecondManagerParsesIntoItself) {
+  tdd::Manager first;
+  ContractionImage computer(first, 2, 2);
+  const auto sys = make_ghz_system(first, 4);
+  const JobKey key = job_key(sys, "reach", first.zero(), 20);
+  ResultCache cache;
+  const auto cold = reachable_space(computer, sys, 20, nullptr, nullptr, &cache);
+
+  tdd::Manager second;
+  EXPECT_NE(second.generation(), first.generation());
+  const auto hit = cache.lookup(key, second, 4, "reach");
+  ASSERT_TRUE(hit.has_value());
+  EXPECT_EQ(&hit->space.manager(), &second);
+  ASSERT_EQ(hit->space.dim(), cold.space.dim());
+  EXPECT_TRUE(bit_identical(hit->space.projector(), cold.space.projector()));
+  EXPECT_GT(second.live_nodes(), 0u);
+  // The first manager is still served right after the second took over the
+  // memo entry: its own generation no longer matches, so it parses too.
+  const auto back = cache.lookup(key, first, 4, "reach");
+  ASSERT_TRUE(back.has_value());
+  expect_node_identical(back->space, cold.space);
+}
+
+TEST(MemoDecoded, PropertyOrWidthMismatchMisses) {
+  tdd::Manager mgr;
+  ExecutionContext ctx;
+  mgr.bind_context(&ctx);
+  ContractionImage computer(mgr, 2, 2, &ctx);
+  const auto sys = make_ghz_system(mgr, 3);
+  const JobKey key = job_key(sys, "reach", mgr.zero(), 20);
+  ResultCache cache;
+  (void)reachable_space(computer, sys, 20, nullptr, nullptr, &cache);
+  const std::size_t before = unique_probes(ctx);
+  EXPECT_FALSE(cache.lookup(key, mgr, 3, "invar").has_value());
+  EXPECT_FALSE(cache.lookup(key, mgr, 4, "reach").has_value());
+  EXPECT_EQ(unique_probes(ctx), before);  // decided on the decoded entry
+  EXPECT_TRUE(cache.lookup(key, mgr, 3, "reach").has_value());
 }
 
 TEST(Batch, ManyJobsAccumulateIndependentEntries) {

@@ -105,6 +105,21 @@ TEST(Add, RelativeCancellationAtTinyScale) {
   EXPECT_TRUE(approx_equal(r.weight / a.weight, cplx{0.5, 0.0}, 1e-6));
 }
 
+TEST(Add, LargeWeightRatiosGetTheirOwnCacheEntries) {
+  // add() caches on (a, b, bucketed(w_b / w_a)); ratios of 1e9 and 2e9 are
+  // 1e19 and 2e19 grid steps apart from zero and must not share an entry.
+  Manager mgr;
+  const std::vector<Level> idx{0};
+  const Edge a = mgr.literal(0, kOne, cplx{0.5, 0.0});
+  const Edge b = mgr.literal(0, cplx{0.25, 0.0}, kOne);
+  for (const double k : {1e9, 2e9}) {
+    const std::vector<cplx> sum = to_dense(mgr.add(a, mgr.scale(b, cplx{k, 0.0})), idx);
+    ASSERT_EQ(sum.size(), 2u);
+    EXPECT_NEAR(sum[0].real(), 1.0 + 0.25 * k, 1e-6 * k) << k;
+    EXPECT_NEAR(sum[1].real(), 0.5 + k, 1e-6 * k) << k;
+  }
+}
+
 TEST(Add, IsCommutative) {
   Manager mgr;
   Prng rng(5);
