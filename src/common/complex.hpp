@@ -21,9 +21,9 @@ using cplx = std::complex<double>;
 inline constexpr double kEps = 1e-10;
 
 /// Shared subspace tolerances.  Every state representation (TDD
-/// qts::Subspace, dense sim::DenseSubspace, sparse sim::SparseSubspace)
-/// draws the same three lines, so membership verdicts cannot disagree near
-/// a threshold:
+/// qts::Subspace, dense sim::BasisSubspace<la::Vector>, sparse
+/// sim::BasisSubspace<sim::SparseState>) draws the same three lines, so
+/// membership verdicts cannot disagree near a threshold:
 ///   * a ket with norm at or below `kZeroNormTol` is the zero vector,
 ///   * a squared Gram-Schmidt residual at or below `kResidualTol2` is
 ///     "already in the subspace" (states are unit-scale at that point, so

@@ -30,6 +30,12 @@ Vector& Vector::operator*=(const cplx& scalar) {
   return *this;
 }
 
+void Vector::axpy(const cplx& coeff, const Vector& other) {
+  require(size() == other.size(), "vector size mismatch in axpy");
+  if (coeff == cplx{0.0, 0.0}) return;
+  for (std::size_t i = 0; i < size(); ++i) data_[i] += coeff * other[i];
+}
+
 cplx Vector::dot(const Vector& other) const {
   require(size() == other.size(), "vector size mismatch in dot");
   cplx acc{0.0, 0.0};

@@ -35,6 +35,9 @@ class Vector {
   Vector& operator-=(const Vector& other);
   Vector& operator*=(const cplx& scalar);
 
+  /// this += coeff * other, in place (no temporary vector).
+  void axpy(const cplx& coeff, const Vector& other);
+
   friend Vector operator+(Vector a, const Vector& b) { return a += b; }
   friend Vector operator-(Vector a, const Vector& b) { return a -= b; }
   friend Vector operator*(Vector a, const cplx& s) { return a *= s; }

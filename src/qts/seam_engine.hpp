@@ -9,12 +9,13 @@
 /// TDD space — and differs only in how states are stored and crossed over.
 /// SeamImage<Rep> owns that step once, as its ImageComputer::image_step
 /// override, so image(op, S), image_kets and the FixpointDriver's frontier
-/// step all cross the seam the same way.  A representation policy supplies
-/// the five points of variation:
+/// step all cross the seam the same way.  The image batch is reduced by
+/// sim::BasisSubspace<State> (sim/basis_subspace.hpp), the one Gram-Schmidt
+/// mirror every representation shares.  A representation policy supplies
+/// the remaining points of variation:
 ///
 ///   struct Rep {
 ///     using State = ...;              // the foreign ket representation
-///     using Batch = ...;              // its Gram-Schmidt subspace mirror
 ///     static constexpr Resource kGuard = ...;  // the budgeted resource
 ///     State decode(const tdd::Edge&, std::uint32_t n) const;
 ///     tdd::Edge encode(tdd::Manager&, const State&, std::uint32_t n) const;
@@ -23,7 +24,6 @@
 ///     std::vector<State> apply_operation(std::span<const circ::Circuit>,
 ///                                        std::span<const State>,
 ///                                        const ExecutionContext*) const;
-///     Batch make_batch(std::uint32_t n) const;
 ///   };
 ///
 /// The policy also owns the representation's size guard (dense qubit cap,
@@ -44,6 +44,7 @@
 #include <vector>
 
 #include "qts/image.hpp"
+#include "sim/basis_subspace.hpp"
 
 namespace qts {
 
@@ -79,7 +80,7 @@ class SeamImage : public ImageComputer {
       decoded.push_back(rep_.decode(b, n));
     }
 
-    typename Rep::Batch batch = rep_.make_batch(n);
+    sim::BasisSubspace<typename Rep::State> batch(n);
     std::vector<typename Rep::State> residuals;
     for (const auto& op : ops) {
       ctx_->check_deadline();

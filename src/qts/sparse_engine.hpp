@@ -8,7 +8,8 @@
 /// crosses the seam through the sparse codec (encode.hpp): only the TDD's
 /// non-zero paths are walked, gate application touches only populated basis
 /// states and their images, and the sparse Gram-Schmidt mirror
-/// (sim::SparseSubspace) reduces each image batch to its residual basis.
+/// (sim::BasisSubspace<sim::SparseState>, run by the shared SeamImage body)
+/// reduces each image batch to its residual basis.
 /// The guard is therefore a NON-ZERO-COUNT budget, not a qubit count: a
 /// 60-qubit basis-state-dominated workload (noisy walks, GHZ-style
 /// preparation) runs fine, while a dense superposition refuses loudly when
@@ -33,13 +34,12 @@
 
 namespace qts {
 
-/// Sparse representation policy: amplitude-map states, SparseSubspace
-/// batches, the non-zero-path codec with the per-ket non-zero budget as
-/// the size guard — enforced on every image so a densifying workload
-/// refuses with an actionable message instead of silently thrashing.
+/// Sparse representation policy: amplitude-map states and the
+/// non-zero-path codec with the per-ket non-zero budget as the size
+/// guard — enforced on every image so a densifying workload refuses with
+/// an actionable message instead of silently thrashing.
 struct SparseRep {
   using State = sim::SparseState;
-  using Batch = sim::SparseSubspace;
   static constexpr Resource kGuard = Resource::kNonzeros;
 
   std::size_t max_nonzeros = kSparseNonzeroCap;
@@ -55,7 +55,6 @@ struct SparseRep {
   [[nodiscard]] std::vector<State> apply_operation(std::span<const circ::Circuit> kraus,
                                                    std::span<const State> kets,
                                                    const ExecutionContext* ctx) const;
-  [[nodiscard]] Batch make_batch(std::uint32_t n) const { return Batch(n); }
 
   /// Throws ResourceExhausted(kNonzeros) when an image outgrows the budget.
   void check_budget(const State& state) const;

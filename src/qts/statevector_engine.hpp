@@ -8,7 +8,8 @@
 /// but the Kraus×basis work happens densely: frontier kets are decoded once
 /// (encode.hpp), every Kraus circuit is applied with sim::apply_circuit
 /// (whose apply_gate path handles non-unitary projector gates and global
-/// noise factors exactly), a dense Gram-Schmidt pass (sim::DenseSubspace)
+/// noise factors exactly), a dense Gram-Schmidt pass
+/// (sim::BasisSubspace<la::Vector>, run by the shared SeamImage body)
 /// reduces the image batch to its residual basis, and only those surviving
 /// residuals are re-encoded into TDDs.  The iteration skeleton itself is
 /// the shared SeamImage body (seam_engine.hpp); this file only supplies the
@@ -34,16 +35,14 @@
 
 #include "qts/encode.hpp"
 #include "qts/seam_engine.hpp"
-#include "sim/dense_subspace.hpp"
 #include "sim/statevector.hpp"
 
 namespace qts {
 
-/// Dense representation policy: la::Vector states, DenseSubspace batches,
-/// the dense ket codec with its explicit qubit cap as the size guard.
+/// Dense representation policy: la::Vector states and the dense ket codec
+/// with its explicit qubit cap as the size guard.
 struct DenseRep {
   using State = la::Vector;
-  using Batch = sim::DenseSubspace;
   static constexpr Resource kGuard = Resource::kQubits;
 
   std::uint32_t max_qubits = kDenseQubitCap;
@@ -63,7 +62,6 @@ struct DenseRep {
                                                    const ExecutionContext* ctx) const {
     return sim::apply_operation(kraus, kets, ctx);
   }
-  [[nodiscard]] Batch make_batch(std::uint32_t n) const { return Batch(n); }
 };
 
 class StatevectorImage final : public SeamImage<DenseRep> {

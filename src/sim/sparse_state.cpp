@@ -155,64 +155,4 @@ std::vector<SparseState> apply_operation(std::span<const circ::Circuit> kraus,
   return images;
 }
 
-SparseSubspace::SparseSubspace(std::uint32_t n) : n_(n) {
-  require(n >= 1 && n <= 64, "sparse subspace needs 1..64 qubits");
-}
-
-SparseSubspace SparseSubspace::from_states(std::uint32_t n,
-                                           const std::vector<SparseState>& states) {
-  SparseSubspace s(n);
-  for (const auto& v : states) s.add_state(v);
-  return s;
-}
-
-bool SparseSubspace::add_state(const SparseState& state) {
-  require(state.num_qubits() == n_, "state width does not match qubit count");
-  const double in_norm = state.norm();
-  if (in_norm <= kZeroNormTol) return false;
-  SparseState u = state;
-  u *= cplx{1.0 / in_norm, 0.0};
-
-  // Two orthogonalisation passes (CGS2), mirroring qts::Subspace::add_state.
-  for (int pass = 0; pass < 2; ++pass) {
-    for (const auto& b : basis_) u.axpy(-b.dot(u), b);
-  }
-  u.prune();
-  const double res2 = u.dot(u).real();
-  if (res2 <= kResidualTol2) return false;
-
-  u *= cplx{1.0 / std::sqrt(res2), 0.0};
-  basis_.push_back(std::move(u));
-  return true;
-}
-
-std::vector<SparseState> SparseSubspace::add_states(const std::vector<SparseState>& states) {
-  std::vector<SparseState> survivors;
-  for (const auto& v : states) {
-    if (add_state(v)) survivors.push_back(basis_.back());
-  }
-  return survivors;
-}
-
-bool SparseSubspace::contains(const SparseState& state, double tol) const {
-  require(state.num_qubits() == n_, "state width does not match qubit count");
-  const double in_norm = state.norm();
-  if (in_norm <= kZeroNormTol) return true;  // the zero vector is in every subspace
-  SparseState u = state;
-  u *= cplx{1.0 / in_norm, 0.0};
-  for (const auto& b : basis_) u.axpy(-b.dot(u), b);
-  return u.norm() <= tol;
-}
-
-bool SparseSubspace::same_subspace(const SparseSubspace& other) const {
-  if (dim() != other.dim()) return false;
-  for (const auto& v : basis_) {
-    if (!other.contains(v)) return false;
-  }
-  for (const auto& v : other.basis_) {
-    if (!contains(v)) return false;
-  }
-  return true;
-}
-
 }  // namespace qts::sim

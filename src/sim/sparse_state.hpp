@@ -1,12 +1,14 @@
 /// \file sparse_state.hpp
 /// Sparse amplitude-map simulation: a ket as a hash map of its non-zero
-/// amplitudes, with Kraus-aware operation application and a Gram-Schmidt
-/// subspace mirror.  This is the third state representation behind the
-/// engine seam (TDD kets, dense la::Vector, now sparse maps): where the
-/// dense simulator materialises 2^n amplitudes regardless of structure, a
-/// sparse state pays only for its populated basis states — so a
-/// basis-state-dominated workload (noisy walks, GHZ-style preparation,
-/// stabilizer-ish frontiers) scales by non-zero count, not qubit count.
+/// amplitudes, with Kraus-aware operation application; its Gram-Schmidt
+/// subspace mirror is sim::BasisSubspace<SparseState> (basis_subspace.hpp),
+/// the same template as the dense one.  This is the third state
+/// representation behind the engine seam (TDD kets, dense la::Vector, now
+/// sparse maps): where the dense simulator materialises 2^n amplitudes
+/// regardless of structure, a sparse state pays only for its populated
+/// basis states — so a basis-state-dominated workload (noisy walks,
+/// GHZ-style preparation, stabilizer-ish frontiers) scales by non-zero
+/// count, not qubit count.
 ///
 /// Conventions match sim/statevector.hpp exactly: qubit 0 is the MOST
 /// significant bit of a basis-state index.  Registers up to 64 qubits fit
@@ -14,7 +16,8 @@
 ///
 /// Tolerances are the TDD package's: amplitudes within `kEps` of zero
 /// relative to the state's largest magnitude are pruned (mirroring the
-/// manager's zero-snapping of normalised child weights), and the subspace
+/// manager's zero-snapping of normalised child weights; BasisSubspace
+/// prunes every Gram-Schmidt residual the same way), and the subspace
 /// mirror draws the zero-norm / residual / membership lines at the shared
 /// constants of common/complex.hpp.
 #pragma once
@@ -99,39 +102,5 @@ SparseState apply_circuit(const circ::Circuit& circuit, const SparseState& input
 std::vector<SparseState> apply_operation(std::span<const circ::Circuit> kraus,
                                          std::span<const SparseState> kets,
                                          const ExecutionContext* ctx = nullptr);
-
-/// Sparse Gram-Schmidt subspace — the amplitude-map mirror of
-/// qts::Subspace and sim::DenseSubspace: an orthonormal basis grown by the
-/// same CGS2 extension procedure, with add_states returning the orthonormal
-/// residuals.  All three representations share the tolerance constants of
-/// common/complex.hpp, so they agree on which vectors count as "new".
-class SparseSubspace {
- public:
-  /// The zero subspace of an n-qubit space (1 <= n <= 64).
-  explicit SparseSubspace(std::uint32_t n);
-
-  /// span of the given (not necessarily orthogonal or normalised) kets.
-  static SparseSubspace from_states(std::uint32_t n, const std::vector<SparseState>& states);
-
-  [[nodiscard]] std::uint32_t num_qubits() const { return n_; }
-  [[nodiscard]] std::size_t dim() const { return basis_.size(); }
-  [[nodiscard]] const std::vector<SparseState>& basis() const { return basis_; }
-
-  /// Gram-Schmidt extension; returns true iff the dimension grew.
-  bool add_state(const SparseState& state);
-
-  /// Batched extension returning the appended orthonormal residuals.
-  std::vector<SparseState> add_states(const std::vector<SparseState>& states);
-
-  /// True if `state` ∈ S (up to tolerance; need not be normalised).
-  [[nodiscard]] bool contains(const SparseState& state, double tol = kMembershipTol) const;
-
-  /// Mutual containment (same dimension and same span).
-  [[nodiscard]] bool same_subspace(const SparseSubspace& other) const;
-
- private:
-  std::uint32_t n_;
-  std::vector<SparseState> basis_;
-};
 
 }  // namespace qts::sim

@@ -35,6 +35,19 @@ TEST(Vector, ArithmeticAndNorm) {
   EXPECT_NEAR(b.norm(), std::sqrt(2.0), 1e-12);
 }
 
+TEST(Vector, AxpyAddsAScaledVectorInPlace) {
+  Vector y{kOne, cplx{2.0, 0.0}};
+  const Vector x{kI, kOne};
+  y.axpy(cplx{0.0, 2.0}, x);  // y += 2i·x
+  EXPECT_EQ(y[0], cplx(-1.0, 0.0));
+  EXPECT_EQ(y[1], cplx(2.0, 2.0));
+  y.axpy(cplx{}, x);  // a zero coefficient leaves y as it is
+  EXPECT_EQ(y[1], cplx(2.0, 2.0));
+  Vector shorter(1);
+  EXPECT_THROW(shorter.axpy(kOne, x), qts::InvalidArgument);
+  EXPECT_THROW(y.axpy(kOne, Vector(3)), qts::InvalidArgument);
+}
+
 TEST(Vector, NormalizedThrowsOnZero) {
   const Vector z(3);
   EXPECT_THROW((void)z.normalized(), qts::InvalidArgument);

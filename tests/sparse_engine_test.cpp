@@ -1,11 +1,11 @@
 /// Tests for the sparse amplitude-map backend of the state-representation
 /// seam: the TDD↔sparse codec (non-zero-path walk, radix build, the
-/// non-zero budget at the exact boundary), the sparse operation application
-/// and Gram-Schmidt subspace mirror, the shared tolerance constants at the
-/// zero-norm boundary, the sparse engine (alone, above the dense qubit cap,
-/// and as a parallel inner engine), and the differential/cross-check
-/// equivalence against the TDD and dense engines over the fixpoint
-/// workloads and the shipped example QASM files.
+/// non-zero budget at the exact boundary), the sparse operation application,
+/// the shared tolerance constants at the zero-norm boundary, the sparse
+/// engine (alone, above the dense qubit cap, and as a parallel inner
+/// engine), and the differential/cross-check equivalence against the TDD
+/// and dense engines over the fixpoint workloads and the shipped example
+/// QASM files.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -23,7 +23,7 @@
 #include "qts/reachability.hpp"
 #include "qts/sparse_engine.hpp"
 #include "qts/workloads.hpp"
-#include "sim/dense_subspace.hpp"
+#include "sim/basis_subspace.hpp"
 #include "sim/sparse_state.hpp"
 #include "test_helpers.hpp"
 
@@ -160,62 +160,6 @@ TEST(SparseCodec, WorksAboveTheDenseQubitCap) {
 }
 
 // ---------------------------------------------------------------------------
-// Sparse subspace mirror
-
-TEST(SparseSubspace, MirrorsTheTddSubspace) {
-  tdd::Manager mgr;
-  const std::uint32_t n = 3;
-  // A spanning family with deliberate dependence and an unnormalised entry.
-  std::vector<tdd::Edge> kets = {
-      ket_basis(mgr, n, 0), ket_basis(mgr, n, 1), mgr.scale(ket_basis(mgr, n, 0), cplx{2.0, 0.0}),
-      mgr.add(ket_basis(mgr, n, 0), ket_basis(mgr, n, 5))};
-
-  Subspace tdd_space(mgr, n);
-  sim::SparseSubspace sparse_space(n);
-  std::vector<sim::SparseState> sparse_kets;
-  for (const auto& k : kets) sparse_kets.push_back(decode_ket_sparse(k, n));
-
-  const auto tdd_survivors = tdd_space.add_states(kets);
-  const auto sparse_survivors = sparse_space.add_states(sparse_kets);
-  EXPECT_EQ(tdd_space.dim(), sparse_space.dim());
-  EXPECT_EQ(tdd_survivors.size(), sparse_survivors.size());
-
-  // The two bases span the same subspace: decode the TDD basis and check
-  // mutual containment sparsely.
-  std::vector<sim::SparseState> decoded;
-  for (const auto& b : tdd_space.basis()) decoded.push_back(decode_ket_sparse(b, n));
-  EXPECT_TRUE(
-      sparse_space.same_subspace(sim::SparseSubspace::from_states(n, decoded)));
-
-  // Membership agrees on in-span, out-of-span and zero vectors.
-  EXPECT_TRUE(sparse_space.contains(decode_ket_sparse(kets[3], n)));
-  EXPECT_FALSE(sparse_space.contains(decode_ket_sparse(ket_basis(mgr, n, 7), n)));
-  EXPECT_TRUE(sparse_space.contains(sim::SparseState(n)));  // zero vector
-}
-
-TEST(SparseSubspace, ResidualsAreOrthonormal) {
-  sim::SparseSubspace s(2);
-  std::vector<sim::SparseState> states;
-  sim::SparseState a(2);
-  a.set(0, cplx{1.0, 0.0});
-  a.set(1, cplx{1.0, 0.0});
-  sim::SparseState b(2);
-  b.set(0, cplx{1.0, 0.0});
-  sim::SparseState c(2);
-  c.set(0, cplx{1.0, 0.0});
-  c.set(1, cplx{2.0, 0.0});
-  states = {a, b, c};
-  const auto residuals = s.add_states(states);
-  ASSERT_EQ(residuals.size(), 2u);  // the third is dependent
-  for (std::size_t i = 0; i < residuals.size(); ++i) {
-    EXPECT_NEAR(residuals[i].norm(), 1.0, 1e-12);
-    for (std::size_t j = 0; j < i; ++j) {
-      EXPECT_NEAR(std::abs(residuals[i].dot(residuals[j])), 0.0, 1e-12);
-    }
-  }
-}
-
-// ---------------------------------------------------------------------------
 // Shared tolerance constants (the PR's tolerance-unification bugfix)
 
 TEST(SparseToleranceBoundary, ZeroNormCutoffAgreesAcrossRepresentations) {
@@ -233,12 +177,12 @@ TEST(SparseToleranceBoundary, ZeroNormCutoffAgreesAcrossRepresentations) {
     const tdd::Edge tiny_tdd = mgr.scale(ket_basis(mgr, n, 1), cplx{scale, 0.0});
     EXPECT_EQ(tdd_space.add_state(tiny_tdd), !is_zero) << scale;
 
-    sim::DenseSubspace dense_space(n);
+    sim::BasisSubspace<la::Vector> dense_space(n);
     la::Vector tiny_dense(4);
     tiny_dense[1] = cplx{scale, 0.0};
     EXPECT_EQ(dense_space.add_state(tiny_dense), !is_zero) << scale;
 
-    sim::SparseSubspace sparse_space(n);
+    sim::BasisSubspace<sim::SparseState> sparse_space(n);
     sim::SparseState tiny_sparse(n);
     tiny_sparse.set(1, cplx{scale, 0.0});
     EXPECT_EQ(sparse_space.add_state(tiny_sparse), !is_zero) << scale;
@@ -248,10 +192,10 @@ TEST(SparseToleranceBoundary, ZeroNormCutoffAgreesAcrossRepresentations) {
     // above it every representation says "independent ray, not contained".
     Subspace other_tdd = Subspace::from_states(mgr, n, {ket_basis(mgr, n, 0)});
     EXPECT_EQ(other_tdd.contains(tiny_tdd), is_zero) << scale;
-    sim::DenseSubspace other_dense(n);
+    sim::BasisSubspace<la::Vector> other_dense(n);
     other_dense.add_state(la::Vector{cplx{1.0, 0.0}, {}, {}, {}});
     EXPECT_EQ(other_dense.contains(tiny_dense), is_zero) << scale;
-    sim::SparseSubspace other_sparse(n);
+    sim::BasisSubspace<sim::SparseState> other_sparse(n);
     other_sparse.add_state(sim::SparseState::basis(n, 0));
     EXPECT_EQ(other_sparse.contains(tiny_sparse), is_zero) << scale;
   }

@@ -1,5 +1,5 @@
 /// Tests for the state-representation seam: the ket codec between TDD and
-/// dense representations, the dense subspace mirror, the statevector oracle
+/// dense representations, the statevector oracle
 /// engine (alone and as a parallel inner engine), the differential-oracle
 /// equivalence against every TDD engine over the fixpoint workloads and the
 /// shipped example QASM files, and the FixpointDriver cross-check mode —
@@ -21,7 +21,6 @@
 #include "qts/reachability.hpp"
 #include "qts/statevector_engine.hpp"
 #include "qts/workloads.hpp"
-#include "sim/dense_subspace.hpp"
 #include "sim/statevector.hpp"
 #include "test_helpers.hpp"
 
@@ -107,55 +106,6 @@ TEST(KetCodec, EnforcesTheQubitCap) {
   EXPECT_THROW((void)decode_ket(ket, 4, 31), InvalidArgument);  // cap itself capped
   EXPECT_THROW((void)encode_ket(mgr, la::Vector(8), 4), InvalidArgument);  // 2^n mismatch
   EXPECT_NO_THROW((void)decode_ket(ket, 4, 4));
-}
-
-// ---------------------------------------------------------------------------
-// Dense subspace mirror
-
-TEST(DenseSubspace, MirrorsTheTddSubspace) {
-  tdd::Manager mgr;
-  const std::uint32_t n = 3;
-  // A spanning family with deliberate dependence and an unnormalised entry.
-  std::vector<tdd::Edge> kets = {
-      ket_basis(mgr, n, 0), ket_basis(mgr, n, 1), mgr.scale(ket_basis(mgr, n, 0), cplx{2.0, 0.0}),
-      mgr.add(ket_basis(mgr, n, 0), ket_basis(mgr, n, 5))};
-
-  Subspace tdd_space(mgr, n);
-  sim::DenseSubspace dense_space(n);
-  std::vector<la::Vector> dense_kets;
-  for (const auto& k : kets) dense_kets.push_back(decode_ket(k, n));
-
-  const auto tdd_survivors = tdd_space.add_states(kets);
-  const auto dense_survivors = dense_space.add_states(dense_kets);
-  EXPECT_EQ(tdd_space.dim(), dense_space.dim());
-  EXPECT_EQ(tdd_survivors.size(), dense_survivors.size());
-
-  // The two bases span the same subspace: decode the TDD basis and check
-  // mutual containment densely.
-  std::vector<la::Vector> decoded;
-  for (const auto& b : tdd_space.basis()) decoded.push_back(decode_ket(b, n));
-  EXPECT_TRUE(dense_space.same_subspace(sim::DenseSubspace::from_states(n, decoded)));
-
-  // Membership agrees on in-span and out-of-span vectors.
-  EXPECT_TRUE(dense_space.contains(decode_ket(kets[3], n)));
-  EXPECT_FALSE(dense_space.contains(decode_ket(ket_basis(mgr, n, 7), n)));
-  EXPECT_TRUE(dense_space.contains(la::Vector(8)));  // zero vector
-}
-
-TEST(DenseSubspace, ResidualsAreOrthonormal) {
-  sim::DenseSubspace s(2);
-  std::vector<la::Vector> states;
-  states.push_back(la::Vector{cplx{1.0, 0.0}, cplx{1.0, 0.0}, cplx{0.0, 0.0}, cplx{0.0, 0.0}});
-  states.push_back(la::Vector{cplx{1.0, 0.0}, cplx{0.0, 0.0}, cplx{0.0, 0.0}, cplx{0.0, 0.0}});
-  states.push_back(la::Vector{cplx{1.0, 0.0}, cplx{2.0, 0.0}, cplx{0.0, 0.0}, cplx{0.0, 0.0}});
-  const auto residuals = s.add_states(states);
-  ASSERT_EQ(residuals.size(), 2u);  // the third is dependent
-  for (std::size_t i = 0; i < residuals.size(); ++i) {
-    EXPECT_NEAR(residuals[i].norm(), 1.0, 1e-12);
-    for (std::size_t j = 0; j < i; ++j) {
-      EXPECT_NEAR(std::abs(residuals[i].dot(residuals[j])), 0.0, 1e-12);
-    }
-  }
 }
 
 // ---------------------------------------------------------------------------
