@@ -17,7 +17,6 @@ ExecutionContext ExecutionContext::worker_view() const {
   view.max_nodes_ = max_nodes_;
   view.current_iteration_ = current_iteration_;
   view.audit_every_ = audit_every_;
-  view.gc_threshold_nodes_ = gc_threshold_nodes_;
   view.adaptive_gc_ = adaptive_gc_;
   view.adaptive_gc_floor_ = adaptive_gc_floor_;
   view.adaptive_gc_growth_ = adaptive_gc_growth_;

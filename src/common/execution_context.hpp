@@ -211,18 +211,13 @@ class ExecutionContext {
 
   // -- GC policy ------------------------------------------------------------
 
-  /// When non-zero, fixpoint loops run a mark-sweep GC whenever the
-  /// manager's live node count exceeds this threshold (roots: the live
-  /// subspaces plus the engine's prepared operators).  A manual threshold
-  /// overrides the adaptive policy below.
-  void set_gc_threshold_nodes(std::size_t n) { gc_threshold_nodes_ = n; }
-  [[nodiscard]] std::size_t gc_threshold_nodes() const { return gc_threshold_nodes_; }
-
-  /// Adaptive GC (the default when no manual threshold is set): fixpoint
-  /// loops collect when the live node count has grown past `growth` times
-  /// the count measured after the previous collection — i.e. the trigger
-  /// tracks the live-node growth rate instead of a fixed ceiling — but never
-  /// below `floor` nodes, so small workloads pay nothing.
+  /// Adaptive GC (on by default): fixpoint loops run a mark-sweep GC (roots:
+  /// the live subspaces plus the engine's prepared operators) when the live
+  /// node count has grown past `growth` times the count measured after the
+  /// previous collection — i.e. the trigger tracks the live-node growth
+  /// rate instead of a fixed ceiling — but never below `floor` nodes, so
+  /// small workloads pay nothing.  `floor` 1 with `growth` 1.0 collects
+  /// before every iteration.
   void set_adaptive_gc(bool enabled, std::size_t floor = kAdaptiveGcFloor,
                        double growth = kAdaptiveGcGrowth) {
     adaptive_gc_ = enabled;
@@ -260,7 +255,6 @@ class ExecutionContext {
   std::size_t max_nodes_ = 0;
   std::size_t current_iteration_ = 0;
   std::size_t audit_every_ = 0;
-  std::size_t gc_threshold_nodes_ = 0;
   bool adaptive_gc_ = true;
   std::size_t adaptive_gc_floor_ = kAdaptiveGcFloor;
   double adaptive_gc_growth_ = kAdaptiveGcGrowth;

@@ -69,10 +69,8 @@ auto FallbackImage::with_fallback(Fn&& fn) -> decltype(fn()) {
 
 std::vector<tdd::Edge> FallbackImage::image_step(std::span<const QuantumOperation> ops,
                                                  std::span<const tdd::Edge> kets,
-                                                 std::uint32_t n, const tdd::Edge& acc_projector,
-                                                 std::size_t* shards_used) {
-  return with_fallback(
-      [&] { return active().image_step(ops, kets, n, acc_projector, shards_used); });
+                                                 std::uint32_t n, std::size_t* shards_used) {
+  return with_fallback([&] { return active().image_step(ops, kets, n, shards_used); });
 }
 
 void FallbackImage::clear_prepared() {

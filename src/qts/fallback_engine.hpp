@@ -15,8 +15,8 @@
 /// element's step, run inside a degrade-and-retry loop.  Every entry point
 /// (image, image_kets, the driver's frontier step) therefore degrades the
 /// same way, and a switch re-runs only the step that failed, on the next
-/// element.  Whether that step filters against the accumulator or shards is
-/// the active element's business.
+/// element.  Whether that step shards or changes representation is the
+/// active element's business.
 ///
 /// Only ResourceExhausted triggers a switch.  InvalidArgument (caller bug),
 /// InternalError (library bug) and DeadlineExceeded (the whole run's budget,
@@ -88,7 +88,6 @@ class FallbackImage final : public ImageComputer {
   /// ResourceExhausted and re-running the step on the next element.
   std::vector<tdd::Edge> image_step(std::span<const QuantumOperation> ops,
                                     std::span<const tdd::Edge> kets, std::uint32_t n,
-                                    const tdd::Edge& acc_projector,
                                     std::size_t* shards_used) override;
 
   void clear_prepared() override;

@@ -143,19 +143,13 @@ FixpointDriver::Result FixpointDriver::run() {
 
     // Top of an iteration = quiescent point of the (shared) manager: no
     // workers are running, so collecting here is safe for every engine.
+    // Growth-rate trigger: collect once the pool has grown past `growth`
+    // times its level after the previous collection.  The floor keeps small
+    // workloads (and short tests) collection-free.
     const std::size_t live = computer_.manager().live_nodes();
-    bool collect = false;
-    if (ctx.gc_threshold_nodes() != 0) {
-      // Manual ceiling: the historical --gc-nodes contract, unchanged.
-      collect = live > ctx.gc_threshold_nodes();
-    } else if (ctx.adaptive_gc()) {
-      // Adaptive growth-rate trigger: collect once the pool has grown past
-      // `growth` times its level after the previous collection.  The floor
-      // keeps small workloads (and short tests) collection-free.
-      collect = live >= ctx.adaptive_gc_floor() &&
-                static_cast<double>(live) >=
-                    ctx.adaptive_gc_growth() * static_cast<double>(gc_baseline_);
-    }
+    const bool collect = ctx.adaptive_gc() && live >= ctx.adaptive_gc_floor() &&
+                         static_cast<double>(live) >=
+                             ctx.adaptive_gc_growth() * static_cast<double>(gc_baseline_);
     if (collect) {
       collect_and_gc(acc, frontier, &oracle_acc, &oracle_frontier);
       gc_baseline_ = computer_.manager().live_nodes();
@@ -174,14 +168,13 @@ FixpointDriver::Result FixpointDriver::run() {
     it.gc = collect;
 
     // Imaging only the frontier is sound because T(A ∨ B) = T(A) ∨ T(B)
-    // (Proposition 1) and previously imaged vectors add nothing new.  Only
-    // the seam engines pre-filter against the accumulator snapshot; every
+    // (Proposition 1) and previously imaged vectors add nothing new.  The
     // step ends in the single authoritative Gram-Schmidt pass of add_states:
     // at most one orthogonalisation per candidate (scalar multiples of an
     // earlier candidate are skipped by node), whose surviving residuals are
     // the next frontier.
     const std::vector<Edge> candidates =
-        computer_.frontier_candidates(sys_, frontier, n, acc.projector(), &it.shards);
+        computer_.image_step(sys_.operations, frontier, n, &it.shards);
     it.candidates = candidates.size();
     std::vector<Edge> survivors = acc.add_states(candidates);
     tdd::record_peak(&ctx, acc.projector());
@@ -193,7 +186,7 @@ FixpointDriver::Result FixpointDriver::run() {
       // Same iteration body, driven through the oracle's own execution path
       // and its own accumulator/frontier.
       const std::vector<Edge> oracle_candidates =
-          oracle_->frontier_candidates(sys_, oracle_frontier, n, oracle_acc.projector(), nullptr);
+          oracle_->image_step(sys_.operations, oracle_frontier, n, nullptr);
       std::vector<Edge> oracle_survivors = oracle_acc.add_states(oracle_candidates);
 
       if (it.frontier_dim != oracle_frontier.size()) {

@@ -9,13 +9,12 @@
 /// survivor.
 ///
 /// Each iteration is one engine image step plus one Gram-Schmidt pass.  The
-/// driver hands the frontier and the accumulator's projector to
-/// `ImageComputer::frontier_candidates`, i.e. to the engine's one
-/// `image_step` hook, whatever the engine: sequential engines return every
-/// raw image, the parallel engine shards the step across workers and returns
-/// the same raw images, and representation-changing engines (statevector,
-/// sparse) cross their seam once per step and drop residuals already inside
-/// the accumulator.  The returned candidates then extend the accumulator in
+/// driver hands the frontier to the engine's one `ImageComputer::image_step`
+/// hook, whatever the engine: sequential engines return every raw image,
+/// the parallel engine shards the step across workers and returns the same
+/// raw images, and representation-changing engines (statevector, sparse)
+/// cross their seam once per step and return the residual basis of the
+/// images.  The returned candidates then extend the accumulator in
 /// ONE Gram-Schmidt pass (`Subspace::add_states`) on the caller's thread: the
 /// surviving orthonormal residuals ARE the next frontier, carried as a bare
 /// ket family (nothing ever projects onto the frontier, so no projector is
@@ -41,8 +40,8 @@ struct IterationStats {
   std::size_t frontier_dim = 0;  ///< frontier basis vectors imaged
   /// Image vectors fed to the accumulator's Gram-Schmidt pass.  For a
   /// sequential or parallel engine this is every raw Kraus×ket image; the
-  /// seam engines (statevector, sparse) pre-filter against the accumulator
-  /// and return fewer for the same computation.
+  /// seam engines (statevector, sparse) return the residual basis of the
+  /// images, which is fewer when the images are linearly dependent.
   std::size_t candidates = 0;
   std::size_t survivors = 0;     ///< residuals that extended the accumulator
   std::size_t shards = 0;        ///< shards the image step dispatched (1 = undivided)
@@ -97,10 +96,9 @@ class FixpointDriver {
 
   /// Drive the iteration to the fixpoint, the iteration cap, a deadline, or
   /// a predicate violation.  GC runs at the top of an iteration — a
-  /// quiescent point of the shared manager — under the context's policy: a
-  /// manual gc_threshold_nodes bound when set, otherwise the adaptive
-  /// growth-rate trigger (collect when live nodes exceed `growth` times the
-  /// level measured after the previous collection, never below the floor).
+  /// quiescent point of the shared manager — when the context's adaptive
+  /// trigger is on and live nodes have reached both its floor and `growth`
+  /// times the level measured after the previous collection.
   /// Roots = the computer's prepared operators, the system's initial
   /// subspace, the accumulator, the frontier, every keep_alive subspace,
   /// and — under set_oracle — the oracle's prepared operators, accumulator
@@ -135,7 +133,7 @@ class FixpointDriver {
   ImageComputer* oracle_ = nullptr;
   std::vector<const Subspace*> extra_roots_;
   std::vector<IterationStats> history_;
-  std::size_t gc_baseline_ = 0;  ///< live nodes after the last collection (adaptive policy)
+  std::size_t gc_baseline_ = 0;  ///< live nodes after the last collection
 };
 
 }  // namespace qts

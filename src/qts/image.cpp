@@ -11,7 +11,7 @@ using tdd::Level;
 
 std::vector<Edge> ImageComputer::image_step(std::span<const QuantumOperation> ops,
                                             std::span<const Edge> kets, std::uint32_t n,
-                                            const Edge&, std::size_t* shards_used) {
+                                            std::size_t* shards_used) {
   ScopedTimer timer(ctx_);
   if (shards_used != nullptr) *shards_used = 1;
   std::size_t kraus_total = 0;
@@ -26,10 +26,10 @@ std::vector<Edge> ImageComputer::image_step(std::span<const QuantumOperation> op
   return out;
 }
 
-Subspace ImageComputer::image(const QuantumOperation& op, const Subspace& s) {
-  // image_step accounts its own time; the ScopedTimer here adds the join.
-  const std::vector<Edge> images =
-      image_step(std::span(&op, 1), s.basis(), s.num_qubits(), mgr_.zero(), nullptr);
+Subspace ImageComputer::image_of(std::span<const QuantumOperation> ops, const Subspace& s) {
+  // image_step accounts its own time; the ScopedTimer here adds the
+  // Gram-Schmidt pass.
+  const std::vector<Edge> images = image_step(ops, s.basis(), s.num_qubits(), nullptr);
   ScopedTimer timer(ctx_);
   Subspace out(mgr_, s.num_qubits());
   for (const Edge& phi : images) {
@@ -48,23 +48,10 @@ Edge ImageComputer::apply_kraus(const circ::Circuit& kraus, const Edge& ket,
   return phi;
 }
 
-Subspace ImageComputer::image(const TransitionSystem& sys, const Subspace& s) {
-  // image(op, s) accounts its own time; the ScopedTimer here adds the join
-  // cost on top of the per-op time.
-  Subspace out(mgr_, s.num_qubits());
-  for (const auto& op : sys.operations) {
-    const Subspace part = image(op, s);
-    ScopedTimer timer(ctx_);
-    out.join(part);
-    tdd::record_peak(ctx_, out.projector());
-  }
-  return out;
-}
-
 void ImageComputer::no_per_ket_path() const {
   throw InvalidArgument("apply_kraus: the '" + name() +
                         "' engine has no per-ket path; it images kets only through "
-                        "image_step (or image, image_kets, frontier_candidates)");
+                        "image_step (or image, image_kets)");
 }
 
 std::vector<tdd::Edge> ImageComputer::prepared_roots() const {

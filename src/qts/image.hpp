@@ -6,14 +6,12 @@
 /// operator, and join the resulting rays.  ImageComputer owns that loop as
 /// ONE virtual hook, `image_step`: a family of kets pushed through every
 /// Kraus circuit of a span of operations, returned op-major, Kraus-major,
-/// ket-minor; the seam engines also pre-filter against an accumulator
-/// projector.
-/// Every entry point — image(op, S), image(sys, S), image_kets and the
-/// FixpointDriver's frontier_candidates — is a non-virtual wrapper over it,
-/// so an engine that changes how the loop runs (the parallel engine shards
-/// it, the seam engines run it in a foreign representation, the fallback
-/// chain retries it) overrides exactly one function and serves every entry
-/// point.
+/// ket-minor.  Every entry point — image(op, S), image(sys, S), image_kets,
+/// frontier_candidates, and the FixpointDriver's iteration, which calls the
+/// hook itself — runs through it, so an engine that changes how the loop
+/// runs (the parallel engine shards it, the seam engines run it in a foreign
+/// representation, the fallback chain retries it) overrides exactly one
+/// function and serves every entry point.
 ///
 /// The three algorithms differ only in how a Kraus circuit is applied to a
 /// state (prepare + apply, one cell of the loop):
@@ -60,49 +58,51 @@ class ImageComputer {
   /// The one image step every entry point runs through: image every ket of
   /// `kets` through every Kraus circuit of every operation in `ops`, and
   /// return the images op-major, Kraus-major, ket-minor.  The span of the
-  /// result equals the span of the raw images modulo `acc_projector`: an
-  /// engine may drop images already inside it (a zero projector filters
-  /// nothing), and may return any spanning family of what is left.  Only
-  /// the seam engines (statevector, sparse) use that freedom; every other
-  /// engine returns the raw images.  `shards_used`, when non-null, receives
-  /// the number of shards dispatched (1 when the step ran undivided on the
-  /// caller's thread).  The default is the sequential apply_kraus loop on
-  /// this computer's manager; engines that shard the loop or change
-  /// representation override it.
+  /// result equals the span of the raw images: an engine may return any
+  /// spanning family of them.  Only the seam engines (statevector, sparse)
+  /// use that freedom, returning the residual basis they reduced the images
+  /// to; every other engine returns the raw images.  `shards_used`, when
+  /// non-null, receives the number of shards dispatched (1 when the step ran
+  /// undivided on the caller's thread).  The default is the sequential
+  /// apply_kraus loop on this computer's manager; engines that shard the
+  /// loop or change representation override it.
   virtual std::vector<tdd::Edge> image_step(std::span<const QuantumOperation> ops,
                                             std::span<const tdd::Edge> kets, std::uint32_t n,
-                                            const tdd::Edge& acc_projector,
                                             std::size_t* shards_used);
 
   /// T_σ(S): the join of span{E|b⟩} over Kraus operators E and basis kets b.
-  Subspace image(const QuantumOperation& op, const Subspace& s);
-
-  /// T(S) = ⋁_σ T_σ(S) over every operation of the system.
-  Subspace image(const TransitionSystem& sys, const Subspace& s);
-
-  /// Every raw image ket of a ket family: the step over every operation of
-  /// `sys`, unfiltered.
-  std::vector<tdd::Edge> image_kets(const TransitionSystem& sys, std::span<const tdd::Edge> kets,
-                                    std::uint32_t n) {
-    return image_step(sys.operations, kets, n, mgr_.zero(), nullptr);
+  Subspace image(const QuantumOperation& op, const Subspace& s) {
+    return image_of(std::span(&op, 1), s);
   }
 
-  /// One fixpoint frontier step: the step over every operation of `sys`,
-  /// pre-filtered against the accumulator snapshot `acc_projector` by the
-  /// seam engines only; on every other engine it equals image_kets.
+  /// T(S) = ⋁_σ T_σ(S) over every operation of the system.
+  Subspace image(const TransitionSystem& sys, const Subspace& s) {
+    return image_of(sys.operations, s);
+  }
+
+  /// Every image ket of a ket family: the step over every operation of
+  /// `sys`.
+  std::vector<tdd::Edge> image_kets(const TransitionSystem& sys, std::span<const tdd::Edge> kets,
+                                    std::uint32_t n) {
+    return image_step(sys.operations, kets, n, nullptr);
+  }
+
+  /// The step over every operation of `sys` with its shard count, i.e. what
+  /// one FixpointDriver iteration images.  `acc_projector` is ignored: the
+  /// accumulator's own Gram-Schmidt pass decides what is new.  Kept, with
+  /// this signature, for the benchmark's fixpoint replay.
   std::vector<tdd::Edge> frontier_candidates(const TransitionSystem& sys,
                                              std::span<const tdd::Edge> frontier, std::uint32_t n,
-                                             const tdd::Edge& acc_projector,
+                                             const tdd::Edge& /*acc_projector*/,
                                              std::size_t* shards_used) {
-    return image_step(sys.operations, frontier, n, acc_projector, shards_used);
+    return image_step(sys.operations, frontier, n, shards_used);
   }
 
   /// True for engines whose image_step runs the whole frontier body itself:
   /// the parallel engine shards it across workers, and
   /// representation-changing engines (statevector, sparse) cross into their
-  /// representation once per step and filter the re-encoded residuals
-  /// against the accumulator.  Informational: every engine serves every
-  /// entry point.
+  /// representation once per step.  Informational: every engine serves
+  /// every entry point.
   [[nodiscard]] virtual bool shards_frontier() const { return false; }
 
   /// One cell of the Kraus×basis loop: apply a single Kraus circuit to a ket
@@ -185,19 +185,15 @@ class ImageComputer {
   /// parallel engine, fallback chains): public apply_kraus reaches it.
   [[noreturn]] void no_per_ket_path() const;
 
-  /// The seam engines' image_step pre-filter: true when `phi` is not inside
-  /// the accumulator snapshot `acc_projector`.  A zero snapshot keeps every
-  /// image without a containment test.
-  [[nodiscard]] bool outside(const tdd::Edge& acc_projector, const tdd::Edge& phi,
-                             std::uint32_t n) const {
-    return acc_projector.is_zero() || !Subspace::projector_contains(mgr_, acc_projector, phi, n);
-  }
-
   tdd::Manager& mgr_;
   ExecutionContext own_ctx_;
   ExecutionContext* ctx_;
 
  private:
+  /// Both image overloads: one image_step over `ops`, then one Gram-Schmidt
+  /// pass over its images.
+  Subspace image_of(std::span<const QuantumOperation> ops, const Subspace& s);
+
   std::unordered_map<const circ::Circuit*, std::unique_ptr<Prepared>> prepared_;
 };
 

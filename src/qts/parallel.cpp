@@ -57,7 +57,6 @@ std::size_t ParallelImage::shard_count(std::size_t tasks) const {
 
 std::vector<Edge> ParallelImage::image_step(std::span<const QuantumOperation> ops,
                                             std::span<const Edge> kets, std::uint32_t n,
-                                            const Edge& /*acc_projector*/,
                                             std::size_t* shards_used) {
   ScopedTimer timer(ctx_);
   // The task list in the step's own (op, Kraus, ket) order, fixed before any

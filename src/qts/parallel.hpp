@@ -7,8 +7,8 @@
 /// at the end.  Since the tdd::Manager became thread-safe (sharded unique
 /// table, arena node storage, per-thread operation caches), ParallelImage
 /// overrides that one hook with a pool of workers running directly on the
-/// caller's manager, so image(op, S), image(sys, S), image_kets and the
-/// FixpointDriver's frontier_candidates all run through the same loop:
+/// caller's manager, so image(op, S), image(sys, S), image_kets and every
+/// FixpointDriver iteration all run through the same loop:
 ///
 ///   1. the task list (one task per operation × Kraus circuit × ket, in the
 ///      step's op-major, Kraus-major, ket-minor order) is cut into
@@ -21,10 +21,10 @@
 ///   3. after all workers join, the output is in *task order*, so it is
 ///      bit-for-bit independent of the worker count.
 ///
-/// Workers do not filter against the accumulator: the caller's one
-/// Gram-Schmidt pass (Subspace::add_states) decides what is new.  On GHZ9
-/// with depolarising noise a worker-side containment test dropped none of
-/// 4,096 images and cost more than computing them.
+/// Workers return every image: the caller's one Gram-Schmidt pass
+/// (Subspace::add_states) decides what is new.  On GHZ9 with depolarising
+/// noise a worker-side containment test dropped none of 4,096 images and
+/// cost more than computing them.
 ///
 /// Each worker owns a Manager::ThreadSlot (operation caches, allocation
 /// free-list, stats sink) installed via SlotGuard for the duration of a
@@ -37,8 +37,8 @@
 /// summed, peak = max).
 ///
 /// Garbage collection is not the engine's business any more: with one shared
-/// manager the driver's quiescent-point policy (manual threshold or adaptive
-/// growth-rate trigger) covers worker allocations too.  Between fork/join
+/// manager the driver's quiescent-point policy (the adaptive growth-rate
+/// trigger) covers worker allocations too.  Between fork/join
 /// rounds the manager is quiescent, which is exactly when the FixpointDriver
 /// collects.
 #pragma once
@@ -82,7 +82,7 @@ class ParallelImage final : public ImageComputer {
   [[nodiscard]] std::size_t shard_count(std::size_t tasks) const;
 
   /// The parallel engine runs whole frontier bodies, sharded across the
-  /// workers (unfiltered, like the sequential engines').
+  /// workers.
   [[nodiscard]] bool shards_frontier() const override { return true; }
 
   /// The one sharded loop.  The step's (op, Kraus, ket) task list is split
@@ -91,11 +91,10 @@ class ParallelImage final : public ImageComputer {
   /// stores every image in its task's slot, so the result is the task
   /// list's own order and bit-for-bit independent of the worker count: the
   /// shard boundaries move with `threads`, but every image depends only on
-  /// its task.  `acc_projector` is ignored: nothing is filtered, and the
-  /// result equals image_kets' sequential one, node for node.
+  /// its task.  The result equals the sequential engines' raw images, node
+  /// for node.
   std::vector<tdd::Edge> image_step(std::span<const QuantumOperation> ops,
                                     std::span<const tdd::Edge> kets, std::uint32_t n,
-                                    const tdd::Edge& acc_projector,
                                     std::size_t* shards_used) override;
 
   /// The prepared-operator caches live in the workers' inner engines (keyed

@@ -34,12 +34,11 @@ struct ReachabilityResult {
 /// Least fixpoint of S ↦ S ∨ T(S) above the initial subspace.
 ///
 /// Run control comes from the computer's ExecutionContext: its deadline is
-/// honoured between (and, via the manager, within) image steps, and when
-/// `context().gc_threshold_nodes()` is non-zero a mark-sweep GC runs
-/// whenever the manager's live node count exceeds the threshold — the roots
-/// are the accumulated/frontier subspaces, the system's initial subspace
-/// and the computer's prepared operators, so the loop is semantically
-/// unaffected.  `observer`, when set, is invoked after every iteration with
+/// honoured between (and, via the manager, within) image steps, and the
+/// context's adaptive GC trigger runs a mark-sweep GC between iterations —
+/// the roots are the accumulated/frontier subspaces, the system's initial
+/// subspace and the computer's prepared operators, so the loop is
+/// semantically unaffected.  `observer`, when set, is invoked after every iteration with
 /// that iteration's statistics.  `oracle`, when non-null, is a second engine
 /// (same manager) cross-checked against the primary every iteration — see
 /// FixpointDriver::set_oracle; divergence throws InternalError.
@@ -58,8 +57,8 @@ struct InvariantResult {
 /// Check that the reachable subspace stays inside `invariant` (a safety
 /// property: every reachable state satisfies the atomic proposition given
 /// by the invariant subspace).  Stops early on the first violation.  Shares
-/// the driver's run control with reachable_space — including GC under
-/// `gc_threshold_nodes` (the invariant subspace is kept as an extra root).
+/// the driver's run control with reachable_space — including GC (the
+/// invariant subspace is kept as an extra root).
 InvariantResult check_invariant(ImageComputer& computer, const TransitionSystem& sys,
                                 const Subspace& invariant, std::size_t max_iterations = 100,
                                 IterationObserver observer = nullptr,

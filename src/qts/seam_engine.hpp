@@ -4,14 +4,14 @@
 /// Every non-TDD backend (dense statevector, sparse amplitude map, and the
 /// ROADMAP's next candidates) runs the *same* image step — decode the kets
 /// once, image them through every Kraus circuit in the foreign
-/// representation, reduce the batch to its residual basis there, re-encode
-/// only the survivors, filter against the accumulator snapshot (if any) in
-/// TDD space — and differs only in how states are stored and crossed over.
-/// SeamImage<Rep> owns that step once, as its ImageComputer::image_step
-/// override, so image(op, S), image_kets and the FixpointDriver's frontier
-/// step all cross the seam the same way.  The image batch is reduced by
-/// sim::BasisSubspace<State> (sim/basis_subspace.hpp), the one Gram-Schmidt
-/// mirror every representation shares.  A representation policy supplies
+/// representation, reduce the batch to its residual basis there and
+/// re-encode only the survivors — and differs only in how states are
+/// stored and crossed over.  SeamImage<Rep> owns that step once, as its
+/// ImageComputer::image_step override, so image(op, S), image_kets and the
+/// FixpointDriver's frontier step all cross the seam the same way.  The
+/// image batch is reduced by sim::BasisSubspace<State>
+/// (sim/basis_subspace.hpp), the one Gram-Schmidt mirror every
+/// representation shares.  A representation policy supplies
 /// the remaining points of variation:
 ///
 ///   struct Rep {
@@ -62,12 +62,11 @@ class SeamImage : public ImageComputer {
   /// The image step in the foreign representation: decode the kets once,
   /// apply every Kraus circuit of every operation in the step's order
   /// (op-major, Kraus-major, ket-minor), run one Gram-Schmidt pass over the
-  /// image batch over there (span(residuals) = span(images)), re-encode only
-  /// the residuals and drop those already inside `acc_projector`.  Reports
-  /// one "shard" — the whole step ran on the caller's thread.
+  /// image batch over there (span(residuals) = span(images)) and re-encode
+  /// only the residuals.  Reports one "shard" — the whole step ran on the
+  /// caller's thread.
   std::vector<tdd::Edge> image_step(std::span<const QuantumOperation> ops,
                                     std::span<const tdd::Edge> kets, std::uint32_t n,
-                                    const tdd::Edge& acc_projector,
                                     std::size_t* shards_used) override {
     ScopedTimer timer(ctx_);
     if (shards_used != nullptr) *shards_used = kets.empty() ? 0 : 1;
@@ -91,8 +90,7 @@ class SeamImage : public ImageComputer {
                        std::make_move_iterator(fresh.end()));
     }
 
-    // Re-encode only the survivors; the accumulator-snapshot filter runs in
-    // TDD space (the snapshot's projector only exists there).
+    // Re-encode only the survivors.
     std::vector<tdd::Edge> out;
     out.reserve(residuals.size());
     for (const auto& r : residuals) {
@@ -100,7 +98,7 @@ class SeamImage : public ImageComputer {
       ctx_->fault_codec(Rep::kGuard);
       const tdd::Edge phi = rep_.encode(mgr_, r, n);
       tdd::record_peak(ctx_, phi);
-      if (outside(acc_projector, phi, n)) out.push_back(phi);
+      out.push_back(phi);
     }
     return out;
   }

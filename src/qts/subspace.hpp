@@ -58,9 +58,7 @@ class Subspace {
   [[nodiscard]] bool contains(const tdd::Edge& state, double tol = kMembershipTol) const;
 
   /// Membership test against a bare projector TDD, without a Subspace (the
-  /// projector alone determines the subspace).  Used where only the
-  /// projector is at hand — the seam engines filter their re-encoded
-  /// residuals against the accumulator snapshot they were given.
+  /// projector alone determines the subspace); contains() runs through it.
   [[nodiscard]] static bool projector_contains(tdd::Manager& mgr, const tdd::Edge& projector,
                                                const tdd::Edge& state, std::uint32_t n,
                                                double tol = kMembershipTol);

@@ -23,7 +23,9 @@ TEST(ExecutionContext, DefaultsAreInert) {
   EXPECT_NO_THROW(ctx.check_deadline());
   EXPECT_EQ(ctx.stats().peak_nodes, 0u);
   EXPECT_EQ(ctx.stats().seconds, 0.0);
-  EXPECT_EQ(ctx.gc_threshold_nodes(), 0u);
+  EXPECT_TRUE(ctx.adaptive_gc());
+  EXPECT_EQ(ctx.adaptive_gc_floor(), ExecutionContext::kAdaptiveGcFloor);
+  EXPECT_EQ(ctx.adaptive_gc_growth(), ExecutionContext::kAdaptiveGcGrowth);
 }
 
 TEST(ExecutionContext, RecordPeakKeepsTheMaximum) {
@@ -60,11 +62,12 @@ TEST(ExecutionContext, HitRateHandlesZeroLookups) {
 TEST(ExecutionContext, WorkerViewSharesDeadlineAndStartsFresh) {
   ExecutionContext parent;
   parent.set_deadline(Deadline::after(1e-12));
-  parent.set_gc_threshold_nodes(42);
+  parent.set_adaptive_gc(true, 42, 1.5);
   parent.record_peak(7);
   const ExecutionContext view = parent.worker_view();
   EXPECT_TRUE(view.deadline_expired());            // shared absolute expiry
-  EXPECT_EQ(view.gc_threshold_nodes(), 42u);       // copied policy
+  EXPECT_EQ(view.adaptive_gc_floor(), 42u);        // copied policy
+  EXPECT_EQ(view.adaptive_gc_growth(), 1.5);
   EXPECT_EQ(view.stats().peak_nodes, 0u);          // fresh stats
   EXPECT_THROW(view.check_deadline(), DeadlineExceeded);
 }
@@ -270,7 +273,7 @@ TEST(GcPolicy, ContextThresholdBoundsTheLoop) {
   const auto plain = reachable_space(*make_engine(mgr, "contraction:2,2", &plain_ctx), sys, 40);
 
   ExecutionContext gc_ctx;
-  gc_ctx.set_gc_threshold_nodes(1);
+  gc_ctx.set_adaptive_gc(true, 1, 1.0);
   tdd::Manager mgr2;
   mgr2.bind_context(&gc_ctx);
   const auto sys2 = make_qrw_system(mgr2, 3, 0.3, true, 0);

@@ -221,11 +221,11 @@ TEST(FixpointDriver, PredicateStopsAtFirstOffendingSurvivor) {
 }
 
 TEST(Invariant, HonoursGcThresholdWithInvariantAsRoot) {
-  // gc_threshold_nodes = 1 forces a collection before every iteration; the
+  // Floor 1 with growth 1.0 forces a collection before every iteration; the
   // invariant subspace lives in the same manager and must be kept as a GC
   // root by the driver, or its projector would be swept mid-run.
   ExecutionContext ctx;
-  ctx.set_gc_threshold_nodes(1);
+  ctx.set_adaptive_gc(true, 1, 1.0);
   tdd::Manager mgr;
   mgr.bind_context(&ctx);
   const TransitionSystem sys = make_grover_system(mgr, 4);
@@ -241,7 +241,7 @@ TEST(Invariant, GcVerdictsUnchangedUnderPressure) {
   // iteration, sequentially and sharded.
   for (const char* spec : {"basic", "parallel:2,basic"}) {
     ExecutionContext ctx;
-    ctx.set_gc_threshold_nodes(1);
+    ctx.set_adaptive_gc(true, 1, 1.0);
     tdd::Manager mgr;
     mgr.bind_context(&ctx);
     const TransitionSystem sys = make_ghz_system(mgr, 3);
@@ -262,7 +262,7 @@ TEST(ShardedReachability, GcThresholdKeepsResultsIdentical) {
   const auto expected = reachable_space(*plain_engine, plain_sys, 32);
 
   ExecutionContext ctx;
-  ctx.set_gc_threshold_nodes(1);
+  ctx.set_adaptive_gc(true, 1, 1.0);
   tdd::Manager mgr;
   mgr.bind_context(&ctx);
   const TransitionSystem sys = with_depolarizing(make_ghz_system(mgr, 3));
@@ -351,10 +351,10 @@ TEST_P(EntryPoints, SpanTheSameSubspaceAsBasic) {
     }
     const Subspace expected = reference->image(sys, s);
     EXPECT_TRUE(engine->image(sys, s).same_subspace(expected)) << label;
-    EXPECT_TRUE(span_of(mgr, n, engine->image_kets(sys, s.basis(), n)).same_subspace(expected))
-        << label;
+    const std::vector<tdd::Edge> kets = engine->image_kets(sys, s.basis(), n);
+    EXPECT_TRUE(span_of(mgr, n, kets).same_subspace(expected)) << label;
 
-    // A frontier step filtered against S: candidates ∪ S spans T(S) ∨ S.
+    // A frontier step: candidates ∪ S spans T(S) ∨ S.
     Subspace expected_step = s;
     expected_step.join(expected);
     Subspace step = s;
@@ -362,6 +362,16 @@ TEST_P(EntryPoints, SpanTheSameSubspaceAsBasic) {
     (void)step.add_states(engine->frontier_candidates(sys, s.basis(), n, s.projector(), &shards));
     EXPECT_TRUE(step.same_subspace(expected_step)) << label;
     EXPECT_GE(shards, 1u) << label;
+
+    // No engine filters against the accumulator: even one that already
+    // holds every image gets image_kets' edges back, node and weight.
+    const std::vector<tdd::Edge> unfiltered =
+        engine->frontier_candidates(sys, s.basis(), n, expected.projector(), nullptr);
+    ASSERT_EQ(unfiltered.size(), kets.size()) << label;
+    for (std::size_t i = 0; i < kets.size(); ++i) {
+      EXPECT_EQ(unfiltered[i].node, kets[i].node) << label << " image " << i;
+      EXPECT_EQ(unfiltered[i].weight, kets[i].weight) << label << " image " << i;
+    }
   }
 }
 

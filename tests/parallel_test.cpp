@@ -149,8 +149,8 @@ TEST(ParallelImage, FrontierStepReturnsEveryImage) {
   for (const auto& phi : images) inside += acc.contains(phi) ? 1 : 0;
   ASSERT_GT(inside, 0u);
 
-  // The parallel engine filters nothing: its frontier step is image_kets,
-  // node for node and weight for weight, in the same order.
+  // Images already inside the accumulator come back too: the frontier step
+  // is image_kets, node for node and weight for weight, in the same order.
   const std::vector<tdd::Edge> candidates =
       parallel->frontier_candidates(sys, frontier, n, acc.projector(), nullptr);
   const std::vector<tdd::Edge> own = parallel->image_kets(sys, frontier, n);
@@ -182,7 +182,7 @@ TEST(ParallelImage, DriverGcPolicyCoversWorkerAllocationsInTheSharedManager) {
   // operators live in the shared manager too, so every collection exercises
   // ParallelImage::prepared_roots (sweeping them would corrupt the run).
   ExecutionContext ctx;
-  ctx.set_gc_threshold_nodes(1);  // collect at the top of every iteration
+  ctx.set_adaptive_gc(true, 1, 1.0);  // collect at the top of every iteration
   tdd::Manager mgr;
   mgr.bind_context(&ctx);
   const TransitionSystem sys = with_depolarizing(make_ghz_system(mgr, 3));

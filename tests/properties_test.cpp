@@ -87,7 +87,7 @@ TEST(Properties, GcBoundedReachabilityMatchesPlain) {
 
   tdd::Manager mgr2;
   ContractionImage computer2(mgr2, 2, 2);
-  computer2.context().set_gc_threshold_nodes(1);  // GC every iteration — worst case
+  computer2.context().set_adaptive_gc(true, 1, 1.0);  // GC every iteration — worst case
   const auto sys2 = make_qrw_system(mgr2, 3, 0.3, true, 0);
   const auto gced = reachable_space(computer2, sys2, 40);
   EXPECT_TRUE(gced.converged);

@@ -34,7 +34,7 @@ check 0 "$QTSMC" invar "$EXAMPLES/phase_oracle.qasm"
 check 0 "$QTSMC" reach --engine parallel:2 --stats "$EXAMPLES/ghz.qasm"
 check 0 "$QTSMC" reach --engine parallel:4,basic --noise depol:0.1:0 "$EXAMPLES/ghz.qasm"
 check 0 "$QTSMC" reach --engine parallel:2 --verbose --stats "$EXAMPLES/ghz.qasm"
-check 0 "$QTSMC" invar --engine parallel:2 --gc-nodes 64 "$EXAMPLES/phase_oracle.qasm"
+check 0 "$QTSMC" invar --engine parallel:2 "$EXAMPLES/phase_oracle.qasm"
 check 0 "$QTSMC" reach --engine statevector "$EXAMPLES/ghz.qasm"
 check 0 "$QTSMC" reach --engine statevector:10 --stats "$EXAMPLES/ghz.qasm"
 check 0 "$QTSMC" reach --engine parallel:2,statevector "$EXAMPLES/ghz.qasm"
@@ -59,18 +59,31 @@ for spec in contraction:4,4 contraction:6,6 basic; do
   fi
 done
 
+# Noisy GHZ9: wide frontiers (up to 128 kets x 16 Kraus circuits) through
+# the sparse seam, every iteration cross-checked against contraction.
+out=$("$QTSMC" reach --engine sparse --cross-check contraction:4,4 \
+      --noise depol:0.05:0 --noise depol:0.05:1 "$TESTS/ghz9.qasm" 2>&1)
+rc=$?
+if [ "$rc" -eq 0 ] && grep -q '^reach:   dimension 512 of 512 ' <<<"$out"; then
+  echo "ok: noisy GHZ9 reaches dimension 512 of 512 under sparse, cross-checked"
+else
+  echo "FAIL: noisy GHZ9 under sparse: exit $rc, want 0 with dimension 512 of 512" >&2
+  failures=$((failures + 1))
+fi
+
 # 2 — an engine is configured by its --engine spec alone: the removed
-# order knob and engine aliases are unknown options, and the spec's own
-# strictness still holds.
+# order knob, engine aliases and manual GC ceiling are unknown options, and
+# the spec's own strictness still holds.
 check 2 "$QTSMC" reach --order greedy "$EXAMPLES/ghz.qasm"
 check 2 "$QTSMC" reach --method basic "$EXAMPLES/ghz.qasm"
 check 2 "$QTSMC" reach --k 0 "$EXAMPLES/ghz.qasm"
 check 2 "$QTSMC" reach --k1 2 "$EXAMPLES/ghz.qasm"
 check 2 "$QTSMC" reach --k2 2 "$EXAMPLES/ghz.qasm"
+check 2 "$QTSMC" reach --gc-nodes 64 "$EXAMPLES/ghz.qasm"
 check 2 "$QTSMC" reach --engine addition:0 "$EXAMPLES/ghz.qasm"
 check 2 "$QTSMC" reach --engine contraction:2x,2 "$EXAMPLES/ghz.qasm"
 
-for flag in --order --method --k --k1 --k2; do
+for flag in --order --method --k --k1 --k2 --gc-nodes; do
   if "$QTSMC" reach "$flag" 2 "$EXAMPLES/ghz.qasm" 2>&1 | grep -qx "error: unknown option $flag"; then
     echo "ok: $flag is an unknown option"
   else
@@ -206,8 +219,8 @@ fi
 # are usage errors, not silently-truncated values.
 check 2 "$QTSMC" reach --steps 10x "$EXAMPLES/ghz.qasm"
 check 2 "$QTSMC" reach --steps -1 "$EXAMPLES/ghz.qasm"
-check 2 "$QTSMC" reach --gc-nodes -1 "$EXAMPLES/ghz.qasm"
-check 2 "$QTSMC" reach --gc-nodes 64k "$EXAMPLES/ghz.qasm"
+check 2 "$QTSMC" reach --max-nodes -1 "$EXAMPLES/ghz.qasm"
+check 2 "$QTSMC" reach --max-nodes 64k "$EXAMPLES/ghz.qasm"
 check 2 "$QTSMC" reach --timeout 5x "$EXAMPLES/ghz.qasm"
 check 2 "$QTSMC" reach --timeout 0x10 "$EXAMPLES/ghz.qasm"  # no hexfloats
 check 2 "$QTSMC" reach --noise depol:0x1:0 "$EXAMPLES/ghz.qasm"
@@ -362,7 +375,7 @@ rm -rf "$BATCH_DIR"
 check 0 "$QTSMC" reach --audit "$EXAMPLES/ghz.qasm"
 check 0 "$QTSMC" reach --audit --stats "$EXAMPLES/ghz.qasm"
 check 0 "$QTSMC" reach --engine parallel:2 --audit --audit-every 1 --stats "$EXAMPLES/ghz.qasm"
-check 0 "$QTSMC" reach --audit-every 2 --gc-nodes 64 "$EXAMPLES/ghz.qasm"
+check 0 "$QTSMC" reach --audit-every 2 "$EXAMPLES/ghz.qasm"
 check 1 "$QTSMC" invar --audit "$EXAMPLES/ghz.qasm"   # verdict unchanged by auditing
 check 0 "$QTSMC" invar --audit --cross-check statevector "$EXAMPLES/phase_oracle.qasm"
 check 0 "$QTSMC" reach --engine "fallback:statevector:2;basic" --audit "$EXAMPLES/ghz.qasm"

@@ -313,11 +313,11 @@ TEST(CrossCheck, RejectsAForeignManagerOracle) {
 }
 
 TEST(CrossCheck, SurvivesGcPressure) {
-  // gc_threshold_nodes = 1 forces a collection before every iteration; the
+  // Floor 1 with growth 1.0 forces a collection before every iteration; the
   // oracle's accumulator, frontier and prepared operators must be GC roots
   // or the comparison would read freed nodes.
   ExecutionContext ctx;
-  ctx.set_gc_threshold_nodes(1);
+  ctx.set_adaptive_gc(true, 1, 1.0);
   tdd::Manager mgr;
   mgr.bind_context(&ctx);
   const TransitionSystem sys = with_depolarizing(make_ghz_system(mgr, 3));

@@ -78,13 +78,6 @@
 ///                                          with KIND one of nodes | alloc |
 ///                                          qubits | nonzeros | deadline
 ///                                          (repeatable, comma-separable)
-///   --gc-nodes N                           manual GC ceiling: run a mark-sweep
-///                                          GC whenever the manager holds more
-///                                          than N live nodes.  Default (0):
-///                                          the adaptive policy, which collects
-///                                          when the live-node count doubles
-///                                          since the last collection (above a
-///                                          64k-node floor)
 ///   --audit                                run the deep structural audit
 ///                                          (tdd::audit: canonical form,
 ///                                          unique-table residency, arena
@@ -185,7 +178,6 @@ struct Options {
   double timeout_s = 0.0;
   std::size_t max_nodes = 0;
   std::vector<std::string> inject;
-  std::size_t gc_nodes = 0;
   bool audit = false;
   std::size_t audit_every = 0;
   std::string cache_dir;
@@ -234,7 +226,6 @@ struct UsageError {
   --inject SPEC                          deterministic fault injection:
                                          nodes|alloc|qubits|nonzeros|deadline
                                          @iter<K> or @count:<N> (repeatable)
-  --gc-nodes N                           GC above N live manager nodes (0 = adaptive policy)
   --audit                                deep structural audit after the run
                                          (corruption exits 4 with a typed report)
   --audit-every N                        audit every N fixpoint iterations and
@@ -250,7 +241,7 @@ exit codes: 0 success/holds, 1 property violated, 2 usage or parse error,
 
 /// Strict full-match count parse for CLI flag values.  The previous bare
 /// std::stoul silently accepted trailing garbage ("--steps 10x" ran 10
-/// steps) and wrapped negatives ("--gc-nodes -1" became a huge threshold);
+/// steps) and wrapped negatives ("--max-nodes -1" became a huge budget);
 /// anything but pure digits is now a usage error (exit 2).
 std::uint64_t parse_count(const std::string& flag, const std::string& text) {
   const auto value = parse_uint(text);
@@ -297,8 +288,6 @@ Options parse_args(const std::vector<std::string>& args) {
       opt.max_nodes = static_cast<std::size_t>(parse_count(a, next()));
     } else if (a == "--inject") {
       opt.inject.push_back(next());
-    } else if (a == "--gc-nodes") {
-      opt.gc_nodes = static_cast<std::size_t>(parse_count(a, next()));
     } else if (a == "--audit") {
       opt.audit = true;
     } else if (a == "--audit-every") {
@@ -385,7 +374,6 @@ JobOutcome run_job(const Options& opt, tdd::Manager& mgr, ResultCache* shared_ca
   // the next.
   ExecutionContext ctx;
   if (opt.timeout_s > 0) ctx.set_deadline(Deadline::after(opt.timeout_s));
-  if (opt.gc_nodes > 0) ctx.set_gc_threshold_nodes(opt.gc_nodes);
   if (opt.audit_every > 0) ctx.set_audit_every(opt.audit_every);
   if (opt.max_nodes > 0) ctx.set_max_nodes(opt.max_nodes);
   if (!opt.inject.empty()) {
