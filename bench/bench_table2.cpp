@@ -67,10 +67,7 @@ int main(int argc, char** argv) {
       mgr.bind_context(&ctx);
       const TransitionSystem sys =
           primitive ? make_grover_system(mgr, n) : make_grover_decomposed_system(mgr, n);
-      EngineSpec spec;
-      spec.method = "contraction";
-      spec.k1 = k1;
-      spec.k2 = k2;
+      const std::string spec = "contraction:" + std::to_string(k1) + "," + std::to_string(k2);
       const auto computer = make_engine(mgr, spec, &ctx);
       std::optional<double> secs;
       try {
@@ -80,7 +77,7 @@ int main(int argc, char** argv) {
       } catch (const DeadlineExceeded&) {
         secs = std::nullopt;
       }
-      json.add({workload + "/contraction:" + std::to_string(k1) + "," + std::to_string(k2),
+      json.add({workload + "/" + spec,
                 secs.value_or(timeout_s) * 1e3, ctx.stats().peak_nodes, 1, !secs.has_value()});
       std::cout << pad_left(secs ? format_fixed(*secs, 3) : "-", 8) << std::flush;
     }

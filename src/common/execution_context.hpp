@@ -157,8 +157,8 @@ class ExecutionContext {
 
   /// Hard live-node budget (`qtsmc --max-nodes`): when non-zero, the TDD
   /// manager refuses to allocate past this many live nodes and throws
-  /// ResourceExhausted(Resource::kNodes) instead.  Unlike the GC threshold
-  /// (which reclaims garbage and keeps going) this is a ceiling on the live
+  /// ResourceExhausted(Resource::kNodes) instead.  Unlike the adaptive GC
+  /// trigger (which reclaims garbage and keeps going) this is a ceiling on the live
   /// set itself — the signal a fallback chain degrades on.
   void set_max_nodes(std::size_t n) { max_nodes_ = n; }
   [[nodiscard]] std::size_t max_nodes() const { return max_nodes_; }

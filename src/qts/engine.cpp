@@ -1,8 +1,6 @@
 #include "qts/engine.hpp"
 
-#include <algorithm>
 #include <map>
-#include <stdexcept>
 
 #include "common/error.hpp"
 #include "common/strings.hpp"
@@ -10,15 +8,16 @@
 #include "qts/parallel.hpp"
 #include "qts/sparse_engine.hpp"
 #include "qts/statevector_engine.hpp"
+#include "tn/partition.hpp"
 
 namespace qts {
 
-// The spec struct's literal defaults (engine.hpp) must track the codec caps.
-static_assert(kDenseQubitCap == 14, "update EngineSpec::max_qubits' default");
-static_assert(kSparseNonzeroCap == (std::size_t{1} << 16),
-              "update EngineSpec::max_nonzeros' default");
-
 namespace {
+
+/// Worker-count ceiling of "parallel:t".  Every worker holds a manager slot
+/// and an inner engine, so a typo like parallel:40000 is refused at parse
+/// time rather than building that many.
+constexpr std::size_t kMaxParallelThreads = 256;
 
 /// Strict full-match unsigned parse (common/strings.hpp parse_uint): the
 /// whole piece must be digits — "2x" and "-1" are rejected, not truncated
@@ -32,53 +31,130 @@ std::size_t parse_count(std::string_view piece, const std::string& spec) {
   return static_cast<std::size_t>(*value);
 }
 
-/// Split a "specA;specB[;...]" chain, parsing and validating each element.
-/// Shared by EngineSpec::parse (canonicalisation) and the factory.
-std::vector<EngineSpec> parse_chain(const std::string& args, const std::string& spec_text) {
-  require(!args.empty() && args.front() != ';' && args.back() != ';' &&
-              args.find(";;") == std::string::npos,
-          "engine spec '" + spec_text + "': fallback takes 'specA;specB[;...]'");
-  std::vector<EngineSpec> chain;
-  for (const std::string& piece : split(args, ";")) {
-    const EngineSpec element = EngineSpec::parse(piece);
-    require(element.method != "fallback",
-            "engine spec '" + spec_text + "': fallback chains cannot nest");
-    chain.push_back(element);
-  }
-  require(chain.size() >= 2,
-          "engine spec '" + spec_text +
-              "': fallback needs at least two engine specs ('fallback:specA;specB')");
-  return chain;
-}
+/// What a registry row makes of one argument text: its canonical form and
+/// the constructor call bound to the parsed parameters.
+struct Parsed {
+  std::string args;  ///< canonical argument text ("" = no parameters)
+  std::function<std::unique_ptr<ImageComputer>(tdd::Manager&, ExecutionContext*)> build;
+};
 
-std::map<std::string, EngineFactory>& registry() {
-  static std::map<std::string, EngineFactory> factories = [] {
-    std::map<std::string, EngineFactory> m;
-    m["basic"] = [](tdd::Manager& mgr, const EngineSpec&, ExecutionContext* ctx) {
-      return std::make_unique<BasicImage>(mgr, ctx);
+/// One registry row: a method's parameter grammar, defaults (for empty
+/// `args`), bounds, canonical form and constructor call.  `spec` is the
+/// whole spec text, for error messages.  Throws InvalidArgument on
+/// malformed or out-of-range parameters.
+using Row = std::function<Parsed(const std::string& args, const std::string& spec)>;
+
+std::map<std::string, Row>& registry() {
+  static std::map<std::string, Row> rows = [] {
+    std::map<std::string, Row> m;
+    m["basic"] = [](const std::string& args, const std::string& spec) -> Parsed {
+      require(args.empty(), "engine spec '" + spec + "': basic takes no parameters");
+      return {"", [](tdd::Manager& mgr, ExecutionContext* ctx) {
+                return std::make_unique<BasicImage>(mgr, ctx);
+              }};
     };
-    m["addition"] = [](tdd::Manager& mgr, const EngineSpec& spec, ExecutionContext* ctx) {
-      return std::make_unique<AdditionImage>(mgr, spec.k, ctx);
+    m["addition"] = [](const std::string& args, const std::string& spec) -> Parsed {
+      const std::size_t k = args.empty() ? 1 : parse_count(args, spec);
+      require(k >= 1, "engine spec '" + spec + "': addition needs k >= 1");
+      require(k <= tn::kMaxSlicedIndices,
+              "engine spec '" + spec + "': addition slices at most " +
+                  std::to_string(tn::kMaxSlicedIndices) + " indices");
+      return {std::to_string(k), [k](tdd::Manager& mgr, ExecutionContext* ctx) {
+                return std::make_unique<AdditionImage>(mgr, k, ctx);
+              }};
     };
-    m["contraction"] = [](tdd::Manager& mgr, const EngineSpec& spec, ExecutionContext* ctx) {
-      return std::make_unique<ContractionImage>(mgr, spec.k1, spec.k2, ctx);
+    m["contraction"] = [](const std::string& args, const std::string& spec) -> Parsed {
+      std::uint32_t k1 = 4;
+      std::uint32_t k2 = 4;
+      if (!args.empty()) {
+        const auto parts = split(args, ",");
+        require(parts.size() == 2 && args.find(",,") == std::string::npos &&
+                    args.front() != ',' && args.back() != ',',
+                "engine spec '" + spec + "': contraction takes k1,k2");
+        k1 = static_cast<std::uint32_t>(parse_count(parts[0], spec));
+        k2 = static_cast<std::uint32_t>(parse_count(parts[1], spec));
+        require(k1 >= 1 && k2 >= 1, "engine spec '" + spec + "': contraction needs k1, k2 >= 1");
+      }
+      return {std::to_string(k1) + "," + std::to_string(k2),
+              [k1, k2](tdd::Manager& mgr, ExecutionContext* ctx) {
+                return std::make_unique<ContractionImage>(mgr, k1, k2, ctx);
+              }};
     };
-    m["parallel"] = [](tdd::Manager& mgr, const EngineSpec& spec, ExecutionContext* ctx) {
-      return std::make_unique<ParallelImage>(mgr, spec.threads, EngineSpec::parse(spec.inner),
-                                             ctx);
+    m["parallel"] = [](const std::string& args, const std::string& spec) -> Parsed {
+      std::size_t threads = 0;  // hardware concurrency
+      EngineSpec inner = EngineSpec::parse("contraction");
+      if (!args.empty()) {
+        // parallel:<threads>[,inner-spec]; the inner spec may itself carry
+        // commas (contraction:4,4), so split only on the first one.
+        const auto comma = args.find(',');
+        threads = parse_count(std::string_view(args).substr(0, comma), spec);
+        require(threads <= kMaxParallelThreads,
+                "engine spec '" + spec + "': parallel takes at most " +
+                    std::to_string(kMaxParallelThreads) + " threads");
+        if (comma != std::string::npos) {
+          const std::string inner_text(trim(args.substr(comma + 1)));
+          require(!inner_text.empty(), "engine spec '" + spec + "': empty inner engine spec");
+          inner = EngineSpec::parse(inner_text);
+          require(inner.method != "parallel",
+                  "engine spec '" + spec + "': parallel cannot nest itself");
+          require(inner.method != "fallback",
+                  "engine spec '" + spec + "': a parallel inner engine cannot be a fallback "
+                  "chain; put parallel inside the chain elements instead "
+                  "(fallback:parallel:t,specA;parallel:t,specB)");
+        }
+      }
+      return {std::to_string(threads) + "," + inner.to_string(),
+              [threads, inner](tdd::Manager& mgr, ExecutionContext* ctx) {
+                return std::make_unique<ParallelImage>(mgr, threads, inner, ctx);
+              }};
     };
-    m["statevector"] = [](tdd::Manager& mgr, const EngineSpec& spec, ExecutionContext* ctx) {
-      return std::make_unique<StatevectorImage>(mgr, spec.max_qubits, ctx);
+    m["statevector"] = [](const std::string& args, const std::string& spec) -> Parsed {
+      const auto max_qubits = static_cast<std::uint32_t>(
+          args.empty() ? kDenseQubitCap : parse_count(args, spec));
+      require(max_qubits >= 1 && max_qubits <= 30,
+              "engine spec '" + spec + "': statevector cap must be between 1 and 30 qubits");
+      return {std::to_string(max_qubits), [max_qubits](tdd::Manager& mgr, ExecutionContext* ctx) {
+                return std::make_unique<StatevectorImage>(mgr, max_qubits, ctx);
+              }};
     };
-    m["sparse"] = [](tdd::Manager& mgr, const EngineSpec& spec, ExecutionContext* ctx) {
-      return std::make_unique<SparseImage>(mgr, spec.max_nonzeros, ctx);
+    m["sparse"] = [](const std::string& args, const std::string& spec) -> Parsed {
+      const std::size_t max_nonzeros = args.empty() ? kSparseNonzeroCap : parse_count(args, spec);
+      require(max_nonzeros >= 1,
+              "engine spec '" + spec + "': sparse non-zero budget must be at least 1");
+      return {std::to_string(max_nonzeros),
+              [max_nonzeros](tdd::Manager& mgr, ExecutionContext* ctx) {
+                return std::make_unique<SparseImage>(mgr, max_nonzeros, ctx);
+              }};
     };
-    m["fallback"] = [](tdd::Manager& mgr, const EngineSpec& spec, ExecutionContext* ctx) {
-      return std::make_unique<FallbackImage>(mgr, parse_chain(spec.args, spec.to_string()), ctx);
+    m["fallback"] = [](const std::string& args, const std::string& spec) -> Parsed {
+      require(!args.empty() && args.front() != ';' && args.back() != ';' &&
+                  args.find(";;") == std::string::npos,
+              "engine spec '" + spec + "': fallback takes 'specA;specB[;...]'");
+      std::vector<EngineSpec> chain;
+      std::string canonical;
+      for (const std::string& piece : split(args, ";")) {
+        EngineSpec element = EngineSpec::parse(piece);
+        require(element.method != "fallback",
+                "engine spec '" + spec + "': fallback chains cannot nest");
+        if (!canonical.empty()) canonical += ";";
+        canonical += element.to_string();
+        chain.push_back(std::move(element));
+      }
+      require(chain.size() >= 2,
+              "engine spec '" + spec +
+                  "': fallback needs at least two engine specs ('fallback:specA;specB')");
+      return {canonical, [chain](tdd::Manager& mgr, ExecutionContext* ctx) {
+                return std::make_unique<FallbackImage>(mgr, chain, ctx);
+              }};
     };
     return m;
   }();
-  return factories;
+  return rows;
+}
+
+const Row* find_row(const std::string& method) {
+  const auto it = registry().find(method);
+  return it == registry().end() ? nullptr : &it->second;
 }
 
 }  // namespace
@@ -86,114 +162,49 @@ std::map<std::string, EngineFactory>& registry() {
 EngineSpec EngineSpec::parse(const std::string& text) {
   const std::string_view trimmed = trim(text);
   const auto colon = trimmed.find(':');
-  EngineSpec spec;
-  spec.method = std::string(trimmed.substr(0, colon));
-  if (colon != std::string_view::npos) spec.args = std::string(trimmed.substr(colon + 1));
+  EngineSpec spec{std::string(trimmed.substr(0, colon)),
+                  colon == std::string_view::npos ? "" : std::string(trimmed.substr(colon + 1))};
   require(!spec.method.empty(), "engine spec '" + text + "': empty method name");
   require(colon == std::string_view::npos || !spec.args.empty(),
           "engine spec '" + text + "': trailing ':' without parameters");
-
-  if (spec.method == "basic") {
-    require(spec.args.empty(), "engine spec '" + text + "': basic takes no parameters");
-  } else if (spec.method == "addition") {
-    if (!spec.args.empty()) {
-      spec.k = parse_count(spec.args, text);
-      require(spec.k >= 1, "engine spec '" + text + "': addition needs k >= 1");
-    }
-  } else if (spec.method == "contraction") {
-    if (!spec.args.empty()) {
-      const auto parts = split(spec.args, ",");
-      require(parts.size() == 2 && spec.args.find(",,") == std::string::npos &&
-                  spec.args.front() != ',' && spec.args.back() != ',',
-              "engine spec '" + text + "': contraction takes k1,k2");
-      spec.k1 = static_cast<std::uint32_t>(parse_count(parts[0], text));
-      spec.k2 = static_cast<std::uint32_t>(parse_count(parts[1], text));
-      require(spec.k1 >= 1 && spec.k2 >= 1,
-              "engine spec '" + text + "': contraction needs k1, k2 >= 1");
-    }
-  } else if (spec.method == "parallel") {
-    if (!spec.args.empty()) {
-      // parallel:<threads>[,inner-spec]; the inner spec may itself carry
-      // commas (contraction:4,4), so split only on the first one.
-      const auto comma = spec.args.find(',');
-      spec.threads = parse_count(std::string_view(spec.args).substr(0, comma), text);
-      if (comma != std::string::npos) {
-        const std::string inner_text(trim(spec.args.substr(comma + 1)));
-        require(!inner_text.empty(), "engine spec '" + text + "': empty inner engine spec");
-        const EngineSpec inner = EngineSpec::parse(inner_text);
-        require(inner.method != "parallel",
-                "engine spec '" + text + "': parallel cannot nest itself");
-        require(inner.method != "fallback",
-                "engine spec '" + text + "': a parallel inner engine cannot be a fallback "
-                "chain; put parallel inside the chain elements instead "
-                "(fallback:parallel:t,specA;parallel:t,specB)");
-        spec.inner = inner.to_string();  // canonicalised
-      }
-    }
-  } else if (spec.method == "statevector") {
-    if (!spec.args.empty()) {
-      spec.max_qubits = static_cast<std::uint32_t>(parse_count(spec.args, text));
-      require(spec.max_qubits >= 1 && spec.max_qubits <= 30,
-              "engine spec '" + text + "': statevector cap must be between 1 and 30 qubits");
-    }
-  } else if (spec.method == "sparse") {
-    if (!spec.args.empty()) {
-      spec.max_nonzeros = parse_count(spec.args, text);
-      require(spec.max_nonzeros >= 1,
-              "engine spec '" + text + "': sparse non-zero budget must be at least 1");
-    }
-  } else if (spec.method == "fallback") {
-    // Validate every element now and canonicalise the stored args so
-    // to_string() round-trips ("fallback:sparse;basic" ->
-    // "fallback:sparse:65536;basic").
-    const std::vector<EngineSpec> chain = parse_chain(spec.args, text);
-    std::string canonical;
-    for (const EngineSpec& element : chain) {
-      if (!canonical.empty()) canonical += ";";
-      canonical += element.to_string();
-    }
-    spec.args = canonical;
-  }
-  // Unknown methods keep their raw args; make_engine rejects them unless a
-  // factory was registered.
+  // Unregistered methods keep their raw args; make_engine rejects them
+  // unless a factory was registered by then.
+  if (const Row* row = find_row(spec.method)) spec.args = (*row)(spec.args, text).args;
   return spec;
 }
 
 std::string EngineSpec::to_string() const {
-  if (method == "basic") return method;
-  if (method == "addition") return method + ":" + std::to_string(k);
-  if (method == "contraction") {
-    return method + ":" + std::to_string(k1) + "," + std::to_string(k2);
-  }
-  if (method == "parallel") {
-    return method + ":" + std::to_string(threads) + "," + inner;
-  }
-  if (method == "statevector") return method + ":" + std::to_string(max_qubits);
-  if (method == "sparse") return method + ":" + std::to_string(max_nonzeros);
   return args.empty() ? method : method + ":" + args;
 }
 
 bool register_engine(const std::string& method, EngineFactory factory) {
   require(!method.empty() && method.find(':') == std::string::npos,
           "engine method names must be non-empty and colon-free");
-  auto& factories = registry();
-  const bool replaced = factories.count(method) != 0;
-  factories[method] = std::move(factory);
+  auto& rows = registry();
+  const bool replaced = rows.count(method) != 0;
+  // A custom row keeps its raw args as the canonical form and hands them,
+  // unparsed, to the factory.
+  rows[method] = [method, factory = std::move(factory)](const std::string& args,
+                                                        const std::string&) -> Parsed {
+    return {args, [spec = EngineSpec{method, args}, factory](tdd::Manager& mgr,
+                                                              ExecutionContext* ctx) {
+              return factory(mgr, spec, ctx);
+            }};
+  };
   return replaced;
 }
 
 std::vector<std::string> registered_engines() {
   std::vector<std::string> names;
   names.reserve(registry().size());
-  for (const auto& [name, factory] : registry()) names.push_back(name);
+  for (const auto& [name, row] : registry()) names.push_back(name);
   return names;  // std::map keeps them sorted
 }
 
 std::unique_ptr<ImageComputer> make_engine(tdd::Manager& mgr, const EngineSpec& spec,
                                            ExecutionContext* ctx) {
-  const auto& factories = registry();
-  const auto it = factories.find(spec.method);
-  if (it == factories.end()) {
+  const Row* row = find_row(spec.method);
+  if (row == nullptr) {
     std::string known;
     for (const auto& name : registered_engines()) {
       if (!known.empty()) known += ", ";
@@ -201,7 +212,7 @@ std::unique_ptr<ImageComputer> make_engine(tdd::Manager& mgr, const EngineSpec& 
     }
     throw InvalidArgument("unknown engine '" + spec.method + "' (registered: " + known + ")");
   }
-  return it->second(mgr, spec, ctx);
+  return (*row)(spec.args, spec.to_string()).build(mgr, ctx);
 }
 
 std::unique_ptr<ImageComputer> make_engine(tdd::Manager& mgr, const std::string& spec,

@@ -5,18 +5,21 @@
 /// An engine is named by a compact spec string:
 ///
 ///   "basic"                    the §IV-C monolithic-operator algorithm
-///   "addition:k"               the §V-A addition partition with k sliced indices
-///   "contraction:k1,k2"        the §V-B contraction partition with cut (k1, k2)
-///   "parallel:t[,spec]"        the Kraus×basis loop sharded across t worker
-///                              threads (0 = hardware concurrency), each
-///                              running the nested sequential engine `spec`
-///                              (default contraction:4,4) on the caller's
-///                              shared manager
+///   "addition[:k]"             the §V-A addition partition with k sliced
+///                              indices (default 1, at most 20)
+///   "contraction[:k1,k2]"      the §V-B contraction partition with cut
+///                              (k1, k2) (default 4,4)
+///   "parallel[:t[,spec]]"      the Kraus×basis loop sharded across t worker
+///                              threads (0 = hardware concurrency, the
+///                              default; at most 256), each running the
+///                              nested sequential engine `spec` (default
+///                              contraction:4,4) on the caller's shared manager
 ///   "statevector[:maxq]"       dense statevector backend (sim::) behind the
 ///                              same seam — frontier kets are decoded to
 ///                              2^n amplitudes, imaged densely and re-encoded;
-///                              registers wider than maxq (default 14) throw.
-///                              Also valid as a parallel inner spec.
+///                              registers wider than maxq (default 14, at
+///                              most 30) throw.  Also valid as a parallel
+///                              inner spec.
 ///   "sparse[:maxnz]"           sparse amplitude-map backend behind the same
 ///                              seam — only non-zero amplitudes are stored,
 ///                              so the guard is the per-ket non-zero budget
@@ -30,10 +33,13 @@
 ///                              chains cannot nest and cannot be a parallel
 ///                              inner engine.
 ///
-/// (Methods without parameters use the defaults below.)  The spec is the
-/// whole configuration: each algorithm fixes its own contraction order
-/// (tn/order.hpp), and no other setting reaches an engine.  Later backends
-/// plug in through register_engine without touching any call site.
+/// Each built-in method is one registry row (engine.cpp): its parameter
+/// grammar, defaults, bounds, canonical form and constructor call, written
+/// once.  EngineSpec::parse, to_string and make_engine are generic over the
+/// rows.  The spec is the whole configuration: each algorithm fixes its own
+/// contraction order (tn/order.hpp), and no other setting reaches an engine.
+/// Later backends plug in through register_engine without touching any call
+/// site; their rows keep the raw argument text.
 #pragma once
 
 #include <functional>
@@ -45,31 +51,24 @@
 
 namespace qts {
 
-/// Parsed engine specification.  `method` selects the registered factory;
-/// the numeric parameters carry the method's tuning knobs; `args` keeps the
-/// raw text after the first ':' for custom registered engines with their own
-/// parameter syntax.
+/// Parsed engine specification: a registered method name plus its
+/// argument text.  For a built-in method `args` is the row's canonical form
+/// ("addition" parses to args "1", "statevector" to "14"); for any other
+/// method it is the raw text after the first ':'.  A default-constructed
+/// spec names the default engine, contraction:4,4.
 struct EngineSpec {
   std::string method = "contraction";
-  std::size_t k = 1;       ///< addition: number of sliced indices
-  std::uint32_t k1 = 4;    ///< contraction: qubit band height
-  std::uint32_t k2 = 4;    ///< contraction: crossings per vertical cut
-  std::size_t threads = 0; ///< parallel: worker count (0 = hardware concurrency)
-  std::string inner = "contraction:4,4";  ///< parallel: nested sequential engine spec
-  std::uint32_t max_qubits = 14;  ///< statevector: dense qubit cap (kDenseQubitCap)
-  std::size_t max_nonzeros = std::size_t{1} << 16;  ///< sparse: per-ket non-zero
-                                                    ///< budget (kSparseNonzeroCap)
-  std::string args;        ///< raw parameter text (custom engines)
+  std::string args = "4,4";
 
-  /// Parse "basic" | "addition[:k]" | "contraction[:k1,k2]" |
-  /// "parallel[:t[,spec]]" | "statevector[:maxq]" | "sparse[:maxnz]" |
-  /// "name[:args]" for registered custom engines.
-  /// Throws InvalidArgument on malformed input (unknown built-in parameter
-  /// shapes, non-numeric or zero counts, trailing garbage after a count,
-  /// a nested parallel spec).
+  /// Split `text` at the first ':' and let the method's registry row
+  /// validate and canonicalise the argument text.  Unregistered methods keep
+  /// their raw args (make_engine rejects them).  Throws InvalidArgument on
+  /// malformed input (unknown built-in parameter shapes, non-numeric or
+  /// out-of-range counts, trailing garbage after a count, a nested parallel
+  /// spec).
   static EngineSpec parse(const std::string& text);
 
-  /// Canonical spec string; parse(to_string()) round-trips.
+  /// "method" or "method:args"; parse(to_string()) round-trips.
   [[nodiscard]] std::string to_string() const;
 };
 
@@ -79,16 +78,19 @@ using EngineFactory =
     std::function<std::unique_ptr<ImageComputer>(tdd::Manager&, const EngineSpec&,
                                                  ExecutionContext*)>;
 
-/// Register (or replace) a factory under `method`.  The seven built-ins
-/// (basic, addition, contraction, parallel, statevector, sparse, fallback)
-/// are pre-registered.  Returns true if a previous registration was replaced.
+/// Register (or replace) a row under `method` whose factory receives the raw
+/// argument text in EngineSpec::args.  The seven built-in rows (basic,
+/// addition, contraction, parallel, statevector, sparse, fallback) are
+/// pre-registered; replacing one replaces its grammar too.  Returns true if
+/// a previous registration was replaced.
 bool register_engine(const std::string& method, EngineFactory factory);
 
 /// Sorted names of every registered engine method.
 std::vector<std::string> registered_engines();
 
-/// Construct the engine described by `spec`.  Throws InvalidArgument for an
-/// unregistered method.
+/// Construct the engine described by `spec` through its method's row.
+/// Throws InvalidArgument for an unregistered method or arguments the row
+/// rejects.
 std::unique_ptr<ImageComputer> make_engine(tdd::Manager& mgr, const EngineSpec& spec,
                                            ExecutionContext* ctx = nullptr);
 

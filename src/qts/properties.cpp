@@ -30,22 +30,18 @@ EventuallyResult eventually_reaches(ImageComputer& computer, const TransitionSys
                                     const Subspace& target, std::size_t max_iterations) {
   sys.validate();
   if (overlaps(sys.initial, target)) return {true, 0, true};
-
-  Subspace acc = sys.initial;
-  Subspace frontier = sys.initial;
-  for (std::size_t i = 1; i <= max_iterations; ++i) {
-    const Subspace next = computer.image(sys, frontier);
-    if (overlaps(next, target)) return {true, i, true};
-    Subspace fresh(computer.manager(), sys.num_qubits);
-    for (const auto& v : next.basis()) {
-      if (!acc.contains(v)) fresh.add_state(v);
-    }
-    bool grew = false;
-    for (const auto& v : next.basis()) grew = acc.add_state(v) || grew;
-    if (!grew || fresh.dim() == 0) return {false, i, true};
-    frontier = std::move(fresh);
-  }
-  return {false, max_iterations, false};
+  // Stopping on the first frontier survivor with a component in `target` is
+  // stopping on the first overlapping image: target's orthocomplement is a
+  // subspace, and every image lies in the span of the accumulator (vetted
+  // orthogonal to target) plus the survivors.
+  FixpointDriver driver(computer, sys);
+  driver.set_max_iterations(max_iterations)
+      .set_frontier_predicate([&](const tdd::Edge& survivor) {
+        return norm(computer.manager(), target.project(survivor), sys.num_qubits) <= 1e-9;
+      })
+      .keep_alive(target);
+  const FixpointDriver::Result r = driver.run();
+  return {r.predicate_violated, r.iterations, r.converged};
 }
 
 }  // namespace qts

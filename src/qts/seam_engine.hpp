@@ -21,9 +21,6 @@
 ///     tdd::Edge encode(tdd::Manager&, const State&, std::uint32_t n) const;
 ///     State apply_circuit(const circ::Circuit&, const State&,
 ///                         const ExecutionContext*) const;
-///     std::vector<State> apply_operation(std::span<const circ::Circuit>,
-///                                        std::span<const State>,
-///                                        const ExecutionContext*) const;
 ///   };
 ///
 /// The policy also owns the representation's size guard (dense qubit cap,
@@ -83,7 +80,11 @@ class SeamImage : public ImageComputer {
     std::vector<typename Rep::State> residuals;
     for (const auto& op : ops) {
       ctx_->check_deadline();
-      std::vector<typename Rep::State> images = rep_.apply_operation(op.kraus, decoded, ctx_);
+      std::vector<typename Rep::State> images;
+      images.reserve(op.kraus.size() * decoded.size());
+      for (const auto& kraus : op.kraus) {
+        for (const auto& ket : decoded) images.push_back(rep_.apply_circuit(kraus, ket, ctx_));
+      }
       ctx_->stats().kraus_applications += images.size();
       std::vector<typename Rep::State> fresh = batch.add_states(images);
       residuals.insert(residuals.end(), std::make_move_iterator(fresh.begin()),

@@ -23,14 +23,6 @@ sim::SparseState SparseRep::apply_circuit(const circ::Circuit& kraus, const sim:
   return image;
 }
 
-std::vector<sim::SparseState> SparseRep::apply_operation(std::span<const circ::Circuit> kraus,
-                                                         std::span<const sim::SparseState> kets,
-                                                         const ExecutionContext* ctx) const {
-  std::vector<sim::SparseState> images = sim::apply_operation(kraus, kets, ctx);
-  for (const auto& img : images) check_budget(img);
-  return images;
-}
-
 SparseImage::SparseImage(tdd::Manager& mgr, std::size_t max_nonzeros, ExecutionContext* ctx)
     : SeamImage(mgr, SparseRep{max_nonzeros}, ctx) {
   require(max_nonzeros >= 1, "sparse engine: non-zero budget must be at least 1");

@@ -24,9 +24,7 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <span>
 #include <string>
-#include <vector>
 
 #include "qts/encode.hpp"
 #include "qts/seam_engine.hpp"
@@ -52,9 +50,6 @@ struct SparseRep {
   }
   [[nodiscard]] State apply_circuit(const circ::Circuit& kraus, const State& ket,
                                     const ExecutionContext* ctx) const;
-  [[nodiscard]] std::vector<State> apply_operation(std::span<const circ::Circuit> kraus,
-                                                   std::span<const State> kets,
-                                                   const ExecutionContext* ctx) const;
 
   /// Throws ResourceExhausted(kNonzeros) when an image outgrows the budget.
   void check_budget(const State& state) const;

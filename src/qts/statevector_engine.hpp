@@ -20,7 +20,7 @@
 /// registers throw ResourceExhausted instead of thrashing — the signal a
 /// fallback chain degrades on).  The spec is also
 /// accepted as a parallel inner engine ("parallel:4,statevector"): workers
-/// then drive the per-ket prepare/apply path on their private managers.
+/// then drive the per-ket prepare/apply path on the caller's shared manager.
 ///
 /// Intended uses (ROADMAP "statevector cross-check backend"): a
 /// differential oracle for the TDD engines — see FixpointDriver::set_oracle
@@ -29,9 +29,7 @@
 #pragma once
 
 #include <cstdint>
-#include <span>
 #include <string>
-#include <vector>
 
 #include "qts/encode.hpp"
 #include "qts/seam_engine.hpp"
@@ -56,11 +54,6 @@ struct DenseRep {
   [[nodiscard]] State apply_circuit(const circ::Circuit& kraus, const State& ket,
                                     const ExecutionContext* ctx) const {
     return sim::apply_circuit(kraus, ket, ctx);
-  }
-  [[nodiscard]] std::vector<State> apply_operation(std::span<const circ::Circuit> kraus,
-                                                   std::span<const State> kets,
-                                                   const ExecutionContext* ctx) const {
-    return sim::apply_operation(kraus, kets, ctx);
   }
 };
 

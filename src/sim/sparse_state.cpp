@@ -144,15 +144,4 @@ SparseState apply_circuit(const circ::Circuit& circuit, const SparseState& input
   return state;
 }
 
-std::vector<SparseState> apply_operation(std::span<const circ::Circuit> kraus,
-                                         std::span<const SparseState> kets,
-                                         const ExecutionContext* ctx) {
-  std::vector<SparseState> images;
-  images.reserve(kraus.size() * kets.size());
-  for (const auto& circuit : kraus) {
-    for (const auto& ket : kets) images.push_back(apply_circuit(circuit, ket, ctx));
-  }
-  return images;
-}
-
 }  // namespace qts::sim

@@ -23,9 +23,7 @@
 #pragma once
 
 #include <cstdint>
-#include <span>
 #include <unordered_map>
-#include <vector>
 
 #include "circuit/circuit.hpp"
 #include "common/complex.hpp"
@@ -94,13 +92,5 @@ SparseState apply_gate(const SparseState& state, const circ::Gate& gate, std::ui
 /// cancellation residue once at the end.
 SparseState apply_circuit(const circ::Circuit& circuit, const SparseState& input,
                           const ExecutionContext* ctx = nullptr);
-
-/// Kraus-aware sparse operation application: the (unnormalised) images
-/// E|ψ⟩ of every input ket under every Kraus circuit, Kraus-major and
-/// ket-minor — the exact order of the TDD engines' sequential Kraus×basis
-/// loop and of the dense sim::apply_operation.
-std::vector<SparseState> apply_operation(std::span<const circ::Circuit> kraus,
-                                         std::span<const SparseState> kets,
-                                         const ExecutionContext* ctx = nullptr);
 
 }  // namespace qts::sim

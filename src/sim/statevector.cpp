@@ -72,15 +72,4 @@ la::Vector apply_circuit(const circ::Circuit& circuit, const la::Vector& input,
   return state;
 }
 
-std::vector<la::Vector> apply_operation(std::span<const circ::Circuit> kraus,
-                                        std::span<const la::Vector> kets,
-                                        const ExecutionContext* ctx) {
-  std::vector<la::Vector> images;
-  images.reserve(kraus.size() * kets.size());
-  for (const auto& circuit : kraus) {
-    for (const auto& ket : kets) images.push_back(apply_circuit(circuit, ket, ctx));
-  }
-  return images;
-}
-
 }  // namespace qts::sim

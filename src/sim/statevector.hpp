@@ -8,8 +8,6 @@
 #pragma once
 
 #include <cstdint>
-#include <span>
-#include <vector>
 
 #include "circuit/circuit.hpp"
 #include "common/execution_context.hpp"
@@ -36,16 +34,5 @@ void apply_gate(la::Vector& state, const circ::Gate& gate, std::uint32_t n,
 /// Apply a whole circuit (including its global factor).
 la::Vector apply_circuit(const circ::Circuit& circuit, const la::Vector& input,
                          const ExecutionContext* ctx = nullptr);
-
-/// Kraus-aware dense operation application: the (unnormalised) images E|ψ⟩
-/// of every input ket under every Kraus circuit of a quantum operation,
-/// Kraus-major and ket-minor — the exact order of the TDD engines'
-/// sequential Kraus×basis loop.  Non-unitary Kraus circuits (projector
-/// gates modelling measurement branches, global factors modelling noise
-/// amplitudes) go through apply_gate's general path, so the dense images
-/// match the TDD images exactly, not just up to normalisation.
-std::vector<la::Vector> apply_operation(std::span<const circ::Circuit> kraus,
-                                        std::span<const la::Vector> kets,
-                                        const ExecutionContext* ctx = nullptr);
 
 }  // namespace qts::sim

@@ -14,7 +14,7 @@ using tdd::Level;
 
 AdditionPartition addition_partition(tdd::Manager& mgr, const CircuitNetwork& net,
                                      std::size_t k) {
-  require(k <= 20, "addition partition limited to 2^20 slices");
+  require(k <= kMaxSlicedIndices, "addition partition limited to 2^20 slices");
   AdditionPartition part;
   part.sliced = IndexGraph::from_network(net).top_degree(k);
   std::sort(part.sliced.begin(), part.sliced.end());

@@ -13,6 +13,7 @@
 /// small TDDs; their network contracts back to the full circuit tensor.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -34,7 +35,11 @@ struct AdditionPartition {
   std::vector<AdditionSlice> slices;  ///< 2^k slices
 };
 
-/// Slice the k highest-degree indices of the network's index graph.
+/// Most indices an addition partition slices (2^20 slices).
+inline constexpr std::size_t kMaxSlicedIndices = 20;
+
+/// Slice the k highest-degree indices of the network's index graph
+/// (k <= kMaxSlicedIndices).
 AdditionPartition addition_partition(tdd::Manager& mgr, const CircuitNetwork& net,
                                      std::size_t k);
 

@@ -19,26 +19,29 @@ TEST(EngineSpec, ParsesBasic) {
 }
 
 TEST(EngineSpec, ParsesAdditionWithAndWithoutK) {
+  tdd::Manager mgr;
   const auto with_k = EngineSpec::parse("addition:3");
   EXPECT_EQ(with_k.method, "addition");
-  EXPECT_EQ(with_k.k, 3u);
+  EXPECT_EQ(dynamic_cast<AdditionImage&>(*make_engine(mgr, with_k)).k(), 3u);
   EXPECT_EQ(with_k.to_string(), "addition:3");
 
   const auto defaulted = EngineSpec::parse("addition");
-  EXPECT_EQ(defaulted.k, 1u);  // documented default
+  EXPECT_EQ(dynamic_cast<AdditionImage&>(*make_engine(mgr, defaulted)).k(), 1u);  // default
   EXPECT_EQ(defaulted.to_string(), "addition:1");
 }
 
 TEST(EngineSpec, ParsesContraction) {
+  tdd::Manager mgr;
   const auto spec = EngineSpec::parse("contraction:3,5");
   EXPECT_EQ(spec.method, "contraction");
-  EXPECT_EQ(spec.k1, 3u);
-  EXPECT_EQ(spec.k2, 5u);
+  const auto engine = make_engine(mgr, spec);
+  EXPECT_EQ(dynamic_cast<ContractionImage&>(*engine).k1(), 3u);
+  EXPECT_EQ(dynamic_cast<ContractionImage&>(*engine).k2(), 5u);
   EXPECT_EQ(spec.to_string(), "contraction:3,5");
 
-  const auto defaulted = EngineSpec::parse("contraction");
-  EXPECT_EQ(defaulted.k1, 4u);
-  EXPECT_EQ(defaulted.k2, 4u);
+  const auto defaulted = make_engine(mgr, EngineSpec::parse("contraction"));
+  EXPECT_EQ(dynamic_cast<ContractionImage&>(*defaulted).k1(), 4u);
+  EXPECT_EQ(dynamic_cast<ContractionImage&>(*defaulted).k2(), 4u);
 }
 
 TEST(EngineSpec, TrimsWhitespace) {
@@ -48,25 +51,22 @@ TEST(EngineSpec, TrimsWhitespace) {
 TEST(EngineSpec, ParsesParallel) {
   const auto bare = EngineSpec::parse("parallel");
   EXPECT_EQ(bare.method, "parallel");
-  EXPECT_EQ(bare.threads, 0u);  // 0 = hardware concurrency
-  EXPECT_EQ(bare.inner, "contraction:4,4");
+  // 0 threads = hardware concurrency; the inner engine defaults to contraction:4,4.
+  EXPECT_EQ(bare.to_string(), "parallel:0,contraction:4,4");
 
   const auto counted = EngineSpec::parse("parallel:8");
-  EXPECT_EQ(counted.threads, 8u);
-  EXPECT_EQ(counted.inner, "contraction:4,4");
   EXPECT_EQ(counted.to_string(), "parallel:8,contraction:4,4");
 
   // The nested spec is parsed, validated and canonicalised; it may itself
   // contain commas.
   const auto nested = EngineSpec::parse("parallel:4,contraction:2,3");
-  EXPECT_EQ(nested.threads, 4u);
-  EXPECT_EQ(nested.inner, "contraction:2,3");
+  EXPECT_EQ(nested.to_string(), "parallel:4,contraction:2,3");
 
   const auto with_basic = EngineSpec::parse("parallel:2,basic");
-  EXPECT_EQ(with_basic.inner, "basic");
+  EXPECT_EQ(with_basic.to_string(), "parallel:2,basic");
 
   const auto defaulted_inner = EngineSpec::parse("parallel:2,addition");
-  EXPECT_EQ(defaulted_inner.inner, "addition:1");
+  EXPECT_EQ(defaulted_inner.to_string(), "parallel:2,addition:1");
 }
 
 TEST(EngineSpec, RejectsMalformedParallelSpecs) {
@@ -86,12 +86,7 @@ TEST(EngineSpec, RoundTripsThroughToString) {
     const auto spec = EngineSpec::parse(text);
     const auto again = EngineSpec::parse(spec.to_string());
     EXPECT_EQ(again.method, spec.method) << text;
-    EXPECT_EQ(again.k, spec.k) << text;
-    EXPECT_EQ(again.k1, spec.k1) << text;
-    EXPECT_EQ(again.k2, spec.k2) << text;
-    EXPECT_EQ(again.threads, spec.threads) << text;
-    EXPECT_EQ(again.inner, spec.inner) << text;
-    EXPECT_EQ(again.max_qubits, spec.max_qubits) << text;
+    EXPECT_EQ(again.args, spec.args) << text;
     EXPECT_EQ(again.to_string(), spec.to_string()) << text;
   }
 }
@@ -112,6 +107,16 @@ TEST(EngineSpec, RejectsMalformedSpecs) {
   EXPECT_THROW((void)EngineSpec::parse("contraction:0,4"), InvalidArgument);
 }
 
+TEST(EngineSpec, RejectsOutOfRangeCounts) {
+  // Bounds are checked at parse time: no engine is built, no worker started.
+  EXPECT_EQ(EngineSpec::parse("addition:20").to_string(), "addition:20");
+  EXPECT_THROW((void)EngineSpec::parse("addition:21"), InvalidArgument);
+  EXPECT_EQ(EngineSpec::parse("parallel:256").to_string(), "parallel:256,contraction:4,4");
+  EXPECT_THROW((void)EngineSpec::parse("parallel:257"), InvalidArgument);
+  EXPECT_THROW((void)EngineSpec::parse("parallel:100000,basic"), InvalidArgument);
+  EXPECT_THROW((void)EngineSpec::parse("fallback:addition:21;basic"), InvalidArgument);
+}
+
 TEST(MakeEngine, DispatchesToTheRightAlgorithm) {
   tdd::Manager mgr;
   EXPECT_EQ(make_engine(mgr, "basic")->name(), "basic");
@@ -126,13 +131,15 @@ TEST(MakeEngine, DispatchesToTheRightAlgorithm) {
 }
 
 TEST(EngineSpec, ParsesStatevector) {
+  tdd::Manager mgr;
   const auto defaulted = EngineSpec::parse("statevector");
   EXPECT_EQ(defaulted.method, "statevector");
-  EXPECT_EQ(defaulted.max_qubits, 14u);  // kDenseQubitCap
+  EXPECT_EQ(dynamic_cast<StatevectorImage&>(*make_engine(mgr, defaulted)).max_qubits(),
+            14u);  // kDenseQubitCap
   EXPECT_EQ(defaulted.to_string(), "statevector:14");
 
   const auto capped = EngineSpec::parse("statevector:12");
-  EXPECT_EQ(capped.max_qubits, 12u);
+  EXPECT_EQ(dynamic_cast<StatevectorImage&>(*make_engine(mgr, capped)).max_qubits(), 12u);
   EXPECT_EQ(capped.to_string(), "statevector:12");  // registry round-trip
 
   EXPECT_THROW((void)EngineSpec::parse("statevector:"), InvalidArgument);
@@ -175,10 +182,10 @@ TEST(MakeEngine, RejectsUnknownParallelInnerEngine) {
 
 TEST(MakeEngine, AcceptsStatevectorAsParallelInnerEngine) {
   // Flipped from the pre-seam EXPECT_THROW: workers can run the dense
-  // backend on their private managers.
+  // backend on the caller's shared manager.
   tdd::Manager mgr;
   const auto spec = EngineSpec::parse("parallel:2,statevector:10");
-  EXPECT_EQ(spec.inner, "statevector:10");
+  EXPECT_EQ(spec.to_string(), "parallel:2,statevector:10");
   const auto engine = make_engine(mgr, spec);
   EXPECT_EQ(engine->name(), "parallel");
   EXPECT_EQ(dynamic_cast<ParallelImage&>(*engine).inner_spec().to_string(), "statevector:10");

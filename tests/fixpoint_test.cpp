@@ -378,7 +378,8 @@ TEST_P(EntryPoints, SpanTheSameSubspaceAsBasic) {
 INSTANTIATE_TEST_SUITE_P(EveryEngine, EntryPoints,
                          ::testing::Values("basic", "addition:1", "contraction:2,2", "statevector",
                                            "sparse", "parallel:2", "parallel:2,statevector",
-                                           "fallback:statevector:2;basic"),
+                                           "fallback:statevector:2;basic",
+                                           "fallback:statevector:3;basic"),
                          [](const ::testing::TestParamInfo<std::string>& info) {
                            std::string name = info.param;
                            for (char& c : name) {

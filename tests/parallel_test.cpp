@@ -93,8 +93,7 @@ TEST(ParallelImage, ReportsNameThreadsAndInnerSpec) {
   const auto& par = dynamic_cast<const ParallelImage&>(*engine);
   EXPECT_EQ(par.threads(), 3u);
   EXPECT_EQ(par.inner_spec().method, "contraction");
-  EXPECT_EQ(par.inner_spec().k1, 2u);
-  EXPECT_EQ(par.inner_spec().k2, 5u);
+  EXPECT_EQ(par.inner_spec().to_string(), "contraction:2,5");
 
   // threads = 0 resolves to hardware concurrency (at least one worker).
   const auto auto_sized = make_engine(mgr, "parallel:0,basic");
