@@ -1,11 +1,13 @@
 /// \file bench_tdd_ops.cpp
 /// Micro-benchmarks for the TDD kernel operations (google-benchmark):
-/// hash-consed construction, addition, contraction, slicing, conjugation
+/// hash-consed construction, addition, contraction, slicing, conjugation,
+/// the Gram-Schmidt primitives (inner product, outer product, projection)
 /// and garbage collection at several tensor ranks.
 #include <benchmark/benchmark.h>
 
 #include "common/prng.hpp"
 #include "qts/states.hpp"
+#include "qts/subspace.hpp"
 #include "tdd/dense.hpp"
 #include "tdd/manager.hpp"
 
@@ -100,6 +102,25 @@ void BM_OuterProduct(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_OuterProduct)->Arg(4)->Arg(8)->Arg(10);
+
+/// The projection P·|u⟩ of Gram-Schmidt: the projector of a random
+/// 4-dimensional subspace applied to a random ket.  The caches are cleared
+/// each iteration, so this times the contraction walk, not a memo hit.
+void BM_ApplyOperator(benchmark::State& state) {
+  const auto n = static_cast<std::uint32_t>(state.range(0));
+  const std::size_t dim = std::size_t{1} << n;
+  Prng rng(8);
+  tdd::Manager mgr;
+  std::vector<Edge> basis;
+  for (int i = 0; i < 4; ++i) basis.push_back(ket_from_dense(mgr, n, rng.unit_vector(dim)));
+  const Edge proj = Subspace::from_states(mgr, n, basis).projector();
+  const Edge u = ket_from_dense(mgr, n, rng.unit_vector(dim));
+  for (auto _ : state) {
+    mgr.clear_caches();
+    benchmark::DoNotOptimize(apply_operator(mgr, proj, u, n));
+  }
+}
+BENCHMARK(BM_ApplyOperator)->Arg(6)->Arg(10);
 
 void BM_GcSweep(benchmark::State& state) {
   const auto rank = static_cast<std::size_t>(state.range(0));

@@ -1,5 +1,7 @@
 #include "qts/engine.hpp"
 
+#include <cstdint>
+#include <limits>
 #include <map>
 
 #include "common/error.hpp"
@@ -71,9 +73,18 @@ std::map<std::string, Row>& registry() {
         require(parts.size() == 2 && args.find(",,") == std::string::npos &&
                     args.front() != ',' && args.back() != ',',
                 "engine spec '" + spec + "': contraction takes k1,k2");
-        k1 = static_cast<std::uint32_t>(parse_count(parts[0], spec));
-        k2 = static_cast<std::uint32_t>(parse_count(parts[1], spec));
-        require(k1 >= 1 && k2 >= 1, "engine spec '" + spec + "': contraction needs k1, k2 >= 1");
+        // Range-check the full-width counts, then narrow: a cast first would
+        // read 4294967297 as 1.
+        const std::size_t wide_k1 = parse_count(parts[0], spec);
+        const std::size_t wide_k2 = parse_count(parts[1], spec);
+        require(wide_k1 >= 1 && wide_k2 >= 1,
+                "engine spec '" + spec + "': contraction needs k1, k2 >= 1");
+        constexpr std::size_t kMax = std::numeric_limits<std::uint32_t>::max();
+        require(wide_k1 <= kMax && wide_k2 <= kMax,
+                "engine spec '" + spec + "': contraction k1, k2 must be at most " +
+                    std::to_string(kMax));
+        k1 = static_cast<std::uint32_t>(wide_k1);
+        k2 = static_cast<std::uint32_t>(wide_k2);
       }
       return {std::to_string(k1) + "," + std::to_string(k2),
               [k1, k2](tdd::Manager& mgr, ExecutionContext* ctx) {
@@ -109,10 +120,10 @@ std::map<std::string, Row>& registry() {
               }};
     };
     m["statevector"] = [](const std::string& args, const std::string& spec) -> Parsed {
-      const auto max_qubits = static_cast<std::uint32_t>(
-          args.empty() ? kDenseQubitCap : parse_count(args, spec));
-      require(max_qubits >= 1 && max_qubits <= 30,
+      const std::size_t wide_cap = args.empty() ? kDenseQubitCap : parse_count(args, spec);
+      require(wide_cap >= 1 && wide_cap <= 30,
               "engine spec '" + spec + "': statevector cap must be between 1 and 30 qubits");
+      const auto max_qubits = static_cast<std::uint32_t>(wide_cap);
       return {std::to_string(max_qubits), [max_qubits](tdd::Manager& mgr, ExecutionContext* ctx) {
                 return std::make_unique<StatevectorImage>(mgr, max_qubits, ctx);
               }};

@@ -81,7 +81,7 @@ std::vector<cplx> ket_to_dense(const Edge& ket, std::uint32_t n) {
 
 cplx inner(tdd::Manager& mgr, const Edge& a, const Edge& b, std::uint32_t n) {
   const auto levels = state_levels(n);
-  const Edge r = mgr.contract(mgr.conjugate(a), b, levels);
+  const Edge r = mgr.contract(a, b, levels, tdd::OperandView::kConjLeft);
   require(r.is_terminal(), "inner product did not reduce to a scalar");
   return r.weight;
 }
@@ -90,24 +90,12 @@ double norm(tdd::Manager& mgr, const Edge& ket, std::uint32_t n) {
   return std::sqrt(std::max(0.0, inner(mgr, ket, ket, n).real()));
 }
 
-Edge outer(tdd::Manager& mgr, const Edge& a, const Edge& b, std::uint32_t n) {
-  std::vector<std::pair<Level, Level>> to_bra;
-  to_bra.reserve(n);
-  for (std::uint32_t q = 0; q < n; ++q) {
-    to_bra.emplace_back(tdd::state_level(q), tdd::bra_level(q));
-  }
-  const Edge bra = mgr.rename(mgr.conjugate(b), to_bra);
-  return mgr.contract(a, bra, {});
+Edge outer(tdd::Manager& mgr, const Edge& a, const Edge& b, std::uint32_t /*n*/) {
+  return mgr.contract(a, b, {}, tdd::OperandView::kConjRight | tdd::OperandView::kBraRight);
 }
 
 Edge apply_operator(tdd::Manager& mgr, const Edge& op, const Edge& ket, std::uint32_t n) {
-  std::vector<std::pair<Level, Level>> to_bra;
-  to_bra.reserve(n);
-  for (std::uint32_t q = 0; q < n; ++q) {
-    to_bra.emplace_back(tdd::state_level(q), tdd::bra_level(q));
-  }
-  const Edge col = mgr.rename(ket, to_bra);
-  return mgr.contract(op, col, bra_levels(n));
+  return mgr.contract(op, ket, bra_levels(n), tdd::OperandView::kBraRight);
 }
 
 namespace {

@@ -41,6 +41,10 @@ tdd::Edge ket_from_dense(tdd::Manager& mgr, std::uint32_t n, std::span<const cpl
 /// Ket TDD → dense amplitudes (small n).
 std::vector<cplx> ket_to_dense(const tdd::Edge& ket, std::uint32_t n);
 
+// inner, norm, outer and apply_operator are each one Manager::contract call
+// through an OperandView (manager.hpp): they build no conjugated or renamed
+// temporary diagram.
+
 /// Hermitian inner product ⟨a|b⟩ of two n-qubit kets on the state levels.
 /// The width is required because a variable missing from both (reduced)
 /// diagrams still contributes a factor 2 to the contraction.

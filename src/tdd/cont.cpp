@@ -1,5 +1,7 @@
+#include <array>
 #include <cmath>
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "common/error.hpp"
@@ -9,19 +11,37 @@ namespace qts::tdd {
 
 namespace {
 
-/// Weight-1 view of a node's child under `var = value` (see manager.cpp).
-Edge slice_top(const Node* n, Level var, int value) {
-  if (n == nullptr || n->level() > var) return Edge{n, cplx{1.0, 0.0}};
-  return n->child(value);
+/// The level at which the walk reads `n`: its own, or under the bra view the
+/// bra level of its qubit (`n` is then on a state level).
+template <bool Bra>
+Level view_level(const Node* n) {
+  if (n == nullptr) return kTermLevel;
+  return Bra ? bra_level(level_qubit(n->level())) : n->level();
+}
+
+/// Weight-1 view of a node's child under `var = value`, the node read at
+/// `level`; Conj conjugates the child's weight.
+template <bool Conj>
+Edge slice_top(const Node* n, Level level, Level var, int value) {
+  if (n == nullptr || level > var) return Edge{n, cplx{1.0, 0.0}};
+  const Edge& c = n->child(value);
+  return Conj ? Edge{c.node, std::conj(c.weight)} : c;
 }
 
 }  // namespace
 
 Edge Manager::contract(const Edge& a, const Edge& b, std::span<const Level> gamma) {
+  return contract(a, b, gamma, OperandView::kPlain);
+}
+
+Edge Manager::contract(const Edge& a, const Edge& b, std::span<const Level> gamma,
+                       OperandView view) {
   if (a.is_zero() || b.is_zero()) return zero();
   for (std::size_t i = 1; i < gamma.size(); ++i) {
     require(gamma[i - 1] < gamma[i], "contract: gamma must be sorted and duplicate-free");
   }
+  require(!has(view, OperandView::kBraRight) || b.is_terminal() || level_pos(b.top_level()) == 0,
+          "contract: the bra view needs a right operand over state levels");
   // Weights factor straight out of a multilinear contraction; the cache then
   // only ever sees weight-1 operands.  A cont_rec result depends on its
   // operands and on the gamma suffix still to be summed out, so the cache
@@ -30,7 +50,8 @@ Edge Manager::contract(const Edge& a, const Edge& b, std::span<const Level> gamm
   // valid across calls and gammas.  A call that outgrew kContKeepChunks
   // empties the cache and the suffix table together (ids restart with it).
   // cont_rec never re-enters contract(), so it may borrow the slot's cache
-  // and id vector in place.
+  // and id vector in place.  The view is a template argument of cont_rec, one
+  // instantiation per flag combination, and part of every cache key.
   ThreadSlot& sl = slot();
   std::vector<std::uint32_t>& ids = sl.suffix_ids_;
   ids.resize(gamma.size() + 1);
@@ -44,16 +65,27 @@ Edge Manager::contract(const Edge& a, const Edge& b, std::span<const Level> gamm
       sl.suffixes_.insert(key, ids[i]);
     }
   }
-  const Edge r = cont_rec(sl, a.node, b.node, gamma, 0);
+  using Rec = Edge (Manager::*)(ThreadSlot&, const Node*, const Node*, std::span<const Level>,
+                                std::size_t);
+  static constexpr auto kRec = []<std::size_t... V>(std::index_sequence<V...>) {
+    return std::array<Rec, sizeof...(V)>{&Manager::cont_rec<static_cast<OperandView>(V)>...};
+  }(std::make_index_sequence<8>{});
+  const Edge r = (this->*kRec.at(static_cast<std::uint8_t>(view)))(sl, a.node, b.node, gamma, 0);
   if (sl.cont_cache_.chunks() > kContKeepChunks) {
     sl.cont_cache_.trim(kContKeepChunks);
     sl.suffixes_.clear();
   }
-  return scale(r, a.weight * b.weight);
+  const cplx wa = has(view, OperandView::kConjLeft) ? std::conj(a.weight) : a.weight;
+  const cplx wb = has(view, OperandView::kConjRight) ? std::conj(b.weight) : b.weight;
+  return scale(r, wa * wb);
 }
 
+template <OperandView View>
 Edge Manager::cont_rec(ThreadSlot& sl, const Node* a, const Node* b, std::span<const Level> gamma,
                        std::size_t pos) {
+  constexpr bool kConjA = has(View, OperandView::kConjLeft);
+  constexpr bool kConjB = has(View, OperandView::kConjRight);
+  constexpr bool kBraB = has(View, OperandView::kBraRight);
   if (a == nullptr && b == nullptr) {
     // Both operands are constant 1.  Every gamma variable still pending is
     // summed over {0,1} with a constant integrand, contributing a factor 2.
@@ -61,7 +93,7 @@ Edge Manager::cont_rec(ThreadSlot& sl, const Node* a, const Node* b, std::span<c
     return terminal(cplx{std::ldexp(1.0, remaining), 0.0});
   }
 
-  const ContKey key{a, b, sl.suffix_ids_[pos]};
+  const ContKey key{a, b, sl.suffix_ids_[pos], View};
   if (const Edge* hit = sl.cont_cache_.find(key)) {
     if (RunStats* st = sl.stats()) ++st->cont_hits;
     return *hit;
@@ -69,8 +101,8 @@ Edge Manager::cont_rec(ThreadSlot& sl, const Node* a, const Node* b, std::span<c
   if (RunStats* st = sl.stats()) ++st->cont_misses;
   sl.tick();
 
-  const Level la = (a == nullptr) ? kTermLevel : a->level();
-  const Level lb = (b == nullptr) ? kTermLevel : b->level();
+  const Level la = view_level<false>(a);
+  const Level lb = view_level<kBraB>(b);
   const Level lg = (pos < gamma.size()) ? gamma[pos] : kTermLevel;
   Level x = la < lb ? la : lb;
   if (lg < x) x = lg;
@@ -78,17 +110,17 @@ Edge Manager::cont_rec(ThreadSlot& sl, const Node* a, const Node* b, std::span<c
   const bool summed = (x == lg);
   const std::size_t next = summed ? pos + 1 : pos;
 
-  const Edge a0 = slice_top(a, x, 0);
-  const Edge a1 = slice_top(a, x, 1);
-  const Edge b0 = slice_top(b, x, 0);
-  const Edge b1 = slice_top(b, x, 1);
+  const Edge a0 = slice_top<kConjA>(a, la, x, 0);
+  const Edge a1 = slice_top<kConjA>(a, la, x, 1);
+  const Edge b0 = slice_top<kConjB>(b, lb, x, 0);
+  const Edge b1 = slice_top<kConjB>(b, lb, x, 1);
 
   // A branch with a zero factor is zero.  It must not recurse: cont_rec
   // reads the zero edge's null node as the constant 1, so it would walk the
   // other factor's whole subtree only to scale the result by 0.
   const auto branch = [&](const Edge& fa, const Edge& fb) {
     if (fa.is_zero() || fb.is_zero()) return zero();
-    return scale(cont_rec(sl, fa.node, fb.node, gamma, next), fa.weight * fb.weight);
+    return scale(cont_rec<View>(sl, fa.node, fb.node, gamma, next), fa.weight * fb.weight);
   };
   const Edge r0 = branch(a0, b0);
   const Edge r1 = branch(a1, b1);

@@ -19,6 +19,26 @@
 
 namespace qts::tdd {
 
+/// How Manager::contract reads its operands, applied node by node as the
+/// walk goes instead of through a conjugated or renamed copy.  Flags combine
+/// with `|`.
+enum class OperandView : std::uint8_t {
+  kPlain = 0,
+  kConjLeft = 1,   ///< conjugate the left operand's weights
+  kConjRight = 2,  ///< conjugate the right operand's weights
+  kBraRight = 4,   ///< read the right operand's state_level(q) as bra_level(q)
+};
+
+constexpr OperandView operator|(OperandView a, OperandView b) {
+  return static_cast<OperandView>(static_cast<std::uint8_t>(a) | static_cast<std::uint8_t>(b));
+}
+
+/// True if `view` sets every flag of `flag`.
+constexpr bool has(OperandView view, OperandView flag) {
+  return (static_cast<std::uint8_t>(view) & static_cast<std::uint8_t>(flag)) ==
+         static_cast<std::uint8_t>(flag);
+}
+
 /// Owns all nodes of a family of TDDs and provides the tensor operations of
 /// the paper: addition, contraction, slicing, conjugation, scaling and
 /// (order-preserving) index renaming.
@@ -39,6 +59,12 @@ namespace qts::tdd {
 ///     Manager::SlotGuard guard(slot);
 ///     mgr.add(a, b); mgr.contract(...);  // lock-free hot path, shared nodes
 ///   }
+///
+/// contract() also takes an OperandView, so ⟨a|b⟩, P·|u⟩ and |a⟩⟨b| are each
+/// one walk over the stored diagrams: the view conjugates weights and moves a
+/// ket's state levels to bra levels as the walk reads them, and no conjugated
+/// or renamed copy is interned.  The bra view needs a right operand over
+/// state levels only, as a ket is.
 ///
 /// A thread with no installed slot uses the manager's built-in main slot, so
 /// purely sequential code keeps the old single-threaded API unchanged — but
@@ -68,11 +94,14 @@ class Manager {
     const Node* a;
     const Node* b;
     std::uint32_t suffix;  // interned id of the gamma suffix still to be summed out
+    OperandView view;      // how the walk reads a and b (fills the padding)
     bool operator==(const ContKey&) const = default;
   };
+  static_assert(sizeof(ContKey) == 2 * sizeof(void*) + 8, "the view must not grow ContKey");
   struct ContKeyHash {
     std::uint64_t operator()(const ContKey& k) const {
-      return hash_finish(hash_step(hash_step(hash_word(k.a), hash_word(k.b)), k.suffix));
+      const std::uint64_t tail = k.suffix | std::uint64_t{static_cast<std::uint8_t>(k.view)} << 32;
+      return hash_finish(hash_step(hash_step(hash_word(k.a), hash_word(k.b)), tail));
     }
   };
   /// One cell of an interned gamma suffix: its first level and the id of the
@@ -208,6 +237,15 @@ class Manager {
   /// O(operator).
   Edge contract(const Edge& a, const Edge& b, std::span<const Level> gamma);
 
+  /// contract(a', b', gamma) where a' and b' are a and b read through
+  /// `view`: conjugated (kConjLeft, kConjRight) and, under kBraRight, with
+  /// b's state_level(q) read as bra_level(q).  Equal, up to the unique
+  /// table's tolerance, to contracting conjugate() / rename() copies, but
+  /// builds neither.  Precondition of kBraRight: b carries state levels only
+  /// (a ket); checked on b's top level.  Cache entries of different views
+  /// never alias.
+  Edge contract(const Edge& a, const Edge& b, std::span<const Level> gamma, OperandView view);
+
   /// Fix variable `var` to `value` (0 or 1) and drop it from the tensor.
   Edge slice(const Edge& a, Level var, int value);
 
@@ -309,6 +347,7 @@ class Manager {
 
   // Recursion helpers; see the .cpp files.
   Edge add_norm(ThreadSlot& sl, const Node* a, const Node* b, const cplx& ratio);
+  template <OperandView View>
   Edge cont_rec(ThreadSlot& sl, const Node* a, const Node* b, std::span<const Level> gamma,
                 std::size_t pos);
 

@@ -115,6 +115,10 @@ TEST(EngineSpec, RejectsOutOfRangeCounts) {
   EXPECT_THROW((void)EngineSpec::parse("parallel:257"), InvalidArgument);
   EXPECT_THROW((void)EngineSpec::parse("parallel:100000,basic"), InvalidArgument);
   EXPECT_THROW((void)EngineSpec::parse("fallback:addition:21;basic"), InvalidArgument);
+  // Counts past 32 bits are refused, not truncated to contraction:1,1 or
+  // statevector:14.
+  EXPECT_THROW((void)EngineSpec::parse("contraction:4294967297,1"), InvalidArgument);
+  EXPECT_THROW((void)EngineSpec::parse("statevector:4294967310"), InvalidArgument);
 }
 
 TEST(MakeEngine, DispatchesToTheRightAlgorithm) {

@@ -48,7 +48,7 @@ TEST(GoldenIdentity, Ghz3BitFlipReachUnderContraction) {
   const std::unique_ptr<ImageComputer> engine = make_engine(mgr, "contraction:4,4", &ctx);
   const ReachabilityResult r = reachable_space(*engine, sys);
   const std::string text = tdd::save_string(r.space.projector());
-  expect_counters(ctx.stats(), Pins{19, 131, 237, 344, 387, 241});
+  expect_counters(ctx.stats(), Pins{19, 131, 237, 344, 164, 218});
   EXPECT_EQ(text,
             "qtdd v1\n"
             "nodes 9\n"
@@ -72,7 +72,7 @@ TEST(GoldenIdentity, Qft8ImageUnderBasic) {
   const std::unique_ptr<ImageComputer> engine = make_engine(mgr, "basic", &ctx);
   const Subspace image = engine->image(sys, sys.initial);
   const std::string text = tdd::save_string(image.projector());
-  expect_counters(ctx.stats(), Pins{0, 56, 1085, 1868, 668, 978});
+  expect_counters(ctx.stats(), Pins{0, 56, 1085, 1868, 643, 971});
   // QFT|0...0> is the uniform superposition: its projector is the constant
   // 2^-8 over all 16 indices, a terminal edge.
   EXPECT_EQ(text,

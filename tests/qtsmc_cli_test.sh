@@ -46,9 +46,13 @@ check 0 "$QTSMC" image --engine sparse --noise depol:0.1:0 "$EXAMPLES/ghz.qasm"
 check 0 "$QTSMC" --engines
 
 # Noisy QFT6: Gram-Schmidt residuals that nearly cancel and add-cache
-# weight ratios past 9.22e8.  Every spec must report the whole space.
-for spec in contraction:4,4 contraction:6,6 basic; do
-  out=$("$QTSMC" reach --engine "$spec" --noise depol:0.05:0 --noise depol:0.05:1 \
+# weight ratios past 9.22e8.  Every spec must report the whole space.  The
+# cross-checked run compares every iteration's dimension with a dense
+# oracle; QFT6's complex phases take the conjugating inner products and
+# projections end to end.  ($spec is split on purpose: it carries flags.)
+for spec in contraction:4,4 contraction:6,6 basic "contraction:4,4 --cross-check statevector"; do
+  # shellcheck disable=SC2086
+  out=$("$QTSMC" reach --engine $spec --noise depol:0.05:0 --noise depol:0.05:1 \
         "$TESTS/qft6.qasm" 2>&1)
   rc=$?
   if [ "$rc" -eq 0 ] && grep -q '^reach:   dimension 64 of 64 ' <<<"$out"; then

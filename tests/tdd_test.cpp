@@ -4,6 +4,7 @@
 
 #include "common/error.hpp"
 #include "common/execution_context.hpp"
+#include "qts/subspace.hpp"
 #include "tdd/audit.hpp"
 #include "tdd/dense.hpp"
 #include "tdd/dot.hpp"
@@ -399,6 +400,82 @@ TEST(Contract, OperatorOnBasisKetCostsTheResultNotTheOperator) {
   test::expect_dense_eq(ket_to_dense(result, n), column);
   EXPECT_LE(result_misses, 3 * node_count(result));
   mgr.bind_context(nullptr);
+}
+
+// -- operand views: contract() reading conjugated / bra-level operands --------
+
+/// A random n-qubit ket on the state levels, with exact zeros sprinkled in.
+/// Shape 1 makes the amplitudes independent of qubit n/2, so the diagram
+/// skips it; shape 2 zeroes the |1⟩ half of qubit 0, a zero-weight branch at
+/// the top.
+Edge random_view_ket(Manager& mgr, Prng& rng, std::uint32_t n, int shape) {
+  std::vector<cplx> amps = test::random_dense(rng, n);
+  const std::size_t skip_bit = std::size_t{1} << (n - 1 - n / 2);
+  const std::size_t top_bit = std::size_t{1} << (n - 1);
+  for (std::size_t x = 0; x < amps.size(); ++x) {
+    if (shape == 1) amps[x] = amps[x & ~skip_bit];
+    if (shape == 2 && (x & top_bit) != 0) amps[x] = kZero;
+  }
+  return ket_from_dense(mgr, n, amps);
+}
+
+TEST(Contract, ViewsMatchConjugateAndRenameCopies) {
+  Manager mgr;
+  Prng rng(41);
+  for (std::uint32_t n = 1; n <= 6; ++n) {
+    const std::vector<Level> kets = state_levels(n);
+    const std::vector<Level> bras = bra_levels(n);
+    std::vector<std::pair<Level, Level>> to_bra;
+    for (std::uint32_t q = 0; q < n; ++q) to_bra.emplace_back(state_level(q), bra_level(q));
+    for (int shape = 0; shape < 3; ++shape) {
+      SCOPED_TRACE("n = " + std::to_string(n) + ", shape = " + std::to_string(shape));
+      const Edge a = random_view_ket(mgr, rng, n, shape);
+      const Edge b = random_view_ket(mgr, rng, n, (shape + 1) % 3);
+      const Edge c = random_view_ket(mgr, rng, n, (shape + 2) % 3);
+      const Edge copy_inner = mgr.contract(mgr.conjugate(a), b, kets);
+      ASSERT_TRUE(copy_inner.is_terminal());
+      EXPECT_TRUE(approx_equal(inner(mgr, a, b, n), copy_inner.weight, kEps));
+      EXPECT_TRUE(same_tensor(outer(mgr, a, b, n),
+                              mgr.contract(a, mgr.rename(mgr.conjugate(b), to_bra), {})));
+      // A general operator and the projector of a random subspace.
+      const Edge op = from_dense(mgr, test::random_dense(rng, 2 * n), operator_levels(n));
+      const Edge proj = Subspace::from_states(mgr, n, {a, b, c}).projector();
+      for (const Edge& m : {op, proj}) {
+        EXPECT_TRUE(same_tensor(apply_operator(mgr, m, c, n),
+                                mgr.contract(m, mgr.rename(c, to_bra), bras)));
+      }
+    }
+  }
+}
+
+TEST(Contract, ViewIsPartOfTheMemoKey) {
+  // a = |0⟩ + i|1⟩: the plain contraction Σ a·a is 1 + i² = 0, the
+  // conjugating one ⟨a|a⟩ is 2.  Both walk the same node pair with the same
+  // gamma, so only the view tells their memo entries apart.
+  const std::vector<Level> levels = state_levels(1);
+  for (const bool inner_first : {false, true}) {
+    Manager mgr;
+    const Edge a = mgr.literal(state_level(0), kOne, cplx{0.0, 1.0});
+    const auto plain = [&] {
+      const Edge r = mgr.contract(a, a, levels);
+      EXPECT_TRUE(r.is_zero()) << "inner_first = " << inner_first;
+    };
+    const auto conj = [&] {
+      EXPECT_TRUE(approx_equal(inner(mgr, a, a, 1), cplx{2.0, 0.0}))
+          << "inner_first = " << inner_first;
+    };
+    if (inner_first) conj();
+    plain();
+    if (!inner_first) conj();
+  }
+}
+
+TEST(Contract, BraViewRejectsARightOperandOffStateLevels) {
+  Manager mgr;
+  const Edge col = mgr.literal(bra_level(0), kOne, cplx{2.0, 0.0});
+  EXPECT_THROW((void)mgr.contract(mgr.one(), col, {}, OperandView::kBraRight), InvalidArgument);
+  // A terminal right operand has no levels to move.
+  EXPECT_TRUE(same_tensor(mgr.contract(col, mgr.one(), {}, OperandView::kBraRight), col));
 }
 
 TEST(Rename, ShiftsLevelsPreservingValues) {
