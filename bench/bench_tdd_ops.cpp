@@ -55,6 +55,8 @@ void BM_Add(benchmark::State& state) {
 }
 BENCHMARK(BM_Add)->Arg(6)->Arg(10)->Arg(14);
 
+/// ⟨a|b⟩ of two random kets.  The caches are cleared each iteration (the
+/// contraction memo persists across calls), so this times the walk.
 void BM_InnerProduct(benchmark::State& state) {
   const auto rank = static_cast<std::size_t>(state.range(0));
   Prng rng(3);
@@ -63,6 +65,7 @@ void BM_InnerProduct(benchmark::State& state) {
   const Edge a = ket_from_dense(mgr, n, rng.unit_vector(std::size_t{1} << rank));
   const Edge b = ket_from_dense(mgr, n, rng.unit_vector(std::size_t{1} << rank));
   for (auto _ : state) {
+    mgr.clear_caches();
     benchmark::DoNotOptimize(inner(mgr, a, b, n));
   }
 }
@@ -92,12 +95,14 @@ void BM_Conjugate(benchmark::State& state) {
 }
 BENCHMARK(BM_Conjugate)->Arg(6)->Arg(10)->Arg(14);
 
+/// |a⟩⟨a| of a random ket, caches cleared each iteration as above.
 void BM_OuterProduct(benchmark::State& state) {
   const auto n = static_cast<std::uint32_t>(state.range(0));
   Prng rng(6);
   tdd::Manager mgr;
   const Edge a = ket_from_dense(mgr, n, rng.unit_vector(std::size_t{1} << n));
   for (auto _ : state) {
+    mgr.clear_caches();
     benchmark::DoNotOptimize(outer(mgr, a, a, n));
   }
 }

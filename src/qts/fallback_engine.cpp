@@ -86,12 +86,4 @@ std::vector<tdd::Edge> FallbackImage::prepared_roots() const {
   return roots;
 }
 
-std::unique_ptr<ImageComputer::Prepared> FallbackImage::prepare(const circ::Circuit&) {
-  no_per_ket_path();
-}
-
-tdd::Edge FallbackImage::apply(const Prepared&, const tdd::Edge&, std::uint32_t) {
-  no_per_ket_path();
-}
-
 }  // namespace qts

@@ -33,7 +33,8 @@
 /// ("fallback:parallel:4,statevector;parallel:4,basic" — the ';' split is
 /// unambiguous because specs never contain ';').  The reverse nesting
 /// ("parallel:4,fallback:...") is rejected at parse time: a worker pool
-/// needs per-ket delegation, which a chain does not provide.
+/// delegates every ket to its inner engine's per-ket `apply`, which a chain
+/// does not override.
 #pragma once
 
 #include <cstdint>
@@ -92,12 +93,6 @@ class FallbackImage final : public ImageComputer {
 
   void clear_prepared() override;
   [[nodiscard]] std::vector<tdd::Edge> prepared_roots() const override;
-
- protected:
-  // The chain images only through image_step; public apply_kraus on it
-  // throws InvalidArgument (no_per_ket_path).
-  std::unique_ptr<Prepared> prepare(const circ::Circuit& kraus) override;
-  tdd::Edge apply(const Prepared& prep, const tdd::Edge& ket, std::uint32_t n) override;
 
  private:
   [[nodiscard]] ImageComputer& active() { return *engines_[active_]; }

@@ -13,21 +13,29 @@
 /// representation, the fallback chain retries it) overrides exactly one
 /// function and serves every entry point.
 ///
-/// The three algorithms differ only in how a Kraus circuit is applied to a
-/// state (prepare + apply, one cell of the loop):
+/// The three algorithms differ only in how a Kraus circuit is cut before a
+/// state is pushed through it.  Each is one `prepare`: a list of terms, each
+/// term a list of operator tensors, plus the one push plan (tn::Push) every
+/// term replays.  The shared per-ket hook `apply` pushes the state through
+/// every term and sums the results:
 ///
 ///   * BasicImage (§IV-C) pre-contracts the whole circuit into one
-///     monolithic operator TDD and contracts the state against it;
+///     monolithic operator TDD: one term of one tensor;
 ///   * AdditionImage (§V-A) slices the k highest-degree indices of the
-///     circuit's index graph into 2^k pre-contracted parts ϕᵢ and uses
-///     cont(ψ, ϕ) = Σᵢ cont(ψ, ϕᵢ);
+///     circuit's index graph into 2^k pre-contracted parts ϕᵢ: one term per
+///     part, so the sum is cont(ψ, ϕ) = Σᵢ cont(ψ, ϕᵢ);
 ///   * ContractionImage (§V-B) cuts the circuit into (k1, k2) blocks kept
-///     as a tensor network, and contracts the state through the blocks
-///     without ever materialising the monolithic operator.
+///     as a tensor network: one term holding the blocks, so the state is
+///     contracted through them without ever materialising the monolithic
+///     operator.
+///
+/// Engines that apply a circuit some other way (the seam engines) override
+/// `apply` instead; engines that image only through `image_step` (the
+/// parallel engine, fallback chains) override neither, and the default
+/// `prepare` says so.
 #pragma once
 
 #include <cstddef>
-#include <memory>
 #include <span>
 #include <string>
 #include <unordered_map>
@@ -35,9 +43,7 @@
 
 #include "common/execution_context.hpp"
 #include "qts/system.hpp"
-#include "tn/circuit_tensors.hpp"
 #include "tn/contract.hpp"
-#include "tn/partition.hpp"
 
 namespace qts {
 
@@ -105,21 +111,16 @@ class ImageComputer {
   /// every entry point.
   [[nodiscard]] virtual bool shards_frontier() const { return false; }
 
-  /// One cell of the Kraus×basis loop: apply a single Kraus circuit to a ket
-  /// (preparing and caching the operator on first use) and account for it —
-  /// deadline poll, peak record, kraus_applications counter.  The public
-  /// building block for engines that shard the loop across workers.  The
-  /// parallel engine and fallback chains have no per-ket path and throw
-  /// InvalidArgument here.
+  /// One cell of the Kraus×basis loop: `apply` a single Kraus circuit to a
+  /// ket and account for it — deadline poll, peak record,
+  /// kraus_applications counter.  The public building block for engines
+  /// that shard the loop across workers.  The parallel engine and fallback
+  /// chains have no per-ket path and throw InvalidArgument here.
   tdd::Edge apply_kraus(const circ::Circuit& kraus, const tdd::Edge& ket,
                         std::uint32_t num_qubits);
 
   /// The run-control spine this computer reports through.
   [[nodiscard]] ExecutionContext& context() const { return *ctx_; }
-
-  /// Point the computer at a different spine (nullptr restores the private
-  /// default).  Does not rebind the manager.
-  void set_context(ExecutionContext* ctx) { ctx_ = ctx != nullptr ? ctx : &own_ctx_; }
 
   /// Cooperative wall-clock budget; DeadlineExceeded is thrown when spent.
   void set_deadline(const Deadline& d) { ctx_->set_deadline(d); }
@@ -144,46 +145,24 @@ class ImageComputer {
   [[nodiscard]] tdd::Manager& manager() const { return mgr_; }
 
  protected:
-  /// Per-Kraus-circuit pre-processing result (operator TDD / slices / blocks).
+  /// A Kraus circuit cut for pushing kets through it: C = Σ over `terms` of
+  /// the contraction of the term's operator tensors, every term on the same
+  /// index sets, so the one `push` plan serves them all.  A gate-free
+  /// circuit is one empty term (the push is the circuit factor alone).
   struct Prepared {
-    virtual ~Prepared() = default;
-    /// Append every TDD edge this prepared operator keeps alive.
-    virtual void collect_roots(std::vector<tdd::Edge>& out) const = 0;
+    std::vector<std::vector<tn::Tensor>> terms;
+    tn::Push push;
   };
 
-  /// Everything about a push that depends only on the prepared circuit, not
-  /// the ket: the output→state rename map and the compiled ket-first fold
-  /// of [ket] + ops, sum-out sets included.  Computed once in prepare() and
-  /// replayed on every Kraus application of the fixpoint, so no planning or
-  /// index bookkeeping sits on the image path.
-  struct PushPlan {
-    std::vector<std::pair<tdd::Level, tdd::Level>> rename;  ///< output→state map
-    tn::ContractionPlan plan;                               ///< ket-first fold of [ket] + ops
-  };
+  /// Cut `kraus` into terms.  The default throws InvalidArgument: an engine
+  /// that overrides neither this nor `apply` (the parallel engine, fallback
+  /// chains) images kets only through image_step.
+  virtual Prepared prepare(const circ::Circuit& kraus);
 
-  virtual std::unique_ptr<Prepared> prepare(const circ::Circuit& kraus) = 0;
-
-  /// Apply a prepared Kraus operator to a ket on the canonical state levels;
-  /// the result is the (unnormalised) image ket on the same levels.
-  virtual tdd::Edge apply(const Prepared& prep, const tdd::Edge& ket,
-                          std::uint32_t num_qubits) = 0;
-
-  /// Build the push plan for contracting [ket] + ops (ops may be a
-  /// representative — any list with the same length and index sets plans
-  /// identically).
-  PushPlan make_push_plan(const tn::CircuitNetwork& net, std::span<const tn::Tensor> ops);
-
-  /// Contract ψ against extra tensors per the precomputed push plan, then
-  /// rename outputs back to the state levels and apply the circuit factor.
-  /// Shared helper for the subclasses.
-  tdd::Edge push_through(const tn::CircuitNetwork& net, std::span<const tn::Tensor> ops,
-                         const tdd::Edge& ket, const PushPlan& push);
-
-  const Prepared& prepared_for(const circ::Circuit& kraus);
-
-  /// prepare/apply body of engines that image only through image_step (the
-  /// parallel engine, fallback chains): public apply_kraus reaches it.
-  [[noreturn]] void no_per_ket_path() const;
+  /// The per-ket hook: the (unnormalised) image C|ket⟩ on the canonical
+  /// state levels.  The default prepares `kraus` on first use (cached on
+  /// the circuit's address) and sums the pushes of `ket` through its terms.
+  virtual tdd::Edge apply(const circ::Circuit& kraus, const tdd::Edge& ket, std::uint32_t n);
 
   tdd::Manager& mgr_;
   ExecutionContext own_ctx_;
@@ -194,7 +173,7 @@ class ImageComputer {
   /// pass over its images.
   Subspace image_of(std::span<const QuantumOperation> ops, const Subspace& s);
 
-  std::unordered_map<const circ::Circuit*, std::unique_ptr<Prepared>> prepared_;
+  std::unordered_map<const circ::Circuit*, Prepared> prepared_;
 };
 
 /// Algorithm 1: monolithic operator TDD per Kraus circuit.
@@ -204,9 +183,7 @@ class BasicImage final : public ImageComputer {
   [[nodiscard]] std::string name() const override { return "basic"; }
 
  protected:
-  struct Mono;
-  std::unique_ptr<Prepared> prepare(const circ::Circuit& kraus) override;
-  tdd::Edge apply(const Prepared& prep, const tdd::Edge& ket, std::uint32_t n) override;
+  Prepared prepare(const circ::Circuit& kraus) override;
 };
 
 /// §V-A: addition partition with k sliced indices (2^k parts).
@@ -218,9 +195,7 @@ class AdditionImage final : public ImageComputer {
   [[nodiscard]] std::size_t k() const { return k_; }
 
  protected:
-  struct Parts;
-  std::unique_ptr<Prepared> prepare(const circ::Circuit& kraus) override;
-  tdd::Edge apply(const Prepared& prep, const tdd::Edge& ket, std::uint32_t n) override;
+  Prepared prepare(const circ::Circuit& kraus) override;
 
  private:
   std::size_t k_;
@@ -237,9 +212,7 @@ class ContractionImage final : public ImageComputer {
   [[nodiscard]] std::uint32_t k2() const { return k2_; }
 
  protected:
-  struct Blocks;
-  std::unique_ptr<Prepared> prepare(const circ::Circuit& kraus) override;
-  tdd::Edge apply(const Prepared& prep, const tdd::Edge& ket, std::uint32_t n) override;
+  Prepared prepare(const circ::Circuit& kraus) override;
 
  private:
   std::uint32_t k1_;

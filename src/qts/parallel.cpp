@@ -193,10 +193,4 @@ std::vector<Edge> ParallelImage::prepared_roots() const {
   return roots;
 }
 
-std::unique_ptr<ImageComputer::Prepared> ParallelImage::prepare(const circ::Circuit&) {
-  no_per_ket_path();
-}
-
-Edge ParallelImage::apply(const Prepared&, const Edge&, std::uint32_t) { no_per_ket_path(); }
-
 }  // namespace qts

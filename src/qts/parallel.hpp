@@ -106,13 +106,6 @@ class ParallelImage final : public ImageComputer {
   /// or they would sweep live operators out from under the workers.
   [[nodiscard]] std::vector<tdd::Edge> prepared_roots() const override;
 
- protected:
-  // Per-circuit preparation and application live in the workers' inner
-  // engines; public apply_kraus on the parallel engine itself throws
-  // InvalidArgument (no_per_ket_path).
-  std::unique_ptr<Prepared> prepare(const circ::Circuit& kraus) override;
-  tdd::Edge apply(const Prepared& prep, const tdd::Edge& ket, std::uint32_t n) override;
-
  private:
   struct Worker;
 

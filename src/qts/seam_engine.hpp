@@ -29,13 +29,14 @@
 /// which resource is being budgeted, and `kGuard` is also what the codec
 /// fault probes report so injected qubit/non-zero faults fire only in the
 /// matching representation.  The ExecutionContext handed to the apply hooks
-/// lets the sim kernels poll the deadline mid-sweep.  A new backend is a
+/// lets the sim kernels poll the deadline mid-sweep.  The per-ket path
+/// (parallel workers, apply_kraus) is SeamImage's ImageComputer::apply
+/// override: decode the ket, apply_circuit, encode.  A new backend is a
 /// policy struct plus a name, not a re-implementation of the image step
 /// that could silently drift from its siblings.
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <span>
 #include <string>
 #include <vector>
@@ -107,22 +108,10 @@ class SeamImage : public ImageComputer {
  protected:
   /// Per-ket path for delegating callers (parallel workers, apply_kraus):
   /// nothing is pre-contracted — the representation applies the circuit's
-  /// gates directly — so Prepared only pins the circuit reference.
-  struct PinnedKraus : Prepared {
-    const circ::Circuit* kraus = nullptr;
-    void collect_roots(std::vector<tdd::Edge>&) const override {}  // nothing TDD-side
-  };
-
-  std::unique_ptr<Prepared> prepare(const circ::Circuit& kraus) override {
-    auto prep = std::make_unique<PinnedKraus>();
-    prep->kraus = &kraus;
-    return prep;
-  }
-
-  tdd::Edge apply(const Prepared& prep, const tdd::Edge& ket, std::uint32_t n) override {
-    const auto& pinned = static_cast<const PinnedKraus&>(prep);
+  /// gates directly — so there is no prepare step.
+  tdd::Edge apply(const circ::Circuit& kraus, const tdd::Edge& ket, std::uint32_t n) override {
     ctx_->fault_codec(Rep::kGuard);
-    return rep_.encode(mgr_, rep_.apply_circuit(*pinned.kraus, rep_.decode(ket, n), ctx_), n);
+    return rep_.encode(mgr_, rep_.apply_circuit(kraus, rep_.decode(ket, n), ctx_), n);
   }
 
   Rep rep_;

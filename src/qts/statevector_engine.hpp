@@ -20,7 +20,7 @@
 /// registers throw ResourceExhausted instead of thrashing — the signal a
 /// fallback chain degrades on).  The spec is also
 /// accepted as a parallel inner engine ("parallel:4,statevector"): workers
-/// then drive the per-ket prepare/apply path on the caller's shared manager.
+/// then drive the per-ket `apply` path on the caller's shared manager.
 ///
 /// Intended uses (ROADMAP "statevector cross-check backend"): a
 /// differential oracle for the TDD engines — see FixpointDriver::set_oracle

@@ -81,17 +81,13 @@ void Subspace::join(const Subspace& other) {
 }
 
 bool Subspace::contains(const Edge& state, double tol) const {
-  return projector_contains(*mgr_, projector_, state, n_, tol);
-}
-
-bool Subspace::projector_contains(tdd::Manager& mgr, const Edge& projector, const Edge& state,
-                                  std::uint32_t n, double tol) {
-  const double in_norm = norm(mgr, state, n);
+  tdd::Manager& mgr = *mgr_;
+  const double in_norm = norm(mgr, state, n_);
   if (in_norm <= kZeroNormTol) return true;  // the zero vector is in every subspace
   const Edge u = mgr.scale(state, cplx{1.0 / in_norm, 0.0});
-  if (projector.is_zero()) return false;
-  const Edge r = mgr.add(u, mgr.scale(apply_operator(mgr, projector, u, n), cplx{-1.0, 0.0}));
-  return inner(mgr, r, r, n).real() <= tol * tol;
+  if (projector_.is_zero()) return false;
+  const Edge r = mgr.add(u, mgr.scale(apply_operator(mgr, projector_, u, n_), cplx{-1.0, 0.0}));
+  return inner(mgr, r, r, n_).real() <= tol * tol;
 }
 
 bool Subspace::same_subspace(const Subspace& other) const {

@@ -57,12 +57,6 @@ class Subspace {
   /// True if `state` ∈ S (up to tolerance; `state` need not be normalised).
   [[nodiscard]] bool contains(const tdd::Edge& state, double tol = kMembershipTol) const;
 
-  /// Membership test against a bare projector TDD, without a Subspace (the
-  /// projector alone determines the subspace); contains() runs through it.
-  [[nodiscard]] static bool projector_contains(tdd::Manager& mgr, const tdd::Edge& projector,
-                                               const tdd::Edge& state, std::uint32_t n,
-                                               double tol = kMembershipTol);
-
   /// Mutual containment (same dimension and same span).
   [[nodiscard]] bool same_subspace(const Subspace& other) const;
 

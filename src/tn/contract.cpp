@@ -1,5 +1,6 @@
 #include "tn/contract.hpp"
 
+#include <algorithm>
 #include <string>
 
 #include "common/error.hpp"
@@ -46,6 +47,30 @@ Edge contract_planned(tdd::Manager& mgr, const Edge& front, std::span<const Tens
     tdd::record_peak(ctx, acc);
   }
   return acc;
+}
+
+Push plan_push(const CircuitNetwork& net, std::span<const Tensor> ops, ExecutionContext* ctx) {
+  Push out;
+  out.rename = output_to_state_map(net);
+  out.factor = net.factor;
+  if (!ops.empty()) {
+    std::vector<Level> keep = net.outputs;
+    std::sort(keep.begin(), keep.end());
+    keep.erase(std::unique(keep.begin(), keep.end()), keep.end());
+    std::vector<std::vector<Level>> index_sets;
+    index_sets.reserve(ops.size() + 1);
+    index_sets.push_back(net.inputs);
+    for (const auto& t : ops) index_sets.push_back(t.indices);
+    out.plan = plan_order_indices(index_sets, keep, OrderPolicy::kCaller, ctx);
+  }
+  return out;
+}
+
+Edge push(tdd::Manager& mgr, const Edge& ket, std::span<const Tensor> ops, const Push& p,
+          ExecutionContext* ctx) {
+  const Edge result =
+      ops.empty() ? ket : mgr.rename(contract_planned(mgr, ket, ops, p.plan, ctx), p.rename);
+  return mgr.scale(result, p.factor);
 }
 
 Tensor contract_network(tdd::Manager& mgr, const std::vector<Tensor>& tensors,

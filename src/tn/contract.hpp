@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "common/execution_context.hpp"
+#include "tn/circuit_tensors.hpp"
 #include "tn/order.hpp"
 #include "tn/tensor.hpp"
 
@@ -22,8 +23,8 @@ namespace qts::tn {
 ///
 /// `policy` chooses the pairwise merge order (tn/order.hpp).  The default
 /// is the greedy min-width planner, which the basic and addition engines'
-/// monolithic pre-contractions use; contraction-partition blocks and
-/// `simulate` pass OrderPolicy::kCaller to fold in the given tensor order.
+/// monolithic pre-contractions use; contraction-partition blocks pass
+/// OrderPolicy::kCaller to fold in the given tensor order, as plan_push does.
 /// Because reduced TDDs are canonical the returned tensor is bit-identical
 /// under every policy — only intermediate sizes and wall-clock change.
 Tensor contract_network(tdd::Manager& mgr, const std::vector<Tensor>& tensors,
@@ -45,6 +46,30 @@ Tensor contract_network(tdd::Manager& mgr, const std::vector<Tensor>& tensors,
 tdd::Edge contract_planned(tdd::Manager& mgr, const tdd::Edge& front,
                            std::span<const Tensor> rest, const ContractionPlan& plan,
                            ExecutionContext* ctx);
+
+/// Everything about pushing a ket through a circuit's operator tensors that
+/// depends only on their index sets, not on the ket: the compiled ket-first
+/// fold of [ket] + ops onto the circuit's outputs, the output→state rename
+/// and the circuit's scalar factor.  Planned once per prepared circuit and
+/// replayed for every ket, so no planning or index bookkeeping sits on the
+/// image path.
+struct Push {
+  ContractionPlan plan;                                    ///< ket-first fold of [ket] + ops
+  std::vector<std::pair<tdd::Level, tdd::Level>> rename;   ///< output→state map
+  cplx factor{1.0, 0.0};                                   ///< the circuit's global factor
+};
+
+/// Plan the push of a ket on `net.inputs` through `ops`, which may stand in
+/// for any list with the same length and index sets (a push of addition's
+/// slices plans once for all of them).  `ops` empty plans nothing: the push
+/// is the factor alone.  The plan is recorded on `ctx` (may be null).
+Push plan_push(const CircuitNetwork& net, std::span<const Tensor> ops, ExecutionContext* ctx);
+
+/// C|ket⟩ for the circuit C that `ops` and `p` describe: the ket folded
+/// through `ops` per `p.plan`, renamed back onto the state levels and scaled
+/// by the circuit factor.
+tdd::Edge push(tdd::Manager& mgr, const tdd::Edge& ket, std::span<const Tensor> ops,
+               const Push& p, ExecutionContext* ctx);
 
 /// Σ over one index: slice at 0 and 1 and add.
 tdd::Edge sum_out(tdd::Manager& mgr, const tdd::Edge& e, tdd::Level level);

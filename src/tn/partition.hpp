@@ -52,7 +52,7 @@ struct Block {
 
 /// Cut the network into blocks per the (k1, k2) rule and pre-contract each
 /// block in circuit order, keeping exactly the indices visible outside the
-/// block.  Blocks are returned ordered by (window, group) — the paper's
+/// block.  The blocks are returned ordered by (window, group) — the paper's
 /// contraction order for image computation.  Every grid cell is a block;
 /// cells holding no gate are the index-less unit tensor.  `ctx` may be
 /// null.

@@ -153,10 +153,9 @@ class ThrowingImage final : public ImageComputer {
   [[nodiscard]] std::string name() const override { return "throwing"; }
 
  protected:
-  std::unique_ptr<Prepared> prepare(const circ::Circuit&) override {
+  Prepared prepare(const circ::Circuit&) override {
     throw E("throwing engine: deliberate test failure");
   }
-  tdd::Edge apply(const Prepared&, const tdd::Edge& ket, std::uint32_t) override { return ket; }
 };
 
 TEST(FallbackEngine, BugExceptionsPropagateWithoutDegrading) {

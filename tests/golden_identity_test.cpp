@@ -81,5 +81,47 @@ TEST(GoldenIdentity, Qft8ImageUnderBasic) {
             "root -1 0.00390625 0\n");
 }
 
+TEST(GoldenIdentity, BitflipCodeReachUnderAddition) {
+  tdd::Manager mgr;
+  ExecutionContext ctx;
+  mgr.bind_context(&ctx);
+  const TransitionSystem sys = make_bitflip_code_system(mgr);
+  const std::unique_ptr<ImageComputer> engine = make_engine(mgr, "addition:2", &ctx);
+  const ReachabilityResult r = reachable_space(*engine, sys);
+  const std::string text = tdd::save_string(r.space.projector());
+  EXPECT_EQ(r.space.dim(), 4u);
+  expect_counters(ctx.stats(), Pins{18, 33, 343, 628, 328, 401});
+  // The addition engine sums one push per slice, the one image path with an
+  // accumulation loop.  Reduced TDDs are canonical, so the projector is the
+  // same text contraction:4,4 reaches on this job in a fresh manager.
+  tdd::Manager other;
+  const std::unique_ptr<ImageComputer> contraction = make_engine(other, "contraction:4,4");
+  EXPECT_EQ(tdd::save_string(
+                reachable_space(*contraction, make_bitflip_code_system(other)).space.projector()),
+            text);
+  EXPECT_EQ(text,
+            "qtdd v1\n"
+            "nodes 18\n"
+            "0 6291455 -1 1 0 -1 0 0\n"
+            "1 5242880 0 1 0 -1 0 0\n"
+            "2 5242879 1 1 0 -1 0 0\n"
+            "3 4194304 2 1 0 -1 0 0\n"
+            "4 4194303 3 1 0 -1 0 0\n"
+            "5 3145728 4 1 0 -1 0 0\n"
+            "6 3145727 5 1 0 -1 0 0\n"
+            "7 3145727 -1 0 0 5 1 0\n"
+            "8 2097152 6 1 0 7 1 0\n"
+            "9 2097151 8 1 0 -1 0 0\n"
+            "10 2097152 6 1 0 -1 0 0\n"
+            "11 2097151 -1 0 0 10 1 0\n"
+            "12 1048576 9 1 0 11 1 0\n"
+            "13 1048575 12 1 0 -1 0 0\n"
+            "14 2097151 10 1 0 -1 0 0\n"
+            "15 1048576 14 1 0 -1 0 0\n"
+            "16 1048575 -1 0 0 15 1 0\n"
+            "17 0 13 1 0 16 1 0\n"
+            "root 17 1 0\n");
+}
+
 }  // namespace
 }  // namespace qts

@@ -151,6 +151,7 @@ check 0 "$QTSMC" back --cross-check statevector --steps 4 "$EXAMPLES/ghz.qasm"
 check 0 "$QTSMC" invar --cross-check statevector "$EXAMPLES/phase_oracle.qasm"
 check 0 "$QTSMC" reach --cross-check sparse --stats "$EXAMPLES/ghz.qasm"
 check 0 "$QTSMC" reach --engine sparse --cross-check statevector "$EXAMPLES/ghz.qasm"
+check 0 "$QTSMC" reach --engine addition:2 --cross-check statevector --noise depol:0.1:0 "$EXAMPLES/ghz.qasm"
 check 0 "$QTSMC" reach --engine parallel:2 --cross-check sparse "$EXAMPLES/ghz.qasm"
 check 0 "$QTSMC" image --cross-check sparse --noise depol:0.1:0 "$EXAMPLES/ghz.qasm"
 check 0 "$QTSMC" back --cross-check sparse --steps 4 "$EXAMPLES/ghz.qasm"

@@ -428,13 +428,9 @@ class IdentityImage final : public ImageComputer {
   [[nodiscard]] std::string name() const override { return "identity"; }
 
  protected:
-  struct Nothing : Prepared {
-    void collect_roots(std::vector<tdd::Edge>&) const override {}
-  };
-  std::unique_ptr<Prepared> prepare(const circ::Circuit&) override {
-    return std::make_unique<Nothing>();
+  tdd::Edge apply(const circ::Circuit&, const tdd::Edge& ket, std::uint32_t) override {
+    return ket;
   }
-  tdd::Edge apply(const Prepared&, const tdd::Edge& ket, std::uint32_t) override { return ket; }
 };
 
 TEST(SparseCrossCheck, DetectsAnInjectedDivergence) {

@@ -413,11 +413,14 @@ TEST(Subspace, ProjectorContainsMatchesContains) {
   for (int i = 0; i < 2; ++i) s.add_state(random_ket(mgr, rng, 3));
   const auto inside = s.project(random_ket(mgr, rng, 3));
   const auto outside = random_ket(mgr, rng, 3);
-  EXPECT_TRUE(Subspace::projector_contains(mgr, s.projector(), inside, 3));
-  EXPECT_EQ(Subspace::projector_contains(mgr, s.projector(), outside, 3), s.contains(outside));
-  // A zero projector contains only the zero vector.
-  EXPECT_FALSE(Subspace::projector_contains(mgr, mgr.zero(), inside, 3));
-  EXPECT_TRUE(Subspace::projector_contains(mgr, mgr.zero(), mgr.zero(), 3));
+  EXPECT_TRUE(s.contains(inside));
+  // A random ket of the 8-dimensional space misses a 2-dimensional subspace.
+  EXPECT_FALSE(s.contains(outside));
+  // The zero subspace (zero projector) contains only the zero vector.
+  const Subspace zero(mgr, 3);
+  EXPECT_TRUE(zero.projector().is_zero());
+  EXPECT_FALSE(zero.contains(inside));
+  EXPECT_TRUE(zero.contains(mgr.zero()));
 }
 
 TEST(Subspace, FullSpaceSaturates) {
