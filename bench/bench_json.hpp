@@ -16,6 +16,9 @@
 /// entry count — together they tell a regression hunt whether a slow cell
 /// actually ran the engine its name claims, or fell down a chain.
 ///
+/// A row that repeats its run (`repeats` > 1) reports the median wall time
+/// and adds "repeats" and "spread_ms" (max − min of the runs' wall times).
+///
 /// "hardware_concurrency" records the machine the numbers came from: a
 /// thread sweep on a 1-core container and the same sweep on an 8-way box
 /// are different experiments.
@@ -44,6 +47,8 @@ struct Record {
   bool timeout = false;
   std::size_t degradations = 0;  ///< fallback-chain backend switches
   std::size_t table_nodes = 0;   ///< peak sampled unique-table entries
+  std::size_t repeats = 1;       ///< runs behind wall_ms (their median if > 1)
+  double spread_ms = 0.0;        ///< max − min wall time of the repeats
 };
 
 /// Collects records and writes BENCH_<bench>.json when destroyed.
@@ -70,8 +75,11 @@ class JsonWriter {
       os << "\n  {\"name\": \"" << escaped(r.name) << "\", \"wall_ms\": " << fmt(r.wall_ms)
          << ", \"peak_nodes\": " << r.peak_nodes << ", \"threads\": " << r.threads
          << ", \"timeout\": " << (r.timeout ? "true" : "false")
-         << ", \"degradations\": " << r.degradations << ", \"table_nodes\": " << r.table_nodes
-         << "}";
+         << ", \"degradations\": " << r.degradations << ", \"table_nodes\": " << r.table_nodes;
+      if (r.repeats > 1) {
+        os << ", \"repeats\": " << r.repeats << ", \"spread_ms\": " << fmt(r.spread_ms);
+      }
+      os << "}";
     }
     os << "\n]}\n";
     std::cerr << "wrote " << path << " (" << records_.size() << " record(s))\n";

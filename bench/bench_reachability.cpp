@@ -14,25 +14,40 @@
 /// engine contraction:4,4.  A sequential reference row (the inner engine run
 /// directly through the driver's sequential single-Gram-Schmidt path) is
 /// printed first; every parallel row reports speedup against it (or against
-/// parallel:1 when the sweep includes it).  Results land in
+/// parallel:1 when the sweep includes it).
+///
+/// A last, fixed row runs the sequential inner engine on GHZ11 with
+/// depolarising noise (p = 0.05) on qubits 0 and 1: 16 Kraus circuits, wide
+/// frontiers and 2,048 Gram-Schmidt survivors, a fixpoint of seconds whose
+/// cost is mostly the projector's growth.  It reports the median of
+/// kGhzRepeats runs and their spread (max − min).  Results land in
 /// BENCH_reachability.json.
 #include <algorithm>
 #include <cstring>
+#include <functional>
 #include <iostream>
 #include <optional>
 #include <string>
 #include <vector>
 
 #include "bench_json.hpp"
+#include "circuit/generators.hpp"
+#include "circuit/noise.hpp"
 #include "common/strings.hpp"
 #include "common/timer.hpp"
 #include "qts/engine.hpp"
 #include "qts/reachability.hpp"
+#include "qts/states.hpp"
 #include "qts/workloads.hpp"
 
 namespace {
 
 using namespace qts;
+
+using SystemBuilder = std::function<TransitionSystem(tdd::Manager&)>;
+
+/// Repeats of the GHZ11 row; its wall time is their median.
+constexpr std::size_t kGhzRepeats = 3;
 
 struct Measurement {
   std::optional<double> ms;
@@ -41,15 +56,17 @@ struct Measurement {
   std::size_t iterations = 0;
   std::size_t degradations = 0;
   std::size_t table_nodes = 0;
+  std::size_t repeats = 1;
+  double spread_ms = 0.0;
 };
 
-Measurement run_once(const std::string& engine_spec, std::uint32_t n, double p,
+Measurement run_once(const std::string& engine_spec, const SystemBuilder& build,
                      std::size_t steps, double timeout_s) {
   ExecutionContext ctx;
   if (timeout_s > 0) ctx.set_deadline(Deadline::after(timeout_s));
   tdd::Manager mgr;
   mgr.bind_context(&ctx);
-  const TransitionSystem sys = make_qrw_system(mgr, n, p, true, 0);
+  const TransitionSystem sys = build(mgr);
   const auto computer = make_engine(mgr, engine_spec, &ctx);
   Measurement m;
   WallTimer timer;
@@ -67,6 +84,34 @@ Measurement run_once(const std::string& engine_spec, std::uint32_t n, double p,
   // never do, so take the max with an end-of-run sample.
   m.table_nodes = std::max(ctx.stats().table_nodes, mgr.storage_stats().table_nodes);
   return m;
+}
+
+/// `repeats` runs in fresh managers: the median run's measurement, with the
+/// spread of the wall times.  Any timed-out run makes the row a timeout.
+Measurement run_median(const std::string& engine_spec, const SystemBuilder& build,
+                       std::size_t steps, double timeout_s, std::size_t repeats) {
+  std::vector<Measurement> runs;
+  for (std::size_t i = 0; i < repeats; ++i) {
+    runs.push_back(run_once(engine_spec, build, steps, timeout_s));
+    if (!runs.back().ms) return runs.back();
+  }
+  std::sort(runs.begin(), runs.end(),
+            [](const Measurement& a, const Measurement& b) { return *a.ms < *b.ms; });
+  Measurement m = runs[runs.size() / 2];
+  m.repeats = repeats;
+  m.spread_ms = *runs.back().ms - *runs.front().ms;
+  return m;
+}
+
+/// GHZ-n preparation followed by depolarising noise (p = 0.05) on qubits 0
+/// and 1, from |0…0⟩: qtsmc's `--noise depol:0.05:0 --noise depol:0.05:1`.
+TransitionSystem noisy_ghz_system(tdd::Manager& mgr, std::uint32_t n) {
+  std::vector<circ::Circuit> kraus{circ::make_ghz(n)};
+  for (std::uint32_t q = 0; q < 2; ++q) {
+    kraus = circ::apply_channel(kraus, circ::depolarizing(0.05), q);
+  }
+  return TransitionSystem{n, Subspace::from_states(mgr, n, {ket_basis(mgr, n, 0)}),
+                          {QuantumOperation{"ghz-depol", std::move(kraus)}}};
 }
 
 }  // namespace
@@ -115,37 +160,46 @@ int main(int argc, char** argv) {
   }
 
   const std::string workload = "qrw" + std::to_string(n);
+  const SystemBuilder qrw = [&](tdd::Manager& mgr) { return make_qrw_system(mgr, n, p, true, 0); };
   std::cout << "Sharded reachability sweep — noisy quantum walk, " << n << " qubits, p = " << p
             << ", inner engine " << inner << "\n\n";
   std::cout << pad_right("engine", 28) << pad_left("wall[ms]", 12) << pad_left("dim", 6)
-            << pad_left("iters", 7) << pad_left("peak", 10) << pad_left("speedup", 10) << "\n";
+            << pad_left("iters", 7) << pad_left("peak", 10) << pad_left("speedup", 10)
+            << pad_left("spread", 10) << "\n";
 
   bench::JsonWriter json("reachability");
-  const auto report = [&](const std::string& spec, std::size_t nthreads, const Measurement& m,
+  const auto report = [&](const std::string& name, std::size_t nthreads, const Measurement& m,
                           std::optional<double> base_ms) {
     std::string speedup = "-";
     if (m.ms && base_ms) speedup = format_fixed(*base_ms / *m.ms, 2) + "x";
-    std::cout << pad_right(spec, 28) << pad_left(m.ms ? format_fixed(*m.ms, 1) : "-", 12)
+    const std::string spread = m.repeats > 1 ? format_fixed(m.spread_ms, 1) : "-";
+    std::cout << pad_right(name, 28) << pad_left(m.ms ? format_fixed(*m.ms, 1) : "-", 12)
               << pad_left(std::to_string(m.dim), 6) << pad_left(std::to_string(m.iterations), 7)
-              << pad_left(std::to_string(m.peak_nodes), 10) << pad_left(speedup, 10) << "\n"
+              << pad_left(std::to_string(m.peak_nodes), 10) << pad_left(speedup, 10)
+              << pad_left(spread, 10) << "\n"
               << std::flush;
-    json.add({workload + "/" + spec, m.ms.value_or(timeout_s * 1e3), m.peak_nodes, nthreads,
-              !m.ms.has_value(), m.degradations, m.table_nodes});
+    json.add({name, m.ms.value_or(timeout_s * 1e3), m.peak_nodes, nthreads, !m.ms.has_value(),
+              m.degradations, m.table_nodes, m.repeats, m.spread_ms});
   };
 
   // Sequential reference: the inner engine run directly — the driver's
   // single-pass Gram-Schmidt path with no worker pool.
-  const Measurement seq = run_once(inner, n, p, steps, timeout_s);
-  report(inner, 1, seq, seq.ms);
+  const Measurement seq = run_once(inner, qrw, steps, timeout_s);
+  report(workload + "/" + inner, 1, seq, seq.ms);
 
   // Speedups are reported against parallel:1 when the sweep includes it,
   // falling back to the sequential reference otherwise.
   std::optional<double> base_ms = seq.ms;
   for (std::size_t t : threads) {
     const std::string spec = "parallel:" + std::to_string(t) + "," + inner;
-    const Measurement m = run_once(spec, n, p, steps, timeout_s);
+    const Measurement m = run_once(spec, qrw, steps, timeout_s);
     if (t == 1 && m.ms) base_ms = m.ms;
-    report(spec, t, m, base_ms);
+    report(workload + "/" + spec, t, m, base_ms);
   }
+
+  constexpr std::uint32_t kGhzQubits = 11;
+  const SystemBuilder ghz = [](tdd::Manager& mgr) { return noisy_ghz_system(mgr, kGhzQubits); };
+  report("ghz" + std::to_string(kGhzQubits) + "-depol/" + inner, 1,
+         run_median(inner, ghz, steps, timeout_s, kGhzRepeats), std::nullopt);
   return 0;
 }

@@ -1,10 +1,12 @@
 #include "qts/subspace.hpp"
 
 #include <cmath>
+#include <cstddef>
 #include <cstdint>
 #include <string>
 #include <unordered_set>
 #include <utility>
+#include <vector>
 
 #include "common/error.hpp"
 #include "tdd/paths.hpp"
@@ -17,6 +19,31 @@ using tdd::Level;
 Subspace::Subspace(tdd::Manager& mgr, std::uint32_t n)
     : mgr_(&mgr), n_(n), projector_(mgr.zero()) {}
 
+namespace {
+
+/// Survivors whose outer products add_states sums into the projector at
+/// once.  Until a flush, later candidates are projected against them one
+/// inner product at a time; a larger batch lengthens that local sum, which
+/// costs more than it saves when the batches misalign with the frontier.
+constexpr std::size_t kFlushSurvivors = 16;
+
+/// Σ terms, summed pairwise in order: a balanced tree, so each operand of an
+/// add is the sum of about as many terms as the other.  A running sum adds
+/// every term to an ever larger partial projector instead.
+Edge tree_sum(tdd::Manager& mgr, std::vector<Edge> terms) {
+  while (terms.size() > 1) {
+    std::size_t out = 0;
+    for (std::size_t i = 0; i + 1 < terms.size(); i += 2) {
+      terms[out++] = mgr.add(terms[i], terms[i + 1]);
+    }
+    if (terms.size() % 2 == 1) terms[out++] = terms.back();
+    terms.resize(out);
+  }
+  return terms.empty() ? mgr.zero() : terms.front();
+}
+
+}  // namespace
+
 Subspace Subspace::from_states(tdd::Manager& mgr, std::uint32_t n,
                                const std::vector<Edge>& states) {
   Subspace s(mgr, n);
@@ -24,38 +51,23 @@ Subspace Subspace::from_states(tdd::Manager& mgr, std::uint32_t n,
   return s;
 }
 
-bool Subspace::add_state(const Edge& state) {
-  const double in_norm = norm(*mgr_, state, n_);
-  return in_norm > kZeroNormTol && add_unit(mgr_->scale(state, cplx{1.0 / in_norm, 0.0}));
-}
-
-bool Subspace::add_unit(Edge u) {
-  auto& mgr = *mgr_;
-  // Two orthogonalisation passes (CGS2) for numerical robustness.
-  for (int pass = 0; pass < 2; ++pass) {
-    if (projector_.is_zero()) break;
-    const Edge proj = project(u);
-    u = mgr.add(u, mgr.scale(proj, cplx{-1.0, 0.0}));
-  }
-  const double res2 = inner(mgr, u, u, n_).real();
-  if (res2 <= kResidualTol2) return false;
-
-  // A survivor past 2^n orthonormal vectors is not orthogonal to the basis:
-  // the run is numerically broken, and a larger-than-space answer is wrong.
-  if (n_ < 64 && dim() >= (std::uint64_t{1} << n_)) {
-    throw InternalError("Gram-Schmidt admitted a survivor past dimension 2^" +
-                        std::to_string(n_) + " = " + std::to_string(std::uint64_t{1} << n_) +
-                        ": the basis lost orthogonality");
-  }
-  const Edge v = mgr.scale(u, cplx{1.0 / std::sqrt(res2), 0.0});
-  basis_.push_back(v);
-  projector_ = mgr.add(projector_, outer(mgr, v, v, n_));
-  return true;
-}
+bool Subspace::add_state(const Edge& state) { return !add_states({state}).empty(); }
 
 std::vector<Edge> Subspace::add_states(const std::vector<Edge>& states) {
   auto& mgr = *mgr_;
-  std::vector<Edge> survivors;
+  const std::size_t first = basis_.size();
+  // basis_[flushed..] are this call's survivors whose outer products are not
+  // yet in projector_.
+  std::size_t flushed = first;
+  const auto flush = [&] {
+    std::vector<Edge> outers;
+    outers.reserve(basis_.size() - flushed);
+    for (std::size_t i = flushed; i < basis_.size(); ++i) {
+      outers.push_back(outer(mgr, basis_[i], basis_[i], n_));
+    }
+    projector_ = mgr.add(projector_, tree_sum(mgr, std::move(outers)));
+    flushed = basis_.size();
+  };
   // Nodes of the states already orthogonalised in this call.  Nodes are
   // hash-consed, so a later state on one of them is a scalar multiple of an
   // earlier one, whose direction is already in the span.  A node enters
@@ -69,15 +81,40 @@ std::vector<Edge> Subspace::add_states(const std::vector<Edge>& states) {
     const double in_norm = norm(mgr, v, n_);
     if (in_norm <= kZeroNormTol) continue;
     orthogonalised.insert(v.node);
-    if (add_unit(mgr.scale(v, cplx{1.0 / in_norm, 0.0}))) survivors.push_back(basis_.back());
+    Edge u = mgr.scale(v, cplx{1.0 / in_norm, 0.0});
+    // Two orthogonalisation passes (CGS2) for numerical robustness, each
+    // against the flushed projector and the unflushed survivors:
+    // u -= P·u + Σ_w w⟨w|u⟩.
+    for (int pass = 0; pass < 2; ++pass) {
+      if (projector_.is_zero() && flushed == basis_.size()) break;
+      Edge pu = projector_.is_zero() ? mgr.zero() : project(u);
+      for (std::size_t i = flushed; i < basis_.size(); ++i) {
+        pu = mgr.add(pu, mgr.scale(basis_[i], inner(mgr, basis_[i], u, n_)));
+      }
+      u = mgr.add(u, mgr.scale(pu, cplx{-1.0, 0.0}));
+    }
+    const double res2 = inner(mgr, u, u, n_).real();
+    if (res2 <= kResidualTol2) continue;
+
+    // A survivor past 2^n orthonormal vectors is not orthogonal to the
+    // basis: the run is numerically broken, and a larger-than-space answer
+    // is wrong.
+    if (n_ < 64 && dim() >= (std::uint64_t{1} << n_)) {
+      throw InternalError("Gram-Schmidt admitted a survivor past dimension 2^" +
+                          std::to_string(n_) + " = " + std::to_string(std::uint64_t{1} << n_) +
+                          ": the basis lost orthogonality");
+    }
+    basis_.push_back(mgr.scale(u, cplx{1.0 / std::sqrt(res2), 0.0}));
+    if (basis_.size() - flushed == kFlushSurvivors) flush();
   }
-  return survivors;
+  flush();
+  return {basis_.begin() + static_cast<std::ptrdiff_t>(first), basis_.end()};
 }
 
 void Subspace::join(const Subspace& other) {
   require(other.n_ == n_ && other.mgr_ == mgr_,
           "join requires subspaces of the same space and manager");
-  for (const auto& v : other.basis_) add_state(v);
+  add_states(other.basis_);
 }
 
 bool Subspace::contains(const Edge& state, double tol) const {

@@ -17,7 +17,9 @@ class Subspace {
   /// The zero subspace of an n-qubit space.
   Subspace(tdd::Manager& mgr, std::uint32_t n);
 
-  /// span of the given (not necessarily orthogonal or normalised) kets.
+  /// span of the given (not necessarily orthogonal or normalised) kets, added
+  /// one add_state at a time: an initial span keeps the basis and projector
+  /// bits of adding its kets in order, whatever add_states' flush size.
   static Subspace from_states(tdd::Manager& mgr, std::uint32_t n,
                               const std::vector<tdd::Edge>& states);
 
@@ -35,23 +37,32 @@ class Subspace {
   /// Gram-Schmidt extension (§IV-B): orthogonalise `state` against the
   /// subspace; if a component survives, grow the basis and the projector.
   /// Returns true iff the dimension grew.  `state` need not be normalised.
-  /// The zero-norm and residual cutoffs are the shared representation-seam
-  /// constants of common/complex.hpp (kZeroNormTol / kResidualTol2).
-  /// Throws InternalError if a survivor would push dim() past 2^n (n < 64):
-  /// the basis has then lost orthogonality and the result would be wrong.
+  /// This is add_states of the one state, whose flush adds the survivor's
+  /// outer product to the projector at once.
   bool add_state(const tdd::Edge& state);
 
-  /// Batched single-pass extension: add_state every vector in order and
-  /// return the orthonormal residuals that were appended — exactly the
-  /// basis of "what was new" in `states`.  Filtering and extension become
-  /// one Gram-Schmidt pass where callers previously paid two
-  /// (contains() to build a frontier, then add_state() to extend).  A
-  /// state on the same node as an earlier non-zero state of the call is a
-  /// scalar multiple of it (hash-consing) and is skipped without a norm or
-  /// a projection; the result is the same as adding it.
+  /// Batched Gram-Schmidt extension: orthogonalise every vector in order and
+  /// return the orthonormal residuals that were appended, exactly the basis
+  /// of "what was new" in `states`.
+  ///   * A state on the same node as an earlier non-zero state of the call is
+  ///     a scalar multiple of it (hash-consing) and is skipped without a norm
+  ///     or a projection; the result is the same as adding it.
+  ///   * Each other state is normalised, then takes two passes (CGS2) of
+  ///     u -= P·u + Σ_w w⟨w|u⟩, where P is the projector at the last flush
+  ///     and w runs over this call's survivors since then.  The zero-norm and
+  ///     residual cutoffs are the shared representation-seam constants of
+  ///     common/complex.hpp (kZeroNormTol / kResidualTol2).
+  ///   * Every 16 survivors, and at the end of the call, a flush adds their
+  ///     outer products to P, summed pairwise in survivor order (a balanced
+  ///     tree) rather than one at a time.
+  /// The span equals that of add_state-at-a-time; a call of more than one
+  /// survivor may give a basis and projector that differ from it in the last
+  /// bits.  Throws InternalError if a survivor would push dim() past 2^n
+  /// (n < 64): the basis has then lost orthogonality and the result would be
+  /// wrong.
   std::vector<tdd::Edge> add_states(const std::vector<tdd::Edge>& states);
 
-  /// Join S ∨ T: extend by every basis vector of `other`.
+  /// Join S ∨ T: add_states of `other`'s basis.
   void join(const Subspace& other);
 
   /// True if `state` ∈ S (up to tolerance; `state` need not be normalised).
@@ -81,10 +92,6 @@ class Subspace {
   /// re-deriving one with from_projector.
   static Subspace from_stored(tdd::Manager& mgr, std::uint32_t n, std::vector<tdd::Edge> basis,
                               const tdd::Edge& projector);
-
-  /// add_state's body after the zero-norm test: orthogonalise the unit
-  /// vector `u` against the subspace and grow it by the residual, if any.
-  bool add_unit(tdd::Edge u);
 
   tdd::Manager* mgr_;
   std::uint32_t n_;

@@ -48,7 +48,7 @@ TEST(GoldenIdentity, Ghz3BitFlipReachUnderContraction) {
   const std::unique_ptr<ImageComputer> engine = make_engine(mgr, "contraction:4,4", &ctx);
   const ReachabilityResult r = reachable_space(*engine, sys);
   const std::string text = tdd::save_string(r.space.projector());
-  expect_counters(ctx.stats(), Pins{19, 131, 237, 344, 164, 218});
+  expect_counters(ctx.stats(), Pins{17, 111, 277, 353, 145, 209});
   EXPECT_EQ(text,
             "qtdd v1\n"
             "nodes 9\n"

@@ -63,6 +63,20 @@ for spec in contraction:4,4 contraction:6,6 basic "contraction:4,4 --cross-check
   fi
 done
 
+# Noisy QFT6 from a 3-ket initial span: the fixpoint's survivor batches no
+# longer line up with add_states' 16-survivor flushes, and every iteration's
+# Gram-Schmidt is checked against the dense oracle.
+out=$("$QTSMC" reach --engine contraction:4,4 --cross-check statevector \
+      --initial 000000,000101,110011 --noise depol:0.05:0 --noise depol:0.05:1 \
+      "$TESTS/qft6.qasm" 2>&1)
+rc=$?
+if [ "$rc" -eq 0 ] && grep -q '^reach:   dimension 64 of 64 ' <<<"$out"; then
+  echo "ok: noisy QFT6 from a 3-ket initial span reaches dimension 64 of 64, cross-checked"
+else
+  echo "FAIL: noisy QFT6 from a 3-ket initial span: exit $rc, want 0 with dimension 64 of 64" >&2
+  failures=$((failures + 1))
+fi
+
 # Noisy GHZ9: wide frontiers (up to 128 kets x 16 Kraus circuits) through
 # the sparse seam, every iteration cross-checked against contraction.
 out=$("$QTSMC" reach --engine sparse --cross-check contraction:4,4 \

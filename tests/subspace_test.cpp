@@ -406,6 +406,79 @@ TEST(Subspace, AddStatesSurvivorsAreOrthonormal) {
   }
 }
 
+TEST(Subspace, AddStatesFlushesMatchOneAtATime) {
+  // add_states flushes survivors' outer products into the projector 16 at a
+  // time; calls that end on a flush boundary and calls that do not must give
+  // the span of add_state-at-a-time and a projector that is one.
+  constexpr std::uint32_t n = 6;
+  // Seeded random amplitudes on |i⟩ and on 2 random basis states: sparse
+  // enough that the projectors stay small, generic enough that 64 of them
+  // span the space.
+  const auto sparse_ket = [](tdd::Manager& mgr, Prng& rng, std::size_t i) {
+    std::vector<cplx> amps(std::size_t{1} << n);
+    amps[i] = rng.complex_unit_box();
+    for (int k = 0; k < 2; ++k) amps[rng.uniform_int(0, (1 << n) - 1)] = rng.complex_unit_box();
+    return ket_from_dense(mgr, n, amps);
+  };
+  const auto check = [](tdd::Manager& mgr, Subspace batched, Subspace incremental,
+                        const std::vector<tdd::Edge>& states, const std::string& label) {
+    SCOPED_TRACE(label);
+    const std::size_t before = batched.dim();
+    const auto survivors = batched.add_states(states);
+    for (const auto& v : states) incremental.add_state(v);
+    EXPECT_EQ(batched.dim(), incremental.dim());
+    EXPECT_EQ(survivors.size(), batched.dim() - before);
+    EXPECT_TRUE(batched.same_subspace(incremental));
+    for (std::size_t i = 0; i < survivors.size(); ++i) {
+      for (std::size_t j = 0; j < survivors.size(); ++j) {
+        const double expect = i == j ? 1.0 : 0.0;
+        EXPECT_NEAR(std::abs(inner(mgr, survivors[i], survivors[j], n)), expect, kEps)
+            << i << "," << j;
+      }
+    }
+    EXPECT_TRUE(operator_to_dense(batched.projector(), n).is_projector(kEps));
+    EXPECT_NEAR(operator_trace(mgr, batched.projector(), n).real(),
+                static_cast<double>(batched.dim()), kEps);
+    return survivors.size();
+  };
+  for (const std::size_t size : {1, 15, 16, 17, 33, 64}) {
+    tdd::Manager mgr;
+    Prng rng(31 + size);
+    // Seeded random kets into the zero subspace: every state survives, so
+    // the call's flushes fall every 16 states.
+    std::vector<tdd::Edge> kets;
+    for (std::size_t i = 0; i < size; ++i) kets.push_back(sparse_ket(mgr, rng, i));
+    const std::string random_label = "random x" + std::to_string(size);
+    EXPECT_EQ(check(mgr, Subspace(mgr, n), Subspace(mgr, n), kets, random_label), size);
+
+    // Misaligned: a 3-dimensional starting span, and a family that mixes
+    // random kets with sums of a starting ket and earlier states, sums of
+    // earlier states, scalar copies (skipped by node) and zero, so survivors
+    // and flushes no longer line up with the states.
+    const std::vector<tdd::Edge> start{ket_basis(mgr, n, 0), ket_basis(mgr, n, 5),
+                                       ket_basis(mgr, n, 51)};
+    std::vector<tdd::Edge> family;
+    for (std::size_t i = 0; i < size; ++i) {
+      switch (i % 4) {
+        case 1:
+          family.push_back(mgr.add(start[i % 3], family.back()));
+          break;
+        case 2:
+          family.push_back(i % 8 == 2 ? mgr.scale(family.back(), cplx{0, -2})
+                                      : mgr.add(family[i - 2], family[i - 1]));
+          break;
+        case 3:
+          family.push_back(i % 8 == 3 ? mgr.zero() : sparse_ket(mgr, rng, 63 - i));
+          break;
+        default:
+          family.push_back(sparse_ket(mgr, rng, 63 - i));
+      }
+    }
+    check(mgr, Subspace::from_states(mgr, n, start), Subspace::from_states(mgr, n, start), family,
+          "misaligned x" + std::to_string(size));
+  }
+}
+
 TEST(Subspace, ProjectorContainsMatchesContains) {
   tdd::Manager mgr;
   Prng rng(23);
