@@ -1,15 +1,18 @@
 /// \file bench_tdd_ops.cpp
 /// Micro-benchmarks for the TDD kernel operations (google-benchmark):
 /// hash-consed construction, addition, contraction, slicing, conjugation,
-/// the Gram-Schmidt primitives (inner product, outer product, projection)
-/// and garbage collection at several tensor ranks.
+/// the Gram-Schmidt primitives (inner product, outer product, projection),
+/// garbage collection and the node-count walk at several tensor ranks.
 #include <benchmark/benchmark.h>
 
+#include "circuit/generators.hpp"
 #include "common/prng.hpp"
 #include "qts/states.hpp"
 #include "qts/subspace.hpp"
 #include "tdd/dense.hpp"
 #include "tdd/manager.hpp"
+#include "tn/circuit_tensors.hpp"
+#include "tn/contract.hpp"
 
 namespace {
 
@@ -142,6 +145,37 @@ void BM_GcSweep(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_GcSweep)->Arg(10)->Arg(14);
+
+/// node_count, the walk behind every peak-node sample, over the operator
+/// TDD of an n-qubit QFT (projector:0) or the projector of a random
+/// 16-dimensional subspace of n qubits (projector:1).  Reports nodes walked
+/// per second.
+void BM_NodeCount(benchmark::State& state) {
+  const auto n = static_cast<std::uint32_t>(state.range(1));
+  tdd::Manager mgr;
+  Edge e;
+  if (state.range(0) == 0) {
+    const auto net = tn::build_network(mgr, circ::make_qft(n));
+    e = tn::contract_network(mgr, net.tensors, net.external_indices()).edge;
+  } else {
+    Prng rng(9);
+    std::vector<Edge> basis;
+    for (int i = 0; i < 16; ++i) {
+      basis.push_back(ket_from_dense(mgr, n, rng.unit_vector(std::size_t{1} << n)));
+    }
+    e = Subspace::from_states(mgr, n, basis).projector();
+  }
+  const std::size_t nodes = tdd::node_count(e);
+  for (auto _ : state) benchmark::DoNotOptimize(tdd::node_count(e));
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations() * nodes));
+  state.counters["nodes"] = static_cast<double>(nodes);
+}
+BENCHMARK(BM_NodeCount)
+    ->ArgNames({"projector", "n"})
+    ->Args({0, 8})
+    ->Args({0, 12})
+    ->Args({1, 8})
+    ->Args({1, 10});
 
 }  // namespace
 

@@ -34,8 +34,9 @@ enum class Resource {
   kQubits,    ///< dense statevector qubit cap (statevector:<maxq>)
   kNonzeros,  ///< sparse per-ket non-zero budget (sparse:<maxnz>)
   kNodes,     ///< live TDD node budget (--max-nodes)
-  kMemory,    ///< allocation failure at the node-arena slab boundary, or a
-              ///< TDD hash table past 2^32 - 1 entries
+  kMemory,    ///< allocation failure at the node-arena slab boundary, a
+              ///< node arena past 2^32 node ids, or a TDD hash table past
+              ///< 2^32 - 1 entries
 };
 
 /// Stable lower-case name for a Resource ("qubits", "nonzeros", ...).

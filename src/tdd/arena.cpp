@@ -1,12 +1,26 @@
 #include "tdd/arena.hpp"
 
 #include <algorithm>
+#include <string>
+
+#include "common/error.hpp"
 
 namespace qts::tdd {
 
+std::uint32_t NodeArena::first_id_of(std::size_t ordinal) {
+  if (ordinal >= kMaxBlocks) {
+    throw ResourceExhausted(Resource::kMemory,
+                            "TDD node arena: 32-bit node ids exhausted after " +
+                                std::to_string(kMaxBlocks) + " blocks");
+  }
+  return static_cast<std::uint32_t>(ordinal * kBlockNodes);
+}
+
 NodeArena::Block* NodeArena::acquire_block() {
   const MutexLock lock(mutex_);
+  const std::uint32_t first_id = first_id_of(blocks_.size());
   blocks_.push_back(std::make_unique<Block>());
+  blocks_.back()->first_id = first_id;
   return blocks_.back().get();
 }
 

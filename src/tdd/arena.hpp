@@ -21,6 +21,7 @@
 
 #include <atomic>
 #include <cstddef>
+#include <cstdint>
 #include <deque>
 #include <memory>
 #include <vector>
@@ -38,10 +39,13 @@ class NodeArena {
 
   /// One slab.  `used` counts the placement-new-constructed prefix of
   /// `storage`; it is written only by the thread the block is currently
-  /// handed out to and read by the sweeping thread at quiescence.
+  /// handed out to and read by the sweeping thread at quiescence.  The node
+  /// in slot i gets the arena id first_id + i, so ids are dense across
+  /// blocks: block ordinal × kBlockNodes + slot.
   struct Block {
     alignas(Node) std::byte storage[sizeof(Node) * kBlockNodes];
     std::size_t used = 0;
+    std::uint32_t first_id = 0;
 
     [[nodiscard]] Node* nodes() { return reinterpret_cast<Node*>(storage); }
     [[nodiscard]] const Node* nodes() const { return reinterpret_cast<const Node*>(storage); }
@@ -53,7 +57,18 @@ class NodeArena {
 
   /// Hand a fresh block to the calling thread; the block is owned by the
   /// arena but bump-filled exclusively by that thread until exhausted.
+  /// Throws ResourceExhausted(kMemory) when the block's node ids would pass
+  /// 2^32 (see first_id_of).
   Block* acquire_block();
+
+  /// Blocks an arena can hand out before node ids pass 2^32 (about 300 GB
+  /// of nodes).
+  static constexpr std::size_t kMaxBlocks = (std::size_t{1} << 32) / kBlockNodes;
+
+  /// The first node id of the block with this ordinal (ordinal ×
+  /// kBlockNodes); throws ResourceExhausted(kMemory) from ordinal kMaxBlocks
+  /// on.
+  static std::uint32_t first_id_of(std::size_t ordinal);
 
   /// Move up to `want` recycled nodes from the global free pool into `out`.
   /// Returns how many were moved (0 when the pool is dry).

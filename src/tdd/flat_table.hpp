@@ -5,7 +5,7 @@
 /// `FlatCache<K, V, Hash>` is the exact memo behind the operation caches
 /// (add, contraction), which persist across calls, the contraction cache's
 /// gamma-suffix table, and the per-call memos of slice / conjugate / rename,
-/// node_count, io and the auditor:
+/// io and the auditor:
 ///
 ///   * entries sit densely, in insertion order, in fixed chunks of
 ///     kChunkEntries — growth adds a chunk and never copies or moves an

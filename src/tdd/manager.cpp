@@ -1,6 +1,8 @@
 #include "tdd/manager.hpp"
 
+#include <algorithm>
 #include <atomic>
+#include <bit>
 #include <cmath>
 #include <new>
 #include <vector>
@@ -49,13 +51,15 @@ Node* Manager::allocate_node(ThreadSlot& sl, Level level, const Edge& low, const
     if (!sl.free_list_.empty()) {
       n = sl.free_list_.back();
       sl.free_list_.pop_back();
-      *n = Node(level, low, high);  // assignment resets mark_ and freed_
+      // Assignment resets mark_ and freed_; the slot keeps its id.
+      *n = Node(level, low, high, n->id_);
     } else {
       if (sl.block_ == nullptr || sl.bump_ == NodeArena::kBlockNodes) {
         sl.block_ = arena_.acquire_block();
         sl.bump_ = 0;
       }
-      n = new (sl.block_->nodes() + sl.bump_) Node(level, low, high);
+      const auto id = static_cast<std::uint32_t>(sl.block_->first_id + sl.bump_);
+      n = new (sl.block_->nodes() + sl.bump_) Node(level, low, high, id);
       sl.block_->used = ++sl.bump_;
       arena_.note_constructed();
     }
@@ -312,23 +316,45 @@ void Manager::sample_storage(RunStats& stats) {
 }
 
 std::size_t node_count(const Edge& root) {
-  // This runs on every record_peak call — once per Kraus application — so it
-  // is hot: a flat visited set (no payload) and an explicit stack.
+  // This runs after every contraction-plan step, every term add and every
+  // fixpoint iteration's projector, so it is hot.  Visits are marked in a
+  // per-thread array of epoch stamps indexed by arena id: no hashing, no
+  // lock, and no allocation once the array covers the ids seen.  A node is
+  // new to this walk when its stamp is not the walk's epoch.
   if (root.node == nullptr) return 0;
-  struct Seen {};
-  FlatCache<const Node*, Seen> seen;
-  std::vector<const Node*> stack;
-  stack.reserve(64);
-  seen.insert(root.node, Seen{});
+  thread_local std::vector<std::uint32_t> tl_stamps;
+  thread_local std::uint32_t tl_epoch = 0;
+  thread_local std::vector<const Node*> tl_stack;
+  if (++tl_epoch == 0) {  // wrapped: stale stamps could equal the new epoch
+    std::fill(tl_stamps.begin(), tl_stamps.end(), 0);
+    tl_epoch = 1;
+  }
+  // Local handles, so the loop computes no thread-local address per node.
+  std::vector<std::uint32_t>& stamps = tl_stamps;
+  std::vector<const Node*>& stack = tl_stack;
+  const std::uint32_t epoch = tl_epoch;
+  const auto first_visit = [&stamps, epoch](const Node* n) {
+    const std::uint32_t id = n->id();
+    if (id >= stamps.size()) stamps.resize(std::bit_ceil(std::size_t{id} + 1), 0);
+    if (stamps[id] == epoch) return false;
+    stamps[id] = epoch;
+    return true;
+  };
+  std::size_t count = 1;
+  first_visit(root.node);
+  stack.clear();
   stack.push_back(root.node);
   while (!stack.empty()) {
     const Node* n = stack.back();
     stack.pop_back();
     for (const Node* child : {n->low().node, n->high().node}) {
-      if (child != nullptr && seen.insert(child, Seen{})) stack.push_back(child);
+      if (child != nullptr && first_visit(child)) {
+        ++count;
+        stack.push_back(child);
+      }
     }
   }
-  return seen.size();
+  return count;
 }
 
 }  // namespace qts::tdd

@@ -368,6 +368,8 @@ class Manager {
 };
 
 /// Number of non-terminal nodes reachable from `root` (the paper's "#node").
+/// Exact.  Marks visits in per-thread stamps indexed by Node::id(), so
+/// concurrent calls on different threads share nothing.
 std::size_t node_count(const Edge& root);
 
 /// Record the size of `e` as a peak-node candidate on `ctx` (null-safe).

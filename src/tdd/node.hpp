@@ -55,12 +55,19 @@ struct Edge {
 /// the GC mark.
 class Node {
  public:
-  Node(Level level, Edge low, Edge high) : level_(level), low_(low), high_(high) {}
+  Node(Level level, Edge low, Edge high, std::uint32_t id)
+      : level_(level), low_(low), high_(high), id_(id) {}
 
   [[nodiscard]] Level level() const { return level_; }
   [[nodiscard]] const Edge& low() const { return low_; }
   [[nodiscard]] const Edge& high() const { return high_; }
   [[nodiscard]] const Edge& child(int value) const { return value == 0 ? low_ : high_; }
+
+  /// Dense arena id: the node's slot index in its manager's NodeArena,
+  /// unique among that manager's live nodes and below its arena capacity.
+  /// A slot keeps its id when gc() recycles it, so ids are reused, never
+  /// renumbered.  Nodes of different managers may share an id.
+  [[nodiscard]] std::uint32_t id() const { return id_; }
 
  private:
   friend class Manager;
@@ -71,7 +78,12 @@ class Node {
   Edge high_;
   mutable std::uint64_t mark_ = 0;  // GC epoch stamp
   bool freed_ = false;              // on the manager's free list
+  std::uint32_t id_;                // arena slot index (see id())
 };
+
+// The id sits in the padding after `freed_`: a node stays 72 bytes, 4,096 to
+// a slab block.
+static_assert(sizeof(Node) == 72, "Node grew past 72 bytes");
 
 inline Level Edge::top_level() const { return node == nullptr ? kTermLevel : node->level(); }
 

@@ -1,10 +1,16 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <span>
+#include <thread>
+#include <unordered_set>
+#include <utility>
+#include <vector>
 
 #include "common/error.hpp"
 #include "common/execution_context.hpp"
 #include "qts/subspace.hpp"
+#include "tdd/arena.hpp"
 #include "tdd/audit.hpp"
 #include "tdd/dense.hpp"
 #include "tdd/dot.hpp"
@@ -526,6 +532,147 @@ TEST(NodeCount, CountsSharedNodesOnce) {
   const Edge e = from_dense(m2, ket, idx);
   EXPECT_EQ(node_count(e), 3u);
   EXPECT_EQ(node_count(m2.one()), 0u);
+}
+
+/// Reference for node_count: a hash-set walk.  Also checks that the nodes it
+/// reaches carry pairwise distinct arena ids, which the stamp walk relies on.
+/// The ids go to `ids_out` when it is given.
+std::size_t reference_node_count(std::span<const Edge> roots,
+                                 std::unordered_set<std::uint32_t>* ids_out = nullptr) {
+  std::unordered_set<const Node*> seen;
+  std::unordered_set<std::uint32_t> ids;
+  std::vector<const Node*> stack;
+  for (const Edge& r : roots) {
+    if (r.node != nullptr && seen.insert(r.node).second) stack.push_back(r.node);
+  }
+  while (!stack.empty()) {
+    const Node* n = stack.back();
+    stack.pop_back();
+    ids.insert(n->id());
+    for (const Node* child : {n->low().node, n->high().node}) {
+      if (child != nullptr && seen.insert(child).second) stack.push_back(child);
+    }
+  }
+  EXPECT_EQ(ids.size(), seen.size()) << "two reachable nodes share an arena id";
+  if (ids_out != nullptr) *ids_out = std::move(ids);
+  return seen.size();
+}
+
+std::size_t reference_node_count(const Edge& root) { return reference_node_count({&root, 1}); }
+
+/// A random tensor of the given rank whose entries come from a small palette, so
+/// equal sub-tensors (shared sub-DAGs) are common, with some exact zeros.
+std::vector<cplx> palette_dense(Prng& rng, std::size_t rank) {
+  const std::vector<cplx> palette{kZero, kOne, cplx{-0.5, 0.25}, cplx{0.0, 1.0}};
+  std::vector<cplx> out(std::size_t{1} << rank);
+  for (auto& v : out) v = palette[static_cast<std::size_t>(rng.uniform_int(0, 3))];
+  return out;
+}
+
+/// Seeded random diagrams for the node_count tests: palette tensors, random
+/// tensors, sums of both (which share the operands' sub-DAGs) and nodes
+/// built over two of them.
+std::vector<Edge> random_diagrams(Manager& mgr, Prng& rng, int count) {
+  const std::vector<Level> low_idx{2, 3, 4, 5, 6, 7};
+  const std::vector<Level> wide_idx{1, 2, 3, 4, 5, 6, 7};
+  std::vector<Edge> out;
+  for (int i = 0; i < count; ++i) {
+    const Edge a = from_dense(mgr, palette_dense(rng, 6), low_idx);
+    const Edge b = from_dense(mgr, test::random_dense(rng, 7, 0.5), wide_idx);
+    out.push_back(a);
+    out.push_back(mgr.add(a, b));
+    out.push_back(mgr.make_node(1, a, mgr.scale(a, cplx{0.5, 0.0})));
+    out.push_back(mgr.make_node(0, out.back(), b));
+  }
+  return out;
+}
+
+TEST(NodeCount, MatchesAReferenceWalk) {
+  Manager mgr;
+  Prng rng(31);
+  const std::vector<Edge> diagrams = random_diagrams(mgr, rng, 12);
+  for (const Edge& e : diagrams) EXPECT_EQ(node_count(e), reference_node_count(e));
+  // Each diagram again, in reverse: a walk's stamps never leak into the next.
+  for (auto it = diagrams.rbegin(); it != diagrams.rend(); ++it) {
+    EXPECT_EQ(node_count(*it), reference_node_count(*it));
+  }
+  EXPECT_EQ(node_count(mgr.zero()), 0u);
+  EXPECT_EQ(node_count(mgr.one()), 0u);
+  EXPECT_EQ(node_count(Edge{nullptr, cplx{-2.0, 0.5}}), 0u);
+  // A node with a zero edge and a terminal edge.
+  const Edge lit = mgr.make_node(3, mgr.zero(), mgr.one());
+  EXPECT_EQ(node_count(lit), 1u);
+  EXPECT_EQ(node_count(mgr.make_node(2, lit, mgr.one())), 2u);
+}
+
+TEST(NodeCount, ExactAfterGcRecyclesNodes) {
+  Manager mgr;
+  Prng rng(32);
+  const std::vector<Edge> first = random_diagrams(mgr, rng, 8);
+  const std::vector<Edge> keep{first[1], first[7]};
+  ASSERT_GT(mgr.gc(keep), 0u);
+  const std::size_t allocated = mgr.allocated_nodes();
+  // Rebuilt diagrams take their nodes from the free list, ids included.
+  const std::vector<Edge> second = random_diagrams(mgr, rng, 2);
+  EXPECT_EQ(mgr.allocated_nodes(), allocated);
+  for (const Edge& e : keep) EXPECT_EQ(node_count(e), reference_node_count(e));
+  for (const Edge& e : second) EXPECT_EQ(node_count(e), reference_node_count(e));
+  // Old and recycled nodes together: still one id per node.
+  std::vector<Edge> all = keep;
+  all.insert(all.end(), second.begin(), second.end());
+  (void)reference_node_count(all);
+}
+
+TEST(NodeCount, TwoManagersOnOneThread) {
+  Manager m1;
+  Manager m2;
+  Prng rng1(33);
+  Prng rng2(34);
+  const std::vector<Edge> d1 = random_diagrams(m1, rng1, 6);
+  const std::vector<Edge> d2 = random_diagrams(m2, rng2, 6);
+  // Both arenas number from 0, so the two managers' ids overlap.
+  std::unordered_set<std::uint32_t> ids1;
+  std::unordered_set<std::uint32_t> ids2;
+  (void)reference_node_count(d1, &ids1);
+  (void)reference_node_count(d2, &ids2);
+  EXPECT_TRUE(std::ranges::any_of(ids1, [&](std::uint32_t id) { return ids2.contains(id); }));
+  for (std::size_t i = 0; i < d1.size(); ++i) {
+    EXPECT_EQ(node_count(d1[i]), reference_node_count(d1[i]));
+    EXPECT_EQ(node_count(d2[i]), reference_node_count(d2[i]));
+  }
+}
+
+TEST(NodeCount, ConcurrentWalksAgree) {
+  Manager mgr;
+  Prng rng(35);
+  const std::vector<Edge> diagrams = random_diagrams(mgr, rng, 6);
+  const Edge shared = diagrams.back();
+  const std::size_t expected = reference_node_count(shared);
+  ASSERT_GT(expected, 10u);
+  constexpr int kThreads = 4;
+  std::vector<std::size_t> mismatches(kThreads, 0);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      for (int rep = 0; rep < 200; ++rep) {
+        if (node_count(shared) != expected) ++mismatches[static_cast<std::size_t>(t)];
+      }
+    });
+  }
+  for (auto& th : threads) th.join();
+  for (const std::size_t m : mismatches) EXPECT_EQ(m, 0u);
+}
+
+TEST(NodeArena, IdsStopAt32Bits) {
+  EXPECT_EQ(NodeArena::first_id_of(0), 0u);
+  EXPECT_EQ(NodeArena::first_id_of(NodeArena::kMaxBlocks - 1),
+            (std::uint64_t{1} << 32) - NodeArena::kBlockNodes);
+  try {
+    (void)NodeArena::first_id_of(NodeArena::kMaxBlocks);
+    FAIL() << "expected ResourceExhausted";
+  } catch (const ResourceExhausted& e) {
+    EXPECT_EQ(e.resource, Resource::kMemory);
+  }
 }
 
 TEST(Paths, LeftmostNonzeroPrefersLowEdges) {
