@@ -36,7 +36,6 @@ BackwardResult backward_reachable(ImageComputer& computer, const TransitionSyste
   const ReachabilityResult r =
       reachable_space(computer, back, max_iterations, std::move(observer), oracle, cache);
   computer.clear_prepared();
-  if (oracle != nullptr) oracle->clear_prepared();
   return {r.space, r.iterations, r.converged};
 }
 

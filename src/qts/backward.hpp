@@ -28,9 +28,8 @@ struct BackwardResult {
   std::size_t iterations;
   bool converged;
 };
-/// `oracle`, when non-null, cross-checks the backward fixpoint iteration by
-/// iteration (FixpointDriver::set_oracle); its prepared-operator cache is
-/// cleared alongside the primary's (the adjoint circuits die on return).
+/// `oracle`, when non-null, is an engine on its own manager that reruns
+/// the backward fixpoint to check it (FixpointDriver::set_oracle).
 /// `cache`, when non-null, serves/stores the job through the content-
 /// addressed result cache (the key covers the adjointed system, so backward
 /// jobs never collide with forward ones).

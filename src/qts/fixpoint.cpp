@@ -29,9 +29,8 @@ FixpointDriver& FixpointDriver::set_observer(IterationObserver observer) {
 }
 
 FixpointDriver& FixpointDriver::set_oracle(ImageComputer& oracle) {
-  require(&oracle.manager() == &computer_.manager(),
-          "cross-check oracle must be built on the primary engine's manager");
-  require(&oracle != &computer_, "cross-check oracle must be a distinct engine");
+  require(&oracle.manager() != &computer_.manager(),
+          "cross-check oracle must be built on its own manager, not the primary engine's");
   oracle_ = &oracle;
   return *this;
 }
@@ -42,9 +41,7 @@ FixpointDriver& FixpointDriver::keep_alive(const Subspace& subspace) {
 }
 
 std::vector<Edge> FixpointDriver::gather_roots(const Subspace& acc,
-                                               const std::vector<Edge>& frontier,
-                                               const Subspace* oracle_acc,
-                                               const std::vector<Edge>* oracle_frontier) {
+                                               const std::vector<Edge>& frontier) const {
   std::vector<Edge> roots = computer_.prepared_roots();
   auto keep_subspace = [&roots](const Subspace& s) {
     roots.push_back(s.projector());
@@ -54,28 +51,12 @@ std::vector<Edge> FixpointDriver::gather_roots(const Subspace& acc,
   keep_subspace(acc);
   roots.insert(roots.end(), frontier.begin(), frontier.end());
   for (const Subspace* s : extra_roots_) keep_subspace(*s);
-  if (oracle_ != nullptr) {
-    const auto oracle_roots = oracle_->prepared_roots();
-    roots.insert(roots.end(), oracle_roots.begin(), oracle_roots.end());
-    if (oracle_acc != nullptr) keep_subspace(*oracle_acc);
-    if (oracle_frontier != nullptr) {
-      roots.insert(roots.end(), oracle_frontier->begin(), oracle_frontier->end());
-    }
-  }
   return roots;
 }
 
-/// Mark-sweep over everything the loop still needs.
-void FixpointDriver::collect_and_gc(const Subspace& acc, const std::vector<Edge>& frontier,
-                                    const Subspace* oracle_acc,
-                                    const std::vector<Edge>* oracle_frontier) {
-  computer_.manager().gc(gather_roots(acc, frontier, oracle_acc, oracle_frontier));
-}
-
 void FixpointDriver::audit_now(ExecutionContext& ctx, const Subspace& acc,
-                               const std::vector<Edge>& frontier, const Subspace* oracle_acc,
-                               const std::vector<Edge>* oracle_frontier) {
-  const std::vector<Edge> roots = gather_roots(acc, frontier, oracle_acc, oracle_frontier);
+                               const std::vector<Edge>& frontier) const {
+  const std::vector<Edge> roots = gather_roots(acc, frontier);
   tdd::AuditReport report;
   if (!tdd::audit(computer_.manager(), report, roots)) {
     throw tdd::AuditError(std::move(report));
@@ -97,6 +78,46 @@ namespace {
 }  // namespace
 
 FixpointDriver::Result FixpointDriver::run() {
+  Result r = iterate();
+  if (oracle_ != nullptr) cross_check(r);
+  return r;
+}
+
+void FixpointDriver::cross_check(const Result& primary) {
+  ImageComputer& oracle = *oracle_;
+  // The oracle's prepared operators key on the addresses of `sys`'s
+  // circuits, which die with it.
+  struct ClearPrepared {
+    ImageComputer& engine;
+    ~ClearPrepared() { engine.clear_prepared(); }
+  } clear{oracle};
+  tdd::Manager& mgr = oracle.manager();
+  const TransitionSystem sys{sys_.num_qubits, sys_.initial.copy_to(mgr), sys_.operations};
+  FixpointDriver check(oracle, sys);
+  check.set_max_iterations(primary.iterations);
+  const Result checked = check.run();
+
+  // The oracle stops before the primary's iteration count only on an
+  // iteration whose survivors or dimension differ from the primary's.
+  const std::vector<IterationStats>& theirs = check.history();
+  for (std::size_t i = 0; i < theirs.size(); ++i) {
+    const IterationStats& a = history_[i];
+    const IterationStats& b = theirs[i];
+    if (a.frontier_dim != b.frontier_dim) {
+      diverged("frontier dim", a.iteration, a.frontier_dim, b.frontier_dim);
+    }
+    if (a.survivors != b.survivors) diverged("survivors", a.iteration, a.survivors, b.survivors);
+    if (a.acc_dim != b.acc_dim) diverged("accumulated dim", a.iteration, a.acc_dim, b.acc_dim);
+  }
+  // Equal dimensions alone would accept two same-sized but different spans.
+  if (!checked.space.same_subspace(primary.space.copy_to(mgr))) {
+    throw InternalError(
+        "cross-check divergence: final accumulated subspaces differ in span (primary '" +
+        computer_.name() + "' vs oracle '" + oracle.name() + "')");
+  }
+}
+
+FixpointDriver::Result FixpointDriver::iterate() {
   sys_.validate();
   history_.clear();
   ExecutionContext& ctx = computer_.context();
@@ -108,25 +129,6 @@ FixpointDriver::Result FixpointDriver::run() {
   // product and operator-sized add per survivor) would be pure overhead in
   // the hot loop.
   std::vector<Edge> frontier = sys_.initial.basis();
-
-  // The oracle's run is a full second fixpoint on the same manager,
-  // advanced one iteration per primary iteration so the comparison is
-  // per-iteration, not only at the end.
-  Subspace oracle_acc = sys_.initial;
-  std::vector<Edge> oracle_frontier;
-  if (oracle_ != nullptr) oracle_frontier = sys_.initial.basis();
-
-  // On every way out of the loop the final subspaces must still agree (same
-  // span, both directions) — per-iteration dimension equality alone would
-  // accept two same-sized but different subspaces.
-  const auto cross_check_final = [&](const Subspace& primary) {
-    if (oracle_ == nullptr) return;
-    if (!primary.same_subspace(oracle_acc)) {
-      throw InternalError(
-          "cross-check divergence: final accumulated subspaces differ in span (primary '" +
-          computer_.name() + "' vs oracle '" + oracle_->name() + "')");
-    }
-  };
 
   std::size_t iters = 0;
   const std::size_t full_dim_cap =
@@ -151,14 +153,14 @@ FixpointDriver::Result FixpointDriver::run() {
                          static_cast<double>(live) >=
                              ctx.adaptive_gc_growth() * static_cast<double>(gc_baseline_);
     if (collect) {
-      collect_and_gc(acc, frontier, &oracle_acc, &oracle_frontier);
+      computer_.manager().gc(gather_roots(acc, frontier));
       gc_baseline_ = computer_.manager().live_nodes();
     }
     // Structural audit (set_audit_every): after every collection, and every
     // k-th iteration regardless — both at this same quiescent point, before
     // any worker starts.  One audit per iteration even when both fire.
     if (const std::size_t k = ctx.audit_every(); k != 0 && (collect || iters % k == 0)) {
-      audit_now(ctx, acc, frontier, &oracle_acc, &oracle_frontier);
+      audit_now(ctx, acc, frontier);
     }
 
     IterationStats it;
@@ -182,25 +184,6 @@ FixpointDriver::Result FixpointDriver::run() {
     it.survivors = survivors.size();
     it.acc_dim = acc.dim();
 
-    if (oracle_ != nullptr) {
-      // Same iteration body, driven through the oracle's own execution path
-      // and its own accumulator/frontier.
-      const std::vector<Edge> oracle_candidates =
-          oracle_->image_step(sys_.operations, oracle_frontier, n, nullptr);
-      std::vector<Edge> oracle_survivors = oracle_acc.add_states(oracle_candidates);
-
-      if (it.frontier_dim != oracle_frontier.size()) {
-        diverged("frontier dim", iters, it.frontier_dim, oracle_frontier.size());
-      }
-      if (it.survivors != oracle_survivors.size()) {
-        diverged("survivors", iters, it.survivors, oracle_survivors.size());
-      }
-      if (it.acc_dim != oracle_acc.dim()) {
-        diverged("accumulated dim", iters, it.acc_dim, oracle_acc.dim());
-      }
-      oracle_frontier = std::move(oracle_survivors);
-    }
-
     RunStats& s = ctx.stats();
     s.fixpoint_iterations += 1;
     s.frontier_kets += it.frontier_dim;
@@ -214,19 +197,16 @@ FixpointDriver::Result FixpointDriver::run() {
     if (predicate_) {
       for (const Edge& v : survivors) {
         if (!predicate_(v)) {
-          cross_check_final(acc);
           return {std::move(acc), iters, true, true};
         }
       }
     }
     if (survivors.empty()) {
-      cross_check_final(acc);
       return {std::move(acc), iters, true, false};
     }
     frontier = std::move(survivors);
   }
   const bool saturated = acc.dim() >= full_dim_cap;
-  cross_check_final(acc);
   return {std::move(acc), iters, saturated, false};
 }
 

@@ -21,9 +21,14 @@
 /// maintained for it).  The fixpoint result is therefore independent of how
 /// the engine ran its step.
 ///
-/// With set_oracle, a second engine runs the same iteration in lockstep as a
-/// differential cross-check; dimension or survivor-count divergence throws
-/// InternalError.
+/// With set_oracle, run() ends in a differential cross-check: a second,
+/// ordinary FixpointDriver runs the oracle engine on its own manager, over
+/// the same operations and a bit-exact copy of the initial subspace
+/// (Subspace::copy_to), for as many iterations as the primary ran.  Each
+/// iteration's frontier dim, survivors and accumulated dim, then the final
+/// spans, must agree, else InternalError.  The oracle shares no node, cache
+/// or GC root with the run it checks; its prepared operators are cleared
+/// when it is done, as the copied circuits die.
 #pragma once
 
 #include <cstddef>
@@ -71,15 +76,11 @@ class FixpointDriver {
 
   FixpointDriver& set_observer(IterationObserver observer);
 
-  /// Differential cross-check: drive `oracle` through its own copy of the
-  /// frontier iteration in lockstep with the primary engine and compare,
-  /// after every iteration, the frontier dimension, the survivor count and
-  /// the accumulated dimension — and, when the run stops, the final
-  /// projectors (mutual containment).  Any mismatch throws InternalError
-  /// ("a library bug": two registered engines computed different images).
-  /// The oracle must be built on the same manager as the primary computer;
-  /// it may be any registered engine.
-  /// The observer, history and frontier predicate see the primary run only.
+  /// Differential cross-check (see the file comment) against `oracle`,
+  /// which must be built on a manager other than the primary computer's
+  /// (else InvalidArgument) and runs under its own context; a divergence
+  /// throws InternalError.  The observer, history and frontier predicate
+  /// see the primary run only.
   FixpointDriver& set_oracle(ImageComputer& oracle);
 
   /// Extra GC roots: subspaces that live in the computer's manager and must
@@ -100,30 +101,28 @@ class FixpointDriver {
   /// trigger is on and live nodes have reached both its floor and `growth`
   /// times the level measured after the previous collection.
   /// Roots = the computer's prepared operators, the system's initial
-  /// subspace, the accumulator, the frontier, every keep_alive subspace,
-  /// and — under set_oracle — the oracle's prepared operators, accumulator
-  /// and frontier.
+  /// subspace, the accumulator, the frontier and every keep_alive subspace.
   Result run();
 
   /// Per-iteration statistics of the last run(), oldest first.
   [[nodiscard]] const std::vector<IterationStats>& history() const { return history_; }
 
  private:
+  /// The frontier iteration itself: run() without the cross-check.
+  Result iterate();
+
+  /// Rerun the system on the oracle and compare it with `primary`.
+  void cross_check(const Result& primary);
+
   /// Everything the loop still needs alive: the roots handed to gc() and to
   /// the structural auditor alike.
   [[nodiscard]] std::vector<tdd::Edge> gather_roots(const Subspace& acc,
-                                                    const std::vector<tdd::Edge>& frontier,
-                                                    const Subspace* oracle_acc,
-                                                    const std::vector<tdd::Edge>* oracle_frontier);
-
-  void collect_and_gc(const Subspace& acc, const std::vector<tdd::Edge>& frontier,
-                      const Subspace* oracle_acc, const std::vector<tdd::Edge>* oracle_frontier);
+                                                    const std::vector<tdd::Edge>& frontier) const;
 
   /// Run tdd::audit against the loop's live roots (the set_audit_every hook);
   /// throws tdd::AuditError on corruption, else bumps the audit counters.
   void audit_now(ExecutionContext& ctx, const Subspace& acc,
-                 const std::vector<tdd::Edge>& frontier, const Subspace* oracle_acc,
-                 const std::vector<tdd::Edge>* oracle_frontier);
+                 const std::vector<tdd::Edge>& frontier) const;
 
   ImageComputer& computer_;
   const TransitionSystem& sys_;

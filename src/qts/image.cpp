@@ -30,10 +30,8 @@ Subspace ImageComputer::image_of(std::span<const QuantumOperation> ops, const Su
   const std::vector<Edge> images = image_step(ops, s.basis(), s.num_qubits(), nullptr);
   ScopedTimer timer(ctx_);
   Subspace out(mgr_, s.num_qubits());
-  for (const Edge& phi : images) {
-    out.add_state(phi);
-    tdd::record_peak(ctx_, out.projector());
-  }
+  out.add_states(images);
+  tdd::record_peak(ctx_, out.projector());
   return out;
 }
 

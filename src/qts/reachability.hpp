@@ -40,7 +40,7 @@ struct ReachabilityResult {
 /// subspace and the computer's prepared operators, so the loop is
 /// semantically unaffected.  `observer`, when set, is invoked after every iteration with
 /// that iteration's statistics.  `oracle`, when non-null, is a second engine
-/// (same manager) cross-checked against the primary every iteration — see
+/// (own manager) that reruns the fixpoint to check the primary — see
 /// FixpointDriver::set_oracle; divergence throws InternalError.
 ReachabilityResult reachable_space(ImageComputer& computer, const TransitionSystem& sys,
                                    std::size_t max_iterations = 100,
@@ -58,7 +58,8 @@ struct InvariantResult {
 /// property: every reachable state satisfies the atomic proposition given
 /// by the invariant subspace).  Stops early on the first violation.  Shares
 /// the driver's run control with reachable_space — including GC (the
-/// invariant subspace is kept as an extra root).
+/// invariant subspace is kept as an extra root).  The oracle reruns plain
+/// reachability for as many iterations as the primary ran.
 InvariantResult check_invariant(ImageComputer& computer, const TransitionSystem& sys,
                                 const Subspace& invariant, std::size_t max_iterations = 100,
                                 IterationObserver observer = nullptr,

@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "common/error.hpp"
+#include "tdd/io.hpp"
 #include "tdd/paths.hpp"
 
 namespace qts {
@@ -163,6 +164,18 @@ Subspace Subspace::from_stored(tdd::Manager& mgr, std::uint32_t n, std::vector<E
   s.basis_ = std::move(basis);
   s.projector_ = projector;
   return s;
+}
+
+Subspace Subspace::copy_to(tdd::Manager& mgr) const {
+  std::vector<Edge> roots = basis_;
+  roots.push_back(projector_);
+  std::string text;
+  tdd::save_roots(roots, text);
+  std::string_view rest = text;
+  roots = tdd::load_roots(mgr, rest, roots.size());
+  const Edge projector = roots.back();
+  roots.pop_back();
+  return from_stored(mgr, n_, std::move(roots), projector);
 }
 
 Subspace Subspace::from_projector(tdd::Manager& mgr, std::uint32_t n, const Edge& projector) {

@@ -34,6 +34,10 @@ class Subspace {
   [[nodiscard]] const tdd::Edge& projector() const { return projector_; }
   [[nodiscard]] tdd::Manager& manager() const { return *mgr_; }
 
+  /// This subspace rebuilt in `mgr` through the tdd::io codec: the same
+  /// basis and projector, bit for bit (the cross-check oracle's copy).
+  [[nodiscard]] Subspace copy_to(tdd::Manager& mgr) const;
+
   /// Gram-Schmidt extension (§IV-B): orthogonalise `state` against the
   /// subspace; if a component survives, grow the basis and the projector.
   /// Returns true iff the dimension grew.  `state` need not be normalised.

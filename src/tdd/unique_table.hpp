@@ -63,10 +63,13 @@ struct NodeKey {
   }
 };
 
+/// Children hash by arena id (a null child as ~0), not address, so slot
+/// placement repeats from run to run.  Matching still compares pointers.
 struct NodeKeyHash {
+  static std::uint64_t child(const Node* n) { return n == nullptr ? ~std::uint64_t{0} : n->id(); }
   std::uint64_t operator()(const NodeKey& k) const {
-    std::uint64_t h = hash_step(static_cast<std::uint64_t>(k.level), hash_word(k.low));
-    h = hash_step(h, hash_word(k.high));
+    std::uint64_t h = hash_step(static_cast<std::uint64_t>(k.level), child(k.low));
+    h = hash_step(h, child(k.high));
     h = hash_step(h, hash_word(k.w_low.real()));
     h = hash_step(h, hash_word(k.w_low.imag()));
     h = hash_step(h, hash_word(k.w_high.real()));

@@ -138,6 +138,36 @@ else
   failures=$((failures + 1))
 fi
 
+# Unique-table children hash by arena id, not address, so the storage line
+# repeats exactly from run to run of one binary.
+storage_lines=$(for _ in 1 2 3; do
+  "$QTSMC" reach --engine basic --stats --noise depol:0.1:0 "$EXAMPLES/ghz.qasm" | grep '^storage:'
+done | sort -u)
+if [ "$(wc -l <<<"$storage_lines")" -eq 1 ] && [ -n "$storage_lines" ]; then
+  echo "ok: three runs print the identical storage line"
+else
+  echo "FAIL: the storage line differs between runs:" >&2
+  echo "$storage_lines" >&2
+  failures=$((failures + 1))
+fi
+
+# The cross-check oracle runs in its own manager and context: a checked run
+# reports the same primary work as an unchecked one.
+primary_work() {
+  "$QTSMC" reach --stats "$@" "$EXAMPLES/ghz.qasm" |
+    grep -Eo '[0-9]+ Kraus applications, [0-9]+ live nodes|^frontier: .*'
+}
+plain_work=$(primary_work)
+checked_work=$(primary_work --cross-check statevector)
+if [ -n "$plain_work" ] && [ "$plain_work" = "$checked_work" ]; then
+  echo "ok: --cross-check leaves the primary's Kraus, live-node and frontier counts unchanged"
+else
+  echo "FAIL: --cross-check changed the primary's stats:" >&2
+  echo "$plain_work" >&2
+  echo "$checked_work" >&2
+  failures=$((failures + 1))
+fi
+
 # The sparse engine works past the dense qubit cap (ghz16.qasm is 16 qubits:
 # the statevector engine refuses with the resource-exhausted code, the sparse
 # engine pays only for the two-entry support).  The full 16-qubit reach
@@ -156,8 +186,8 @@ else
   failures=$((failures + 1))
 fi
 
-# 0 — cross-checked runs: a second engine replays every iteration and the
-# verdicts/subspaces must agree.
+# 0 — cross-checked runs: a second engine in its own manager reruns the job
+# and its iterations and subspaces must agree.
 check 0 "$QTSMC" reach --cross-check statevector --stats "$EXAMPLES/ghz.qasm"
 check 0 "$QTSMC" reach --engine parallel:2 --cross-check statevector "$EXAMPLES/ghz.qasm"
 check 0 "$QTSMC" image --cross-check statevector "$EXAMPLES/ghz.qasm"

@@ -396,9 +396,10 @@ TEST(SparseCrossCheck, PassesCleanOnEveryWorkloadAndEnginePairing) {
   for (const auto& [name, make_system] : workload_systems()) {
     for (const char* primary_spec : {"basic", "parallel:2", "statevector"}) {
       tdd::Manager mgr;
+      tdd::Manager oracle_mgr;
       const TransitionSystem sys = make_system(mgr);
       const auto primary = make_engine(mgr, primary_spec);
-      const auto oracle = make_engine(mgr, "sparse");
+      const auto oracle = make_engine(oracle_mgr, "sparse");
       const auto plain = reachable_space(*primary, sys, 64);
       const auto checked_primary = make_engine(mgr, primary_spec);
       const auto r = reachable_space(*checked_primary, sys, 64, nullptr, oracle.get());
@@ -412,9 +413,10 @@ TEST(SparseCrossCheck, PassesCleanOnEveryWorkloadAndEnginePairing) {
 TEST(SparseCrossCheck, SparsePrimaryAcceptsADenseOracle) {
   // Both roles crossing the seam: sparse primary, dense oracle.
   tdd::Manager mgr;
+  tdd::Manager oracle_mgr;
   const TransitionSystem sys = with_depolarizing(make_qrw_system(mgr, 4, 0.1, true, 0));
   const auto primary = make_engine(mgr, "sparse");
-  const auto oracle = make_engine(mgr, "statevector");
+  const auto oracle = make_engine(oracle_mgr, "statevector");
   const auto r = reachable_space(*primary, sys, 32, nullptr, oracle.get());
   EXPECT_TRUE(r.converged);
   EXPECT_EQ(r.space.dim(), 16u);
@@ -435,30 +437,37 @@ class IdentityImage final : public ImageComputer {
 
 TEST(SparseCrossCheck, DetectsAnInjectedDivergence) {
   tdd::Manager mgr;
+  tdd::Manager oracle_mgr;
   const TransitionSystem sys = make_ghz_system(mgr, 3);
   IdentityImage broken(mgr);
-  const auto sparse = make_engine(mgr, "sparse");
+  const auto sparse = make_engine(oracle_mgr, "sparse");
   EXPECT_THROW((void)reachable_space(broken, sys, 64, nullptr, sparse.get()), InternalError);
   const auto primary = make_engine(mgr, "basic");
+  IdentityImage broken_oracle(oracle_mgr);
   FixpointDriver driver(*primary, sys);
-  driver.set_max_iterations(64).set_oracle(broken);
+  driver.set_max_iterations(64).set_oracle(broken_oracle);
   EXPECT_THROW((void)driver.run(), InternalError);
 }
 
 TEST(SparseCrossCheck, SurvivesGcPressure) {
-  // Floor 1 with growth 1.0 forces a collection before every iteration; the
-  // sparse oracle's accumulator, frontier and prepared operators must be
-  // GC roots or the comparison would read freed nodes.
+  // Floor 1 with growth 1.0 forces a collection before every iteration in
+  // both managers; each run's accumulator, frontier and prepared operators
+  // must be its own GC roots or the comparison would read freed nodes.
   ExecutionContext ctx;
   ctx.set_adaptive_gc(true, 1, 1.0);
   tdd::Manager mgr;
   mgr.bind_context(&ctx);
+  ExecutionContext oracle_ctx;
+  oracle_ctx.set_adaptive_gc(true, 1, 1.0);
+  tdd::Manager oracle_mgr;
+  oracle_mgr.bind_context(&oracle_ctx);
   const TransitionSystem sys = with_depolarizing(make_ghz_system(mgr, 3));
   const auto primary = make_engine(mgr, "contraction:2,2", &ctx);
-  const auto oracle = make_engine(mgr, "sparse", &ctx);
+  const auto oracle = make_engine(oracle_mgr, "sparse", &oracle_ctx);
   const auto r = reachable_space(*primary, sys, 32, nullptr, oracle.get());
   EXPECT_TRUE(r.converged);
   EXPECT_GT(ctx.stats().gc_runs, 0u);
+  EXPECT_GT(oracle_ctx.stats().gc_runs, 0u);
 }
 
 // ---------------------------------------------------------------------------

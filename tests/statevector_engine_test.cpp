@@ -232,9 +232,10 @@ TEST(CrossCheck, PassesCleanOnEveryWorkloadAndEnginePairing) {
   for (const auto& [name, make_system] : workload_systems()) {
     for (const char* primary_spec : {"basic", "parallel:2"}) {
       tdd::Manager mgr;
+      tdd::Manager oracle_mgr;
       const TransitionSystem sys = make_system(mgr);
       const auto primary = make_engine(mgr, primary_spec);
-      const auto oracle = make_engine(mgr, "statevector");
+      const auto oracle = make_engine(oracle_mgr, "statevector");
       const auto plain = reachable_space(*primary, sys, 64);
       // Same manager, fresh engines: the checked run must agree with itself
       // and with the unchecked run.
@@ -249,9 +250,10 @@ TEST(CrossCheck, PassesCleanOnEveryWorkloadAndEnginePairing) {
 
 TEST(CrossCheck, InvariantRunsPassCleanWithAnOracle) {
   tdd::Manager mgr;
+  tdd::Manager oracle_mgr;
   const TransitionSystem sys = make_grover_system(mgr, 4);
   const auto primary = make_engine(mgr, "basic");
-  const auto oracle = make_engine(mgr, "statevector");
+  const auto oracle = make_engine(oracle_mgr, "statevector");
   const auto r = check_invariant(*primary, sys, sys.initial, 16, nullptr, oracle.get());
   EXPECT_TRUE(r.holds);
   EXPECT_TRUE(r.converged);
@@ -259,12 +261,12 @@ TEST(CrossCheck, InvariantRunsPassCleanWithAnOracle) {
 
 TEST(CrossCheck, OracleMayItselfClaimFrontiers) {
   // Both roles may be frontier-claiming engines: dense primary, sharded
-  // oracle (and the parallel pool's parent manager satisfies the
-  // same-manager requirement).
+  // oracle, whose workers intern in the oracle's own manager.
   tdd::Manager mgr;
+  tdd::Manager oracle_mgr;
   const TransitionSystem sys = with_depolarizing(make_qrw_system(mgr, 4, 0.1, true, 0));
   const auto primary = make_engine(mgr, "statevector");
-  const auto oracle = make_engine(mgr, "parallel:2");
+  const auto oracle = make_engine(oracle_mgr, "parallel:2");
   const auto r = reachable_space(*primary, sys, 32, nullptr, oracle.get());
   EXPECT_TRUE(r.converged);
   EXPECT_EQ(r.space.dim(), 16u);
@@ -285,43 +287,57 @@ class IdentityImage final : public ImageComputer {
 
 TEST(CrossCheck, DetectsAnInjectedDivergence) {
   tdd::Manager mgr;
+  tdd::Manager oracle_mgr;
   const TransitionSystem sys = make_ghz_system(mgr, 3);
   const auto primary = make_engine(mgr, "basic");
-  IdentityImage broken(mgr);
+  IdentityImage broken_oracle(oracle_mgr);
   FixpointDriver driver(*primary, sys);
-  driver.set_max_iterations(64).set_oracle(broken);
+  driver.set_max_iterations(64).set_oracle(broken_oracle);
   EXPECT_THROW((void)driver.run(), InternalError);
   // And through the reachable_space plumbing, in both roles.
-  EXPECT_THROW((void)reachable_space(*primary, sys, 64, nullptr, &broken), InternalError);
-  const auto dense = make_engine(mgr, "statevector");
+  EXPECT_THROW((void)reachable_space(*primary, sys, 64, nullptr, &broken_oracle), InternalError);
+  IdentityImage broken(mgr);
+  const auto dense = make_engine(oracle_mgr, "statevector");
   EXPECT_THROW((void)reachable_space(broken, sys, 64, nullptr, dense.get()), InternalError);
 }
 
-TEST(CrossCheck, RejectsAForeignManagerOracle) {
+TEST(CrossCheck, AcceptsOnlyAForeignManagerOracle) {
   tdd::Manager mgr;
   tdd::Manager other;
   const TransitionSystem sys = make_ghz_system(mgr, 3);
   const auto primary = make_engine(mgr, "basic");
-  const auto foreign = make_engine(other, "statevector");
+  const auto foreign = make_engine(other, "contraction:2,2");
+  const auto same_manager = make_engine(mgr, "statevector");
   FixpointDriver driver(*primary, sys);
-  EXPECT_THROW((void)driver.set_oracle(*foreign), InvalidArgument);
+  EXPECT_THROW((void)driver.set_oracle(*same_manager), InvalidArgument);
   EXPECT_THROW((void)driver.set_oracle(*primary), InvalidArgument);  // self-check
+  driver.set_max_iterations(64).set_oracle(*foreign);
+  const FixpointDriver::Result r = driver.run();
+  EXPECT_TRUE(r.converged);
+  EXPECT_TRUE(r.space.same_subspace(reachable_space(*primary, sys, 64).space));
+  // The oracle's prepared operators were cleared when it finished.
+  EXPECT_TRUE(foreign->prepared_roots().empty());
 }
 
 TEST(CrossCheck, SurvivesGcPressure) {
-  // Floor 1 with growth 1.0 forces a collection before every iteration; the
-  // oracle's accumulator, frontier and prepared operators must be GC roots
-  // or the comparison would read freed nodes.
+  // Floor 1 with growth 1.0 forces a collection before every iteration in
+  // both managers; each run's accumulator, frontier and prepared operators
+  // must be its own GC roots or the comparison would read freed nodes.
   ExecutionContext ctx;
   ctx.set_adaptive_gc(true, 1, 1.0);
   tdd::Manager mgr;
   mgr.bind_context(&ctx);
+  ExecutionContext oracle_ctx;
+  oracle_ctx.set_adaptive_gc(true, 1, 1.0);
+  tdd::Manager oracle_mgr;
+  oracle_mgr.bind_context(&oracle_ctx);
   const TransitionSystem sys = with_depolarizing(make_ghz_system(mgr, 3));
   const auto primary = make_engine(mgr, "contraction:2,2", &ctx);
-  const auto oracle = make_engine(mgr, "statevector", &ctx);
+  const auto oracle = make_engine(oracle_mgr, "statevector", &oracle_ctx);
   const auto r = reachable_space(*primary, sys, 32, nullptr, oracle.get());
   EXPECT_TRUE(r.converged);
   EXPECT_GT(ctx.stats().gc_runs, 0u);
+  EXPECT_GT(oracle_ctx.stats().gc_runs, 0u);
 }
 
 }  // namespace

@@ -26,10 +26,10 @@
 ///                                          resuming from the last completed
 ///                                          iteration.  The spec is the
 ///                                          engine's whole configuration
-///   --cross-check SPEC                     run a second engine as a differential
-///                                          oracle: frontier dims, survivor
-///                                          counts and the final subspace are
-///                                          compared every iteration, and any
+///   --cross-check SPEC                     rerun the job on a second engine in
+///                                          its own manager as a differential
+///                                          oracle: per-iteration dims and the
+///                                          final subspace must agree, and any
 ///                                          divergence exits with the internal-
 ///                                          error code (4)
 ///   --engines                              list the registered engine methods
@@ -369,7 +369,7 @@ JobOutcome run_job(const Options& opt, tdd::Manager& mgr, ResultCache* shared_ca
   // what keeps one job's deadline/cancellation/fault plan from leaking into
   // the next.
   ExecutionContext ctx;
-  if (opt.timeout_s > 0) ctx.set_deadline(Deadline::after(opt.timeout_s));
+  ctx.set_deadline(Deadline::after(opt.timeout_s));
   if (opt.audit_every > 0) ctx.set_audit_every(opt.audit_every);
   if (opt.max_nodes > 0) ctx.set_max_nodes(opt.max_nodes);
   if (!opt.inject.empty()) {
@@ -402,10 +402,14 @@ JobOutcome run_job(const Options& opt, tdd::Manager& mgr, ResultCache* shared_ca
                        {QuantumOperation{"step", kraus}}};
 
   const std::unique_ptr<ImageComputer> computer = make_engine(mgr, opt.engine, &ctx);
-  // The oracle shares the manager and context: FixpointDriver::set_oracle
-  // requires the former, and the latter folds its work into one stats line.
+  // The oracle runs in its own manager and context, under the job's
+  // deadline, so --stats reports the primary run alone.
+  tdd::Manager oracle_mgr;
+  ExecutionContext oracle_ctx;
+  oracle_ctx.set_deadline(ctx.deadline());
+  oracle_mgr.bind_context(&oracle_ctx);
   std::unique_ptr<ImageComputer> oracle;
-  if (opt.cross_check) oracle = make_engine(mgr, opt.oracle, &ctx);
+  if (opt.cross_check) oracle = make_engine(oracle_mgr, opt.oracle, &oracle_ctx);
 
   if (!quiet) {
     std::cout << "circuit: " << opt.path << " (" << n << " qubits, " << circuit.size()
@@ -460,8 +464,8 @@ JobOutcome run_job(const Options& opt, tdd::Manager& mgr, ResultCache* shared_ca
     summary << "image dimension " << img.dim();
     if (oracle) {
       // One-shot cross-check: the single forward image, compared in full.
-      const Subspace check = oracle->image(sys, sys.initial);
-      if (img.dim() != check.dim() || !img.same_subspace(check)) {
+      const Subspace check = oracle->image(sys, sys.initial.copy_to(oracle_mgr));
+      if (img.dim() != check.dim() || !check.same_subspace(img.copy_to(oracle_mgr))) {
         throw InternalError("cross-check divergence: image subspaces differ (primary dim " +
                             std::to_string(img.dim()) + ", oracle dim " +
                             std::to_string(check.dim()) + ")");
@@ -513,10 +517,6 @@ JobOutcome run_job(const Options& opt, tdd::Manager& mgr, ResultCache* shared_ca
     // subspace are exactly what a collection here would keep alive.
     keep_for_audit(sys.initial);
     std::vector<tdd::Edge> roots = computer->prepared_roots();
-    if (oracle) {
-      const auto oracle_roots = oracle->prepared_roots();
-      roots.insert(roots.end(), oracle_roots.begin(), oracle_roots.end());
-    }
     roots.insert(roots.end(), audit_roots.begin(), audit_roots.end());
     tdd::AuditReport report;
     if (!tdd::audit(mgr, report, roots)) throw tdd::AuditError(std::move(report));
