@@ -8,24 +8,16 @@ double hit_rate_pct(std::size_t hits, std::size_t misses) {
   return 100.0 * static_cast<double>(hits) / static_cast<double>(total);
 }
 
-ExecutionContext ExecutionContext::worker_view() const {
+ExecutionContext ExecutionContext::worker_view(const std::atomic<bool>* stop) const {
   ExecutionContext view;
   view.deadline_ = deadline_;
-  view.cancel_ = cancel_;  // one flag for the whole fork/join group
-  view.active_views_ = active_views_;
-  view.fault_plan_ = fault_plan_;  // shared: probe counters span the group
+  view.stop_ = stop;
+  view.fault_plan_ = fault_plan_;  // shared: probe counters span the workers
   view.max_nodes_ = max_nodes_;
-  view.current_iteration_ = current_iteration_;
-  view.audit_every_ = audit_every_;
-  view.adaptive_gc_ = adaptive_gc_;
-  view.adaptive_gc_floor_ = adaptive_gc_floor_;
-  view.adaptive_gc_growth_ = adaptive_gc_growth_;
-  active_views_->fetch_add(1, std::memory_order_acq_rel);
   return view;
 }
 
 void ExecutionContext::join_worker(const ExecutionContext& worker) {
-  active_views_->fetch_sub(1, std::memory_order_acq_rel);
   const RunStats& w = worker.stats_;
   stats_.seconds += w.seconds;
   if (w.peak_nodes > stats_.peak_nodes) stats_.peak_nodes = w.peak_nodes;

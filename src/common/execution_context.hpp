@@ -83,13 +83,12 @@ struct RunStats {
 double hit_rate_pct(std::size_t hits, std::size_t misses);
 
 /// Run-control state shared by every layer of an engine: a cooperative
-/// wall-clock deadline, the aggregated RunStats, cooperative cancellation,
-/// and the GC policy for long-running fixpoint loops.  Single-threaded like
-/// the tdd::Manager it usually rides along with — use one per engine — with
-/// two deliberate exceptions for fork/join parallelism: the cancellation
-/// flag (request_cancel / cancel_requested are atomic) and the deadline
-/// (an immutable absolute expiry once set) may be shared across threads
-/// through worker_view().
+/// wall-clock deadline, the aggregated RunStats, and the GC policy for
+/// long-running fixpoint loops.  Single-threaded like the tdd::Manager it
+/// usually rides along with — use one per engine.  Fork/join parallelism
+/// gives each worker thread its own worker_view(), which shares only
+/// immutable or internally synchronised state: the absolute deadline, the
+/// fault plan (atomic counters) and, read-only, the engine's stop flag.
 class ExecutionContext {
  public:
   ExecutionContext() = default;
@@ -100,52 +99,26 @@ class ExecutionContext {
   [[nodiscard]] const Deadline& deadline() const { return deadline_; }
   [[nodiscard]] bool deadline_expired() const { return deadline_.expired(); }
 
-  /// Throws DeadlineExceeded when the budget is spent or a cancellation was
-  /// requested (a cancelled computation's result is never used, so stopping
-  /// through the same exception path keeps every layer's unwind identical).
-  /// Armed `deadline@...` faults fire here too, through the same exception.
+  /// Throws DeadlineExceeded when the budget is spent or, in a worker view,
+  /// when its engine raised the stop flag (a stopped worker's result is never
+  /// used, so stopping through the same exception path keeps every layer's
+  /// unwind identical).  Armed `deadline@...` faults fire here too, through
+  /// the same exception.
   void check_deadline() const {
-    if (cancel_->load(std::memory_order_relaxed)) throw DeadlineExceeded{};
+    if (stop_ != nullptr && stop_->load(std::memory_order_relaxed)) throw DeadlineExceeded{};
     if (fault_plan_) fault_plan_->probe_deadline();
     deadline_.check();
   }
 
-  // -- cooperative cancellation ---------------------------------------------
-
-  /// Ask every computation polling this context (or any worker_view of it)
-  /// to stop at its next deadline check.  Safe from any thread.
-  void request_cancel() { cancel_->store(true, std::memory_order_relaxed); }
-  [[nodiscard]] bool cancel_requested() const {
-    return cancel_->load(std::memory_order_relaxed);
-  }
-  /// Re-arm after a cancelled fork/join round.  Single-threaded: only call
-  /// once every sharing worker has stopped — i.e. once every outstanding
-  /// worker_view() has been handed back through join_worker().  Debug builds
-  /// enforce that with the shared active-view count.
-  void clear_cancel() {
-#ifndef NDEBUG
-    if (active_views_->load(std::memory_order_acquire) > 0) {
-      throw InternalError(
-          "ExecutionContext::clear_cancel called while worker views are still "
-          "active; join every worker_view with join_worker first");
-    }
-#endif
-    cancel_->store(false, std::memory_order_relaxed);
-  }
-
-  /// Worker views created from this group and not yet joined back.  The
-  /// count is shared across the whole view group (like the cancel flag).
-  [[nodiscard]] std::size_t active_worker_views() const {
-    return static_cast<std::size_t>(active_views_->load(std::memory_order_acquire));
-  }
-
   // -- fork/join ------------------------------------------------------------
 
-  /// A worker's private view of this context: shares the deadline (absolute
-  /// expiry) and the cancellation flag, starts with fresh stats, and copies
-  /// the GC policy.  One worker_view per worker thread; fold the worker's
-  /// stats back with join_worker once its thread has joined.
-  [[nodiscard]] ExecutionContext worker_view() const;
+  /// A worker's private view of this context: the deadline (absolute
+  /// expiry), the fault plan and the node budget, fresh stats, and `stop`
+  /// (nullable, not owned), a flag the fork/join engine raises to stop its
+  /// workers at their next deadline check.  One worker_view per worker
+  /// thread; fold the worker's stats back with join_worker once its thread
+  /// has joined.
+  [[nodiscard]] ExecutionContext worker_view(const std::atomic<bool>* stop = nullptr) const;
 
   /// Merge a joined worker's stats into this context: counters are summed,
   /// peak_nodes is the maximum.  `seconds` is summed too — workers time
@@ -179,7 +152,7 @@ class ExecutionContext {
   // -- fault injection ------------------------------------------------------
 
   /// Attach a deterministic fault plan (see common/fault.hpp).  The plan is
-  /// shared with every worker_view, like the cancel flag.
+  /// shared with every worker_view.
   void set_fault_plan(std::shared_ptr<FaultPlan> plan) { fault_plan_ = std::move(plan); }
   [[nodiscard]] const std::shared_ptr<FaultPlan>& fault_plan() const { return fault_plan_; }
 
@@ -234,23 +207,17 @@ class ExecutionContext {
   // -- structural audits ----------------------------------------------------
 
   /// When non-zero, fixpoint drivers run tdd::audit every `k` iterations
-  /// (and after every GC) and throw tdd::AuditError on corruption.  Copied
-  /// into worker views like the GC policy.  0 disables (the default: a full
-  /// table/arena walk per iteration is a debugging tool, not a fast path).
+  /// (and after every GC) and throw tdd::AuditError on corruption.  0
+  /// disables (the default: a full table/arena walk per iteration is a
+  /// debugging tool, not a fast path).
   void set_audit_every(std::size_t k) { audit_every_ = k; }
   [[nodiscard]] std::size_t audit_every() const { return audit_every_; }
 
  private:
   Deadline deadline_;
   RunStats stats_;
-  // The worker pool's shared stop state is deliberately lock-free: these
-  // atomics are the only cross-thread mutable fields of a context group, and
-  // they sit outside the GUARDED_BY capability system (atomic accesses carry
-  // their own ordering; clang's thread-safety analysis has nothing to add).
-  std::shared_ptr<std::atomic<bool>> cancel_ = std::make_shared<std::atomic<bool>>(false);
-  /// Outstanding worker views of this group (created minus joined); shared
-  /// across the group so the clear_cancel guard sees every sibling.
-  std::shared_ptr<std::atomic<long>> active_views_ = std::make_shared<std::atomic<long>>(0);
+  // A worker view's stop flag; its fork/join engine owns and raises it.
+  const std::atomic<bool>* stop_ = nullptr;
   std::shared_ptr<FaultPlan> fault_plan_;
   std::size_t max_nodes_ = 0;
   std::size_t current_iteration_ = 0;

@@ -6,8 +6,8 @@
 /// cheap probe calls (the node arena's allocation path, the seam codecs, the
 /// deadline poll); when a probe matches an armed fault's trigger the plan
 /// throws the same exception the real failure would produce — so every
-/// recovery seam (fallback chains, worker unwinding, cancel re-arm, the
-/// qtsmc exit ladder) can be forced on demand, reproducibly.
+/// recovery seam (fallback chains, worker unwinding, the qtsmc exit
+/// ladder) can be forced on demand, reproducibly.
 ///
 /// Spec grammar (comma-separated list of faults):
 ///
@@ -35,9 +35,9 @@
 /// catching the injected failure makes progress instead of looping.
 ///
 /// Thread-safety: probes may run concurrently from worker threads (the plan
-/// is shared through ExecutionContext::worker_view like the cancel flag);
-/// counters are atomic and the fire-once latch is a compare-exchange, so
-/// exactly one probe wins a trigger.
+/// is shared through ExecutionContext::worker_view); counters are atomic and
+/// the fire-once latch is a compare-exchange, so exactly one probe wins a
+/// trigger.
 #pragma once
 
 #include <atomic>
@@ -80,9 +80,6 @@ class FaultPlan {
 
   /// Called by the FixpointDriver at the top of each iteration (1-based).
   void begin_iteration(std::size_t i) { iteration_.store(i, std::memory_order_relaxed); }
-  [[nodiscard]] std::size_t current_iteration() const {
-    return iteration_.load(std::memory_order_relaxed);
-  }
 
   // -- probe sites ----------------------------------------------------------
 

@@ -6,8 +6,6 @@
 #include <vector>
 
 #include "common/error.hpp"
-#include "common/mutex.hpp"
-#include "common/thread_annotations.hpp"
 
 namespace qts {
 
@@ -44,7 +42,9 @@ ParallelImage::ParallelImage(tdd::Manager& mgr, std::size_t threads, EngineSpec 
   }
 }
 
-ParallelImage::~ParallelImage() = default;
+ParallelImage::~ParallelImage() {
+  for (const auto& w : workers_) mgr_.release_slot(*w->slot);
+}
 
 std::size_t ParallelImage::shard_count(std::size_t tasks) const {
   if (tasks == 0) return 0;
@@ -103,20 +103,16 @@ std::vector<Edge> ParallelImage::image_step(std::span<const QuantumOperation> op
 
 void ParallelImage::run_pool(std::size_t active, const std::function<void(std::size_t)>& task) {
   // Fresh context views each round: workers share this round's deadline and
-  // cancel flag and start with zeroed stats (last round's were merged).
-  // Assignment keeps every Worker::ctx address stable, which the worker's
-  // slot and engine hold pointers to.
-  for (auto& w : workers_) w->ctx = ctx_->worker_view();
+  // the engine's stop flag, and start with zeroed stats (last round's were
+  // merged).  Assignment keeps every Worker::ctx address stable, which the
+  // worker's slot and engine hold pointers to.
+  stop_.store(false, std::memory_order_relaxed);
+  for (auto& w : workers_) w->ctx = ctx_->worker_view(&stop_);
 
-  // Shared first-error slot: written by whichever worker fails first, read
-  // by the parent only after the joins below.  Annotated so clang's
-  // thread-safety analysis proves every access holds the mutex.
-  struct ErrorSlot {
-    Mutex mutex;
-    std::exception_ptr error GUARDED_BY(mutex);
-    bool cancel_induced GUARDED_BY(mutex) = false;
-  } first;
-
+  // Only the worker that raises the stop flag records its error; the
+  // siblings it stops throw DeadlineExceeded, which is dropped.  The parent
+  // reads the error after the joins below.
+  std::exception_ptr first_error;
   auto run_worker = [&](std::size_t idx) {
     Worker& w = *workers_[idx];
     // Route this thread's manager traffic through the worker's slot: its
@@ -125,21 +121,9 @@ void ParallelImage::run_pool(std::size_t active, const std::function<void(std::s
     try {
       task(idx);
     } catch (...) {
-      // If the shared flag was already set when this worker failed, the stop
-      // originated elsewhere (an external request_cancel, or a sibling that
-      // recorded the real error first); remember the distinction so the
-      // parent only re-arms stops this round itself initiated.
-      const bool cancel_induced = w.ctx.cancel_requested();
-      {
-        const MutexLock lock(first.mutex);
-        if (!first.error) {
-          first.error = std::current_exception();
-          first.cancel_induced = cancel_induced;
-        }
-      }
       // Stop the siblings at their next deadline poll — including polls deep
       // inside Manager contractions via the slot tick.
-      w.ctx.request_cancel();
+      if (!stop_.exchange(true)) first_error = std::current_exception();
     }
   };
 
@@ -157,27 +141,13 @@ void ParallelImage::run_pool(std::size_t active, const std::function<void(std::s
   }
 
   // Joining the threads above is the happens-before edge that lets the
-  // parent read worker stats — and lets a driver GC sweep the arena — safely.
+  // parent read worker stats and the error — and lets a driver GC sweep the
+  // arena — safely.
   for (const auto& w : workers_) {
     mgr_.sample_storage(w->ctx.stats());
     ctx_->join_worker(w->ctx);
   }
-  std::exception_ptr first_error;
-  bool first_error_cancel_induced = false;
-  {
-    const MutexLock lock(first.mutex);
-    first_error = first.error;
-    first_error_cancel_induced = first.cancel_induced;
-  }
-  if (first_error) {
-    // Re-arm a stop THIS round's failing worker initiated (its deadline or
-    // error), so later rounds are not poisoned, and hand the original error
-    // to the caller.  A cancellation that was already pending when the first
-    // worker failed — i.e. requested externally — is deliberately left set:
-    // it must keep stopping the computation until its owner handles it.
-    if (!first_error_cancel_induced) ctx_->clear_cancel();
-    std::rethrow_exception(first_error);
-  }
+  if (first_error) std::rethrow_exception(first_error);
 }
 
 void ParallelImage::clear_prepared() {

@@ -31,10 +31,14 @@
 /// round, a private inner engine (any registered sequential engine; default
 /// contraction) whose prepared-operator cache lives in the shared manager,
 /// and a private ExecutionContext view.  The views share the parent's
-/// deadline and cancellation flag: a DeadlineExceeded inside one worker's
-/// contraction cancels the siblings cooperatively, and the parent rethrows
-/// after the join.  Worker stats are merged into the parent (counters
-/// summed, peak = max).
+/// deadline and read the engine's stop flag: the first worker to fail (a
+/// DeadlineExceeded inside its contraction, a budget error, ...) raises the
+/// flag, which stops the siblings at their next deadline poll, and the
+/// parent rethrows that worker's error after the join.  The flag is cleared
+/// at the top of every round, so a failed round leaves the engine reusable.
+/// Worker stats are merged into the parent (counters summed, peak = max).
+/// The destructor gives the slots back to the manager (Manager::release_slot),
+/// so a later engine on the same manager reuses them.
 ///
 /// Garbage collection is not the engine's business any more: with one shared
 /// manager the driver's quiescent-point policy (the adaptive growth-rate
@@ -43,6 +47,7 @@
 /// collects.
 #pragma once
 
+#include <atomic>
 #include <cstddef>
 #include <functional>
 #include <memory>
@@ -111,13 +116,13 @@ class ParallelImage final : public ImageComputer {
 
   /// Run `task(worker_index)` on the first `active` workers: fresh context
   /// views, per-round thread spawn (inline when active == 1), the worker's
-  /// ThreadSlot installed for the round, deterministic error capture with
-  /// sibling cancellation, stat merge on join, and rethrow of the first
-  /// error.
+  /// ThreadSlot installed for the round, the first error raising stop_ to
+  /// stop the siblings, stat merge on join, and rethrow of that error.
   void run_pool(std::size_t active, const std::function<void(std::size_t)>& task);
 
   EngineSpec inner_;
   std::vector<std::unique_ptr<Worker>> workers_;
+  std::atomic<bool> stop_{false};  // raised by a round's first failing worker
 };
 
 }  // namespace qts

@@ -34,8 +34,22 @@ Manager::Manager() : gc_epoch_(draw_epoch()) {
 
 Manager::ThreadSlot& Manager::create_slot(ExecutionContext* ctx) {
   const MutexLock lock(slots_mutex_);
-  slots_.push_back(std::unique_ptr<ThreadSlot>(new ThreadSlot(this, ctx)));
-  return *slots_.back();
+  if (released_.empty()) {
+    slots_.push_back(std::unique_ptr<ThreadSlot>(new ThreadSlot(this, ctx)));
+    return *slots_.back();
+  }
+  ThreadSlot& sl = *released_.back();
+  released_.pop_back();
+  sl.ctx_ = ctx;
+  return sl;
+}
+
+void Manager::release_slot(ThreadSlot& sl) {
+  const MutexLock lock(slots_mutex_);
+  sl.release_caches();
+  sl.ctx_ = nullptr;
+  sl.ticks_ = 0;  // polls the next owner's deadline on a fresh slot's schedule
+  released_.push_back(&sl);
 }
 
 Node* Manager::allocate_node(ThreadSlot& sl, Level level, const Edge& low, const Edge& high) {
@@ -230,11 +244,7 @@ void Manager::bind_context(ExecutionContext* ctx) {
 
 void Manager::clear_caches() {
   const MutexLock lock(slots_mutex_);
-  for (auto& sl : slots_) {
-    sl->add_cache_.release();
-    sl->cont_cache_.release();
-    sl->suffixes_.release();
-  }
+  for (auto& sl : slots_) sl->release_caches();
 }
 
 void Manager::mark(const Node* n, std::uint64_t epoch) const {

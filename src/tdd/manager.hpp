@@ -125,8 +125,9 @@ class Manager {
   /// lookups stay lock-free while node identity is global), the node
   /// free-list and bump-allocation block, the statistics sink, and the
   /// deadline-tick counter.  Created once per worker via create_slot (the
-  /// manager owns it, addresses are stable) and installed on the worker's
-  /// thread with a SlotGuard for the duration of a round.
+  /// manager owns it, addresses are stable), installed on the worker's
+  /// thread with a SlotGuard for the duration of a round, and given back
+  /// with release_slot when the worker is done for good.
   ///
   /// Both op caches are FlatCaches (flat_table.hpp): chunked dense entries
   /// behind an open-addressing index, allocated on first use, and both
@@ -151,6 +152,11 @@ class Manager {
       if (ctx_ != nullptr && (++ticks_ & 0x3FFF) == 0) ctx_->check_deadline();
     }
     [[nodiscard]] RunStats* stats() const { return ctx_ != nullptr ? &ctx_->stats() : nullptr; }
+    void release_caches() {
+      add_cache_.release();
+      cont_cache_.release();
+      suffixes_.release();
+    }
 
     Manager* owner_;
     ExecutionContext* ctx_;
@@ -187,9 +193,16 @@ class Manager {
   Manager(const Manager&) = delete;
   Manager& operator=(const Manager&) = delete;
 
-  /// Create a persistent worker slot reporting through `ctx` (nullable).
-  /// Thread-safe; the slot lives as long as the manager.
+  /// A worker slot reporting through `ctx` (nullable): the slot last given
+  /// back by release_slot, with its free list and bump block, or else a new
+  /// one.  Either way its op caches start empty.  Thread-safe; the slot lives
+  /// as long as the manager.
   ThreadSlot& create_slot(ExecutionContext* ctx = nullptr);
+
+  /// Give a create_slot slot back for reuse: its op caches are released and
+  /// its context pointer cleared; its free list and bump block wait for the
+  /// next create_slot.  Thread-safe; no thread may still have it installed.
+  void release_slot(ThreadSlot& slot);
 
   // -- construction ---------------------------------------------------------
 
@@ -310,7 +323,7 @@ class Manager {
     std::size_t arena_capacity = 0;  ///< node slots across all blocks
     std::size_t live_nodes = 0;
     std::size_t allocated_nodes = 0;
-    std::size_t op_slots = 0;  ///< ThreadSlots ever created (incl. main)
+    std::size_t op_slots = 0;  ///< ThreadSlots held, incl. main and released ones
     std::size_t add_cache_entries = 0;   ///< live add-cache entries, all slots
     std::size_t add_cache_bytes = 0;     ///< heap bytes the add caches hold, all slots
     std::size_t cont_cache_entries = 0;  ///< live contraction-cache entries, all slots
@@ -359,6 +372,7 @@ class Manager {
   // Stable addresses; [0] is the main slot.  The deque itself is guarded;
   // each slot's *contents* are thread-private to the installing worker.
   std::deque<std::unique_ptr<ThreadSlot>> slots_ GUARDED_BY(slots_mutex_);
+  std::vector<ThreadSlot*> released_ GUARDED_BY(slots_mutex_);  // reused first
   ThreadSlot* main_slot_;
   // The mark stamp of the last gc() and the manager's generation(): drawn
   // from one process-wide counter, so no two managers (and no two epochs of

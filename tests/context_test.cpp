@@ -3,6 +3,7 @@
 /// the GC policy knob.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <thread>
 
 #include "circuit/generators.hpp"
@@ -63,79 +64,27 @@ TEST(ExecutionContext, WorkerViewSharesDeadlineAndStartsFresh) {
   ExecutionContext parent;
   parent.set_deadline(Deadline::after(1e-12));
   parent.set_adaptive_gc(true, 42, 1.5);
+  parent.set_audit_every(3);
   parent.record_peak(7);
   const ExecutionContext view = parent.worker_view();
   EXPECT_TRUE(view.deadline_expired());            // shared absolute expiry
-  EXPECT_EQ(view.adaptive_gc_floor(), 42u);        // copied policy
-  EXPECT_EQ(view.adaptive_gc_growth(), 1.5);
   EXPECT_EQ(view.stats().peak_nodes, 0u);          // fresh stats
   EXPECT_THROW(view.check_deadline(), DeadlineExceeded);
+  // Workers run no fixpoint loop, so the GC and audit policy stay behind.
+  EXPECT_EQ(view.adaptive_gc_floor(), ExecutionContext::kAdaptiveGcFloor);
+  EXPECT_EQ(view.audit_every(), 0u);
 }
 
-TEST(ExecutionContext, CancellationIsSharedWithWorkerViews) {
+TEST(ExecutionContext, WorkerViewStopsOnItsEnginesFlag) {
   ExecutionContext parent;
-  ExecutionContext view = parent.worker_view();
+  std::atomic<bool> stop{false};
+  const ExecutionContext view = parent.worker_view(&stop);
   EXPECT_NO_THROW(view.check_deadline());
-
-  view.request_cancel();  // either side may request...
-  EXPECT_TRUE(parent.cancel_requested());
-  EXPECT_THROW(parent.check_deadline(), DeadlineExceeded);
+  stop.store(true);
   EXPECT_THROW(view.check_deadline(), DeadlineExceeded);
-
-  // ...and the parent re-arms the whole group — after joining its workers
-  // (re-arming with workers still running would race their cancel checks;
-  // debug builds enforce the ordering, see ClearCancelGuard below).
-  parent.join_worker(view);
-  parent.clear_cancel();
-  EXPECT_FALSE(view.cancel_requested());
-  EXPECT_NO_THROW(parent.check_deadline());
+  EXPECT_NO_THROW(parent.check_deadline());  // the flag stops workers only
+  stop.store(false);
   EXPECT_NO_THROW(view.check_deadline());
-}
-
-TEST(ExecutionContext, TracksActiveWorkerViews) {
-  ExecutionContext parent;
-  EXPECT_EQ(parent.active_worker_views(), 0u);
-  ExecutionContext a = parent.worker_view();
-  ExecutionContext b = parent.worker_view();
-  EXPECT_EQ(parent.active_worker_views(), 2u);
-  EXPECT_EQ(a.active_worker_views(), 2u);  // the counter is group-wide
-  parent.join_worker(a);
-  EXPECT_EQ(parent.active_worker_views(), 1u);
-  parent.join_worker(b);
-  EXPECT_EQ(parent.active_worker_views(), 0u);
-}
-
-#ifndef NDEBUG
-TEST(ExecutionContext, ClearCancelGuardRejectsUnjoinedWorkers) {
-  // Re-arming the shared stop flag while a worker view is still live is a
-  // lost-cancellation race; debug builds turn it into a loud InternalError.
-  ExecutionContext parent;
-  ExecutionContext view = parent.worker_view();
-  view.request_cancel();
-  EXPECT_THROW(parent.clear_cancel(), InternalError);
-  parent.join_worker(view);
-  EXPECT_NO_THROW(parent.clear_cancel());
-}
-#endif
-
-TEST(ExecutionContext, CancelJoinRearmReuseCycle) {
-  // The full pool round-trip a fallback retry depends on: a worker trips the
-  // flag, the parent joins it, re-arms, and the SAME context group runs the
-  // next round undisturbed.
-  ExecutionContext parent;
-  for (int round = 0; round < 3; ++round) {
-    ExecutionContext worker = parent.worker_view();
-    worker.request_cancel();
-    EXPECT_THROW(worker.check_deadline(), DeadlineExceeded);
-    parent.join_worker(worker);
-    parent.clear_cancel();
-    EXPECT_FALSE(parent.cancel_requested());
-    EXPECT_NO_THROW(parent.check_deadline());
-    // A fresh view after the re-arm starts unpoisoned.
-    ExecutionContext next = parent.worker_view();
-    EXPECT_NO_THROW(next.check_deadline());
-    parent.join_worker(next);
-  }
 }
 
 TEST(ExecutionContext, NodeBudgetIsEnforcedAndInertAtZero) {
@@ -152,9 +101,8 @@ TEST(ExecutionContext, NodeBudgetIsEnforcedAndInertAtZero) {
     EXPECT_NE(std::string(e.what()).find("--max-nodes"), std::string::npos);
   }
   // Worker views inherit the budget.
-  ExecutionContext view = ctx.worker_view();
+  const ExecutionContext view = ctx.worker_view();
   EXPECT_THROW(view.check_node_budget(100), ResourceExhausted);
-  ctx.join_worker(view);
 }
 
 TEST(ExecutionContext, JoinWorkerSumsCountersAndMaxesPeak) {
@@ -179,10 +127,13 @@ TEST(ExecutionContext, JoinWorkerSumsCountersAndMaxesPeak) {
   EXPECT_DOUBLE_EQ(parent.stats().seconds, 0.25);
   EXPECT_EQ(parent.stats().peak_nodes, 80u);  // max, not sum
 
-  ExecutionContext small = parent.worker_view();
+  // join_worker is a pure stats merge: any context may be folded in, and
+  // the parent keeps no count of its views.
+  ExecutionContext small;
   small.record_peak(4);
   parent.join_worker(small);
   EXPECT_EQ(parent.stats().peak_nodes, 80u);
+  EXPECT_EQ(parent.stats().kraus_applications, 5u);
 }
 
 TEST(DeadlinePropagation, SurfacesFromContractNetwork) {

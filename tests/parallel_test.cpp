@@ -1,9 +1,11 @@
 /// Tests for the parallel image engine: differential equivalence against the
 /// sequential engines over the paper workloads for 1/2/4 workers,
 /// thread-count-independent (deterministic) joins, merged stats, shared
-/// deadlines with cooperative cancellation, and fixpoint-loop integration.
+/// deadlines with cooperative stopping, worker-slot reuse across engines,
+/// and fixpoint-loop integration.
 #include <gtest/gtest.h>
 
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -109,8 +111,8 @@ TEST(ParallelImage, ExpiredDeadlineInsideWorkersPropagates) {
   const auto engine = make_engine(mgr, "parallel:2", &ctx);
   EXPECT_THROW((void)engine->image(sys, sys.initial), DeadlineExceeded);
 
-  // Cancellation is re-armed after the join: with a fresh deadline the same
-  // engine (and the same parent context) computes normally.
+  // The next round clears the engine's stop flag: with a fresh deadline the
+  // same engine (and the same parent context) computes normally.
   ctx.set_deadline(Deadline::after(3600.0));
   const Subspace img = engine->image(sys, sys.initial);
   EXPECT_GE(img.dim(), 1u);
@@ -310,6 +312,36 @@ TEST(ParallelImage, EmptySubspaceYieldsEmptyImage) {
   const auto engine = make_engine(mgr, "parallel:2");
   const Subspace empty(mgr, 3);
   EXPECT_EQ(engine->image(sys, empty).dim(), 0u);
+}
+
+TEST(ParallelImage, DestroyedEnginesGiveTheirSlotsBack) {
+  // Each engine takes one slot per worker; destroying it hands them back,
+  // so engine after engine on one manager reuses the same four (plus the
+  // main slot), and the bits do not depend on which engine ran before.
+  ExecutionContext ctx;
+  ctx.set_adaptive_gc(true, 1, 1.0);  // recycle nodes into the slots' free lists
+  tdd::Manager mgr;
+  mgr.bind_context(&ctx);
+  const TransitionSystem sys = with_depolarizing(make_ghz_system(mgr, 4));
+  std::optional<Subspace> first;
+  for (int run = 0; run < 4; ++run) {
+    {
+      const auto engine = make_engine(mgr, "parallel:4", &ctx);
+      FixpointDriver driver(*engine, sys);
+      driver.set_max_iterations(64);
+      if (first) driver.keep_alive(*first);
+      const auto r = driver.run();
+      EXPECT_TRUE(r.converged);
+      if (!first) {
+        first = r.space;
+      } else {
+        EXPECT_EQ(r.space.projector().node, first->projector().node) << "run " << run;
+        EXPECT_EQ(r.space.projector().weight, first->projector().weight) << "run " << run;
+      }
+    }
+    EXPECT_EQ(mgr.storage_stats().op_slots, 5u) << "run " << run;
+  }
+  EXPECT_GT(ctx.stats().gc_runs, 0u);
 }
 
 TEST(ParallelImage, RejectsNestedParallelInner) {

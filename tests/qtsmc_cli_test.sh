@@ -415,6 +415,19 @@ fi
 check 2 "$QTSMC" --batch /nonexistent/batch.txt
 check 2 "$QTSMC" --batch
 check 2 "$QTSMC" --batch "$BATCH_FILE" --bogus-flag
+# Each job builds and destroys its own parallel:4 engine on the shared
+# manager; the engines give their worker slots back, so the last job's
+# storage line still shows the main slot plus one engine's four.
+: > "$BATCH_FILE"
+for i in 0 1 2 3 4 5; do
+  echo "reach --engine parallel:4 --stats --noise depol:0.$((i + 1)):$((i % 3)) --steps $((10 + i)) $EXAMPLES/ghz.qasm" >> "$BATCH_FILE"
+done
+if "$QTSMC" --batch "$BATCH_FILE" | grep '^storage:' | tail -n 1 | grep -q '; op caches 5 slot(s),'; then
+  echo "ok: batch parallel:4 engines reuse their worker slots"
+else
+  echo "FAIL: a 6-job parallel:4 batch leaked worker slots" >&2
+  failures=$((failures + 1))
+fi
 rm -rf "$BATCH_DIR"
 
 # --- structural audit: a clean run audits clean post-run (--audit) and
