@@ -2,10 +2,12 @@
 /// Micro-benchmarks for the TDD kernel operations (google-benchmark):
 /// hash-consed construction, addition, contraction, slicing, conjugation,
 /// the Gram-Schmidt primitives (inner product, outer product, projection),
-/// garbage collection and the node-count walk at several tensor ranks.
+/// the image step's ket push, garbage collection and the node-count walk at
+/// several tensor ranks.
 #include <benchmark/benchmark.h>
 
 #include "circuit/generators.hpp"
+#include "circuit/noise.hpp"
 #include "common/prng.hpp"
 #include "qts/states.hpp"
 #include "qts/subspace.hpp"
@@ -13,6 +15,7 @@
 #include "tdd/manager.hpp"
 #include "tn/circuit_tensors.hpp"
 #include "tn/contract.hpp"
+#include "tn/partition.hpp"
 
 namespace {
 
@@ -129,6 +132,33 @@ void BM_ApplyOperator(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_ApplyOperator)->Arg(6)->Arg(10);
+
+/// One Kraus application of the image step: a random 9-qubit ket pushed
+/// through one GHZ9 + depolarising Kraus circuit (X on qubit 0, Y on qubit
+/// 1) as contraction:4,4 prepares it, (4, 4) blocks and a ket-first push
+/// plan.  The caches are cleared each iteration, as in BM_ApplyOperator.
+void BM_PushKet(benchmark::State& state) {
+  constexpr std::uint32_t n = 9;
+  Prng rng(10);
+  tdd::Manager mgr;
+  std::vector<circ::Circuit> kraus =
+      circ::apply_channel({circ::make_ghz(n)}, circ::depolarizing(0.05), 0);
+  kraus = circ::apply_channel(kraus, circ::depolarizing(0.05), 1);
+  const tn::CircuitNetwork net = tn::build_network(mgr, kraus.at(6));
+  std::vector<tn::Tensor> blocks;
+  for (const auto& b : tn::contraction_partition(mgr, net, 4, 4)) {
+    const bool unit = b.tensor.indices.empty() && b.tensor.edge.is_terminal() &&
+                      b.tensor.edge.weight == cplx{1.0, 0.0};
+    if (!unit) blocks.push_back(b.tensor);
+  }
+  const tn::Push push = tn::plan_push(net, blocks, nullptr);
+  const Edge ket = ket_from_dense(mgr, n, rng.unit_vector(std::size_t{1} << n));
+  for (auto _ : state) {
+    mgr.clear_caches();
+    benchmark::DoNotOptimize(tn::push(mgr, ket, blocks, push, nullptr));
+  }
+}
+BENCHMARK(BM_PushKet);
 
 void BM_GcSweep(benchmark::State& state) {
   const auto rank = static_cast<std::size_t>(state.range(0));

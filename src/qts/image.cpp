@@ -56,7 +56,7 @@ Edge ImageComputer::apply(const circ::Circuit& kraus, const Edge& ket, std::uint
   const Prepared& prep = it->second;
   if (prep.terms.size() == 1) return tn::push(mgr_, ket, prep.terms.front(), prep.push, ctx_);
   // cont(ψ, ϕ) = Σ_i cont(ψ, ϕ_i): each term is pushed independently and
-  // the (already renamed) results are accumulated.
+  // the results, each already on the state levels, are accumulated.
   Edge acc = mgr_.zero();
   for (const auto& term : prep.terms) {
     ctx_->check_deadline();

@@ -14,8 +14,9 @@
 
 namespace qts {
 
-/// |out⟩ = C |ket⟩ with |ket⟩ on the canonical state levels; the result is
-/// renamed back onto the state levels.  `ctx` may be null.
+/// |out⟩ = C |ket⟩ with |ket⟩ on the canonical state levels; the push's
+/// last contraction step builds the result on the state levels too (see
+/// tn::push).  `ctx` may be null.
 tdd::Edge apply_circuit_tdd(tdd::Manager& mgr, const circ::Circuit& circuit,
                             const tdd::Edge& ket, ExecutionContext* ctx = nullptr);
 

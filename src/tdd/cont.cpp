@@ -50,8 +50,10 @@ Edge Manager::contract(const Edge& a, const Edge& b, std::span<const Level> gamm
   // valid across calls and gammas.  A call that outgrew kContKeepChunks
   // empties the cache and the suffix table together (ids restart with it).
   // cont_rec never re-enters contract(), so it may borrow the slot's cache
-  // and id vector in place.  The view is a template argument of cont_rec, one
-  // instantiation per flag combination, and part of every cache key.
+  // and id vector in place.  The view is a template argument of cont_rec and
+  // part of every cache key: one instantiation per combination of the three
+  // operand flags, and one for kStateOut, which takes no other flag.  Its
+  // relabel is a pure function of the level, so its entries need no map id.
   ThreadSlot& sl = slot();
   std::vector<std::uint32_t>& ids = sl.suffix_ids_;
   ids.resize(gamma.size() + 1);
@@ -70,7 +72,10 @@ Edge Manager::contract(const Edge& a, const Edge& b, std::span<const Level> gamm
   static constexpr auto kRec = []<std::size_t... V>(std::index_sequence<V...>) {
     return std::array<Rec, sizeof...(V)>{&Manager::cont_rec<static_cast<OperandView>(V)>...};
   }(std::make_index_sequence<8>{});
-  const Edge r = (this->*kRec.at(static_cast<std::uint8_t>(view)))(sl, a.node, b.node, gamma, 0);
+  const Edge r =
+      view == OperandView::kStateOut
+          ? cont_rec<OperandView::kStateOut>(sl, a.node, b.node, gamma, 0)
+          : (this->*kRec.at(static_cast<std::uint8_t>(view)))(sl, a.node, b.node, gamma, 0);
   if (sl.cont_cache_.chunks() > kContKeepChunks) {
     sl.cont_cache_.trim(kContKeepChunks);
     sl.suffixes_.clear();
@@ -125,7 +130,9 @@ Edge Manager::cont_rec(ThreadSlot& sl, const Node* a, const Node* b, std::span<c
   const Edge r0 = branch(a0, b0);
   const Edge r1 = branch(a1, b1);
 
-  const Edge result = summed ? add(r0, r1) : make_node(x, r0, r1);
+  constexpr bool kStateOut = View == OperandView::kStateOut;
+  const Edge result =
+      summed ? add(r0, r1) : make_node(kStateOut ? state_level(level_qubit(x)) : x, r0, r1);
   sl.cont_cache_.insert(key, result);
   return result;
 }

@@ -19,14 +19,15 @@
 
 namespace qts::tdd {
 
-/// How Manager::contract reads its operands, applied node by node as the
-/// walk goes instead of through a conjugated or renamed copy.  Flags combine
-/// with `|`.
+/// How Manager::contract reads its operands and labels its result, applied
+/// node by node as the walk goes instead of through a conjugated or renamed
+/// copy.  The first three flags combine with `|`; kStateOut stands alone.
 enum class OperandView : std::uint8_t {
   kPlain = 0,
   kConjLeft = 1,   ///< conjugate the left operand's weights
   kConjRight = 2,  ///< conjugate the right operand's weights
   kBraRight = 4,   ///< read the right operand's state_level(q) as bra_level(q)
+  kStateOut = 8,   ///< build each result node at state_level(q) of its level's qubit
 };
 
 constexpr OperandView operator|(OperandView a, OperandView b) {
@@ -64,7 +65,9 @@ constexpr bool has(OperandView view, OperandView flag) {
 /// one walk over the stored diagrams: the view conjugates weights and moves a
 /// ket's state levels to bra levels as the walk reads them, and no conjugated
 /// or renamed copy is interned.  The bra view needs a right operand over
-/// state levels only, as a ket is.
+/// state levels only, as a ket is.  The state-out view relabels the result
+/// instead: the last step of a circuit push (tn::push) builds the image
+/// straight on the state levels, with no rename pass after it.
 ///
 /// A thread with no installed slot uses the manager's built-in main slot, so
 /// purely sequential code keeps the old single-threaded API unchanged — but
@@ -255,8 +258,12 @@ class Manager {
   /// b's state_level(q) read as bra_level(q).  Equal, up to the unique
   /// table's tolerance, to contracting conjugate() / rename() copies, but
   /// builds neither.  Precondition of kBraRight: b carries state levels only
-  /// (a ket); checked on b's top level.  Cache entries of different views
-  /// never alias.
+  /// (a ket); checked on b's top level.  Under kStateOut the result equals
+  /// rename(contract(a, b, gamma), map) for the map that sends each surviving
+  /// level to state_level(level_qubit(level)).  Its precondition, which is
+  /// not checked: at most one surviving level per qubit, as a push's last
+  /// step keeps one output per wire.  Cache entries of different views never
+  /// alias.
   Edge contract(const Edge& a, const Edge& b, std::span<const Level> gamma, OperandView view);
 
   /// Fix variable `var` to `value` (0 or 1) and drop it from the tensor.
@@ -276,7 +283,9 @@ class Manager {
   /// Rename variables through a strictly monotone level map.  `map` holds
   /// (old, new) pairs sorted ascending by old level with ascending new
   /// levels; variables not mentioned keep their level (and must not be
-  /// reordered across mapped ones — callers use disjoint ranges).
+  /// reordered across mapped ones — callers use disjoint ranges).  The
+  /// library relabels through contract()'s views instead; the tests use
+  /// rename as their independent oracle for those views.
   Edge rename(const Edge& a, std::span<const std::pair<Level, Level>> map);
 
   // -- storage management (quiescent points only) ---------------------------

@@ -192,15 +192,4 @@ CircuitNetwork build_network(tdd::Manager& mgr, const circ::Circuit& circuit,
   return net;
 }
 
-std::vector<std::pair<tdd::Level, tdd::Level>> output_to_state_map(const CircuitNetwork& net) {
-  std::vector<std::pair<Level, Level>> map;
-  for (std::uint32_t q = 0; q < net.num_qubits; ++q) {
-    if (net.outputs[q] != tdd::state_level(q)) {
-      map.emplace_back(net.outputs[q], tdd::state_level(q));
-    }
-  }
-  // Outputs are qubit-major, so the map is sorted and order-preserving.
-  return map;
-}
-
 }  // namespace qts::tn

@@ -52,9 +52,4 @@ Tensor gate_tensor(tdd::Manager& mgr, const circ::Gate& gate,
 CircuitNetwork build_network(tdd::Manager& mgr, const circ::Circuit& circuit,
                              const NetworkOptions& opts = {});
 
-/// Order-preserving rename map from the network's output levels to the
-/// canonical state levels (wire position 0), used after an image step so
-/// successive states share one index set.
-std::vector<std::pair<tdd::Level, tdd::Level>> output_to_state_map(const CircuitNetwork& net);
-
 }  // namespace qts::tn

@@ -15,7 +15,8 @@ Edge sum_out(tdd::Manager& mgr, const Edge& e, Level level) {
 }
 
 Edge contract_planned(tdd::Manager& mgr, const Edge& front, std::span<const Tensor> rest,
-                      const ContractionPlan& plan, ExecutionContext* ctx) {
+                      const ContractionPlan& plan, ExecutionContext* ctx,
+                      tdd::OperandView last_view) {
   const std::size_t n = rest.size() + 1;
   if (plan.num_tensors != n || plan.steps.size() + 1 != n) {
     throw InvalidArgument("contract_network: plan was built for " +
@@ -35,7 +36,9 @@ Edge contract_planned(tdd::Manager& mgr, const Edge& front, std::span<const Tens
   };
   for (const PlanStep& step : plan.steps) {
     if (ctx != nullptr) ctx->check_deadline();
-    const Edge result = mgr.contract(slot(step.lhs), slot(step.rhs), step.sum);
+    const bool last = merged.size() + 1 == plan.steps.size();
+    const Edge result = mgr.contract(slot(step.lhs), slot(step.rhs), step.sum,
+                                     last ? last_view : tdd::OperandView::kPlain);
     tdd::record_peak(ctx, result);
     merged.push_back(result);
   }
@@ -51,7 +54,6 @@ Edge contract_planned(tdd::Manager& mgr, const Edge& front, std::span<const Tens
 
 Push plan_push(const CircuitNetwork& net, std::span<const Tensor> ops, ExecutionContext* ctx) {
   Push out;
-  out.rename = output_to_state_map(net);
   out.factor = net.factor;
   if (!ops.empty()) {
     std::vector<Level> keep = net.outputs;
@@ -62,14 +64,17 @@ Push plan_push(const CircuitNetwork& net, std::span<const Tensor> ops, Execution
     index_sets.push_back(net.inputs);
     for (const auto& t : ops) index_sets.push_back(t.indices);
     out.plan = plan_order_indices(index_sets, keep, OrderPolicy::kCaller, ctx);
+    // push() relabels in the last step, so nothing may be summed after it.
+    require(out.plan.tail.empty(), "plan_push: a push plan must end on a contraction step");
   }
   return out;
 }
 
 Edge push(tdd::Manager& mgr, const Edge& ket, std::span<const Tensor> ops, const Push& p,
           ExecutionContext* ctx) {
-  const Edge result =
-      ops.empty() ? ket : mgr.rename(contract_planned(mgr, ket, ops, p.plan, ctx), p.rename);
+  const Edge result = ops.empty() ? ket
+                                  : contract_planned(mgr, ket, ops, p.plan, ctx,
+                                                     tdd::OperandView::kStateOut);
   return mgr.scale(result, p.factor);
 }
 

@@ -43,31 +43,35 @@ Tensor contract_network(tdd::Manager& mgr, const std::vector<Tensor>& tensors,
 /// precomputed sum-out set; only merge results (and tail sums) are recorded
 /// on `ctx`, never the inputs.  This is the image hot path: engines plan a
 /// push once per prepared circuit and replay it for every Kraus application.
+/// The last step runs under `last_view` (tdd::OperandView), every other step
+/// plain; a relabelling view needs a plan that ends on a step (no tail).
 tdd::Edge contract_planned(tdd::Manager& mgr, const tdd::Edge& front,
                            std::span<const Tensor> rest, const ContractionPlan& plan,
-                           ExecutionContext* ctx);
+                           ExecutionContext* ctx,
+                           tdd::OperandView last_view = tdd::OperandView::kPlain);
 
 /// Everything about pushing a ket through a circuit's operator tensors that
 /// depends only on their index sets, not on the ket: the compiled ket-first
-/// fold of [ket] + ops onto the circuit's outputs, the output→state rename
-/// and the circuit's scalar factor.  Planned once per prepared circuit and
-/// replayed for every ket, so no planning or index bookkeeping sits on the
-/// image path.
+/// fold of [ket] + ops onto the circuit's outputs and the circuit's scalar
+/// factor.  Planned once per prepared circuit and replayed for every ket, so
+/// no planning or index bookkeeping sits on the image path.
 struct Push {
-  ContractionPlan plan;                                    ///< ket-first fold of [ket] + ops
-  std::vector<std::pair<tdd::Level, tdd::Level>> rename;   ///< output→state map
-  cplx factor{1.0, 0.0};                                   ///< the circuit's global factor
+  ContractionPlan plan;    ///< ket-first fold of [ket] + ops
+  cplx factor{1.0, 0.0};   ///< the circuit's global factor
 };
 
 /// Plan the push of a ket on `net.inputs` through `ops`, which may stand in
 /// for any list with the same length and index sets (a push of addition's
 /// slices plans once for all of them).  `ops` empty plans nothing: the push
-/// is the factor alone.  The plan is recorded on `ctx` (may be null).
+/// is the factor alone.  A plan of two or more tensors ends on a step and
+/// has no tail, which push() needs and this checks.  The plan is recorded
+/// on `ctx` (may be null).
 Push plan_push(const CircuitNetwork& net, std::span<const Tensor> ops, ExecutionContext* ctx);
 
 /// C|ket⟩ for the circuit C that `ops` and `p` describe: the ket folded
-/// through `ops` per `p.plan`, renamed back onto the state levels and scaled
-/// by the circuit factor.
+/// through `ops` per `p.plan` and scaled by the circuit factor.  The last
+/// step runs under tdd::OperandView::kStateOut, so it builds the result on
+/// the state levels, one output per qubit, and no rename pass follows.
 tdd::Edge push(tdd::Manager& mgr, const tdd::Edge& ket, std::span<const Tensor> ops,
                const Push& p, ExecutionContext* ctx);
 

@@ -48,7 +48,7 @@ TEST(GoldenIdentity, Ghz3BitFlipReachUnderContraction) {
   const std::unique_ptr<ImageComputer> engine = make_engine(mgr, "contraction:4,4", &ctx);
   const ReachabilityResult r = reachable_space(*engine, sys);
   const std::string text = tdd::save_string(r.space.projector());
-  expect_counters(ctx.stats(), Pins{17, 111, 277, 353, 145, 209});
+  expect_counters(ctx.stats(), Pins{14, 108, 275, 355, 119, 176});
   EXPECT_EQ(text,
             "qtdd v1\n"
             "nodes 9\n"
@@ -90,7 +90,7 @@ TEST(GoldenIdentity, BitflipCodeReachUnderAddition) {
   const ReachabilityResult r = reachable_space(*engine, sys);
   const std::string text = tdd::save_string(r.space.projector());
   EXPECT_EQ(r.space.dim(), 4u);
-  expect_counters(ctx.stats(), Pins{18, 33, 343, 628, 328, 401});
+  expect_counters(ctx.stats(), Pins{18, 33, 341, 630, 325, 382});
   // The addition engine sums one push per slice, the one image path with an
   // accumulation loop.  Reduced TDDs are canonical, so the projector is the
   // same text contraction:4,4 reaches on this job in a fresh manager.

@@ -89,6 +89,21 @@ else
   failures=$((failures + 1))
 fi
 
+# The same job the other way round: the TDD pushes, which build each image
+# on the state levels in their last contraction step, checked every
+# iteration against the sparse seam in its own manager.
+for spec in parallel:4 addition:2 basic; do
+  out=$("$QTSMC" reach --engine "$spec" --cross-check sparse \
+        --noise depol:0.05:0 --noise depol:0.05:1 "$TESTS/ghz9.qasm" 2>&1)
+  rc=$?
+  if [ "$rc" -eq 0 ] && grep -q '^reach:   dimension 512 of 512 ' <<<"$out"; then
+    echo "ok: noisy GHZ9 reaches dimension 512 of 512 under $spec, cross-checked by sparse"
+  else
+    echo "FAIL: noisy GHZ9 under $spec, cross-checked by sparse: exit $rc, want 0 with dimension 512 of 512" >&2
+    failures=$((failures + 1))
+  fi
+done
+
 # 2 — an engine is configured by its --engine spec alone: the removed
 # order knob, engine aliases and manual GC ceiling are unknown options, and
 # the spec's own strictness still holds.

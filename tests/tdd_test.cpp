@@ -476,6 +476,33 @@ TEST(Contract, ViewIsPartOfTheMemoKey) {
   }
 }
 
+TEST(Contract, StateOutViewIsPartOfTheMemoKey) {
+  // A random two-qubit ket through a random operator from the state levels
+  // to the next wire position: the plain walk builds the image there, the
+  // state-out walk on the state levels.  Both walk the same node pairs with
+  // the same gamma, so only the view tells their memo entries apart.
+  const std::vector<Level> kets = state_levels(2);
+  const std::vector<Level> ops{state_level(0), wire_level(0, 1), state_level(1), wire_level(1, 1)};
+  const std::vector<Level> outs{wire_level(0, 1), wire_level(1, 1)};
+  const std::vector<std::pair<Level, Level>> to_state{{outs[0], kets[0]}, {outs[1], kets[1]}};
+  for (const bool state_out_first : {false, true}) {
+    SCOPED_TRACE("state_out_first = " + std::to_string(state_out_first));
+    Manager mgr;
+    Prng rng(31);
+    const Edge ket = from_dense(mgr, test::random_dense(rng, 2, 0.0), kets);
+    const Edge op = from_dense(mgr, test::random_dense(rng, 4, 0.0), ops);
+    Edge plain;
+    Edge out;
+    if (state_out_first) out = mgr.contract(ket, op, kets, OperandView::kStateOut);
+    plain = mgr.contract(ket, op, kets);
+    if (!state_out_first) out = mgr.contract(ket, op, kets, OperandView::kStateOut);
+    EXPECT_EQ(plain.top_level(), outs[0]);
+    EXPECT_EQ(out.top_level(), kets[0]);
+    EXPECT_TRUE(same_tensor(out, mgr.rename(plain, to_state)));
+    test::expect_dense_eq(to_dense(out, kets), to_dense(plain, outs));
+  }
+}
+
 TEST(Contract, BraViewRejectsARightOperandOffStateLevels) {
   Manager mgr;
   const Edge col = mgr.literal(bra_level(0), kOne, cplx{2.0, 0.0});

@@ -5,6 +5,8 @@
 #include "common/error.hpp"
 #include "circuit/generators.hpp"
 #include "common/prng.hpp"
+#include "qts/engine.hpp"
+#include "qts/simulate.hpp"
 #include "qts/states.hpp"
 #include "sim/circuit_matrix.hpp"
 #include "test_helpers.hpp"
@@ -312,6 +314,115 @@ TEST(Tensor, IndexSetHelpers) {
   const Tensor t{{}, a};
   EXPECT_TRUE(t.has_index(3));
   EXPECT_FALSE(t.has_index(2));
+}
+
+/// A random circuit on n qubits in which one qubit has no gate and one
+/// other qubit only diagonal gates (phases, projectors, controlled phases)
+/// or control wires, so both keep their input level as their output.  With
+/// n = 1 the one qubit is idle when `variant` is even, diagonal when odd.
+circ::Circuit state_out_circuit(std::uint32_t n, int variant, Prng& rng) {
+  circ::Circuit c(n);
+  if (variant % 3 == 2) c.set_global_factor(cplx{0.6, -0.8});
+  const auto pick = [&] { return static_cast<std::uint32_t>(rng.uniform_int(0, n - 1)); };
+  const std::uint32_t idle = n == 1 && variant % 2 == 1 ? n : pick();
+  std::uint32_t diag = n == 1 ? 0 : pick();
+  while (n > 1 && diag == idle) diag = pick();
+  std::vector<std::uint32_t> active;
+  for (std::uint32_t q = 0; q < n; ++q) {
+    if (q != idle) active.push_back(q);
+  }
+  if (active.empty()) return c;
+  const auto pick_active = [&] {
+    const auto last = static_cast<std::int64_t>(active.size()) - 1;
+    return active[static_cast<std::size_t>(rng.uniform_int(0, last))];
+  };
+  for (std::uint32_t g = 0; g < 3 * n + 2; ++g) {
+    const std::uint32_t t = pick_active();
+    const std::uint32_t ctrl = pick_active();
+    const bool controlled = ctrl != t;
+    const double th = rng.uniform(0.0, 6.0);
+    if (t == diag) {
+      switch (rng.uniform_int(0, 4)) {
+        case 0: c.t(t); break;
+        case 1: c.rz(t, th); break;
+        case 2: c.proj(t, static_cast<int>(rng.uniform_int(0, 1))); break;
+        default: controlled ? c.cp(ctrl, t, th) : c.s(t); break;
+      }
+    } else {
+      switch (rng.uniform_int(0, 4)) {
+        case 0: c.h(t); break;
+        case 1: c.ry(t, th); break;
+        case 2: c.x(t); break;
+        default: controlled ? c.cx(ctrl, t) : c.rx(t, th); break;
+      }
+    }
+  }
+  return c;
+}
+
+/// Each engine's cut of `net` into terms (image.cpp's prepare functions).
+std::vector<std::vector<Tensor>> prepared_terms(tdd::Manager& mgr, const CircuitNetwork& net,
+                                                const std::string& spec) {
+  if (net.tensors.empty()) return {{}};
+  std::vector<std::vector<Tensor>> terms;
+  const auto keep = net.external_indices();
+  if (spec == "basic") {
+    terms.push_back({contract_network(mgr, net.tensors, keep)});
+  } else if (spec == "addition:1") {
+    const auto part = addition_partition(mgr, net, 1);
+    const auto plan = plan_order(part.slices.front().tensors, keep, OrderPolicy::kGreedy);
+    for (const auto& slice : part.slices) {
+      terms.push_back({contract_network(mgr, slice.tensors, keep, nullptr, plan)});
+    }
+  } else {
+    auto& blocks = terms.emplace_back();
+    for (const auto& b : contraction_partition(mgr, net, 2, 2)) {
+      const bool unit = b.tensor.indices.empty() && b.tensor.edge.is_terminal() &&
+                        b.tensor.edge.weight == cplx{1.0, 0.0};
+      if (!unit) blocks.push_back(b.tensor);
+    }
+  }
+  return terms;
+}
+
+TEST(Contract, StateOutViewMatchesRename) {
+  Prng rng(30);
+  for (std::uint32_t n = 1; n <= 6; ++n) {
+    for (int variant = 0; variant < 4; ++variant) {
+      SCOPED_TRACE("n = " + std::to_string(n) + ", variant = " + std::to_string(variant));
+      tdd::Manager mgr;
+      const circ::Circuit c = state_out_circuit(n, variant, rng);
+      const CircuitNetwork net = build_network(mgr, c);
+      std::vector<std::pair<Level, Level>> to_state;
+      for (std::uint32_t q = 0; q < n; ++q) {
+        const Level state = tdd::state_level(q);
+        if (net.outputs[q] != state) to_state.emplace_back(net.outputs[q], state);
+      }
+      const tdd::Edge ket = ket_from_dense(mgr, n, test::random_dense(rng, n));
+      // The rename oracle: the plain fold, then a separate rename pass.
+      const auto renamed = [&](std::span<const Tensor> ops, const Push& p) {
+        if (ops.empty()) return mgr.scale(ket, p.factor);
+        const tdd::Edge plain =
+            contract_planned(mgr, ket, ops, p.plan, nullptr, tdd::OperandView::kPlain);
+        return mgr.scale(mgr.rename(plain, to_state), p.factor);
+      };
+      for (const std::string spec : {"basic", "addition:1", "contraction:2,2"}) {
+        SCOPED_TRACE(spec);
+        const auto terms = prepared_terms(mgr, net, spec);
+        const Push p = plan_push(net, terms.front(), nullptr);
+        tdd::Edge sum = mgr.zero();
+        for (const auto& term : terms) {
+          const tdd::Edge expected = renamed(term, p);
+          EXPECT_TRUE(tdd::same_tensor(push(mgr, ket, term, p, nullptr), expected));
+          sum = mgr.add(sum, expected);
+        }
+        const auto engine = make_engine(mgr, spec);
+        EXPECT_TRUE(tdd::same_tensor(engine->apply_kraus(c, ket, n), sum));
+      }
+      EXPECT_TRUE(tdd::same_tensor(apply_circuit_tdd(mgr, c, ket),
+                                   renamed(net.tensors, plan_push(net, net.tensors, nullptr))));
+    }
+  }
 }
 
 }  // namespace
