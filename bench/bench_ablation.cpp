@@ -1,5 +1,6 @@
 /// \file bench_ablation.cpp
-/// Ablation studies for the two encoding choices DESIGN.md calls out:
+/// Ablation studies for two encoding choices of the circuit-to-tensor
+/// translation:
 ///
 ///  A. the §V-A hyperedge rule (reuse input indices for diagonal gates and
 ///     control wires) versus the naive fresh-output-index encoding, measured

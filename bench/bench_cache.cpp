@@ -18,18 +18,14 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
-#include <functional>
 #include <iostream>
 #include <sstream>
 #include <string>
 #include <vector>
 
-#include "bench_json.hpp"
+#include "bench_cell.hpp"
 #include "circuit/qasm.hpp"
 #include "common/strings.hpp"
-#include "common/timer.hpp"
-#include "qts/engine.hpp"
-#include "qts/reachability.hpp"
 #include "qts/result_cache.hpp"
 #include "qts/states.hpp"
 #include "qts/workloads.hpp"
@@ -40,39 +36,17 @@ using namespace qts;
 
 struct Workload {
   std::string name;
-  std::function<TransitionSystem(tdd::Manager&)> make;
+  bench::SystemBuilder make;
   std::size_t steps = 0;  ///< per-workload iteration cap (0 = the global --steps)
 };
 
-struct Measurement {
-  double ms = 0.0;
-  std::size_t dim = 0;
-  std::size_t peak_nodes = 0;
-  std::size_t table_nodes = 0;
-  bool hit = false;
-};
-
-/// One reach job in a fresh manager against `cache` ("" = no caching at
-/// all, used nowhere here but handy when bisecting).  Returns the wall time
-/// of reachable_space only — system construction is identical cold and warm
-/// and deliberately excluded, the way a long-running qtsmc batch would
-/// amortise it.
-Measurement run_once(const Workload& w, std::size_t steps, const std::string& dir) {
-  ExecutionContext ctx;
-  tdd::Manager mgr;
-  mgr.bind_context(&ctx);
-  const TransitionSystem sys = w.make(mgr);
+/// One reach job in a fresh manager against a fresh ResultCache over `dir`.
+/// Only reachable_space is timed: system construction is identical cold
+/// and warm and deliberately excluded, the way a long-running qtsmc batch
+/// would amortise it.
+bench::Cell run_once(const Workload& w, std::size_t steps, const std::string& dir) {
   ResultCache cache(dir);
-  const auto computer = make_engine(mgr, "contraction:4,4", &ctx);
-  Measurement m;
-  WallTimer timer;
-  const auto r = reachable_space(*computer, sys, steps, nullptr, nullptr, &cache);
-  m.ms = timer.seconds() * 1e3;
-  m.dim = r.space.dim();
-  m.hit = ctx.stats().cache_hits > 0;
-  m.peak_nodes = ctx.stats().peak_nodes;
-  m.table_nodes = mgr.storage_stats().table_nodes;
-  return m;
+  return bench::run_cell("contraction:4,4", w.make, bench::reach_job(steps, &cache), 0.0);
 }
 
 }  // namespace
@@ -140,19 +114,21 @@ int main(int argc, char** argv) {
   int rc = 0;
   for (const auto& w : workloads) {
     const std::size_t cap = w.steps != 0 ? w.steps : steps;
-    const Measurement cold = run_once(w, cap, dir);
-    const Measurement warm = run_once(w, cap, dir);
-    const double speedup = warm.ms > 0 ? cold.ms / warm.ms : 0.0;
-    std::cout << pad_right(w.name, 14) << pad_left(format_fixed(cold.ms, 2), 12)
-              << pad_left(format_fixed(warm.ms, 2), 12) << pad_left(std::to_string(cold.dim), 6)
+    const bench::Cell cold = run_once(w, cap, dir);
+    const bench::Cell warm = run_once(w, cap, dir);
+    const bool hit = warm.cache_hits > 0;
+    const double speedup = *warm.ms > 0 ? *cold.ms / *warm.ms : 0.0;
+    std::cout << pad_right(w.name, 14) << pad_left(format_fixed(*cold.ms, 2), 12)
+              << pad_left(format_fixed(*warm.ms, 2), 12)
+              << pad_left(std::to_string(cold.result.dim), 6)
               << pad_left(format_fixed(speedup, 1) + "x", 10)
-              << pad_left(warm.hit ? "yes" : "NO", 10) << "\n"
+              << pad_left(hit ? "yes" : "NO", 10) << "\n"
               << std::flush;
-    json.add({w.name + "/cold", cold.ms, cold.peak_nodes, 1, false, 0, cold.table_nodes});
-    json.add({w.name + "/warm", warm.ms, warm.peak_nodes, 1, false, 0, warm.table_nodes});
-    if (!warm.hit || warm.dim != cold.dim) {
+    json.add(cold.record(w.name + "/cold", 1, 0.0));
+    json.add(warm.record(w.name + "/warm", 1, 0.0));
+    if (!hit || warm.result.dim != cold.result.dim) {
       std::cerr << "error: " << w.name << " warm run "
-                << (!warm.hit ? "missed the cache" : "changed the verdict") << "\n";
+                << (!hit ? "missed the cache" : "changed the verdict") << "\n";
       rc = 1;
     }
   }

@@ -12,8 +12,10 @@
 ///      ...]}
 ///
 /// "degradations" counts fallback-chain backend switches during the run (0
-/// for plain engines) and "table_nodes" is the unique table's peak sampled
-/// entry count — together they tell a regression hunt whether a slow cell
+/// for plain engines) and "table_nodes" is the unique table's entry count at
+/// the end of the run, one Manager::storage_stats() sample taken the same
+/// way for every engine (bench_cell.hpp; 0 in harnesses that do not run
+/// through it) — together they tell a regression hunt whether a slow cell
 /// actually ran the engine its name claims, or fell down a chain.
 ///
 /// A row that repeats its run (`repeats` > 1) reports the median wall time
@@ -46,7 +48,7 @@ struct Record {
   std::size_t threads = 1;
   bool timeout = false;
   std::size_t degradations = 0;  ///< fallback-chain backend switches
-  std::size_t table_nodes = 0;   ///< peak sampled unique-table entries
+  std::size_t table_nodes = 0;   ///< unique-table entries at the end of the run
   std::size_t repeats = 1;       ///< runs behind wall_ms (their median if > 1)
   double spread_ms = 0.0;        ///< max − min wall time of the repeats
 };

@@ -19,11 +19,9 @@
 #include <string>
 #include <vector>
 
-#include "bench_json.hpp"
+#include "bench_cell.hpp"
 #include "circuit/noise.hpp"
 #include "common/strings.hpp"
-#include "common/timer.hpp"
-#include "qts/engine.hpp"
 #include "qts/workloads.hpp"
 
 namespace {
@@ -39,31 +37,6 @@ TransitionSystem make_noisy_grover(tdd::Manager& mgr, std::uint32_t n, double p,
   }
   sys.operations.at(0).kraus = std::move(kraus);
   return sys;
-}
-
-struct Measurement {
-  std::optional<double> ms;
-  std::size_t peak_nodes = 0;
-};
-
-Measurement run_once(const std::string& engine_spec, std::uint32_t n, double p,
-                     std::uint32_t noisy_qubits, double timeout_s) {
-  ExecutionContext ctx;
-  if (timeout_s > 0) ctx.set_deadline(Deadline::after(timeout_s));
-  tdd::Manager mgr;
-  mgr.bind_context(&ctx);
-  const TransitionSystem sys = make_noisy_grover(mgr, n, p, noisy_qubits);
-  const auto computer = make_engine(mgr, engine_spec, &ctx);
-  Measurement m;
-  WallTimer timer;
-  try {
-    (void)computer->image(sys, sys.initial);
-    m.ms = timer.seconds() * 1e3;
-  } catch (const DeadlineExceeded&) {
-    m.ms = std::nullopt;
-  }
-  m.peak_nodes = ctx.stats().peak_nodes;
-  return m;
 }
 
 }  // namespace
@@ -87,23 +60,7 @@ int main(int argc, char** argv) {
     } else if (std::strcmp(argv[i], "--inner") == 0 && i + 1 < argc) {
       inner = argv[++i];
     } else if (std::strcmp(argv[i], "--threads") == 0 && i + 1 < argc) {
-      threads.clear();
-      for (const auto& piece : split(argv[++i], ",")) {
-        bool ok = !piece.empty() && piece.find_first_not_of("0123456789") == std::string::npos;
-        if (ok) {
-          try {
-            threads.push_back(static_cast<std::size_t>(std::stoul(piece)));
-          } catch (const std::out_of_range&) {
-            ok = false;
-          }
-        }
-        if (!ok) {
-          std::cerr << "bench_parallel: --threads expects a comma-separated list of "
-                       "numbers, got '"
-                    << piece << "'\n";
-          return 1;
-        }
-      }
+      if (!bench::parse_counts("bench_parallel", argv[++i], threads)) return 1;
     } else {
       std::cerr << "usage: bench_parallel [--n QUBITS] [--noisy-qubits Q] [--p PROB] "
                    "[--threads LIST] [--inner SPEC] [--timeout S]\n";
@@ -121,20 +78,25 @@ int main(int argc, char** argv) {
             << pad_left("speedup", 10) << "\n";
 
   bench::JsonWriter json("parallel");
-  const auto report = [&](const std::string& spec, std::size_t nthreads, const Measurement& m,
+  const bench::SystemBuilder build = [&](tdd::Manager& mgr) {
+    return make_noisy_grover(mgr, n, p, noisy_qubits);
+  };
+  const auto run = [&](const std::string& spec) {
+    return bench::run_cell(spec, build, bench::image_job(), timeout_s);
+  };
+  const auto report = [&](const std::string& spec, std::size_t nthreads, const bench::Cell& m,
                           std::optional<double> base_ms) {
     std::string speedup = "-";
     if (m.ms && base_ms) speedup = format_fixed(*base_ms / *m.ms, 2) + "x";
     std::cout << pad_right(spec, 28) << pad_left(m.ms ? format_fixed(*m.ms, 1) : "-", 12)
               << pad_left(std::to_string(m.peak_nodes), 10) << pad_left(speedup, 10) << "\n"
               << std::flush;
-    json.add({workload + "/" + spec, m.ms.value_or(timeout_s * 1e3), m.peak_nodes, nthreads,
-              !m.ms.has_value()});
+    json.add(m.record(workload + "/" + spec, nthreads, timeout_s));
   };
 
   // Sequential reference: the inner engine run directly in the parent
   // manager, no worker pool.
-  const Measurement seq = run_once(inner, n, p, noisy_qubits, timeout_s);
+  const bench::Cell seq = run(inner);
   report(inner, 1, seq, seq.ms);
 
   // Speedups are reported against parallel:1 when the sweep includes it,
@@ -142,7 +104,7 @@ int main(int argc, char** argv) {
   std::optional<double> base_ms = seq.ms;
   for (std::size_t t : threads) {
     const std::string spec = "parallel:" + std::to_string(t) + "," + inner;
-    const Measurement m = run_once(spec, n, p, noisy_qubits, timeout_s);
+    const bench::Cell m = run(spec);
     if (t == 1 && m.ms) base_ms = m.ms;
     report(spec, t, m, base_ms);
   }

@@ -22,21 +22,16 @@
 /// cost is mostly the projector's growth.  It reports the median of
 /// kGhzRepeats runs and their spread (max − min).  Results land in
 /// BENCH_reachability.json.
-#include <algorithm>
 #include <cstring>
-#include <functional>
 #include <iostream>
 #include <optional>
 #include <string>
 #include <vector>
 
-#include "bench_json.hpp"
+#include "bench_cell.hpp"
 #include "circuit/generators.hpp"
 #include "circuit/noise.hpp"
 #include "common/strings.hpp"
-#include "common/timer.hpp"
-#include "qts/engine.hpp"
-#include "qts/reachability.hpp"
 #include "qts/states.hpp"
 #include "qts/workloads.hpp"
 
@@ -44,64 +39,8 @@ namespace {
 
 using namespace qts;
 
-using SystemBuilder = std::function<TransitionSystem(tdd::Manager&)>;
-
 /// Repeats of the GHZ11 row; its wall time is their median.
 constexpr std::size_t kGhzRepeats = 3;
-
-struct Measurement {
-  std::optional<double> ms;
-  std::size_t peak_nodes = 0;
-  std::size_t dim = 0;
-  std::size_t iterations = 0;
-  std::size_t degradations = 0;
-  std::size_t table_nodes = 0;
-  std::size_t repeats = 1;
-  double spread_ms = 0.0;
-};
-
-Measurement run_once(const std::string& engine_spec, const SystemBuilder& build,
-                     std::size_t steps, double timeout_s) {
-  ExecutionContext ctx;
-  if (timeout_s > 0) ctx.set_deadline(Deadline::after(timeout_s));
-  tdd::Manager mgr;
-  mgr.bind_context(&ctx);
-  const TransitionSystem sys = build(mgr);
-  const auto computer = make_engine(mgr, engine_spec, &ctx);
-  Measurement m;
-  WallTimer timer;
-  try {
-    const auto r = reachable_space(*computer, sys, steps);
-    m.ms = timer.seconds() * 1e3;
-    m.dim = r.space.dim();
-    m.iterations = r.iterations;
-  } catch (const DeadlineExceeded&) {
-    m.ms = std::nullopt;
-  }
-  m.peak_nodes = ctx.stats().peak_nodes;
-  m.degradations = ctx.stats().degradations;
-  // Workers sample the unique-table gauge as they join; sequential runs
-  // never do, so take the max with an end-of-run sample.
-  m.table_nodes = std::max(ctx.stats().table_nodes, mgr.storage_stats().table_nodes);
-  return m;
-}
-
-/// `repeats` runs in fresh managers: the median run's measurement, with the
-/// spread of the wall times.  Any timed-out run makes the row a timeout.
-Measurement run_median(const std::string& engine_spec, const SystemBuilder& build,
-                       std::size_t steps, double timeout_s, std::size_t repeats) {
-  std::vector<Measurement> runs;
-  for (std::size_t i = 0; i < repeats; ++i) {
-    runs.push_back(run_once(engine_spec, build, steps, timeout_s));
-    if (!runs.back().ms) return runs.back();
-  }
-  std::sort(runs.begin(), runs.end(),
-            [](const Measurement& a, const Measurement& b) { return *a.ms < *b.ms; });
-  Measurement m = runs[runs.size() / 2];
-  m.repeats = repeats;
-  m.spread_ms = *runs.back().ms - *runs.front().ms;
-  return m;
-}
 
 /// GHZ-n preparation followed by depolarising noise (p = 0.05) on qubits 0
 /// and 1, from |0…0⟩: qtsmc's `--noise depol:0.05:0 --noise depol:0.05:1`.
@@ -135,23 +74,7 @@ int main(int argc, char** argv) {
     } else if (std::strcmp(argv[i], "--inner") == 0 && i + 1 < argc) {
       inner = argv[++i];
     } else if (std::strcmp(argv[i], "--threads") == 0 && i + 1 < argc) {
-      threads.clear();
-      for (const auto& piece : split(argv[++i], ",")) {
-        bool ok = !piece.empty() && piece.find_first_not_of("0123456789") == std::string::npos;
-        if (ok) {
-          try {
-            threads.push_back(static_cast<std::size_t>(std::stoul(piece)));
-          } catch (const std::out_of_range&) {
-            ok = false;
-          }
-        }
-        if (!ok) {
-          std::cerr << "bench_reachability: --threads expects a comma-separated list of "
-                       "numbers, got '"
-                    << piece << "'\n";
-          return 1;
-        }
-      }
+      if (!bench::parse_counts("bench_reachability", argv[++i], threads)) return 1;
     } else {
       std::cerr << "usage: bench_reachability [--n QUBITS] [--p PROB] [--steps N] "
                    "[--threads LIST] [--inner SPEC] [--timeout S]\n";
@@ -160,7 +83,9 @@ int main(int argc, char** argv) {
   }
 
   const std::string workload = "qrw" + std::to_string(n);
-  const SystemBuilder qrw = [&](tdd::Manager& mgr) { return make_qrw_system(mgr, n, p, true, 0); };
+  const bench::SystemBuilder qrw = [&](tdd::Manager& mgr) {
+    return make_qrw_system(mgr, n, p, true, 0);
+  };
   std::cout << "Sharded reachability sweep — noisy quantum walk, " << n << " qubits, p = " << p
             << ", inner engine " << inner << "\n\n";
   std::cout << pad_right("engine", 28) << pad_left("wall[ms]", 12) << pad_left("dim", 6)
@@ -168,23 +93,24 @@ int main(int argc, char** argv) {
             << pad_left("spread", 10) << "\n";
 
   bench::JsonWriter json("reachability");
-  const auto report = [&](const std::string& name, std::size_t nthreads, const Measurement& m,
+  const bench::Job reach = bench::reach_job(steps);
+  const auto report = [&](const std::string& name, std::size_t nthreads, const bench::Cell& m,
                           std::optional<double> base_ms) {
     std::string speedup = "-";
     if (m.ms && base_ms) speedup = format_fixed(*base_ms / *m.ms, 2) + "x";
     const std::string spread = m.repeats > 1 ? format_fixed(m.spread_ms, 1) : "-";
     std::cout << pad_right(name, 28) << pad_left(m.ms ? format_fixed(*m.ms, 1) : "-", 12)
-              << pad_left(std::to_string(m.dim), 6) << pad_left(std::to_string(m.iterations), 7)
+              << pad_left(std::to_string(m.result.dim), 6)
+              << pad_left(std::to_string(m.result.iterations), 7)
               << pad_left(std::to_string(m.peak_nodes), 10) << pad_left(speedup, 10)
               << pad_left(spread, 10) << "\n"
               << std::flush;
-    json.add({name, m.ms.value_or(timeout_s * 1e3), m.peak_nodes, nthreads, !m.ms.has_value(),
-              m.degradations, m.table_nodes, m.repeats, m.spread_ms});
+    json.add(m.record(name, nthreads, timeout_s));
   };
 
   // Sequential reference: the inner engine run directly — the driver's
   // single-pass Gram-Schmidt path with no worker pool.
-  const Measurement seq = run_once(inner, qrw, steps, timeout_s);
+  const bench::Cell seq = bench::run_cell(inner, qrw, reach, timeout_s);
   report(workload + "/" + inner, 1, seq, seq.ms);
 
   // Speedups are reported against parallel:1 when the sweep includes it,
@@ -192,14 +118,16 @@ int main(int argc, char** argv) {
   std::optional<double> base_ms = seq.ms;
   for (std::size_t t : threads) {
     const std::string spec = "parallel:" + std::to_string(t) + "," + inner;
-    const Measurement m = run_once(spec, qrw, steps, timeout_s);
+    const bench::Cell m = bench::run_cell(spec, qrw, reach, timeout_s);
     if (t == 1 && m.ms) base_ms = m.ms;
     report(workload + "/" + spec, t, m, base_ms);
   }
 
   constexpr std::uint32_t kGhzQubits = 11;
-  const SystemBuilder ghz = [](tdd::Manager& mgr) { return noisy_ghz_system(mgr, kGhzQubits); };
+  const bench::SystemBuilder ghz = [](tdd::Manager& mgr) {
+    return noisy_ghz_system(mgr, kGhzQubits);
+  };
   report("ghz" + std::to_string(kGhzQubits) + "-depol/" + inner, 1,
-         run_median(inner, ghz, steps, timeout_s, kGhzRepeats), std::nullopt);
+         bench::run_cell(inner, ghz, reach, timeout_s, kGhzRepeats), std::nullopt);
   return 0;
 }

@@ -14,19 +14,13 @@
 /// Defaults: n = 8 (within the dense cap so all three engines can run),
 /// p = 0.1, TDD reference engine contraction:4,4, 6-step cap, 30 s budget
 /// per cell.  Results land in BENCH_sparse.json.
-#include <algorithm>
 #include <cmath>
 #include <cstring>
 #include <iostream>
-#include <optional>
 #include <string>
-#include <vector>
 
-#include "bench_json.hpp"
+#include "bench_cell.hpp"
 #include "common/strings.hpp"
-#include "common/timer.hpp"
-#include "qts/engine.hpp"
-#include "qts/reachability.hpp"
 #include "qts/states.hpp"
 #include "qts/workloads.hpp"
 
@@ -34,50 +28,19 @@ namespace {
 
 using namespace qts;
 
-struct Measurement {
-  std::optional<double> ms;
-  std::size_t peak_nodes = 0;
-  std::size_t dim = 0;
-  std::size_t iterations = 0;
-  std::size_t degradations = 0;
-  std::size_t table_nodes = 0;
-};
-
-Measurement run_once(const std::string& engine_spec, std::uint32_t n, double p,
-                     std::size_t density, std::size_t steps, double timeout_s) {
-  ExecutionContext ctx;
-  if (timeout_s > 0) ctx.set_deadline(Deadline::after(timeout_s));
-  tdd::Manager mgr;
-  mgr.bind_context(&ctx);
+/// The noisy quantum walk started from a uniform superposition over the
+/// first `density` cycle positions (coin |0⟩, so the position bits are the
+/// low bits of the basis index): one ket, `density` non-zero amplitudes.
+TransitionSystem spread_qrw_system(tdd::Manager& mgr, std::uint32_t n, double p,
+                                   std::size_t density) {
   TransitionSystem sys = make_qrw_system(mgr, n, p, true, 0);
-  // Replace the single-position initial ket with a uniform superposition
-  // over the first `density` cycle positions (coin |0⟩, so the position
-  // bits are the low bits of the basis index): one ket, `density` non-zero
-  // amplitudes.
   const cplx amp{1.0 / std::sqrt(static_cast<double>(density)), 0.0};
   tdd::Edge spread = mgr.zero();
   for (std::size_t pos = 0; pos < density; ++pos) {
     spread = mgr.add(spread, mgr.scale(ket_basis(mgr, n, pos), amp));
   }
   sys.initial = Subspace::from_states(mgr, n, {spread});
-
-  const auto computer = make_engine(mgr, engine_spec, &ctx);
-  Measurement m;
-  WallTimer timer;
-  try {
-    const auto r = reachable_space(*computer, sys, steps);
-    m.ms = timer.seconds() * 1e3;
-    m.dim = r.space.dim();
-    m.iterations = r.iterations;
-  } catch (const DeadlineExceeded&) {
-    m.ms = std::nullopt;
-  }
-  m.peak_nodes = ctx.stats().peak_nodes;
-  m.degradations = ctx.stats().degradations;
-  // Workers sample the unique-table gauge as they join; sequential runs
-  // never do, so take the max with an end-of-run sample.
-  m.table_nodes = std::max(ctx.stats().table_nodes, mgr.storage_stats().table_nodes);
-  return m;
+  return sys;
 }
 
 }  // namespace
@@ -130,24 +93,29 @@ int main(int argc, char** argv) {
   bench::JsonWriter json("sparse");
   for (std::size_t density = 1; density <= positions; density *= 4) {
     const std::string cell = "qrw" + std::to_string(n) + "/d" + std::to_string(density);
-    const Measurement tdd = run_once(tdd_spec, n, p, density, steps, timeout_s);
-    const auto report = [&](const std::string& spec, const Measurement& m) {
+    const bench::SystemBuilder build = [&](tdd::Manager& mgr) {
+      return spread_qrw_system(mgr, n, p, density);
+    };
+    const auto run = [&](const std::string& spec) {
+      return bench::run_cell(spec, build, bench::reach_job(steps), timeout_s);
+    };
+    const bench::Cell tdd = run(tdd_spec);
+    const auto report = [&](const std::string& spec, const bench::Cell& m) {
       std::string ratio = "-";
       if (spec != tdd_spec && tdd.ms && m.ms && *tdd.ms > 0.0) {
         ratio = format_fixed(*m.ms / *tdd.ms, 2) + "x";
       }
       std::cout << pad_right("d=" + std::to_string(density), 9) << pad_right(spec, 18)
                 << pad_left(m.ms ? format_fixed(*m.ms, 1) : "-", 12)
-                << pad_left(std::to_string(m.dim), 6)
-                << pad_left(std::to_string(m.iterations), 7)
+                << pad_left(std::to_string(m.result.dim), 6)
+                << pad_left(std::to_string(m.result.iterations), 7)
                 << pad_left(std::to_string(m.peak_nodes), 10) << pad_left(ratio, 9) << "\n"
                 << std::flush;
-      json.add({cell + "/" + spec, m.ms.value_or(timeout_s * 1e3), m.peak_nodes, 1,
-                !m.ms.has_value(), m.degradations, m.table_nodes});
+      json.add(m.record(cell + "/" + spec, 1, timeout_s));
     };
     report(tdd_spec, tdd);
-    report("statevector", run_once("statevector", n, p, density, steps, timeout_s));
-    report("sparse", run_once("sparse", n, p, density, steps, timeout_s));
+    report("statevector", run("statevector"));
+    report("sparse", run("sparse"));
   }
   return 0;
 }

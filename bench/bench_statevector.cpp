@@ -16,52 +16,15 @@
 /// BENCH_statevector.json.
 #include <cstring>
 #include <iostream>
-#include <optional>
 #include <string>
 
-#include "bench_json.hpp"
+#include "bench_cell.hpp"
 #include "common/strings.hpp"
-#include "common/timer.hpp"
-#include "qts/engine.hpp"
-#include "qts/reachability.hpp"
 #include "qts/workloads.hpp"
 
-namespace {
-
-using namespace qts;
-
-struct Measurement {
-  std::optional<double> ms;
-  std::size_t peak_nodes = 0;
-  std::size_t dim = 0;
-  std::size_t iterations = 0;
-};
-
-Measurement run_once(const std::string& engine_spec, std::uint32_t n, double p,
-                     std::size_t steps, double timeout_s) {
-  ExecutionContext ctx;
-  if (timeout_s > 0) ctx.set_deadline(Deadline::after(timeout_s));
-  tdd::Manager mgr;
-  mgr.bind_context(&ctx);
-  const TransitionSystem sys = make_qrw_system(mgr, n, p, true, 0);
-  const auto computer = make_engine(mgr, engine_spec, &ctx);
-  Measurement m;
-  WallTimer timer;
-  try {
-    const auto r = reachable_space(*computer, sys, steps);
-    m.ms = timer.seconds() * 1e3;
-    m.dim = r.space.dim();
-    m.iterations = r.iterations;
-  } catch (const DeadlineExceeded&) {
-    m.ms = std::nullopt;
-  }
-  m.peak_nodes = ctx.stats().peak_nodes;
-  return m;
-}
-
-}  // namespace
-
 int main(int argc, char** argv) {
+  using namespace qts;
+
   std::uint32_t nmin = 3;
   std::uint32_t nmax = 8;
   double p = 0.1;
@@ -96,20 +59,23 @@ int main(int argc, char** argv) {
             << pad_left("dense/tdd", 11) << "\n";
 
   bench::JsonWriter json("statevector");
+  const bench::Job reach = bench::reach_job(steps);
   for (std::uint32_t n = nmin; n <= nmax; ++n) {
     const std::string workload = "qrw" + std::to_string(n);
-    const Measurement tdd = run_once(tdd_spec, n, p, steps, timeout_s);
-    const Measurement dense = run_once("statevector", n, p, steps, timeout_s);
-    const auto report = [&](const std::string& spec, const Measurement& m,
+    const bench::SystemBuilder qrw = [&](tdd::Manager& mgr) {
+      return make_qrw_system(mgr, n, p, true, 0);
+    };
+    const bench::Cell tdd = bench::run_cell(tdd_spec, qrw, reach, timeout_s);
+    const bench::Cell dense = bench::run_cell("statevector", qrw, reach, timeout_s);
+    const auto report = [&](const std::string& spec, const bench::Cell& m,
                             const std::string& ratio) {
       std::cout << pad_right(workload, 10) << pad_right(spec, 18)
                 << pad_left(m.ms ? format_fixed(*m.ms, 1) : "-", 12)
-                << pad_left(std::to_string(m.dim), 6)
-                << pad_left(std::to_string(m.iterations), 7)
+                << pad_left(std::to_string(m.result.dim), 6)
+                << pad_left(std::to_string(m.result.iterations), 7)
                 << pad_left(std::to_string(m.peak_nodes), 10) << pad_left(ratio, 11) << "\n"
                 << std::flush;
-      json.add({workload + "/" + spec, m.ms.value_or(timeout_s * 1e3), m.peak_nodes, 1,
-                !m.ms.has_value()});
+      json.add(m.record(workload + "/" + spec, 1, timeout_s));
     };
     std::string ratio = "-";
     if (tdd.ms && dense.ms && *tdd.ms > 0.0) ratio = format_fixed(*dense.ms / *tdd.ms, 2) + "x";

@@ -13,25 +13,17 @@
 /// past 20 qubits are not attempted and print '-' too.
 #include <cstring>
 #include <iostream>
-#include <memory>
-#include <optional>
 #include <string>
 #include <vector>
 
-#include "bench_json.hpp"
+#include "bench_cell.hpp"
 #include "common/strings.hpp"
-#include "common/timer.hpp"
-#include "qts/engine.hpp"
 #include "qts/workloads.hpp"
 
 namespace {
 
 using namespace qts;
-
-struct Cell {
-  std::optional<double> seconds;
-  std::size_t peak_nodes = 0;
-};
+using bench::Cell;
 
 struct Row {
   std::string name;
@@ -52,29 +44,9 @@ TransitionSystem make_system(tdd::Manager& mgr, Family f, std::uint32_t n) {
   return make_ghz_system(mgr, n);
 }
 
-/// One (benchmark, engine) cell: fresh manager, fresh engine, one image.
-Cell run_cell(Family f, std::uint32_t n, const std::string& engine, double timeout_s) {
-  ExecutionContext ctx;
-  ctx.set_deadline(Deadline::after(timeout_s));
-  tdd::Manager mgr;
-  mgr.bind_context(&ctx);
-  const TransitionSystem sys = make_system(mgr, f, n);
-  const auto computer = make_engine(mgr, engine, &ctx);
-  Cell cell;
-  try {
-    WallTimer timer;
-    (void)computer->image(sys, sys.initial);
-    cell.seconds = timer.seconds();
-    cell.peak_nodes = ctx.stats().peak_nodes;
-  } catch (const DeadlineExceeded&) {
-    cell.seconds = std::nullopt;  // '-' in the table
-  }
-  return cell;
-}
-
 std::string fmt(const Cell& c) {
-  if (!c.seconds.has_value()) return pad_left("-", 10) + pad_left("-", 10);
-  return pad_left(format_fixed(*c.seconds, 2), 10) + pad_left(std::to_string(c.peak_nodes), 10);
+  if (!c.ms.has_value()) return pad_left("-", 10) + pad_left("-", 10);
+  return pad_left(format_fixed(*c.ms / 1e3, 2), 10) + pad_left(std::to_string(c.peak_nodes), 10);
 }
 
 struct FamilyPlan {
@@ -116,9 +88,10 @@ int main(int argc, char** argv) {
   bench::JsonWriter json("table1");
   const auto cell = [&](const std::string& row, Family f, std::uint32_t n,
                         const std::string& engine) {
-    const Cell c = run_cell(f, n, engine, timeout_s);
-    json.add({row + "/" + engine, c.seconds.value_or(timeout_s) * 1e3, c.peak_nodes, 1,
-              !c.seconds.has_value()});
+    const Cell c = bench::run_cell(
+        engine, [&](tdd::Manager& mgr) { return make_system(mgr, f, n); }, bench::image_job(),
+        timeout_s);
+    json.add(c.record(row + "/" + engine, 1, timeout_s));
     return c;
   };
 

@@ -11,12 +11,9 @@
 /// 3600 s; --primitive uses the compact hyperedge-MCX Grover instead.
 #include <cstring>
 #include <iostream>
-#include <optional>
 
-#include "bench_json.hpp"
+#include "bench_cell.hpp"
 #include "common/strings.hpp"
-#include "common/timer.hpp"
-#include "qts/engine.hpp"
 #include "qts/workloads.hpp"
 
 int main(int argc, char** argv) {
@@ -47,6 +44,9 @@ int main(int argc, char** argv) {
   bench::JsonWriter json("table2");
   const std::string workload =
       "grover" + std::to_string(n) + (primitive ? "" : "d");
+  const bench::SystemBuilder build = [&](tdd::Manager& mgr) {
+    return primitive ? make_grover_system(mgr, n) : make_grover_decomposed_system(mgr, n);
+  };
 
   std::cout << "Table II — contraction partition on Grover" << n
             << (primitive ? " (hyperedge-primitive MCX)" : " (Toffoli-decomposed MCX)")
@@ -61,25 +61,10 @@ int main(int argc, char** argv) {
   for (std::uint32_t k1 = 1; k1 <= kmax; ++k1) {
     std::cout << pad_right(std::to_string(k1), 7);
     for (std::uint32_t k2 = 1; k2 <= kmax; ++k2) {
-      ExecutionContext ctx;
-      ctx.set_deadline(Deadline::after(timeout_s));
-      tdd::Manager mgr;
-      mgr.bind_context(&ctx);
-      const TransitionSystem sys =
-          primitive ? make_grover_system(mgr, n) : make_grover_decomposed_system(mgr, n);
       const std::string spec = "contraction:" + std::to_string(k1) + "," + std::to_string(k2);
-      const auto computer = make_engine(mgr, spec, &ctx);
-      std::optional<double> secs;
-      try {
-        WallTimer timer;
-        (void)computer->image(sys, sys.initial);
-        secs = timer.seconds();
-      } catch (const DeadlineExceeded&) {
-        secs = std::nullopt;
-      }
-      json.add({workload + "/" + spec,
-                secs.value_or(timeout_s) * 1e3, ctx.stats().peak_nodes, 1, !secs.has_value()});
-      std::cout << pad_left(secs ? format_fixed(*secs, 3) : "-", 8) << std::flush;
+      const bench::Cell c = bench::run_cell(spec, build, bench::image_job(), timeout_s);
+      json.add(c.record(workload + "/" + spec, 1, timeout_s));
+      std::cout << pad_left(c.ms ? format_fixed(*c.ms / 1e3, 3) : "-", 8) << std::flush;
     }
     std::cout << "\n";
   }

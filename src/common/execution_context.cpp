@@ -47,14 +47,6 @@ void ExecutionContext::join_worker(const ExecutionContext& worker) {
   for (std::size_t i = 0; i < w.degradation_causes.size(); ++i) {
     stats_.degradation_causes[i] += w.degradation_causes[i];
   }
-  // Storage gauges describe the one shared manager, so max-merge them.
-  if (w.table_nodes > stats_.table_nodes) stats_.table_nodes = w.table_nodes;
-  if (w.table_load_factor > stats_.table_load_factor) {
-    stats_.table_load_factor = w.table_load_factor;
-  }
-  if (w.table_shards > stats_.table_shards) stats_.table_shards = w.table_shards;
-  if (w.arena_blocks > stats_.arena_blocks) stats_.arena_blocks = w.arena_blocks;
-  if (w.arena_capacity > stats_.arena_capacity) stats_.arena_capacity = w.arena_capacity;
 }
 
 }  // namespace qts

@@ -69,14 +69,11 @@ struct RunStats {
   std::size_t cont_hits = 0;
   std::size_t cont_misses = 0;
 
-  // Shared-manager storage gauges (sampled, not accumulated: the manager
-  // copies its current shape in via Manager::sample_storage; join_worker
-  // max-merges them since every worker shares the one manager).
-  std::size_t table_nodes = 0;        ///< entries across all unique-table shards
-  double table_load_factor = 0.0;     ///< table_nodes / allocated table slots
-  std::size_t table_shards = 0;       ///< lock stripes in the unique table
-  std::size_t arena_blocks = 0;       ///< node slabs allocated
-  std::size_t arena_capacity = 0;     ///< node slots across all slabs
+  // Shared-manager storage gauge: sampled, not accumulated, and only when a
+  // caller copies it in with Manager::sample_storage (no engine does;
+  // Manager::storage_stats() has the manager's full shape).  join_worker
+  // leaves it alone.
+  std::size_t table_nodes = 0;  ///< entries across all unique-table shards
 };
 
 /// hits / (hits + misses) as a percentage; 0 when no lookups happened.

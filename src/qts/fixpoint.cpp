@@ -54,18 +54,6 @@ std::vector<Edge> FixpointDriver::gather_roots(const Subspace& acc,
   return roots;
 }
 
-void FixpointDriver::audit_now(ExecutionContext& ctx, const Subspace& acc,
-                               const std::vector<Edge>& frontier) const {
-  const std::vector<Edge> roots = gather_roots(acc, frontier);
-  tdd::AuditReport report;
-  if (!tdd::audit(computer_.manager(), report, roots)) {
-    throw tdd::AuditError(std::move(report));
-  }
-  RunStats& s = ctx.stats();
-  ++s.audits_run;
-  if (report.interned_nodes > s.audited_nodes) s.audited_nodes = report.interned_nodes;
-}
-
 namespace {
 
 [[noreturn]] void diverged(const std::string& what, std::size_t iteration, std::size_t primary,
@@ -160,7 +148,7 @@ FixpointDriver::Result FixpointDriver::iterate() {
     // k-th iteration regardless — both at this same quiescent point, before
     // any worker starts.  One audit per iteration even when both fire.
     if (const std::size_t k = ctx.audit_every(); k != 0 && (collect || iters % k == 0)) {
-      audit_now(ctx, acc, frontier);
+      tdd::audit_or_throw(computer_.manager(), gather_roots(acc, frontier), &ctx.stats());
     }
 
     IterationStats it;

@@ -119,11 +119,6 @@ class FixpointDriver {
   [[nodiscard]] std::vector<tdd::Edge> gather_roots(const Subspace& acc,
                                                     const std::vector<tdd::Edge>& frontier) const;
 
-  /// Run tdd::audit against the loop's live roots (the set_audit_every hook);
-  /// throws tdd::AuditError on corruption, else bumps the audit counters.
-  void audit_now(ExecutionContext& ctx, const Subspace& acc,
-                 const std::vector<tdd::Edge>& frontier) const;
-
   ImageComputer& computer_;
   const TransitionSystem& sys_;
   std::size_t max_iterations_ = 100;

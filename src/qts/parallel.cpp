@@ -48,11 +48,10 @@ ParallelImage::~ParallelImage() {
 
 std::size_t ParallelImage::shard_count(std::size_t tasks) const {
   if (tasks == 0) return 0;
-  if (tasks <= kInlineTasks) return 1;  // run_pool(1) executes inline
   // Floor division: every shard keeps at least kMinTasksPerShard tasks, so
-  // per-shard fork/join overhead stays amortised.
-  const std::size_t by_load = tasks / kMinTasksPerShard;
-  return std::min(workers_.size(), by_load);
+  // per-shard fork/join overhead stays amortised; below that, one shard,
+  // which run_pool(1) executes inline.
+  return std::clamp(tasks / kMinTasksPerShard, std::size_t{1}, workers_.size());
 }
 
 std::vector<Edge> ParallelImage::image_step(std::span<const QuantumOperation> ops,
@@ -74,9 +73,9 @@ std::vector<Edge> ParallelImage::image_step(std::span<const QuantumOperation> op
     }
   }
 
-  // Contiguous balanced shards over the task list, sized adaptively: tiny
-  // rounds run inline, larger ones get one shard per kMinTasksPerShard
-  // tasks up to the worker count.
+  // Contiguous balanced shards over the task list, sized adaptively: one
+  // shard per full kMinTasksPerShard tasks up to the worker count, and
+  // rounds too small for two shards run inline.
   const std::size_t nshards = shard_count(tasks.size());
   if (shards_used != nullptr) *shards_used = nshards;
   if (nshards == 0) return {};
@@ -143,10 +142,7 @@ void ParallelImage::run_pool(std::size_t active, const std::function<void(std::s
   // Joining the threads above is the happens-before edge that lets the
   // parent read worker stats and the error — and lets a driver GC sweep the
   // arena — safely.
-  for (const auto& w : workers_) {
-    mgr_.sample_storage(w->ctx.stats());
-    ctx_->join_worker(w->ctx);
-  }
+  for (const auto& w : workers_) ctx_->join_worker(w->ctx);
   if (first_error) std::rethrow_exception(first_error);
 }
 

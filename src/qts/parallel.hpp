@@ -37,6 +37,8 @@
 /// parent rethrows that worker's error after the join.  The flag is cleared
 /// at the top of every round, so a failed round leaves the engine reusable.
 /// Worker stats are merged into the parent (counters summed, peak = max).
+/// Workers take no storage samples: read the one manager's shape from
+/// Manager::storage_stats() once the run is over.
 /// The destructor gives the slots back to the manager (Manager::release_slot),
 /// so a later engine on the same manager reuses them.
 ///
@@ -71,15 +73,14 @@ class ParallelImage final : public ImageComputer {
   [[nodiscard]] const EngineSpec& inner_spec() const { return inner_; }
 
   /// Adaptive shard sizing.  A round's parallelism is derived from its task
-  /// count, not fixed at one-shard-per-worker: at or below kInlineTasks the
-  /// whole round runs inline on the caller's thread (a thread spawn
-  /// dominates such tiny rounds), and above it the task list is cut into
-  /// floor(tasks / kMinTasksPerShard) contiguous shards, capped at the
-  /// worker count — so a shard never holds fewer than kMinTasksPerShard
-  /// tasks and idle-worker overhead stays off narrow frontiers.  Determinism
-  /// is untouched either way: results join in task order, so shard
-  /// boundaries never show in the output.
-  static constexpr std::size_t kInlineTasks = 4;
+  /// count, not fixed at one-shard-per-worker: the task list is cut into
+  /// floor(tasks / kMinTasksPerShard) contiguous shards, at least one and
+  /// at most the worker count — so a shard never holds fewer than
+  /// kMinTasksPerShard tasks (unless the whole round does), idle-worker
+  /// overhead stays off narrow frontiers, and a round too small for two
+  /// shards runs inline on the caller's thread, where a thread spawn would
+  /// dominate.  Determinism is untouched either way: results join in task
+  /// order, so shard boundaries never show in the output.
   static constexpr std::size_t kMinTasksPerShard = 4;
 
   /// Shards (= active workers) a round of `tasks` tasks is cut into; 0 for

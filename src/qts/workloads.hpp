@@ -28,7 +28,8 @@ TransitionSystem make_grover_system(tdd::Manager& mgr, std::uint32_t n);
 /// multi-controlled gate is decomposed into a Toffoli V-chain with clean
 /// ancillas.  The invariant subspace is span{|+…+⟩|−⟩|0…0⟩, |1…1⟩|−⟩|0…0⟩}.
 /// This variant reproduces the paper's Grover TDD blow-up, which the
-/// hyperedge-primitive MCX of make_grover_system avoids (see EXPERIMENTS.md).
+/// hyperedge-primitive MCX of make_grover_system avoids (the
+/// `ablationB/grover*` rows of BENCH_ablation.json compare the two).
 TransitionSystem make_grover_decomposed_system(tdd::Manager& mgr, std::uint32_t n);
 
 /// Quantum walk on a cycle of length 2^(n-1) with a bit-flip noise channel

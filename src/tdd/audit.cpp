@@ -352,9 +352,14 @@ bool audit(Manager& mgr, AuditReport& report, std::span<const Edge> roots) {
   return report.clean();
 }
 
-void audit_or_throw(Manager& mgr, std::span<const Edge> roots) {
+AuditReport audit_or_throw(Manager& mgr, std::span<const Edge> roots, RunStats* stats) {
   AuditReport report;
   if (!audit(mgr, report, roots)) throw AuditError(std::move(report));
+  if (stats != nullptr) {
+    ++stats->audits_run;
+    if (report.interned_nodes > stats->audited_nodes) stats->audited_nodes = report.interned_nodes;
+  }
+  return report;
 }
 
 // -- corruption hooks --------------------------------------------------------

@@ -80,8 +80,11 @@ struct AuditReport {
 /// Returns report.clean().
 bool audit(Manager& mgr, AuditReport& report, std::span<const Edge> roots = {});
 
-/// Like audit(), but throws AuditError on a dirty report.
-void audit_or_throw(Manager& mgr, std::span<const Edge> roots = {});
+/// Like audit(), but throws AuditError on a dirty report and returns a clean
+/// one.  With `stats`, a clean audit counts itself there: `audits_run` + 1
+/// and `audited_nodes` raised to the nodes it walked.
+AuditReport audit_or_throw(Manager& mgr, std::span<const Edge> roots = {},
+                           RunStats* stats = nullptr);
 
 /// A failed audit.  Derives InternalError — structural corruption is a
 /// library bug, and the qtsmc exception ladder already maps InternalError to

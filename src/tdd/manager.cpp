@@ -316,14 +316,7 @@ Manager::StorageStats Manager::storage_stats() {
   return s;
 }
 
-void Manager::sample_storage(RunStats& stats) {
-  const StorageStats s = storage_stats();
-  stats.table_nodes = s.table_nodes;
-  stats.table_load_factor = s.table_load_factor;
-  stats.table_shards = s.table_shards;
-  stats.arena_blocks = s.arena_blocks;
-  stats.arena_capacity = s.arena_capacity;
-}
+void Manager::sample_storage(RunStats& stats) { stats.table_nodes = unique_.stats().nodes; }
 
 std::size_t node_count(const Edge& root) {
   // This runs after every contraction-plan step, every term add and every

@@ -341,8 +341,8 @@ class Manager {
   };
   [[nodiscard]] StorageStats storage_stats();
 
-  /// Copy the storage gauges into a RunStats block (e.g. before printing
-  /// `qtsmc --stats`).
+  /// Copy the unique table's entry count (storage_stats().table_nodes) into
+  /// a RunStats block.
   void sample_storage(RunStats& stats);
 
  private:

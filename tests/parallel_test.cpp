@@ -200,9 +200,9 @@ TEST(ParallelImage, DriverGcPolicyCoversWorkerAllocationsInTheSharedManager) {
 }
 
 TEST(ParallelImage, ReportsSharedStorageGaugesThroughRunStats) {
-  // Satellite observability: after a parallel round the parent context must
-  // carry the shared manager's storage shape (sampled in the workers'
-  // views and max-merged on join).
+  // The engine samples no storage: the shared manager's shape is read once,
+  // after the run, by whoever wants it — into a RunStats through
+  // Manager::sample_storage, or whole from Manager::storage_stats().
   ExecutionContext ctx;
   tdd::Manager mgr;
   mgr.bind_context(&ctx);
@@ -210,16 +210,17 @@ TEST(ParallelImage, ReportsSharedStorageGaugesThroughRunStats) {
   const auto engine = make_engine(mgr, "parallel:2", &ctx);
   const Subspace img = engine->image(sys, sys.initial);
   EXPECT_GE(img.dim(), 1u);
-  const RunStats& s = ctx.stats();
-  EXPECT_GT(s.table_nodes, 0u);
-  EXPECT_GT(s.table_shards, 0u);
-  EXPECT_GT(s.table_load_factor, 0.0);
-  EXPECT_GE(s.arena_blocks, 1u);
-  EXPECT_GE(s.arena_capacity, s.table_nodes);
-  // At quiescence every live node is interned: the table and the arena's
-  // live counter must agree exactly (a fresh sample, after the join's
-  // reduction allocated more nodes than the merged mid-round gauges saw).
+  EXPECT_EQ(ctx.stats().table_nodes, 0u);
+  mgr.sample_storage(ctx.stats());
+  EXPECT_GT(ctx.stats().table_nodes, 0u);
   const tdd::Manager::StorageStats st = mgr.storage_stats();
+  EXPECT_EQ(st.table_nodes, ctx.stats().table_nodes);
+  EXPECT_GT(st.table_shards, 0u);
+  EXPECT_GT(st.table_load_factor, 0.0);
+  EXPECT_GE(st.arena_blocks, 1u);
+  EXPECT_GE(st.arena_capacity, st.table_nodes);
+  // At quiescence every live node is interned: the table and the arena's
+  // live counter must agree exactly.
   EXPECT_EQ(st.table_nodes, st.live_nodes);
 }
 
@@ -228,13 +229,13 @@ TEST(ParallelImage, AdaptiveShardSizingDerivesShardsFromTaskCount) {
   const auto engine = make_engine(mgr, "parallel:4");
   const auto& par = dynamic_cast<const ParallelImage&>(*engine);
   EXPECT_EQ(par.shard_count(0), 0u);
-  // At or below the inline threshold: one shard, no pool.
-  for (std::size_t t = 1; t <= ParallelImage::kInlineTasks; ++t) {
+  // Too few tasks for two shards: one shard, run inline, no pool.
+  for (std::size_t t = 1; t <= ParallelImage::kMinTasksPerShard; ++t) {
     EXPECT_EQ(par.shard_count(t), 1u) << t << " tasks";
   }
-  // Above it: one shard per full kMinTasksPerShard tasks (floor — a shard
+  // Above that: one shard per full kMinTasksPerShard tasks (floor — a shard
   // never holds fewer than kMinTasksPerShard tasks)...
-  EXPECT_EQ(par.shard_count(ParallelImage::kInlineTasks + 1), 1u);
+  EXPECT_EQ(par.shard_count(ParallelImage::kMinTasksPerShard + 1), 1u);
   EXPECT_EQ(par.shard_count(2 * ParallelImage::kMinTasksPerShard - 1), 1u);
   EXPECT_EQ(par.shard_count(2 * ParallelImage::kMinTasksPerShard), 2u);
   EXPECT_EQ(par.shard_count(3 * ParallelImage::kMinTasksPerShard + 1), 3u);

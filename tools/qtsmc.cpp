@@ -518,11 +518,7 @@ JobOutcome run_job(const Options& opt, tdd::Manager& mgr, ResultCache* shared_ca
     keep_for_audit(sys.initial);
     std::vector<tdd::Edge> roots = computer->prepared_roots();
     roots.insert(roots.end(), audit_roots.begin(), audit_roots.end());
-    tdd::AuditReport report;
-    if (!tdd::audit(mgr, report, roots)) throw tdd::AuditError(std::move(report));
-    RunStats& sw = ctx.stats();
-    ++sw.audits_run;
-    if (report.interned_nodes > sw.audited_nodes) sw.audited_nodes = report.interned_nodes;
+    const tdd::AuditReport report = tdd::audit_or_throw(mgr, roots, &ctx.stats());
     if (!quiet) std::cout << "audit:   " << report.summary() << "\n";
   }
 
