@@ -10,6 +10,10 @@
 /// Usage:
 ///   bench_cache [--steps N] [--qasm FILE] [--dir DIR]
 ///
+/// The on-disk cache lives in a fresh subdirectory `bench_cache.<k>` of DIR
+/// (default: the system temp directory), which the run creates empty and
+/// removes at the end; nothing else in DIR is touched.
+///
 /// Workloads: the six library systems (GHZ, Bernstein–Vazirani, QFT, Grover,
 /// noisy quantum walk, bit-flip code) plus an optional QASM circuit (defaults
 /// to examples/ghz16.qasm when readable).  Results land in BENCH_cache.json:
@@ -40,6 +44,17 @@ struct Workload {
   std::size_t steps = 0;  ///< per-workload iteration cap (0 = the global --steps)
 };
 
+/// A new, empty subdirectory of `parent` (created if missing): the first
+/// `bench_cache.<k>` that does not exist yet, so no earlier run's files and
+/// nothing the caller keeps in `parent` is reused or removed.
+std::filesystem::path fresh_cache_dir(const std::filesystem::path& parent) {
+  std::filesystem::create_directories(parent);
+  for (std::size_t k = 0;; ++k) {
+    const std::filesystem::path dir = parent / ("bench_cache." + std::to_string(k));
+    if (std::filesystem::create_directory(dir)) return dir;
+  }
+}
+
 /// One reach job in a fresh manager against a fresh ResultCache over `dir`.
 /// Only reachable_space is timed: system construction is identical cold
 /// and warm and deliberately excluded, the way a long-running qtsmc batch
@@ -54,23 +69,23 @@ bench::Cell run_once(const Workload& w, std::size_t steps, const std::string& di
 int main(int argc, char** argv) {
   std::size_t steps = 64;
   std::string qasm_path = "examples/ghz16.qasm";
-  std::string dir;
+  std::string parent;
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--steps") == 0 && i + 1 < argc) {
       steps = static_cast<std::size_t>(std::atoi(argv[++i]));
     } else if (std::strcmp(argv[i], "--qasm") == 0 && i + 1 < argc) {
       qasm_path = argv[++i];
     } else if (std::strcmp(argv[i], "--dir") == 0 && i + 1 < argc) {
-      dir = argv[++i];
+      parent = argv[++i];
     } else {
       std::cerr << "usage: bench_cache [--steps N] [--qasm FILE] [--dir DIR]\n";
       return 1;
     }
   }
-  if (dir.empty()) {
-    dir = (std::filesystem::temp_directory_path() / "qts_bench_cache").string();
-  }
-  std::filesystem::remove_all(dir);
+  const std::string dir = fresh_cache_dir(parent.empty()
+                                               ? std::filesystem::temp_directory_path()
+                                               : std::filesystem::path(parent))
+                              .string();
 
   std::vector<Workload> workloads{
       {"ghz6", [](tdd::Manager& m) { return make_ghz_system(m, 6); }},

@@ -16,12 +16,12 @@
 /// printed first; every parallel row reports speedup against it (or against
 /// parallel:1 when the sweep includes it).
 ///
-/// A last, fixed row runs the sequential inner engine on GHZ11 with
-/// depolarising noise (p = 0.05) on qubits 0 and 1: 16 Kraus circuits, wide
-/// frontiers and 2,048 Gram-Schmidt survivors, a fixpoint of seconds whose
-/// cost is mostly the projector's growth.  It reports the median of
-/// kGhzRepeats runs and their spread (max − min).  Results land in
-/// BENCH_reachability.json.
+/// Two last, fixed rows run the sequential inner engine on GHZ11 and GHZ12
+/// with depolarising noise (p = 0.05) on qubits 0 and 1: 16 Kraus circuits,
+/// wide frontiers and 2,048 / 4,096 Gram-Schmidt survivors, fixpoints of
+/// about a second whose cost is mostly the projector's growth and the op
+/// caches' churn.  Each reports the median of kGhzRepeats runs and their
+/// spread (max − min).  Results land in BENCH_reachability.json.
 #include <cstring>
 #include <iostream>
 #include <optional>
@@ -39,7 +39,7 @@ namespace {
 
 using namespace qts;
 
-/// Repeats of the GHZ11 row; its wall time is their median.
+/// Repeats of each GHZ row; its wall time is their median.
 constexpr std::size_t kGhzRepeats = 3;
 
 /// GHZ-n preparation followed by depolarising noise (p = 0.05) on qubits 0
@@ -123,11 +123,12 @@ int main(int argc, char** argv) {
     report(workload + "/" + spec, t, m, base_ms);
   }
 
-  constexpr std::uint32_t kGhzQubits = 11;
-  const bench::SystemBuilder ghz = [](tdd::Manager& mgr) {
-    return noisy_ghz_system(mgr, kGhzQubits);
-  };
-  report("ghz" + std::to_string(kGhzQubits) + "-depol/" + inner, 1,
-         bench::run_cell(inner, ghz, reach, timeout_s, kGhzRepeats), std::nullopt);
+  for (const std::uint32_t qubits : {11U, 12U}) {
+    const bench::SystemBuilder ghz = [qubits](tdd::Manager& mgr) {
+      return noisy_ghz_system(mgr, qubits);
+    };
+    report("ghz" + std::to_string(qubits) + "-depol/" + inner, 1,
+           bench::run_cell(inner, ghz, reach, timeout_s, kGhzRepeats), std::nullopt);
+  }
   return 0;
 }

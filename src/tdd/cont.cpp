@@ -47,13 +47,15 @@ Edge Manager::contract(const Edge& a, const Edge& b, std::span<const Level> gamm
   // operands and on the gamma suffix still to be summed out, so the cache
   // names that suffix by an interned id: gamma[pos..] is {gamma[pos], id of
   // gamma[pos+1..]}, interned back to front in O(|gamma|).  Entries then stay
-  // valid across calls and gammas.  A call that outgrew kContKeepChunks
-  // empties the cache and the suffix table together (ids restart with it).
-  // cont_rec never re-enters contract(), so it may borrow the slot's cache
-  // and id vector in place.  The view is a template argument of cont_rec and
-  // part of every cache key: one instantiation per combination of the three
-  // operand flags, and one for kStateOut, which takes no other flag.  Its
-  // relabel is a pure function of the level, so its entries need no map id.
+  // valid across calls and gammas, and the ids until gc() / clear_caches()
+  // release the cache and the suffix table together.  The cache is a lossy
+  // ComputedTable: it bounds itself by overwriting on collision, so no call
+  // empties it.  cont_rec never re-enters contract(), so it may borrow the
+  // slot's cache and id vector in place.  The view is a template argument of
+  // cont_rec and part of every cache key: one instantiation per combination
+  // of the three operand flags, and one for kStateOut, which takes no other
+  // flag.  Its relabel is a pure function of the level, so its entries need
+  // no map id.
   ThreadSlot& sl = slot();
   std::vector<std::uint32_t>& ids = sl.suffix_ids_;
   ids.resize(gamma.size() + 1);
@@ -76,10 +78,6 @@ Edge Manager::contract(const Edge& a, const Edge& b, std::span<const Level> gamm
       view == OperandView::kStateOut
           ? cont_rec<OperandView::kStateOut>(sl, a.node, b.node, gamma, 0)
           : (this->*kRec.at(static_cast<std::uint8_t>(view)))(sl, a.node, b.node, gamma, 0);
-  if (sl.cont_cache_.chunks() > kContKeepChunks) {
-    sl.cont_cache_.trim(kContKeepChunks);
-    sl.suffixes_.clear();
-  }
   const cplx wa = has(view, OperandView::kConjLeft) ? std::conj(a.weight) : a.weight;
   const cplx wb = has(view, OperandView::kConjRight) ? std::conj(b.weight) : b.weight;
   return scale(r, wa * wb);

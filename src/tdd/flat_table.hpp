@@ -1,11 +1,11 @@
 /// \file flat_table.hpp
-/// The one hash-table layout of the TDD kernel: flat, open-addressed and
-/// allocation-free per entry, as in CUDD's and Sylvan's tables.
+/// The two hash-table layouts of the TDD kernel's memos: flat, open-addressed
+/// or direct-mapped, and allocation-free per entry, as in CUDD's and
+/// Sylvan's tables.
 ///
-/// `FlatCache<K, V, Hash>` is the exact memo behind the operation caches
-/// (add, contraction), which persist across calls, the contraction cache's
+/// `FlatCache<K, V, Hash>` is the exact memo: the contraction cache's
 /// gamma-suffix table, and the per-call memos of slice / conjugate / rename,
-/// io and the auditor:
+/// io and the auditor.
 ///
 ///   * entries sit densely, in insertion order, in fixed chunks of
 ///     kChunkEntries — growth adds a chunk and never copies or moves an
@@ -16,12 +16,27 @@
 ///     not O(buckets).  When the generation wraps at 2^32 the index is
 ///     zeroed once and numbering restarts;
 ///   * nothing is allocated until the first insert, and there is no
-///     eviction: a key, once inserted, is found until clear(), trim() or
-///     release().
+///     eviction: a key, once inserted, is found until clear() or release().
+///
+/// `ComputedTable<K, V, Hash>` is the lossy memo behind the two operation
+/// caches (add, contraction), which persist across calls: the computed table
+/// of Brace, Rudell and Bryant, CUDD and Sylvan.
+///
+///   * a power-of-two array of inline {key, value, gen} slots, direct-mapped
+///     by the key's hash; an insert overwrites whatever its slot holds, so a
+///     key, once inserted, is found until another key lands on its slot;
+///   * clear() is O(1) by generation, as in FlatCache;
+///   * nothing is allocated until the first insert; the array then starts at
+///     kInitialSlots and doubles, re-placing every live entry, each time the
+///     evictions since the last resize reach the slot count, until it holds
+///     kMaxSlots.  A table that stops churning stops growing, and no table
+///     ever holds more than kMaxSlots slots.
 ///
 /// Keys and values must be trivially copyable (they are pointers, levels and
-/// complex weights).  `Hash` must return a well-mixed 64-bit value: the
-/// index takes its low bits directly (see hash_finish).
+/// complex weights).  `Hash` must return a well-mixed 64-bit value: both
+/// tables take its low bits directly (see hash_finish).  Which entries a
+/// ComputedTable keeps depends on where they land, so a hash that should
+/// repeat from run to run must not read addresses.
 #pragma once
 
 #include <algorithm>
@@ -149,24 +164,11 @@ class FlatCache {
     if (gen_ == 0) restart_generations(1);
   }
 
-  /// clear(), then give back every chunk beyond the first `keep_chunks` and
-  /// shrink the index to what that many entries need.
-  void trim(std::size_t keep_chunks) {
-    clear();
-    if (chunks_.size() > keep_chunks) chunks_.resize(keep_chunks);
-    const std::size_t want = index_slots_for(keep_chunks * kChunkEntries);
-    if (keep_chunks == 0) {
-      index_ = {};
-    } else if (index_.size() > want) {
-      index_.assign(want, Slot{});
-      index_.shrink_to_fit();
-    }
-  }
-
   /// Free everything; the table is back to its unallocated initial state.
   void release() {
-    trim(0);
-    chunks_.shrink_to_fit();
+    clear();
+    index_ = std::vector<Slot>();
+    chunks_ = std::vector<Chunk>();
   }
 
   /// Visit every live entry as f(key, value), in insertion order.
@@ -243,6 +245,105 @@ class FlatCache {
   std::vector<Slot> index_;
   std::vector<Chunk> chunks_;
   std::size_t size_ = 0;
+  std::uint32_t gen_ = 1;
+};
+
+// -- ComputedTable ------------------------------------------------------------
+
+template <typename K, typename V, typename Hash>
+class ComputedTable {
+  static_assert(std::is_trivially_copyable_v<K> && std::is_trivially_destructible_v<K>);
+  static_assert(std::is_trivially_copyable_v<V> && std::is_trivially_destructible_v<V>);
+
+  struct Slot {
+    K key;
+    V value;
+    std::uint32_t gen;  // 0 never matches: generations start at 1
+  };
+
+ public:
+  static constexpr std::size_t kInitialSlots = 1024;           // power of two
+  static constexpr std::size_t kMaxSlots = std::size_t{1} << 15;  // power of two
+  /// The most heap bytes a table ever holds.
+  static constexpr std::size_t kMaxBytes = kMaxSlots * sizeof(Slot);
+
+  /// The value stored under `key`, or nullptr.
+  [[nodiscard]] const V* find(const K& key) const {
+    if (slots_.empty()) return nullptr;
+    const Slot& s = slots_[Hash{}(key) & (slots_.size() - 1)];
+    return s.gen == gen_ && s.key == key ? &s.value : nullptr;
+  }
+
+  /// Store `value` under `key`, overwriting whatever entry held its slot.
+  void insert(const K& key, const V& value) {
+    if (slots_.empty()) slots_.assign(kInitialSlots, Slot{});
+    Slot& s = slots_[Hash{}(key) & (slots_.size() - 1)];
+    if (s.gen != gen_) {
+      ++size_;
+    } else if (!(s.key == key)) {
+      ++evictions_;
+    }
+    s = Slot{key, value, gen_};
+    if (evictions_ >= slots_.size() && slots_.size() < kMaxSlots) grow();
+  }
+
+  /// Forget every entry in O(1); the slot array is kept for reuse.
+  void clear() {
+    size_ = 0;
+    ++gen_;
+    if (gen_ == 0) restart_generations(1);
+  }
+
+  /// Free everything; the table is back to its unallocated initial state.
+  void release() {
+    slots_ = std::vector<Slot>();
+    size_ = 0;
+    evictions_ = 0;
+    gen_ = 1;
+  }
+
+  /// Visit every live entry as f(key, value), in slot order.
+  template <typename F>
+  void for_each(F&& f) const {
+    for (const Slot& s : slots_) {
+      if (s.gen == gen_) f(s.key, s.value);
+    }
+  }
+
+  /// Live entries: those a find() would return.
+  [[nodiscard]] std::size_t size() const { return size_; }
+  [[nodiscard]] std::size_t slots() const { return slots_.size(); }
+  /// Heap bytes held: the slot array.
+  [[nodiscard]] std::size_t bytes() const { return slots_.capacity() * sizeof(Slot); }
+
+  /// Test seam: forget every entry and continue numbering clears from
+  /// `gen` (nonzero), so a test can drive the 2^32 wraparound.
+  void set_generation_for_testing(std::uint32_t gen) {
+    size_ = 0;
+    restart_generations(gen == 0 ? 1 : gen);
+  }
+
+ private:
+  void restart_generations(std::uint32_t gen) {
+    for (Slot& s : slots_) s.gen = 0;
+    gen_ = gen;
+  }
+
+  /// Double the array and re-place the live entries.  Slot i of the old
+  /// array maps to slot i or i + old size of the new one, so no two live
+  /// entries meet and none is lost.
+  void grow() {
+    std::vector<Slot> old = std::exchange(slots_, std::vector<Slot>(2 * slots_.size(), Slot{}));
+    const std::size_t mask = slots_.size() - 1;
+    for (const Slot& s : old) {
+      if (s.gen == gen_) slots_[Hash{}(s.key) & mask] = s;
+    }
+    evictions_ = 0;
+  }
+
+  std::vector<Slot> slots_;
+  std::size_t size_ = 0;
+  std::size_t evictions_ = 0;  // since the last resize
   std::uint32_t gen_ = 1;
 };
 

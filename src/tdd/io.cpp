@@ -48,12 +48,18 @@ long id_of(const Node* n, const NodeIds& ids) {
   return n == nullptr ? -1 : *ids.find(n);
 }
 
+/// A zero component is written as 0, never -0.  The sign of a zero depends
+/// on whether a sub-result was served by the lossy op caches or recomputed,
+/// and bucketed() reads both as one value, so engines that reach the same
+/// diagram write the same bytes.
+void put_weight(std::string& out, double v) { put(out, v == 0.0 ? 0.0 : v); }
+
 void put_edge(std::string& out, const Edge& e, const NodeIds& ids) {
   put(out, id_of(e.node, ids));
   out += ' ';
-  put(out, e.weight.real());
+  put_weight(out, e.weight.real());
   out += ' ';
-  put(out, e.weight.imag());
+  put_weight(out, e.weight.imag());
 }
 
 [[noreturn]] void fail(const std::string& what) { throw ParseError("qtdd: " + what); }

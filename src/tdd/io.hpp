@@ -12,7 +12,9 @@
 ///
 /// Node ids are dense indices into the file (0-based); id -1 is the
 /// terminal.  Weights are printed with 17 significant digits
-/// (std::to_chars, `%.17g`) so a round-trip is exact at double precision.
+/// (std::to_chars, `%.17g`) so a round-trip is exact at double precision,
+/// except that a zero component is always written as `0`: the sign of a zero
+/// is not part of a saved diagram (loading still reads `-0` as -0.0).
 /// A blob of several roots shares one node table and carries one root line
 /// per root, in order; the single-root blob is its one-root case.
 ///

@@ -79,7 +79,9 @@ constexpr bool has(OperandView view, OperandView flag) {
 /// this discipline — collections run between rounds on the caller's thread).
 class Manager {
  private:
-  // Operation-cache keys (per-thread caches; see ThreadSlot below).
+  // Operation-cache keys (per-thread caches; see ThreadSlot below).  Both
+  // hash their nodes by arena id (NodeKeyHash::child), as the unique table
+  // does, so which entries the lossy caches keep repeats from run to run.
   struct AddKey {
     const Node* a;
     const Node* b;
@@ -88,7 +90,7 @@ class Manager {
   };
   struct AddKeyHash {
     std::uint64_t operator()(const AddKey& k) const {
-      std::uint64_t h = hash_step(hash_word(k.a), hash_word(k.b));
+      std::uint64_t h = hash_step(NodeKeyHash::child(k.a), NodeKeyHash::child(k.b));
       h = hash_step(h, hash_word(k.ratio.real()));
       return hash_finish(hash_step(h, hash_word(k.ratio.imag())));
     }
@@ -104,7 +106,8 @@ class Manager {
   struct ContKeyHash {
     std::uint64_t operator()(const ContKey& k) const {
       const std::uint64_t tail = k.suffix | std::uint64_t{static_cast<std::uint8_t>(k.view)} << 32;
-      return hash_finish(hash_step(hash_step(hash_word(k.a), hash_word(k.b)), tail));
+      const std::uint64_t h = hash_step(NodeKeyHash::child(k.a), NodeKeyHash::child(k.b));
+      return hash_finish(hash_step(h, tail));
     }
   };
   /// One cell of an interned gamma suffix: its first level and the id of the
@@ -119,8 +122,8 @@ class Manager {
       return hash_finish(hash_step(k.head, k.tail));
     }
   };
-  using AddCache = FlatCache<AddKey, Edge, AddKeyHash>;
-  using ContCache = FlatCache<ContKey, Edge, ContKeyHash>;
+  using AddCache = ComputedTable<AddKey, Edge, AddKeyHash>;
+  using ContCache = ComputedTable<ContKey, Edge, ContKeyHash>;
   using SuffixTable = FlatCache<SuffixKey, std::uint32_t, SuffixKeyHash>;
 
  public:
@@ -132,13 +135,13 @@ class Manager {
   /// thread with a SlotGuard for the duration of a round, and given back
   /// with release_slot when the worker is done for good.
   ///
-  /// Both op caches are FlatCaches (flat_table.hpp): chunked dense entries
-  /// behind an open-addressing index, allocated on first use, and both
-  /// persist across calls until gc() / clear_caches() release them.  The
-  /// contraction cache is keyed on interned gamma suffixes (suffixes_), so
-  /// calls over different gammas never collide and calls that share a suffix
-  /// share entries.  It keeps at most kContKeepChunks chunks between calls: a
-  /// call that outgrew them empties it, together with the suffix table.
+  /// Both op caches are ComputedTables (flat_table.hpp): lossy, direct-mapped
+  /// slot arrays that overwrite on collision, allocated on first use, grown
+  /// while they churn up to a fixed cap, and kept across calls until gc() /
+  /// clear_caches() release them.  The contraction cache is keyed on
+  /// interned gamma suffixes (suffixes_), so calls over different gammas
+  /// never collide and calls that share a suffix share entries; the suffix
+  /// table is exact and is released only with the cache.
   class ThreadSlot {
    public:
     ThreadSlot(const ThreadSlot&) = delete;
@@ -186,11 +189,6 @@ class Manager {
    private:
     ThreadSlot* prev_;
   };
-
-  /// Chunks (of FlatCache::kChunkEntries entries) a slot's contraction cache
-  /// keeps between calls; a call that used more empties it and gives the
-  /// rest back.
-  static constexpr std::size_t kContKeepChunks = 16;
 
   Manager();
   Manager(const Manager&) = delete;
@@ -333,11 +331,14 @@ class Manager {
     std::size_t live_nodes = 0;
     std::size_t allocated_nodes = 0;
     std::size_t op_slots = 0;  ///< ThreadSlots held, incl. main and released ones
+    // The op caches are lossy (ComputedTable): an entry is live while a
+    // lookup would find it, i.e. until a colliding insert overwrites it or
+    // the cache is released.  Entries therefore never exceed slots.
     std::size_t add_cache_entries = 0;   ///< live add-cache entries, all slots
-    std::size_t add_cache_bytes = 0;     ///< heap bytes the add caches hold, all slots
+    std::size_t add_cache_bytes = 0;     ///< heap bytes the add caches' slot arrays hold
     std::size_t cont_cache_entries = 0;  ///< live contraction-cache entries, all slots
-    std::size_t cont_cache_bytes = 0;    ///< heap bytes the contraction caches and
-                                         ///< their suffix tables hold, all slots
+    std::size_t cont_cache_bytes = 0;    ///< heap bytes the contraction caches' slot
+                                         ///< arrays and their suffix tables hold
   };
   [[nodiscard]] StorageStats storage_stats();
 

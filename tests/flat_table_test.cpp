@@ -1,10 +1,14 @@
-/// Tests for tdd::FlatCache (tdd/flat_table.hpp), the one hash table of the
-/// TDD kernel: random operation sequences against a std::unordered_map
-/// model, growth across index and chunk boundaries, entry-address
-/// stability, O(1) clear through generations (including the 2^32
-/// wraparound, via the test seam), trim/release, lazy allocation and move.
+/// Tests for the two hash tables of the TDD kernel (tdd/flat_table.hpp).
+/// tdd::FlatCache, the exact memo: random operation sequences against a
+/// std::unordered_map model, growth across index and chunk boundaries,
+/// entry-address stability, O(1) clear through generations (including the
+/// 2^32 wraparound, via the test seam), release, lazy allocation and move.
+/// tdd::ComputedTable, the lossy op-cache memo: overwrite on collision,
+/// growth against a direct-mapped model, O(1) clear (wraparound included),
+/// live-only iteration and the byte cap.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <limits>
 #include <random>
@@ -78,13 +82,9 @@ void run_random_model(std::uint64_t seed, std::uint64_t key_space) {
         ASSERT_EQ(*found, it->second);
       }
       ASSERT_EQ(cache.contains(k), found != nullptr);
-    } else if (roll < 995) {
+    } else if (roll < 996) {
       cache.clear();
       model.clear();
-    } else if (roll < 998) {
-      cache.trim(static_cast<std::size_t>(rng() % 3));
-      model.clear();
-      EXPECT_LE(cache.chunks(), 2u);
     } else {
       cache.release();
       model.clear();
@@ -112,7 +112,7 @@ TEST(FlatTable, NothingAllocatedBeforeFirstInsert) {
   EXPECT_EQ(cache.bytes(), 0u);
   EXPECT_EQ(cache.find(Key{1, 0}), nullptr);
   cache.clear();
-  cache.trim(4);
+  cache.release();
   EXPECT_EQ(cache.bytes(), 0u);
   EXPECT_EQ(cache.chunks(), 0u);
   EXPECT_EQ(cache.index_slots(), 0u);
@@ -184,24 +184,14 @@ TEST(FlatTable, ClearForgetsEverythingAndKeepsStorage) {
   EXPECT_EQ(*cache.find(Key{5, 1}), 2.0);
 }
 
-TEST(FlatTable, TrimGivesBackChunksBeyondTheLimit) {
+TEST(FlatTable, ReleaseGivesBackEverything) {
   using Cache = FlatCache<Key, double, GoodHash>;
   Cache cache;
   for (std::uint64_t i = 0; i < 10 * Cache::kChunkEntries; ++i) cache.insert(Key{i, 0}, 1.0);
   ASSERT_EQ(cache.chunks(), 10u);
-  const std::size_t big_index = cache.index_slots();
-  cache.trim(3);
-  EXPECT_EQ(cache.size(), 0u);
-  EXPECT_EQ(cache.chunks(), 3u);
-  EXPECT_LT(cache.index_slots(), big_index);
-  EXPECT_GE(cache.index_slots(), 2 * 3 * Cache::kChunkEntries);
-  EXPECT_EQ(cache.find(Key{1, 0}), nullptr);
-  // Trimming above the current chunk count drops nothing.
-  cache.insert(Key{1, 0}, 3.0);
-  cache.trim(8);
-  EXPECT_EQ(cache.chunks(), 3u);
-  EXPECT_EQ(cache.find(Key{1, 0}), nullptr);
   cache.release();
+  EXPECT_EQ(cache.size(), 0u);
+  EXPECT_EQ(cache.find(Key{1, 0}), nullptr);
   EXPECT_EQ(cache.bytes(), 0u);
   EXPECT_EQ(cache.chunks(), 0u);
   EXPECT_EQ(cache.index_slots(), 0u);
@@ -263,6 +253,148 @@ TEST(FlatTable, PointerKeysWithEmptyValuesFormASet) {
   EXPECT_TRUE(set.contains(&storage[123]));
   const int outside = 0;
   EXPECT_FALSE(set.contains(&outside));
+}
+
+// -- ComputedTable ------------------------------------------------------------
+
+using Table = ComputedTable<Key, double, GoodHash>;
+
+/// The slot GoodHash sends `k` to in a table of `slots` slots.
+std::size_t home(const Key& k, std::size_t slots) { return GoodHash{}(k) & (slots - 1); }
+
+TEST(ComputedTable, CollidingInsertOverwrites) {
+  ComputedTable<Key, double, CollidingHash> table;
+  EXPECT_EQ(table.bytes(), 0u);
+  EXPECT_EQ(table.find(Key{0, 0}), nullptr);
+  table.insert(Key{0, 0}, 1.0);
+  EXPECT_EQ(table.slots(), Table::kInitialSlots);
+  EXPECT_EQ(*table.find(Key{0, 0}), 1.0);
+  table.insert(Key{1, 0}, 2.0);  // another home slot: both live
+  EXPECT_EQ(table.size(), 2u);
+  table.insert(Key{4, 0}, 3.0);  // CollidingHash sends 0 and 4 to one slot
+  EXPECT_EQ(table.find(Key{0, 0}), nullptr);
+  EXPECT_EQ(*table.find(Key{4, 0}), 3.0);
+  EXPECT_EQ(*table.find(Key{1, 0}), 2.0);
+  EXPECT_EQ(table.size(), 2u);
+  table.insert(Key{4, 0}, 5.0);  // the same key: its value is replaced
+  EXPECT_EQ(*table.find(Key{4, 0}), 5.0);
+  EXPECT_EQ(table.size(), 2u);
+}
+
+TEST(ComputedTable, GrowthKeepsLiveEntriesFindable) {
+  // A direct-mapped model: slot -> {key, value}, re-placed whenever the
+  // table's slot count changes.  Growth must lose no live entry, and every
+  // insert must evict exactly the entry its home slot held.
+  Table table;
+  std::unordered_map<std::size_t, std::pair<Key, double>> model;
+  std::mt19937_64 rng(9);
+  std::size_t growths = 0;
+  for (int step = 0; growths < 3; ++step) {
+    ASSERT_LT(step, 1000000) << "the table stopped growing";
+    const Key k{rng() % 100000, 0};
+    const std::size_t before = std::max(table.slots(), Table::kInitialSlots);
+    table.insert(k, static_cast<double>(step));
+    model[home(k, before)] = {k, static_cast<double>(step)};
+    if (table.slots() == before) continue;
+    ++growths;
+    ASSERT_EQ(table.slots(), 2 * before);
+    std::unordered_map<std::size_t, std::pair<Key, double>> placed;
+    for (const auto& [slot, entry] : model) {
+      ASSERT_TRUE(placed.emplace(home(entry.first, table.slots()), entry).second);
+    }
+    model = std::move(placed);
+    ASSERT_EQ(table.size(), model.size());
+    for (const auto& [slot, entry] : model) {
+      const double* v = table.find(entry.first);
+      ASSERT_NE(v, nullptr) << "growth lost key " << entry.first.id;
+      ASSERT_EQ(*v, entry.second);
+    }
+  }
+  EXPECT_EQ(table.slots(), 8 * Table::kInitialSlots);
+
+  // A working set that fits stops the churn, and with it the growth.
+  table.clear();
+  for (int round = 0; round < 100; ++round) {
+    for (std::uint64_t i = 0; i < 64; ++i) table.insert(Key{i, 7}, 1.0);
+  }
+  EXPECT_EQ(table.slots(), 8 * Table::kInitialSlots);
+}
+
+TEST(ComputedTable, ClearDropsEverythingAndKeepsTheSlots) {
+  Table table;
+  for (std::uint64_t i = 0; i < 3000; ++i) table.insert(Key{i, 0}, 1.0);
+  const std::size_t bytes = table.bytes();
+  const std::size_t slots = table.slots();
+  ASSERT_GT(table.size(), 0u);
+  table.clear();
+  EXPECT_EQ(table.size(), 0u);
+  EXPECT_EQ(table.bytes(), bytes);
+  EXPECT_EQ(table.slots(), slots);
+  for (std::uint64_t i = 0; i < 3000; ++i) ASSERT_EQ(table.find(Key{i, 0}), nullptr) << i;
+  table.release();
+  EXPECT_EQ(table.bytes(), 0u);
+  EXPECT_EQ(table.slots(), 0u);
+  EXPECT_EQ(table.find(Key{1, 0}), nullptr);
+}
+
+TEST(ComputedTable, ClearAcrossAGenerationWrapNeverResurrectsStaleEntries) {
+  Table table;
+  table.insert(Key{0, 0}, 0.0);  // allocate the slots before the seam
+  table.set_generation_for_testing(std::numeric_limits<std::uint32_t>::max() - 3);
+  EXPECT_EQ(table.find(Key{0, 0}), nullptr);
+  EXPECT_EQ(table.size(), 0u);
+  // Eight rounds straddle the wrap; the 40 keys of each round sit in the
+  // same home slots as every other round's, tagged apart.
+  for (std::uint32_t round = 0; round < 8; ++round) {
+    for (std::uint64_t i = 0; i < 40; ++i) {
+      table.insert(Key{i * Table::kInitialSlots, round}, static_cast<double>(round));
+    }
+    for (std::uint32_t past = 0; past < round; ++past) {
+      for (std::uint64_t i = 0; i < 40; ++i) {
+        ASSERT_EQ(table.find(Key{i * Table::kInitialSlots, past}), nullptr)
+            << "round " << round << " past " << past;
+      }
+    }
+    std::size_t visited = 0;
+    table.for_each([&](const Key& k, const double& v) {
+      ++visited;
+      ASSERT_EQ(k.tag, round);
+      ASSERT_EQ(v, static_cast<double>(round));
+    });
+    ASSERT_EQ(visited, table.size());
+    table.clear();
+    ASSERT_EQ(table.size(), 0u);
+  }
+}
+
+TEST(ComputedTable, ForEachVisitsLiveSlotsOnly) {
+  ComputedTable<Key, double, CollidingHash> table;
+  for (std::uint64_t i = 0; i < 4; ++i) table.insert(Key{i, 0}, 1.0);
+  table.clear();
+  table.insert(Key{0, 1}, 2.0);
+  table.insert(Key{1, 1}, 3.0);
+  table.insert(Key{5, 1}, 4.0);  // evicts {1, 1}
+  std::vector<std::uint64_t> seen;
+  table.for_each([&](const Key& k, const double& v) {
+    EXPECT_EQ(k.tag, 1u);
+    seen.push_back(k.id);
+    EXPECT_EQ(*table.find(k), v);
+  });
+  EXPECT_EQ(seen, (std::vector<std::uint64_t>{0, 5}));
+  EXPECT_EQ(table.size(), 2u);
+}
+
+TEST(ComputedTable, BytesNeverExceedTheCap) {
+  Table table;
+  std::size_t most = 0;
+  for (std::uint64_t i = 0; i < 8 * Table::kMaxSlots; ++i) {
+    table.insert(Key{i, 0}, 1.0);
+    most = std::max(most, table.bytes());
+    ASSERT_LE(table.size(), table.slots());
+  }
+  EXPECT_EQ(table.slots(), Table::kMaxSlots);
+  EXPECT_LE(most, Table::kMaxBytes);
+  EXPECT_EQ(table.bytes(), Table::kMaxBytes);
 }
 
 }  // namespace

@@ -1,9 +1,11 @@
-/// Golden identity pins: two fixed sequential jobs whose op-cache and
+/// Golden identity pins: fixed sequential jobs whose op-cache and
 /// unique-table hit/miss counters and result projector bytes are pinned.
-/// The TDD kernel's memo tables are exact (no eviction, no lossy hashing
-/// shortcut), so any change to them that alters what is found, recomputed
-/// or interned moves these numbers.  A deliberate change of memo semantics
-/// must update the pins on purpose.
+/// The op caches are lossy (an insert overwrites whatever held its slot),
+/// but every key hashes nodes by arena id, never by address, so what is
+/// found, recomputed or interned repeats exactly from run to run and from
+/// manager to manager.  Any change to the memo tables, their sizes or their
+/// hashes moves these numbers; a deliberate change must update the pins on
+/// purpose.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -48,7 +50,7 @@ TEST(GoldenIdentity, Ghz3BitFlipReachUnderContraction) {
   const std::unique_ptr<ImageComputer> engine = make_engine(mgr, "contraction:4,4", &ctx);
   const ReachabilityResult r = reachable_space(*engine, sys);
   const std::string text = tdd::save_string(r.space.projector());
-  expect_counters(ctx.stats(), Pins{14, 108, 275, 355, 119, 176});
+  expect_counters(ctx.stats(), Pins{14, 108, 275, 360, 120, 176});
   EXPECT_EQ(text,
             "qtdd v1\n"
             "nodes 9\n"
@@ -72,7 +74,7 @@ TEST(GoldenIdentity, Qft8ImageUnderBasic) {
   const std::unique_ptr<ImageComputer> engine = make_engine(mgr, "basic", &ctx);
   const Subspace image = engine->image(sys, sys.initial);
   const std::string text = tdd::save_string(image.projector());
-  expect_counters(ctx.stats(), Pins{0, 56, 1085, 1868, 643, 971});
+  expect_counters(ctx.stats(), Pins{0, 56, 1082, 1880, 655, 971});
   // QFT|0...0> is the uniform superposition: its projector is the constant
   // 2^-8 over all 16 indices, a terminal edge.
   EXPECT_EQ(text,
@@ -90,7 +92,7 @@ TEST(GoldenIdentity, BitflipCodeReachUnderAddition) {
   const ReachabilityResult r = reachable_space(*engine, sys);
   const std::string text = tdd::save_string(r.space.projector());
   EXPECT_EQ(r.space.dim(), 4u);
-  expect_counters(ctx.stats(), Pins{18, 33, 341, 630, 325, 382});
+  expect_counters(ctx.stats(), Pins{18, 33, 353, 674, 359, 382});
   // The addition engine sums one push per slice, the one image path with an
   // accumulation loop.  Reduced TDDs are canonical, so the projector is the
   // same text contraction:4,4 reaches on this job in a fresh manager.
@@ -121,6 +123,37 @@ TEST(GoldenIdentity, BitflipCodeReachUnderAddition) {
             "16 1048575 -1 0 0 15 1 0\n"
             "17 0 13 1 0 16 1 0\n"
             "root 17 1 0\n");
+}
+
+TEST(Determinism, TwoManagersRunTheGhz9DepolFixpointAlike) {
+  // GHZ9 with depolarising noise (p = 0.05) on qubits 0 and 1: 16 Kraus
+  // circuits and a 512-dimensional fixpoint, enough churn for the op caches
+  // to grow and overwrite.  Two fresh managers must count the same hits and
+  // misses and save the same projector bytes.
+  const auto run = [](RunStats& stats) {
+    tdd::Manager mgr;
+    ExecutionContext ctx;
+    mgr.bind_context(&ctx);
+    std::vector<circ::Circuit> kraus{circ::make_ghz(9)};
+    for (std::uint32_t q = 0; q < 2; ++q) {
+      kraus = circ::apply_channel(kraus, circ::depolarizing(0.05), q);
+    }
+    const TransitionSystem sys{9, Subspace::from_states(mgr, 9, {ket_basis(mgr, 9, 0)}),
+                               {QuantumOperation{"ghz-depol", std::move(kraus)}}};
+    const std::unique_ptr<ImageComputer> engine = make_engine(mgr, "contraction:4,4", &ctx);
+    const ReachabilityResult r = reachable_space(*engine, sys);
+    EXPECT_EQ(r.space.dim(), 512u);
+    stats = ctx.stats();
+    return tdd::save_string(r.space.projector());
+  };
+  RunStats first;
+  RunStats second;
+  const std::string first_text = run(first);
+  const std::string second_text = run(second);
+  EXPECT_GT(first.cont_misses, 16384u);
+  expect_counters(second, Pins{first.add_hits, first.add_misses, first.cont_hits,
+                               first.cont_misses, first.unique_hits, first.unique_misses});
+  EXPECT_EQ(second_text, first_text);
 }
 
 }  // namespace

@@ -227,12 +227,21 @@ TEST(ResultCache, VersionBumpedRecordsMiss) {
 }
 
 /// Same structure and bit-equal weights (memcmp, so the sign of zero
-/// counts), walking both diagrams in step.
-bool bit_identical(const tdd::Edge& a, const tdd::Edge& b) {
-  if (std::memcmp(&a.weight, &b.weight, sizeof a.weight) != 0) return false;
+/// counts), walking both diagrams in step.  With `as_saved`, a zero
+/// component compares unsigned: a record writes every zero as 0, so that is
+/// all of a weight a diagram parsed from it can keep.
+bool bit_identical(const tdd::Edge& a, const tdd::Edge& b, bool as_saved = false) {
+  const auto bits = [as_saved](const cplx& w) {
+    const auto unsigned_zero = [](double v) { return v == 0.0 ? 0.0 : v; };
+    return as_saved ? cplx{unsigned_zero(w.real()), unsigned_zero(w.imag())} : w;
+  };
+  const cplx wa = bits(a.weight);
+  const cplx wb = bits(b.weight);
+  if (std::memcmp(&wa, &wb, sizeof wa) != 0) return false;
   if (a.node == nullptr || b.node == nullptr) return a.node == b.node;
-  return a.node->level() == b.node->level() && bit_identical(a.node->low(), b.node->low()) &&
-         bit_identical(a.node->high(), b.node->high());
+  return a.node->level() == b.node->level() &&
+         bit_identical(a.node->low(), b.node->low(), as_saved) &&
+         bit_identical(a.node->high(), b.node->high(), as_saved);
 }
 
 TEST(ResultCache, HitServesTheColdRunsBasisAndProjector) {
@@ -254,9 +263,10 @@ TEST(ResultCache, HitServesTheColdRunsBasisAndProjector) {
       EXPECT_TRUE(bit_identical(warm.space.basis()[i], cold.space.basis()[i])) << i;
     }
   }
-  // Fresh managers and cache objects: bit-equal weights throughout.  (The
-  // managers are empty before the lookup: a manager that already holds
-  // tolerance-equal nodes re-interns onto those, signs of zero included.)
+  // Fresh managers and cache objects: bit-equal weights throughout, up to
+  // the sign of zero, which the record does not keep.  (The managers are
+  // empty before the lookup: a manager that already holds tolerance-equal
+  // nodes re-interns onto those, signs of zero included.)
   const std::string dir = scratch_dir("bit_identity");
   tdd::Manager cold_mgr;
   ContractionImage cold_computer(cold_mgr, 2, 2);
@@ -273,9 +283,9 @@ TEST(ResultCache, HitServesTheColdRunsBasisAndProjector) {
     ASSERT_TRUE(warm.has_value());
     ASSERT_EQ(warm->space.dim(), cold.space.dim());
     EXPECT_EQ(warm->iterations, cold.iterations);
-    EXPECT_TRUE(bit_identical(warm->space.projector(), cold.space.projector()));
+    EXPECT_TRUE(bit_identical(warm->space.projector(), cold.space.projector(), true));
     for (std::size_t i = 0; i < cold.space.dim(); ++i) {
-      EXPECT_TRUE(bit_identical(warm->space.basis()[i], cold.space.basis()[i])) << i;
+      EXPECT_TRUE(bit_identical(warm->space.basis()[i], cold.space.basis()[i], true)) << i;
     }
   }
   std::filesystem::remove_all(dir);
@@ -499,15 +509,17 @@ std::size_t unique_probes(const ExecutionContext& ctx) {
   return ctx.stats().unique_hits + ctx.stats().unique_misses;
 }
 
-/// Every node and weight of `got` is the one in `want` (same manager).
-void expect_node_identical(const Subspace& got, const Subspace& want) {
+/// Every node and weight of `got` is the one in `want` (same manager); with
+/// `as_saved` (`got` was parsed from a record), up to the sign of zero in
+/// its root weights.
+void expect_node_identical(const Subspace& got, const Subspace& want, bool as_saved = false) {
   ASSERT_EQ(got.dim(), want.dim());
   EXPECT_EQ(&got.manager(), &want.manager());
   EXPECT_EQ(got.projector().node, want.projector().node);
-  EXPECT_TRUE(bit_identical(got.projector(), want.projector()));
+  EXPECT_TRUE(bit_identical(got.projector(), want.projector(), as_saved));
   for (std::size_t i = 0; i < want.dim(); ++i) {
     EXPECT_EQ(got.basis()[i].node, want.basis()[i].node) << i;
-    EXPECT_TRUE(bit_identical(got.basis()[i], want.basis()[i])) << i;
+    EXPECT_TRUE(bit_identical(got.basis()[i], want.basis()[i], as_saved)) << i;
   }
 }
 
@@ -573,13 +585,13 @@ TEST(MemoDecoded, SecondManagerParsesIntoItself) {
   ASSERT_TRUE(hit.has_value());
   EXPECT_EQ(&hit->space.manager(), &second);
   ASSERT_EQ(hit->space.dim(), cold.space.dim());
-  EXPECT_TRUE(bit_identical(hit->space.projector(), cold.space.projector()));
+  EXPECT_TRUE(bit_identical(hit->space.projector(), cold.space.projector(), true));
   EXPECT_GT(second.live_nodes(), 0u);
   // The first manager is still served right after the second took over the
   // memo entry: its own generation no longer matches, so it parses too.
   const auto back = cache.lookup(key, first, 4, "reach");
   ASSERT_TRUE(back.has_value());
-  expect_node_identical(back->space, cold.space);
+  expect_node_identical(back->space, cold.space, true);
 }
 
 TEST(MemoDecoded, PropertyOrWidthMismatchMisses) {

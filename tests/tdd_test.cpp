@@ -357,27 +357,58 @@ TEST(Contract, GcAndClearCachesEmptyTheMemo) {
 }
 
 TEST(Contract, MemoStaysWithinItsBudgetBetweenCalls) {
+  // The op caches are lossy tables capped at kMaxSlots slots: contracting
+  // far past the cap keeps every result right and each cache within it.
+  using Table = ComputedTable<const Node*, Edge, PtrHash>;
+  // The larger op-cache slot: an AddKey, its Edge and a generation.
+  constexpr std::size_t kSlotBytes = 64;
   Manager mgr;
   ExecutionContext ctx;
   mgr.bind_context(&ctx);
   Prng rng(35);
-  const std::size_t budget =
-      Manager::kContKeepChunks * FlatCache<const Node*, Edge>::kChunkEntries;
   const std::vector<Level> idx{0, 1, 2, 3, 4, 5, 6, 7, 8, 9};
   const Edge first_a = from_dense(mgr, test::random_dense(rng, idx.size(), 0.0), idx);
   const Edge first_b = from_dense(mgr, test::random_dense(rng, idx.size(), 0.0), idx);
   (void)mgr.contract(first_a, first_b, {});
-  // Fresh random operand pairs until the memo has had to give back entries
-  // several times over.
-  while (ctx.stats().cont_misses < 3 * budget) {
+  while (ctx.stats().cont_misses < 3 * Table::kMaxSlots) {
     const Edge a = from_dense(mgr, test::random_dense(rng, idx.size(), 0.0), idx);
     const Edge b = from_dense(mgr, test::random_dense(rng, idx.size(), 0.0), idx);
     (void)mgr.contract(a, b, std::vector<Level>{3, 7});
-    ASSERT_LE(mgr.storage_stats().cont_cache_entries, budget);
+    const Manager::StorageStats st = mgr.storage_stats();
+    ASSERT_LE(st.cont_cache_entries, Table::kMaxSlots);
+    ASSERT_LE(st.add_cache_entries, Table::kMaxSlots);
+    ASSERT_LE(st.cont_cache_bytes, Table::kMaxSlots * kSlotBytes);
+    ASSERT_LE(st.add_cache_bytes, Table::kMaxSlots * kSlotBytes);
   }
-  // Results stay right after the memo and its suffix ids restarted.
+  // The churn grew the contraction cache to the cap: {ContKey, Edge, gen}
+  // slots are 56 bytes.
+  EXPECT_GE(mgr.storage_stats().cont_cache_bytes, Table::kMaxSlots * 56);
   expect_contract_matches(mgr, first_a, idx, first_b, idx, {});
   expect_contract_matches(mgr, first_a, idx, first_b, idx, {3, 7});
+  mgr.bind_context(nullptr);
+}
+
+TEST(Contract, WarmRepeatOfALargeCallIsATopLevelHit) {
+  // A pointwise product of two dense 15-index tensors takes 2^15 - 1
+  // recursive steps, more than the 16,384 entries the memo once kept before
+  // emptying itself.  The top-level entry is the call's last insert, so a
+  // warm repeat is one hit and no miss.
+  Manager mgr;
+  ExecutionContext ctx;
+  mgr.bind_context(&ctx);
+  Prng rng(36);
+  std::vector<Level> idx(15);
+  for (std::size_t i = 0; i < idx.size(); ++i) idx[i] = static_cast<Level>(i);
+  const Edge a = from_dense(mgr, test::random_dense(rng, idx.size(), 0.0), idx);
+  const Edge b = from_dense(mgr, test::random_dense(rng, idx.size(), 0.0), idx);
+  const Edge first = mgr.contract(a, b, {});
+  const RunStats cold = ctx.stats();
+  ASSERT_GT(cold.cont_misses, 16384U);
+  const Edge second = mgr.contract(a, b, {});
+  EXPECT_EQ(ctx.stats().cont_misses, cold.cont_misses);
+  EXPECT_EQ(ctx.stats().cont_hits, cold.cont_hits + 1);
+  EXPECT_EQ(second.node, first.node);
+  EXPECT_EQ(second.weight, first.weight);
   mgr.bind_context(nullptr);
 }
 
