@@ -6,13 +6,13 @@
 ///
 /// Usage:
 ///   bench_parallel [--n QUBITS] [--noisy-qubits Q] [--p PROB]
-///                  [--threads LIST] [--inner SPEC] [--timeout S]
+///                  [--threads LIST] [--timeout S]
 ///
 /// Defaults: Grover11, depolarizing(0.05) on 2 qubits (16 Kraus circuits,
-/// 32 tasks), threads 1,2,4,8, inner engine contraction:4,4.  Every row
-/// reports wall-clock time and speedup versus the 1-thread row; a
-/// sequential reference row (the inner engine run directly, no worker pool)
-/// is printed first.  Results land in BENCH_parallel.json.
+/// 32 tasks), threads 1,2,4,8.  Every row reports wall-clock time and
+/// speedup versus the 1-thread row; a sequential reference row
+/// (contraction:4,4, the partition the parallel engine shards, run with no
+/// worker pool) is printed first.  Results land in BENCH_parallel.json.
 #include <cstring>
 #include <iostream>
 #include <optional>
@@ -46,7 +46,6 @@ int main(int argc, char** argv) {
   std::uint32_t noisy_qubits = 2;
   double p = 0.05;
   double timeout_s = 600.0;
-  std::string inner = "contraction:4,4";
   std::vector<std::size_t> threads{1, 2, 4, 8};
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--n") == 0 && i + 1 < argc) {
@@ -57,13 +56,11 @@ int main(int argc, char** argv) {
       p = std::atof(argv[++i]);
     } else if (std::strcmp(argv[i], "--timeout") == 0 && i + 1 < argc) {
       timeout_s = std::atof(argv[++i]);
-    } else if (std::strcmp(argv[i], "--inner") == 0 && i + 1 < argc) {
-      inner = argv[++i];
     } else if (std::strcmp(argv[i], "--threads") == 0 && i + 1 < argc) {
       if (!bench::parse_counts("bench_parallel", argv[++i], threads)) return 1;
     } else {
       std::cerr << "usage: bench_parallel [--n QUBITS] [--noisy-qubits Q] [--p PROB] "
-                   "[--threads LIST] [--inner SPEC] [--timeout S]\n";
+                   "[--threads LIST] [--timeout S]\n";
       return 1;
     }
   }
@@ -73,7 +70,7 @@ int main(int argc, char** argv) {
       "grover" + std::to_string(n) + "x" + std::to_string(kraus_count);
   std::cout << "Parallel image engine sweep — Grover" << n << " + depolarizing(" << p << ") on "
             << noisy_qubits << " qubit(s): " << kraus_count
-            << " Kraus circuits, inner engine " << inner << "\n\n";
+            << " Kraus circuits\n\n";
   std::cout << pad_right("engine", 28) << pad_left("wall[ms]", 12) << pad_left("peak", 10)
             << pad_left("speedup", 10) << "\n";
 
@@ -94,16 +91,17 @@ int main(int argc, char** argv) {
     json.add(m.record(workload + "/" + spec, nthreads, timeout_s));
   };
 
-  // Sequential reference: the inner engine run directly in the parent
+  // Sequential reference: contraction:4,4 run directly in the parent
   // manager, no worker pool.
-  const bench::Cell seq = run(inner);
-  report(inner, 1, seq, seq.ms);
+  const std::string sequential = "contraction:4,4";
+  const bench::Cell seq = run(sequential);
+  report(sequential, 1, seq, seq.ms);
 
   // Speedups are reported against parallel:1 when the sweep includes it,
   // falling back to the sequential reference otherwise.
   std::optional<double> base_ms = seq.ms;
   for (std::size_t t : threads) {
-    const std::string spec = "parallel:" + std::to_string(t) + "," + inner;
+    const std::string spec = "parallel:" + std::to_string(t);
     const bench::Cell m = run(spec);
     if (t == 1 && m.ms) base_ms = m.ms;
     report(spec, t, m, base_ms);

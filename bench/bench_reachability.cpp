@@ -7,16 +7,16 @@
 ///
 /// Usage:
 ///   bench_reachability [--n QUBITS] [--p PROB] [--steps N]
-///                      [--threads LIST] [--inner SPEC] [--timeout S]
+///                      [--threads LIST] [--timeout S]
 ///
 /// Defaults: the noisy quantum walk on a cycle (2 Kraus circuits, frontier
-/// grows to the full 2^n space), n = 6, p = 0.1, threads 1,2,4,8, inner
-/// engine contraction:4,4.  A sequential reference row (the inner engine run
-/// directly through the driver's sequential single-Gram-Schmidt path) is
-/// printed first; every parallel row reports speedup against it (or against
-/// parallel:1 when the sweep includes it).
+/// grows to the full 2^n space), n = 6, p = 0.1, threads 1,2,4,8.  A
+/// sequential reference row (contraction:4,4, the partition the parallel
+/// engine shards, run through the driver's sequential single-Gram-Schmidt
+/// path) is printed first; every parallel row reports speedup against it
+/// (or against parallel:1 when the sweep includes it).
 ///
-/// Two last, fixed rows run the sequential inner engine on GHZ11 and GHZ12
+/// Two last, fixed rows run contraction:4,4 on GHZ11 and GHZ12
 /// with depolarising noise (p = 0.05) on qubits 0 and 1: 16 Kraus circuits,
 /// wide frontiers and 2,048 / 4,096 Gram-Schmidt survivors, fixpoints of
 /// about a second whose cost is mostly the projector's growth and the op
@@ -60,7 +60,6 @@ int main(int argc, char** argv) {
   double p = 0.1;
   std::size_t steps = 64;
   double timeout_s = 600.0;
-  std::string inner = "contraction:4,4";
   std::vector<std::size_t> threads{1, 2, 4, 8};
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--n") == 0 && i + 1 < argc) {
@@ -71,13 +70,11 @@ int main(int argc, char** argv) {
       steps = static_cast<std::size_t>(std::atoi(argv[++i]));
     } else if (std::strcmp(argv[i], "--timeout") == 0 && i + 1 < argc) {
       timeout_s = std::atof(argv[++i]);
-    } else if (std::strcmp(argv[i], "--inner") == 0 && i + 1 < argc) {
-      inner = argv[++i];
     } else if (std::strcmp(argv[i], "--threads") == 0 && i + 1 < argc) {
       if (!bench::parse_counts("bench_reachability", argv[++i], threads)) return 1;
     } else {
       std::cerr << "usage: bench_reachability [--n QUBITS] [--p PROB] [--steps N] "
-                   "[--threads LIST] [--inner SPEC] [--timeout S]\n";
+                   "[--threads LIST] [--timeout S]\n";
       return 1;
     }
   }
@@ -87,7 +84,7 @@ int main(int argc, char** argv) {
     return make_qrw_system(mgr, n, p, true, 0);
   };
   std::cout << "Sharded reachability sweep — noisy quantum walk, " << n << " qubits, p = " << p
-            << ", inner engine " << inner << "\n\n";
+            << "\n\n";
   std::cout << pad_right("engine", 28) << pad_left("wall[ms]", 12) << pad_left("dim", 6)
             << pad_left("iters", 7) << pad_left("peak", 10) << pad_left("speedup", 10)
             << pad_left("spread", 10) << "\n";
@@ -108,16 +105,17 @@ int main(int argc, char** argv) {
     json.add(m.record(name, nthreads, timeout_s));
   };
 
-  // Sequential reference: the inner engine run directly — the driver's
+  // Sequential reference: contraction:4,4 run directly — the driver's
   // single-pass Gram-Schmidt path with no worker pool.
-  const bench::Cell seq = bench::run_cell(inner, qrw, reach, timeout_s);
-  report(workload + "/" + inner, 1, seq, seq.ms);
+  const std::string sequential = "contraction:4,4";
+  const bench::Cell seq = bench::run_cell(sequential, qrw, reach, timeout_s);
+  report(workload + "/" + sequential, 1, seq, seq.ms);
 
   // Speedups are reported against parallel:1 when the sweep includes it,
   // falling back to the sequential reference otherwise.
   std::optional<double> base_ms = seq.ms;
   for (std::size_t t : threads) {
-    const std::string spec = "parallel:" + std::to_string(t) + "," + inner;
+    const std::string spec = "parallel:" + std::to_string(t);
     const bench::Cell m = bench::run_cell(spec, qrw, reach, timeout_s);
     if (t == 1 && m.ms) base_ms = m.ms;
     report(workload + "/" + spec, t, m, base_ms);
@@ -127,8 +125,8 @@ int main(int argc, char** argv) {
     const bench::SystemBuilder ghz = [qubits](tdd::Manager& mgr) {
       return noisy_ghz_system(mgr, qubits);
     };
-    report("ghz" + std::to_string(qubits) + "-depol/" + inner, 1,
-           bench::run_cell(inner, ghz, reach, timeout_s, kGhzRepeats), std::nullopt);
+    report("ghz" + std::to_string(qubits) + "-depol/" + sequential, 1,
+           bench::run_cell(sequential, ghz, reach, timeout_s, kGhzRepeats), std::nullopt);
   }
   return 0;
 }

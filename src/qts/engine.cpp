@@ -16,11 +16,6 @@ namespace qts {
 
 namespace {
 
-/// Worker-count ceiling of "parallel:t".  Every worker holds a manager slot
-/// and an inner engine, so a typo like parallel:40000 is refused at parse
-/// time rather than building that many.
-constexpr std::size_t kMaxParallelThreads = 256;
-
 /// Strict full-match unsigned parse (common/strings.hpp parse_uint): the
 /// whole piece must be digits — "2x" and "-1" are rejected, not truncated
 /// or wrapped.
@@ -92,31 +87,12 @@ std::map<std::string, Row>& registry() {
               }};
     };
     m["parallel"] = [](const std::string& args, const std::string& spec) -> Parsed {
-      std::size_t threads = 0;  // hardware concurrency
-      EngineSpec inner = EngineSpec::parse("contraction");
-      if (!args.empty()) {
-        // parallel:<threads>[,inner-spec]; the inner spec may itself carry
-        // commas (contraction:4,4), so split only on the first one.
-        const auto comma = args.find(',');
-        threads = parse_count(std::string_view(args).substr(0, comma), spec);
-        require(threads <= kMaxParallelThreads,
-                "engine spec '" + spec + "': parallel takes at most " +
-                    std::to_string(kMaxParallelThreads) + " threads");
-        if (comma != std::string::npos) {
-          const std::string inner_text(trim(args.substr(comma + 1)));
-          require(!inner_text.empty(), "engine spec '" + spec + "': empty inner engine spec");
-          inner = EngineSpec::parse(inner_text);
-          require(inner.method != "parallel",
-                  "engine spec '" + spec + "': parallel cannot nest itself");
-          require(inner.method != "fallback",
-                  "engine spec '" + spec + "': a parallel inner engine cannot be a fallback "
-                  "chain; put parallel inside the chain elements instead "
-                  "(fallback:parallel:t,specA;parallel:t,specB)");
-        }
-      }
-      return {std::to_string(threads) + "," + inner.to_string(),
-              [threads, inner](tdd::Manager& mgr, ExecutionContext* ctx) {
-                return std::make_unique<ParallelImage>(mgr, threads, inner, ctx);
+      require(args.find(',') == std::string::npos,
+              "engine spec '" + spec + "': parallel takes only a thread count, parallel[:t]");
+      const std::size_t threads = args.empty() ? 0 : parse_count(args, spec);  // 0 = hardware
+      (void)ParallelImage::worker_count(threads);  // refuse an out-of-range count now
+      return {std::to_string(threads), [threads](tdd::Manager& mgr, ExecutionContext* ctx) {
+                return std::make_unique<ParallelImage>(mgr, threads, ctx);
               }};
     };
     m["statevector"] = [](const std::string& args, const std::string& spec) -> Parsed {

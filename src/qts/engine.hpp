@@ -9,29 +9,25 @@
 ///                              indices (default 1, at most 20)
 ///   "contraction[:k1,k2]"      the §V-B contraction partition with cut
 ///                              (k1, k2) (default 4,4)
-///   "parallel[:t[,spec]]"      the Kraus×basis loop sharded across t worker
-///                              threads (0 = hardware concurrency, the
-///                              default; at most 256), each running the
-///                              nested sequential engine `spec` (default
-///                              contraction:4,4) on the caller's shared manager
+///   "parallel[:t]"             contraction:4,4 with its Kraus×basis pushes
+///                              sharded across t worker threads (0 =
+///                              hardware concurrency, the default; at most
+///                              256) on the caller's shared manager
 ///   "statevector[:maxq]"       dense statevector backend (sim::) behind the
 ///                              same seam — frontier kets are decoded to
 ///                              2^n amplitudes, imaged densely and re-encoded;
 ///                              registers wider than maxq (default 14, at
-///                              most 30) throw.  Also valid as a parallel
-///                              inner spec.
+///                              most 30) throw.
 ///   "sparse[:maxnz]"           sparse amplitude-map backend behind the same
 ///                              seam — only non-zero amplitudes are stored,
 ///                              so the guard is the per-ket non-zero budget
 ///                              maxnz (default 65536), not a qubit count.
-///                              Also valid as a parallel inner spec.
 ///   "fallback:specA;specB[;...]"  graceful degradation: run specA and, on
 ///                              ResourceExhausted (budget/cap/OOM — never on
 ///                              caller or library bugs), re-seed the next
 ///                              spec and continue from the last completed
 ///                              iteration.  Elements may be parallel specs;
-///                              chains cannot nest and cannot be a parallel
-///                              inner engine.
+///                              chains cannot nest.
 ///
 /// Each built-in method is one registry row (engine.cpp): its parameter
 /// grammar, defaults, bounds, canonical form and constructor call, written
@@ -64,8 +60,7 @@ struct EngineSpec {
   /// validate and canonicalise the argument text.  Unregistered methods keep
   /// their raw args (make_engine rejects them).  Throws InvalidArgument on
   /// malformed input (unknown built-in parameter shapes, non-numeric or
-  /// out-of-range counts, trailing garbage after a count, a nested parallel
-  /// spec).
+  /// out-of-range counts, trailing garbage after a count).
   static EngineSpec parse(const std::string& text);
 
   /// "method" or "method:args"; parse(to_string()) round-trips.

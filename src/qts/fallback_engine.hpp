@@ -30,11 +30,9 @@
 /// set_switch_observer and `--stats` summarises them.
 ///
 /// Chain elements may themselves be parallel engines
-/// ("fallback:parallel:4,statevector;parallel:4,basic" — the ';' split is
-/// unambiguous because specs never contain ';').  The reverse nesting
-/// ("parallel:4,fallback:...") is rejected at parse time: a worker pool
-/// delegates every ket to its inner engine's per-ket `apply`, which a chain
-/// does not override.
+/// ("fallback:statevector:2;parallel:4" — the ';' split is unambiguous
+/// because specs never contain ';').  The parallel engine takes no inner
+/// spec, so a chain never sits inside one.
 #pragma once
 
 #include <cstdint>

@@ -35,13 +35,8 @@ Subspace ImageComputer::image_of(std::span<const QuantumOperation> ops, const Su
   return out;
 }
 
-Edge ImageComputer::apply_kraus(const circ::Circuit& kraus, const Edge& ket,
-                                std::uint32_t num_qubits) {
-  ctx_->check_deadline();
-  const Edge phi = apply(kraus, ket, num_qubits);
-  tdd::record_peak(ctx_, phi);
-  ++ctx_->stats().kraus_applications;
-  return phi;
+Edge ImageComputer::apply_kraus(const circ::Circuit& kraus, const Edge& ket, std::uint32_t) {
+  return apply(prepared(kraus), ket, ctx_);
 }
 
 ImageComputer::Prepared ImageComputer::prepare(const circ::Circuit&) {
@@ -50,20 +45,30 @@ ImageComputer::Prepared ImageComputer::prepare(const circ::Circuit&) {
                         "image_step (or image, image_kets)");
 }
 
-Edge ImageComputer::apply(const circ::Circuit& kraus, const Edge& ket, std::uint32_t) {
+const ImageComputer::Prepared& ImageComputer::prepared(const circ::Circuit& kraus) {
   auto it = prepared_.find(&kraus);
   if (it == prepared_.end()) it = prepared_.emplace(&kraus, prepare(kraus)).first;
-  const Prepared& prep = it->second;
-  if (prep.terms.size() == 1) return tn::push(mgr_, ket, prep.terms.front(), prep.push, ctx_);
-  // cont(ψ, ϕ) = Σ_i cont(ψ, ϕ_i): each term is pushed independently and
-  // the results, each already on the state levels, are accumulated.
-  Edge acc = mgr_.zero();
-  for (const auto& term : prep.terms) {
-    ctx_->check_deadline();
-    acc = mgr_.add(acc, tn::push(mgr_, ket, term, prep.push, ctx_));
-    tdd::record_peak(ctx_, acc);
+  return it->second;
+}
+
+Edge ImageComputer::apply(const Prepared& prep, const Edge& ket, ExecutionContext* ctx) const {
+  ctx->check_deadline();
+  Edge phi;
+  if (prep.terms.size() == 1) {
+    phi = tn::push(mgr_, ket, prep.terms.front(), prep.push, ctx);
+  } else {
+    // cont(ψ, ϕ) = Σ_i cont(ψ, ϕ_i): each term is pushed independently and
+    // the results, each already on the state levels, are accumulated.
+    phi = mgr_.zero();
+    for (const auto& term : prep.terms) {
+      ctx->check_deadline();
+      phi = mgr_.add(phi, tn::push(mgr_, ket, term, prep.push, ctx));
+      tdd::record_peak(ctx, phi);
+    }
   }
-  return acc;
+  tdd::record_peak(ctx, phi);
+  ++ctx->stats().kraus_applications;
+  return phi;
 }
 
 std::vector<tdd::Edge> ImageComputer::prepared_roots() const {

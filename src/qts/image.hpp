@@ -16,7 +16,7 @@
 /// The three algorithms differ only in how a Kraus circuit is cut before a
 /// state is pushed through it.  Each is one `prepare`: a list of terms, each
 /// term a list of operator tensors, plus the one push plan (tn::Push) every
-/// term replays.  The shared per-ket hook `apply` pushes the state through
+/// term replays.  The shared per-ket path `apply` pushes the state through
 /// every term and sums the results:
 ///
 ///   * BasicImage (§IV-C) pre-contracts the whole circuit into one
@@ -29,10 +29,10 @@
 ///     contracted through them without ever materialising the monolithic
 ///     operator.
 ///
-/// Engines that apply a circuit some other way (the seam engines) override
-/// `apply` instead; engines that image only through `image_step` (the
-/// parallel engine, fallback chains) override neither, and the default
-/// `prepare` says so.
+/// The parallel engine is a ContractionImage that shards the step's
+/// pushes across worker threads.  Engines that image only through
+/// `image_step` (the seam engines, fallback chains) have no per-ket path,
+/// and the default `prepare` says so.
 #pragma once
 
 #include <cstddef>
@@ -111,11 +111,10 @@ class ImageComputer {
   /// every entry point.
   [[nodiscard]] virtual bool shards_frontier() const { return false; }
 
-  /// One cell of the Kraus×basis loop: `apply` a single Kraus circuit to a
-  /// ket and account for it — deadline poll, peak record,
-  /// kraus_applications counter.  The public building block for engines
-  /// that shard the loop across workers.  The parallel engine and fallback
-  /// chains have no per-ket path and throw InvalidArgument here.
+  /// One cell of the Kraus×basis loop: `apply` the prepared form of a
+  /// single Kraus circuit to a ket, reporting to this computer's context.
+  /// The seam engines and fallback chains have no per-ket path and throw
+  /// InvalidArgument here.
   tdd::Edge apply_kraus(const circ::Circuit& kraus, const tdd::Edge& ket,
                         std::uint32_t num_qubits);
 
@@ -130,16 +129,13 @@ class ImageComputer {
 
   /// Drop cached pre-contracted operators (they key on Circuit addresses,
   /// so call this if a system's circuits are destroyed or mutated).  Virtual
-  /// so delegating engines forward it to the caches they actually fill (the
-  /// parallel engine's workers).
+  /// so a fallback chain forwards it to the caches its elements fill.
   virtual void clear_prepared() { prepared_.clear(); }
 
   /// TDD roots held by the prepared-operator cache.  Long-running fixpoint
   /// loops pass these (plus their own live subspaces) to Manager::gc so the
   /// node pool stays bounded without invalidating cached operators.  Virtual
-  /// because delegating engines must report the caches they actually fill:
-  /// the parallel engine's workers prepare operators in the SHARED manager,
-  /// so omitting their roots would let a driver GC sweep live operators.
+  /// because a fallback chain must report the caches its elements fill.
   [[nodiscard]] virtual std::vector<tdd::Edge> prepared_roots() const;
 
   [[nodiscard]] tdd::Manager& manager() const { return mgr_; }
@@ -148,21 +144,28 @@ class ImageComputer {
   /// A Kraus circuit cut for pushing kets through it: C = Σ over `terms` of
   /// the contraction of the term's operator tensors, every term on the same
   /// index sets, so the one `push` plan serves them all.  A gate-free
-  /// circuit is one empty term (the push is the circuit factor alone).
+  /// circuit is one empty term (the push is the circuit factor alone), and
+  /// so is an identity engine's every circuit.
   struct Prepared {
     std::vector<std::vector<tn::Tensor>> terms;
     tn::Push push;
   };
 
   /// Cut `kraus` into terms.  The default throws InvalidArgument: an engine
-  /// that overrides neither this nor `apply` (the parallel engine, fallback
-  /// chains) images kets only through image_step.
+  /// that does not override it (the seam engines, fallback chains) images
+  /// kets only through image_step.
   virtual Prepared prepare(const circ::Circuit& kraus);
 
-  /// The per-ket hook: the (unnormalised) image C|ket⟩ on the canonical
-  /// state levels.  The default prepares `kraus` on first use (cached on
-  /// the circuit's address) and sums the pushes of `ket` through its terms.
-  virtual tdd::Edge apply(const circ::Circuit& kraus, const tdd::Edge& ket, std::uint32_t n);
+  /// `kraus` prepared on first use, cached on the circuit's address.  The
+  /// reference stays valid until clear_prepared.
+  const Prepared& prepared(const circ::Circuit& kraus);
+
+  /// The one per-ket path: the (unnormalised) image C|ket⟩ on the canonical
+  /// state levels, the sum of the pushes of `ket` through `prep`'s terms,
+  /// accounted on `ctx` — deadline poll, peak record, kraus_applications
+  /// counter.  It only reads `prep`, so the parallel engine's workers call
+  /// it concurrently, each with its own context.
+  tdd::Edge apply(const Prepared& prep, const tdd::Edge& ket, ExecutionContext* ctx) const;
 
   tdd::Manager& mgr_;
   ExecutionContext own_ctx_;
@@ -201,8 +204,9 @@ class AdditionImage final : public ImageComputer {
   std::size_t k_;
 };
 
-/// §V-B: contraction partition with parameters (k1, k2).
-class ContractionImage final : public ImageComputer {
+/// §V-B: contraction partition with parameters (k1, k2).  Not final: the
+/// parallel engine is the (4, 4) partition with its pushes sharded.
+class ContractionImage : public ImageComputer {
  public:
   ContractionImage(tdd::Manager& mgr, std::uint32_t k1, std::uint32_t k2,
                    ExecutionContext* ctx = nullptr)

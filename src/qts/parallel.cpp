@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <exception>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -11,33 +12,28 @@ namespace qts {
 
 using tdd::Edge;
 
-/// One worker: a slot into the shared manager, a private context view and a
-/// private inner engine (built on the shared manager).  The engine's
-/// prepared-operator cache keys on Circuit addresses and its operator TDDs
-/// live in the shared manager, deduplicated against the siblings' by
-/// hash-consing.
+/// One worker: a slot into the shared manager and a private context view.
 struct ParallelImage::Worker {
   ExecutionContext ctx;
   tdd::Manager::ThreadSlot* slot = nullptr;
-  std::unique_ptr<ImageComputer> engine;
 };
 
-ParallelImage::ParallelImage(tdd::Manager& mgr, std::size_t threads, EngineSpec inner,
-                             ExecutionContext* ctx)
-    : ImageComputer(mgr, ctx), inner_(std::move(inner)) {
-  require(inner_.method != "parallel", "parallel engine cannot nest itself");
-  require(inner_.method != "fallback",
-          "parallel engine: the inner engine cannot be a fallback chain; put parallel "
-          "inside the chain elements instead");
-  if (threads == 0) {
-    const unsigned hw = std::thread::hardware_concurrency();
-    threads = hw == 0 ? 1 : hw;
-  }
-  workers_.reserve(threads);
-  for (std::size_t i = 0; i < threads; ++i) {
+std::size_t ParallelImage::worker_count(std::size_t threads) {
+  require(threads <= kMaxParallelThreads,
+          "parallel engine takes at most " + std::to_string(kMaxParallelThreads) +
+              " threads, got " + std::to_string(threads));
+  if (threads != 0) return threads;
+  const unsigned hw = std::thread::hardware_concurrency();
+  return std::clamp<std::size_t>(hw, 1, kMaxParallelThreads);
+}
+
+ParallelImage::ParallelImage(tdd::Manager& mgr, std::size_t threads, ExecutionContext* ctx)
+    : ContractionImage(mgr, 4, 4, ctx) {
+  const std::size_t count = worker_count(threads);
+  workers_.reserve(count);
+  for (std::size_t i = 0; i < count; ++i) {
     auto w = std::make_unique<Worker>();
     w->slot = &mgr.create_slot(&w->ctx);
-    w->engine = make_engine(mgr, inner_, &w->ctx);
     workers_.push_back(std::move(w));
   }
 }
@@ -55,7 +51,7 @@ std::size_t ParallelImage::shard_count(std::size_t tasks) const {
 }
 
 std::vector<Edge> ParallelImage::image_step(std::span<const QuantumOperation> ops,
-                                            std::span<const Edge> kets, std::uint32_t n,
+                                            std::span<const Edge> kets, std::uint32_t,
                                             std::size_t* shards_used) {
   ScopedTimer timer(ctx_);
   // The task list in the step's own (op, Kraus, ket) order, fixed before any
@@ -63,38 +59,47 @@ std::vector<Edge> ParallelImage::image_step(std::span<const QuantumOperation> op
   // whole pool busy even when a narrow frontier meets a wide Kraus family
   // (one ket x 16 noise circuits is 16 tasks, not 1 shard).
   struct Task {
-    const circ::Circuit* kraus;
+    const Prepared* prep;
     const Edge* ket;
   };
-  std::vector<Task> tasks;
-  for (const auto& op : ops) {
-    for (const auto& kraus : op.kraus) {
-      for (const auto& ket : kets) tasks.push_back({&kraus, &ket});
-    }
-  }
+  std::size_t kraus_total = 0;
+  for (const auto& op : ops) kraus_total += op.kraus.size();
 
   // Contiguous balanced shards over the task list, sized adaptively: one
   // shard per full kMinTasksPerShard tasks up to the worker count, and
   // rounds too small for two shards run inline.
-  const std::size_t nshards = shard_count(tasks.size());
+  const std::size_t ntasks = kraus_total * kets.size();
+  const std::size_t nshards = shard_count(ntasks);
   if (shards_used != nullptr) *shards_used = nshards;
   if (nshards == 0) return {};
+
+  // Every circuit is prepared here, on the caller's thread and its context,
+  // so the workers only read the prepared cache.
+  std::vector<Task> tasks;
+  tasks.reserve(ntasks);
+  for (const auto& op : ops) {
+    for (const auto& kraus : op.kraus) {
+      const Prepared* prep = &prepared(kraus);
+      for (const auto& ket : kets) tasks.push_back({prep, &ket});
+    }
+  }
   std::vector<std::size_t> bounds(nshards + 1, 0);
   for (std::size_t s = 0; s < nshards; ++s) {
-    bounds[s + 1] = bounds[s] + tasks.size() / nshards + (s < tasks.size() % nshards ? 1 : 0);
+    bounds[s + 1] = bounds[s] + ntasks / nshards + (s < ntasks % nshards ? 1 : 0);
   }
 
   // Every image lands in its task's own slot, so the output is in task order
   // whatever the worker count was.  Results live straight in the shared
-  // manager — no per-worker pools, no ket shipping: the input kets are
-  // immutable shared data while workers run, and a result edge is valid in
-  // the parent's hands the moment its worker stores it.  Each worker's
-  // apply_kraus records the image's size; the join max-merges those peaks.
-  std::vector<Edge> out(tasks.size());
+  // manager — no per-worker pools, no ket shipping: the input kets and the
+  // prepared operators are immutable shared data while workers run, and a
+  // result edge is valid in the parent's hands the moment its worker stores
+  // it.  Each push records the image's size on its worker's context; the
+  // join max-merges those peaks.
+  std::vector<Edge> out(ntasks);
   run_pool(nshards, [&](std::size_t s) {
-    Worker& w = *workers_[s];
+    ExecutionContext* ctx = &workers_[s]->ctx;
     for (std::size_t i = bounds[s]; i < bounds[s + 1]; ++i) {
-      out[i] = w.engine->apply_kraus(*tasks[i].kraus, *tasks[i].ket, n);
+      out[i] = apply(*tasks[i].prep, *tasks[i].ket, ctx);
     }
   });
   return out;
@@ -104,7 +109,7 @@ void ParallelImage::run_pool(std::size_t active, const std::function<void(std::s
   // Fresh context views each round: workers share this round's deadline and
   // the engine's stop flag, and start with zeroed stats (last round's were
   // merged).  Assignment keeps every Worker::ctx address stable, which the
-  // worker's slot and engine hold pointers to.
+  // worker's slot holds a pointer to.
   stop_.store(false, std::memory_order_relaxed);
   for (auto& w : workers_) w->ctx = ctx_->worker_view(&stop_);
 
@@ -126,9 +131,9 @@ void ParallelImage::run_pool(std::size_t active, const std::function<void(std::s
     }
   };
 
-  // Worker state (slot, inner engine, prepared caches) persists across
-  // rounds; the threads themselves are per-round, which is noise next to the
-  // Kraus applications they run.  A single-worker round skips the spawn and
+  // Worker state (slot, context view) persists across rounds; the threads
+  // themselves are per-round, which is noise next to the Kraus applications
+  // they run.  A single-worker round skips the spawn and
   // runs inline on the calling thread — same worker state, same results.
   if (active == 1) {
     run_worker(0);
@@ -144,19 +149,6 @@ void ParallelImage::run_pool(std::size_t active, const std::function<void(std::s
   // arena — safely.
   for (const auto& w : workers_) ctx_->join_worker(w->ctx);
   if (first_error) std::rethrow_exception(first_error);
-}
-
-void ParallelImage::clear_prepared() {
-  for (const auto& w : workers_) w->engine->clear_prepared();
-}
-
-std::vector<Edge> ParallelImage::prepared_roots() const {
-  std::vector<Edge> roots;
-  for (const auto& w : workers_) {
-    const auto worker_roots = w->engine->prepared_roots();
-    roots.insert(roots.end(), worker_roots.begin(), worker_roots.end());
-  }
-  return roots;
 }
 
 }  // namespace qts

@@ -1,25 +1,24 @@
 /// \file parallel.hpp
-/// The parallel image engine: shard the image step across worker threads
-/// sharing ONE concurrent TDD manager.
+/// The parallel image engine: the §V-B contraction partition with cut (4, 4)
+/// whose Kraus×ket pushes are sharded across worker threads sharing ONE
+/// concurrent TDD manager.
 ///
-/// ImageComputer::image_step is embarrassingly parallel at the Kraus×ket
-/// grain — every `apply` is independent and the results are only combined
-/// at the end.  Since the tdd::Manager became thread-safe (sharded unique
-/// table, arena node storage, per-thread operation caches), ParallelImage
-/// overrides that one hook with a pool of workers running directly on the
-/// caller's manager, so image(op, S), image(sys, S), image_kets and every
-/// FixpointDriver iteration all run through the same loop:
+/// ParallelImage is a ContractionImage that overrides the one image hook,
+/// image_step, so image(op, S), image(sys, S), image_kets and every
+/// FixpointDriver iteration run through the same loop:
 ///
-///   1. the task list (one task per operation × Kraus circuit × ket, in the
-///      step's op-major, Kraus-major, ket-minor order) is cut into
-///      contiguous shards before any worker starts;
-///   2. each worker applies its shard's Kraus circuits in place and stores
-///      every image in its task's slot of the output — input kets, prepared
-///      operators and result kets all live in the one shared manager, so
-///      nothing is ever copied between node pools (a test pins the
-///      projector node-identical to the sequential engine's);
-///   3. after all workers join, the output is in *task order*, so it is
-///      bit-for-bit independent of the worker count.
+///   1. on the caller's thread, every Kraus circuit of the step is looked
+///      up in the inherited prepared-operator cache, so a circuit is
+///      prepared once whatever the worker count;
+///   2. the (op, Kraus, ket) task list, each task holding its circuit's
+///      prepared terms, is cut into contiguous shards before any worker
+///      starts;
+///   3. each worker pushes its shard through the base class's one per-ket
+///      path, reporting to its own context, and stores every image in its
+///      task's slot.  Kets, prepared operators and images all live in the
+///      shared manager, so nothing is copied between node pools;
+///   4. after the join the output is in task order: bit-for-bit independent
+///      of the worker count and equal, node for node, to contraction:4,4's.
 ///
 /// Workers return every image: the caller's one Gram-Schmidt pass
 /// (Subspace::add_states) decides what is new.  On GHZ9 with depolarising
@@ -27,26 +26,18 @@
 /// cost more than computing them.
 ///
 /// Each worker owns a Manager::ThreadSlot (operation caches, allocation
-/// free-list, stats sink) installed via SlotGuard for the duration of a
-/// round, a private inner engine (any registered sequential engine; default
-/// contraction) whose prepared-operator cache lives in the shared manager,
-/// and a private ExecutionContext view.  The views share the parent's
-/// deadline and read the engine's stop flag: the first worker to fail (a
-/// DeadlineExceeded inside its contraction, a budget error, ...) raises the
-/// flag, which stops the siblings at their next deadline poll, and the
-/// parent rethrows that worker's error after the join.  The flag is cleared
-/// at the top of every round, so a failed round leaves the engine reusable.
-/// Worker stats are merged into the parent (counters summed, peak = max).
-/// Workers take no storage samples: read the one manager's shape from
-/// Manager::storage_stats() once the run is over.
-/// The destructor gives the slots back to the manager (Manager::release_slot),
-/// so a later engine on the same manager reuses them.
+/// free-list, stats sink), installed via SlotGuard for a round, and a
+/// private ExecutionContext view.  The views share the parent's deadline
+/// and read the engine's stop flag: the first worker to fail raises it, the
+/// siblings stop at their next deadline poll, and the parent rethrows that
+/// worker's error after the join.  The flag is cleared at the top of every
+/// round, so a failed round leaves the engine reusable.  Worker stats are
+/// merged into the parent (counters summed, peak = max).  The destructor
+/// gives the slots back to the manager (Manager::release_slot).
 ///
-/// Garbage collection is not the engine's business any more: with one shared
-/// manager the driver's quiescent-point policy (the adaptive growth-rate
-/// trigger) covers worker allocations too.  Between fork/join
-/// rounds the manager is quiescent, which is exactly when the FixpointDriver
-/// collects.
+/// The engine runs no GC: between rounds the manager is quiescent, which is
+/// when the FixpointDriver collects, keeping the base class's
+/// prepared_roots.
 #pragma once
 
 #include <atomic>
@@ -55,22 +46,30 @@
 #include <memory>
 #include <vector>
 
-#include "qts/engine.hpp"
+#include "qts/image.hpp"
 
 namespace qts {
 
-class ParallelImage final : public ImageComputer {
+class ParallelImage final : public ContractionImage {
  public:
-  /// `threads` == 0 picks std::thread::hardware_concurrency (at least 1).
-  /// `inner` names the sequential engine each worker runs; it must not be
-  /// "parallel" itself.  `mgr` is shared by the parent and every worker.
-  ParallelImage(tdd::Manager& mgr, std::size_t threads, EngineSpec inner,
-                ExecutionContext* ctx = nullptr);
+  /// Largest worker count.  Every worker holds a manager slot, so a typo
+  /// like parallel:40000 is refused rather than building that many.
+  static constexpr std::size_t kMaxParallelThreads = 256;
+
+  /// `threads` == 0 picks std::thread::hardware_concurrency, at least 1 and
+  /// at most kMaxParallelThreads.  A larger explicit count throws
+  /// InvalidArgument before any slot is taken.  `mgr` is shared by the
+  /// parent and every worker.
+  ParallelImage(tdd::Manager& mgr, std::size_t threads, ExecutionContext* ctx = nullptr);
   ~ParallelImage() override;
+
+  /// The worker count `threads` resolves to (see the constructor); throws
+  /// InvalidArgument above kMaxParallelThreads.  The engine registry calls
+  /// it to refuse a spec at parse time.
+  static std::size_t worker_count(std::size_t threads);
 
   [[nodiscard]] std::string name() const override { return "parallel"; }
   [[nodiscard]] std::size_t threads() const { return workers_.size(); }
-  [[nodiscard]] const EngineSpec& inner_spec() const { return inner_; }
 
   /// Adaptive shard sizing.  A round's parallelism is derived from its task
   /// count, not fixed at one-shard-per-worker: the task list is cut into
@@ -91,26 +90,13 @@ class ParallelImage final : public ImageComputer {
   /// workers.
   [[nodiscard]] bool shards_frontier() const override { return true; }
 
-  /// The one sharded loop.  The step's (op, Kraus, ket) task list is split
-  /// into contiguous balanced shards (shard_count of them) *before* any
-  /// worker starts; each worker applies its tasks on the shared manager and
-  /// stores every image in its task's slot, so the result is the task
-  /// list's own order and bit-for-bit independent of the worker count: the
-  /// shard boundaries move with `threads`, but every image depends only on
-  /// its task.  The result equals the sequential engines' raw images, node
-  /// for node.
+  /// The one sharded loop (steps 1–4 above) over shard_count(tasks)
+  /// balanced shards.  Shard boundaries move with `threads`, but every
+  /// image depends only on its task, so the result equals
+  /// contraction:4,4's raw images, node for node.
   std::vector<tdd::Edge> image_step(std::span<const QuantumOperation> ops,
                                     std::span<const tdd::Edge> kets, std::uint32_t n,
                                     std::size_t* shards_used) override;
-
-  /// The prepared-operator caches live in the workers' inner engines (keyed
-  /// on Circuit addresses, like any sequential engine's); forward the drop.
-  void clear_prepared() override;
-
-  /// Everything the workers' prepared caches keep alive in the SHARED
-  /// manager (the engine itself prepares nothing).  Driver GCs must see these
-  /// or they would sweep live operators out from under the workers.
-  [[nodiscard]] std::vector<tdd::Edge> prepared_roots() const override;
 
  private:
   struct Worker;
@@ -121,7 +107,6 @@ class ParallelImage final : public ImageComputer {
   /// stop the siblings, stat merge on join, and rethrow of that error.
   void run_pool(std::size_t active, const std::function<void(std::size_t)>& task);
 
-  EngineSpec inner_;
   std::vector<std::unique_ptr<Worker>> workers_;
   std::atomic<bool> stop_{false};  // raised by a round's first failing worker
 };

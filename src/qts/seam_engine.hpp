@@ -29,11 +29,11 @@
 /// which resource is being budgeted, and `kGuard` is also what the codec
 /// fault probes report so injected qubit/non-zero faults fire only in the
 /// matching representation.  The ExecutionContext handed to the apply hooks
-/// lets the sim kernels poll the deadline mid-sweep.  The per-ket path
-/// (parallel workers, apply_kraus) is SeamImage's ImageComputer::apply
-/// override: decode the ket, apply_circuit, encode.  A new backend is a
-/// policy struct plus a name, not a re-implementation of the image step
-/// that could silently drift from its siblings.
+/// lets the sim kernels poll the deadline mid-sweep.  There is no per-ket
+/// path: a seam engine images kets only through image_step, so apply_kraus
+/// throws InvalidArgument.  A new backend is a policy struct plus a name,
+/// not a re-implementation of the image step that could silently drift
+/// from its siblings.
 #pragma once
 
 #include <cstdint>
@@ -106,14 +106,6 @@ class SeamImage : public ImageComputer {
   }
 
  protected:
-  /// Per-ket path for delegating callers (parallel workers, apply_kraus):
-  /// nothing is pre-contracted — the representation applies the circuit's
-  /// gates directly — so there is no prepare step.
-  tdd::Edge apply(const circ::Circuit& kraus, const tdd::Edge& ket, std::uint32_t n) override {
-    ctx_->fault_codec(Rep::kGuard);
-    return rep_.encode(mgr_, rep_.apply_circuit(kraus, rep_.decode(ket, n), ctx_), n);
-  }
-
   Rep rep_;
 };
 

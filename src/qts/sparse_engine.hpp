@@ -18,8 +18,9 @@
 /// sparse representation policy.
 ///
 /// Spec: "sparse[:maxnz]" — maxnz is the per-ket non-zero budget (default
-/// kSparseNonzeroCap = 65536).  The spec is also accepted as a parallel
-/// inner engine ("parallel:4,sparse") and by `qtsmc --cross-check sparse`.
+/// kSparseNonzeroCap = 65536).  The spec is also accepted by
+/// `qtsmc --cross-check sparse`.  Like the dense engine it images kets only
+/// through image_step: apply_kraus throws.
 #pragma once
 
 #include <cstddef>

@@ -4,7 +4,7 @@
 ///
 /// The engine lives at the boundary of the two state representations.  Its
 /// inputs and outputs are TDD kets/subspaces like every other engine — the
-/// FixpointDriver, the parallel pool and the CLI never see a difference —
+/// FixpointDriver, fallback chains and the CLI never see a difference —
 /// but the Kraus×basis work happens densely: frontier kets are decoded once
 /// (encode.hpp), every Kraus circuit is applied with sim::apply_circuit
 /// (whose apply_gate path handles non-unitary projector gates and global
@@ -18,9 +18,8 @@
 /// Spec: "statevector[:maxq]" — maxq is the dense qubit cap (default
 /// kDenseQubitCap = 14; 2^n amplitudes are materialised per ket, so wider
 /// registers throw ResourceExhausted instead of thrashing — the signal a
-/// fallback chain degrades on).  The spec is also
-/// accepted as a parallel inner engine ("parallel:4,statevector"): workers
-/// then drive the per-ket `apply` path on the caller's shared manager.
+/// fallback chain degrades on).  The engine images kets only through
+/// image_step: it has no per-ket path, so apply_kraus throws.
 ///
 /// Intended uses (ROADMAP "statevector cross-check backend"): a
 /// differential oracle for the TDD engines — see FixpointDriver::set_oracle

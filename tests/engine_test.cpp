@@ -3,9 +3,10 @@
 /// engine registration.
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "common/error.hpp"
 #include "qts/engine.hpp"
-#include "qts/parallel.hpp"
 #include "qts/statevector_engine.hpp"
 #include "qts/workloads.hpp"
 
@@ -51,22 +52,11 @@ TEST(EngineSpec, TrimsWhitespace) {
 TEST(EngineSpec, ParsesParallel) {
   const auto bare = EngineSpec::parse("parallel");
   EXPECT_EQ(bare.method, "parallel");
-  // 0 threads = hardware concurrency; the inner engine defaults to contraction:4,4.
-  EXPECT_EQ(bare.to_string(), "parallel:0,contraction:4,4");
+  // 0 threads = hardware concurrency.
+  EXPECT_EQ(bare.to_string(), "parallel:0");
 
   const auto counted = EngineSpec::parse("parallel:8");
-  EXPECT_EQ(counted.to_string(), "parallel:8,contraction:4,4");
-
-  // The nested spec is parsed, validated and canonicalised; it may itself
-  // contain commas.
-  const auto nested = EngineSpec::parse("parallel:4,contraction:2,3");
-  EXPECT_EQ(nested.to_string(), "parallel:4,contraction:2,3");
-
-  const auto with_basic = EngineSpec::parse("parallel:2,basic");
-  EXPECT_EQ(with_basic.to_string(), "parallel:2,basic");
-
-  const auto defaulted_inner = EngineSpec::parse("parallel:2,addition");
-  EXPECT_EQ(defaulted_inner.to_string(), "parallel:2,addition:1");
+  EXPECT_EQ(counted.to_string(), "parallel:8");
 }
 
 TEST(EngineSpec, RejectsMalformedParallelSpecs) {
@@ -76,13 +66,22 @@ TEST(EngineSpec, RejectsMalformedParallelSpecs) {
   EXPECT_THROW((void)EngineSpec::parse("parallel:2,basic:1"), InvalidArgument);
   EXPECT_THROW((void)EngineSpec::parse("parallel:2,addition:0"), InvalidArgument);
   EXPECT_THROW((void)EngineSpec::parse("parallel:2,parallel:2"), InvalidArgument);
+  // The workers always run contraction:4,4: any inner spec is refused, and
+  // the message names the accepted form.
+  for (const char* text : {"parallel:2,basic", "parallel:2,contraction:4,4", "parallel:0,sparse"}) {
+    try {
+      (void)EngineSpec::parse(text);
+      ADD_FAILURE() << text << " parsed";
+    } catch (const InvalidArgument& e) {
+      EXPECT_NE(std::string(e.what()).find("parallel[:t]"), std::string::npos) << e.what();
+    }
+  }
 }
 
 TEST(EngineSpec, RoundTripsThroughToString) {
   for (const char* text : {"basic", "addition:1", "addition:7", "contraction:1,1",
                            "contraction:4,4", "contraction:15,2", "parallel", "parallel:8",
-                           "parallel:4,basic", "parallel:2,contraction:2,3", "statevector",
-                           "statevector:12", "parallel:2,statevector:12"}) {
+                           "statevector", "statevector:12"}) {
     const auto spec = EngineSpec::parse(text);
     const auto again = EngineSpec::parse(spec.to_string());
     EXPECT_EQ(again.method, spec.method) << text;
@@ -111,9 +110,9 @@ TEST(EngineSpec, RejectsOutOfRangeCounts) {
   // Bounds are checked at parse time: no engine is built, no worker started.
   EXPECT_EQ(EngineSpec::parse("addition:20").to_string(), "addition:20");
   EXPECT_THROW((void)EngineSpec::parse("addition:21"), InvalidArgument);
-  EXPECT_EQ(EngineSpec::parse("parallel:256").to_string(), "parallel:256,contraction:4,4");
+  EXPECT_EQ(EngineSpec::parse("parallel:256").to_string(), "parallel:256");
   EXPECT_THROW((void)EngineSpec::parse("parallel:257"), InvalidArgument);
-  EXPECT_THROW((void)EngineSpec::parse("parallel:100000,basic"), InvalidArgument);
+  EXPECT_THROW((void)EngineSpec::parse("parallel:100000"), InvalidArgument);
   EXPECT_THROW((void)EngineSpec::parse("fallback:addition:21;basic"), InvalidArgument);
   // Counts past 32 bits are refused, not truncated to contraction:1,1 or
   // statevector:14.
@@ -178,21 +177,9 @@ TEST(MakeEngine, BuiltinsAreRegistered) {
 }
 
 TEST(MakeEngine, RejectsUnknownParallelInnerEngine) {
-  // Unknown inner methods parse (custom engines keep raw args) but fail at
-  // construction time, exactly like a top-level unknown method.
+  // The parallel engine takes no inner engine, known or not.
   tdd::Manager mgr;
   EXPECT_THROW((void)make_engine(mgr, "parallel:2,frobnicate"), InvalidArgument);
-}
-
-TEST(MakeEngine, AcceptsStatevectorAsParallelInnerEngine) {
-  // Flipped from the pre-seam EXPECT_THROW: workers can run the dense
-  // backend on the caller's shared manager.
-  tdd::Manager mgr;
-  const auto spec = EngineSpec::parse("parallel:2,statevector:10");
-  EXPECT_EQ(spec.to_string(), "parallel:2,statevector:10");
-  const auto engine = make_engine(mgr, spec);
-  EXPECT_EQ(engine->name(), "parallel");
-  EXPECT_EQ(dynamic_cast<ParallelImage&>(*engine).inner_spec().to_string(), "statevector:10");
 }
 
 TEST(MakeEngine, SharesAnExternalContext) {
@@ -222,8 +209,7 @@ TEST(MakeEngine, CustomEnginesPlugIn) {
 
 TEST(MakeEngine, AllEnginesAgreeOnGhzImage) {
   for (const char* spec : {"basic", "addition:1", "addition:2", "contraction:2,2",
-                           "parallel:2", "parallel:2,basic", "statevector",
-                           "parallel:2,statevector"}) {
+                           "parallel:2", "statevector", "fallback:statevector:2;parallel:2"}) {
     tdd::Manager mgr;
     const auto sys = make_ghz_system(mgr, 4);
     const auto engine = make_engine(mgr, spec);

@@ -29,8 +29,9 @@ TEST(FallbackSpec, ParsesAndCanonicalises) {
 }
 
 TEST(FallbackSpec, AcceptsParallelElements) {
-  const EngineSpec spec = EngineSpec::parse("fallback:parallel:2,statevector;parallel:2,basic");
-  EXPECT_EQ(spec.to_string(), "fallback:parallel:2,statevector:14;parallel:2,basic");
+  const EngineSpec spec = EngineSpec::parse("fallback:statevector:2;parallel:2");
+  EXPECT_EQ(spec.to_string(), "fallback:statevector:2;parallel:2");
+  EXPECT_EQ(EngineSpec::parse("fallback:parallel;basic").to_string(), "fallback:parallel:0;basic");
 }
 
 TEST(FallbackSpec, RejectsMalformedChains) {

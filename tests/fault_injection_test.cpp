@@ -185,26 +185,45 @@ TEST(FaultInjection, RealNodeBudgetFailsTypedWithoutAFallback) {
 }
 
 TEST(FaultInjection, ParallelWorkersUnwindAndTheContextRearms) {
-  // A budget fault tripping inside one worker of a parallel round must stop
-  // the siblings and surface as ResourceExhausted; the next round starts
-  // with the engine's stop flag cleared (no poisoned later rounds) — the
-  // exact state a fallback retry resumes from.
+  // A budget fault tripping inside one spawned worker of a parallel round
+  // must stop the sibling and surface as ResourceExhausted; the next round
+  // starts with the engine's stop flag cleared (no poisoned later rounds) —
+  // the exact state a fallback retry resumes from.
   ExecutionContext ctx;
   ctx.set_fault_plan(FaultPlan::parse("nodes@iter2"));
   tdd::Manager mgr;
   mgr.bind_context(&ctx);
-  const TransitionSystem sys = make_ghz_system(mgr, 4);
-  const auto engine = make_engine(mgr, "parallel:2,contraction:2,2", &ctx);
-  EXPECT_THROW((void)reachable_space(*engine, sys, 16), ResourceExhausted);
+  // Depolarising noise on qubits 0 and 1: 16 Kraus circuits, so every round
+  // of the two-worker engine has at least 2 x kMinTasksPerShard tasks.
+  TransitionSystem sys = make_ghz_system(mgr, 4);
+  for (std::uint32_t q = 0; q < 2; ++q) {
+    sys.operations[0].kraus =
+        circ::apply_channel(sys.operations[0].kraus, circ::depolarizing(0.1), q);
+  }
+  ASSERT_EQ(sys.operations[0].kraus.size(), 16u);
+  const auto engine = make_engine(mgr, "parallel:2", &ctx);
+
+  // Iteration 1 prepares all 16 circuits on this thread, so the first node
+  // allocated in iteration 2, where the fault is armed, is a worker's push.
+  ctx.begin_iteration(1);
+  Subspace acc = sys.initial;
+  const std::vector<tdd::Edge> frontier =
+      acc.add_states(engine->image_step(sys.operations, sys.initial.basis(), 4, nullptr));
+  ASSERT_FALSE(frontier.empty());
+  ctx.begin_iteration(2);
+  std::size_t shards = 0;
+  EXPECT_THROW((void)engine->image_step(sys.operations, frontier, 4, &shards), ResourceExhausted);
+  EXPECT_EQ(shards, 2u);
   EXPECT_NO_THROW(ctx.check_deadline());
+
   // The fault is latched, so the same engine completes a fresh run.
   const auto r = reachable_space(*engine, sys, 16);
   EXPECT_TRUE(r.converged);
 }
 
 // ---------------------------------------------------------------------------
-// The acceptance property: forced degradation through a whole chain under
-// parallel workers preserves the verdict and the exact projector.
+// The acceptance property: forced degradation through a whole chain, down
+// to the parallel engine, preserves the verdict and the exact projector.
 
 /// 4-qubit basis-permutation workload (X/CX gates + bit-flip noise): every
 /// engine's arithmetic on it is exact, so results are comparable bit for
@@ -229,11 +248,11 @@ TEST(FaultInjection, ForcedChainDegradationPreservesTheExactResult) {
     const TransitionSystem sys = make_flip_system(mgr, 4);
 
     const auto engine = make_engine(
-        mgr, "fallback:parallel:2,statevector;parallel:2,sparse;parallel:2,basic", &ctx);
+        mgr, "fallback:statevector;sparse;parallel:2", &ctx);
     auto& chain = dynamic_cast<FallbackImage&>(*engine);
     const auto degraded = reachable_space(*engine, sys, 16);
 
-    // Same manager, no injection: the chain's final backend alone.
+    // Same manager, no injection: a sequential TDD engine alone.
     const auto reference = reachable_space(*make_engine(mgr, "basic"), sys, 16);
 
     // Verdict and projector agree exactly: hash-consing makes pointer

@@ -47,8 +47,7 @@ TEST(ShardedReachability, MatchesSequentialEnginesOnWorkloads) {
       const auto sequential = make_engine(mgr, sequential_spec);
       const auto expected = reachable_space(*sequential, sys, 64);
       for (std::size_t threads : {1u, 2u, 4u}) {
-        const std::string spec =
-            "parallel:" + std::to_string(threads) + "," + sequential_spec;
+        const std::string spec = "parallel:" + std::to_string(threads);
         const auto parallel = make_engine(mgr, spec);
         const auto got = reachable_space(*parallel, sys, 64);
         EXPECT_EQ(got.iterations, expected.iterations) << name << " " << spec;
@@ -67,7 +66,7 @@ TEST(ShardedReachability, InvariantVerdictsMatchSequentialOnWorkloads) {
     const auto sequential = make_engine(mgr, "basic");
     const auto expected = check_invariant(*sequential, sys, sys.initial, 16);
     for (std::size_t threads : {1u, 2u, 4u}) {
-      const std::string spec = "parallel:" + std::to_string(threads) + ",basic";
+      const std::string spec = "parallel:" + std::to_string(threads);
       const auto parallel = make_engine(mgr, spec);
       const auto got = check_invariant(*parallel, sys, sys.initial, 16);
       EXPECT_EQ(got.holds, expected.holds) << name << " " << spec;
@@ -239,7 +238,7 @@ TEST(Invariant, HonoursGcThresholdWithInvariantAsRoot) {
 TEST(Invariant, GcVerdictsUnchangedUnderPressure) {
   // A violated invariant stays violated (same iteration) when GC runs every
   // iteration, sequentially and sharded.
-  for (const char* spec : {"basic", "parallel:2,basic"}) {
+  for (const char* spec : {"basic", "parallel:2"}) {
     ExecutionContext ctx;
     ctx.set_adaptive_gc(true, 1, 1.0);
     tdd::Manager mgr;
@@ -377,7 +376,7 @@ TEST_P(EntryPoints, SpanTheSameSubspaceAsBasic) {
 
 INSTANTIATE_TEST_SUITE_P(EveryEngine, EntryPoints,
                          ::testing::Values("basic", "addition:1", "contraction:2,2", "statevector",
-                                           "sparse", "parallel:2", "parallel:2,statevector",
+                                           "sparse", "parallel:2", "fallback:statevector:2;parallel:2",
                                            "fallback:statevector:2;basic",
                                            "fallback:statevector:3;basic"),
                          [](const ::testing::TestParamInfo<std::string>& info) {
@@ -389,12 +388,12 @@ INSTANTIATE_TEST_SUITE_P(EveryEngine, EntryPoints,
                          });
 
 TEST(FixpointDriver, ApplyKrausOnStepOnlyEnginesIsAnInvalidArgument) {
-  // The parallel engine and fallback chains image only through image_step;
+  // The seam engines and fallback chains image only through image_step;
   // the public per-ket building block must say so, not claim a library bug.
   tdd::Manager mgr;
   const TransitionSystem sys = make_ghz_system(mgr, 3);
   const circ::Circuit& kraus = sys.operations.front().kraus.front();
-  for (const char* spec : {"parallel:2", "fallback:statevector:2;basic"}) {
+  for (const char* spec : {"statevector", "fallback:statevector:2;basic"}) {
     const auto engine = make_engine(mgr, spec);
     try {
       (void)engine->apply_kraus(kraus, sys.initial.basis().front(), 3);

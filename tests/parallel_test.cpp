@@ -1,8 +1,9 @@
-/// Tests for the parallel image engine: differential equivalence against the
-/// sequential engines over the paper workloads for 1/2/4 workers,
-/// thread-count-independent (deterministic) joins, merged stats, shared
-/// deadlines with cooperative stopping, worker-slot reuse across engines,
-/// and fixpoint-loop integration.
+/// Tests for the parallel image engine: node-for-node equivalence with
+/// contraction:4,4 over the paper workloads for 1/2/4 workers, one
+/// preparation per Kraus circuit, thread-count-independent (deterministic)
+/// joins, merged stats, shared deadlines with cooperative stopping, the
+/// worker-count cap, worker-slot reuse across engines, and fixpoint-loop
+/// integration.
 #include <gtest/gtest.h>
 
 #include <optional>
@@ -16,6 +17,7 @@
 #include "qts/fixpoint.hpp"
 #include "qts/parallel.hpp"
 #include "qts/reachability.hpp"
+#include "qts/states.hpp"
 #include "qts/workloads.hpp"
 #include "test_helpers.hpp"
 
@@ -40,21 +42,44 @@ const std::vector<std::pair<std::string, SystemFactory>>& paper_workloads() {
 }
 
 TEST(ParallelImage, MatchesSequentialInnerEngineOnPaperWorkloads) {
+  // The workers push through contraction:4,4's prepared terms, so the image
+  // is that engine's node for node; it spans what basic's spans.
   for (const auto& [name, make_system] : paper_workloads()) {
-    for (const char* inner : {"basic", "contraction:2,2"}) {
-      tdd::Manager mgr;
-      const TransitionSystem sys = make_system(mgr);
-      const auto sequential = make_engine(mgr, inner);
-      const Subspace expected = sequential->image(sys, sys.initial);
-      for (std::size_t threads : {1u, 2u, 4u}) {
-        const std::string spec = "parallel:" + std::to_string(threads) + "," + inner;
-        const auto parallel = make_engine(mgr, spec);
-        const Subspace got = parallel->image(sys, sys.initial);
-        EXPECT_EQ(got.dim(), expected.dim()) << name << " " << spec;
-        EXPECT_TRUE(got.same_subspace(expected)) << name << " " << spec;
-      }
+    tdd::Manager mgr;
+    const TransitionSystem sys = make_system(mgr);
+    const Subspace expected = make_engine(mgr, "contraction:4,4")->image(sys, sys.initial);
+    const Subspace reference = make_engine(mgr, "basic")->image(sys, sys.initial);
+    for (std::size_t threads : {1u, 2u, 4u}) {
+      const std::string spec = "parallel:" + std::to_string(threads);
+      const Subspace got = make_engine(mgr, spec)->image(sys, sys.initial);
+      EXPECT_EQ(got.dim(), expected.dim()) << name << " " << spec;
+      EXPECT_EQ(got.projector().node, expected.projector().node) << name << " " << spec;
+      EXPECT_EQ(got.projector().weight, expected.projector().weight) << name << " " << spec;
+      EXPECT_TRUE(got.same_subspace(reference)) << name << " " << spec;
     }
   }
+}
+
+TEST(ParallelImage, PreparesEachKrausCircuitOnce) {
+  // Eight basis kets of GHZ3 through its one circuit: 8 tasks, so two
+  // workers run a shard each.  The circuit is prepared once, on the
+  // caller's thread, and plans what contraction:4,4 plans.
+  const auto plans = [](const std::string& spec) {
+    ExecutionContext ctx;
+    tdd::Manager mgr;
+    mgr.bind_context(&ctx);
+    const TransitionSystem sys = make_ghz_system(mgr, 3);
+    std::vector<tdd::Edge> kets;
+    for (std::uint64_t b = 0; b < 8; ++b) kets.push_back(ket_basis(mgr, 3, b));
+    const auto engine = make_engine(mgr, spec, &ctx);
+    std::size_t shards = 0;
+    EXPECT_EQ(engine->image_step(sys.operations, kets, 3, &shards).size(), 8u) << spec;
+    EXPECT_EQ(shards, spec == "parallel:2" ? 2u : 1u) << spec;
+    return ctx.stats().plans_computed;
+  };
+  const std::size_t sequential = plans("contraction:4,4");
+  EXPECT_EQ(sequential, 2u);
+  EXPECT_EQ(plans("parallel:2"), sequential);
 }
 
 TEST(ParallelImage, JoinIsIndependentOfThreadCount) {
@@ -90,16 +115,28 @@ TEST(ParallelImage, MergesWorkerStatsIntoParentContext) {
 
 TEST(ParallelImage, ReportsNameThreadsAndInnerSpec) {
   tdd::Manager mgr;
-  const auto engine = make_engine(mgr, "parallel:3,contraction:2,5");
+  const auto engine = make_engine(mgr, "parallel:3");
   EXPECT_EQ(engine->name(), "parallel");
   const auto& par = dynamic_cast<const ParallelImage&>(*engine);
   EXPECT_EQ(par.threads(), 3u);
-  EXPECT_EQ(par.inner_spec().method, "contraction");
-  EXPECT_EQ(par.inner_spec().to_string(), "contraction:2,5");
+  // The workers push through the inherited (4, 4) contraction partition.
+  EXPECT_EQ(par.k1(), 4u);
+  EXPECT_EQ(par.k2(), 4u);
 
-  // threads = 0 resolves to hardware concurrency (at least one worker).
-  const auto auto_sized = make_engine(mgr, "parallel:0,basic");
-  EXPECT_GE(dynamic_cast<const ParallelImage&>(*auto_sized).threads(), 1u);
+  // threads = 0 resolves to hardware concurrency, clamped to the cap.
+  const auto auto_sized = make_engine(mgr, "parallel:0");
+  const std::size_t workers = dynamic_cast<const ParallelImage&>(*auto_sized).threads();
+  EXPECT_GE(workers, 1u);
+  EXPECT_LE(workers, ParallelImage::kMaxParallelThreads);
+}
+
+TEST(ParallelImage, RefusesMoreWorkersThanTheCapBeforeTakingASlot) {
+  // The cap holds for direct construction too, and is checked before any
+  // slot is created (the constructor starts no thread either way).
+  tdd::Manager mgr;
+  EXPECT_THROW((void)ParallelImage(mgr, ParallelImage::kMaxParallelThreads + 1),
+               InvalidArgument);
+  EXPECT_EQ(mgr.storage_stats().op_slots, 1u);
 }
 
 TEST(ParallelImage, ExpiredDeadlineInsideWorkersPropagates) {
@@ -121,10 +158,10 @@ TEST(ParallelImage, ExpiredDeadlineInsideWorkersPropagates) {
 TEST(ParallelImage, ReachabilityFixpointMatchesSequential) {
   tdd::Manager mgr;
   const TransitionSystem sys = make_ghz_system(mgr, 3);
-  const auto sequential = make_engine(mgr, "contraction:2,2");
+  const auto sequential = make_engine(mgr, "contraction:4,4");
   const auto r_seq = reachable_space(*sequential, sys, 64);
 
-  const auto parallel = make_engine(mgr, "parallel:2,contraction:2,2");
+  const auto parallel = make_engine(mgr, "parallel:2");
   const auto r_par = reachable_space(*parallel, sys, 64);
   EXPECT_EQ(r_par.iterations, r_seq.iterations);
   EXPECT_EQ(r_par.converged, r_seq.converged);
@@ -179,9 +216,10 @@ TEST(ParallelImage, FrontierStepReturnsEveryImage) {
 TEST(ParallelImage, DriverGcPolicyCoversWorkerAllocationsInTheSharedManager) {
   // Since the shared-manager rewrite the parallel engine performs no GC of
   // its own: worker allocations land in the one shared manager, and the
-  // driver's quiescent-point policy must bound them.  The workers' prepared
-  // operators live in the shared manager too, so every collection exercises
-  // ParallelImage::prepared_roots (sweeping them would corrupt the run).
+  // driver's quiescent-point policy must bound them.  The prepared operators
+  // the workers read live in the shared manager too, so every collection
+  // must keep the engine's prepared_roots (sweeping them would corrupt the
+  // run).
   ExecutionContext ctx;
   ctx.set_adaptive_gc(true, 1, 1.0);  // collect at the top of every iteration
   tdd::Manager mgr;
@@ -268,7 +306,7 @@ TEST(ParallelImage, AdaptiveShardSizingIsDeterministicAtTheBoundary) {
 
     std::vector<ReachabilityResult> runs;
     for (std::size_t threads : {1u, 2u, 4u}) {
-      const auto engine = make_engine(mgr, "parallel:" + std::to_string(threads) + ",basic");
+      const auto engine = make_engine(mgr, "parallel:" + std::to_string(threads));
       FixpointDriver driver(*engine, sys);
       driver.set_max_iterations(32);
       auto r = driver.run();
@@ -292,15 +330,15 @@ TEST(ParallelImage, AdaptiveShardSizingIsDeterministicAtTheBoundary) {
 
 TEST(ParallelImage, ClearPreparedReachesTheWorkerCaches) {
   // back_image prepares temporary adjoint circuits and relies on
-  // clear_prepared() to drop the address-keyed caches before they dangle;
-  // for the parallel engine those caches live in the workers' inner engines,
-  // so repeated backward images must keep agreeing with a sequential engine.
+  // clear_prepared() to drop the address-keyed cache before it dangles; the
+  // parallel engine's workers read that cache, so repeated backward images
+  // must keep agreeing with a sequential engine.
   tdd::Manager mgr;
   const TransitionSystem sys = make_ghz_system(mgr, 3);
   const auto sequential = make_engine(mgr, "basic");
   const Subspace expected = back_image(*sequential, sys.operations[0], sys.initial);
 
-  const auto parallel = make_engine(mgr, "parallel:2,basic");
+  const auto parallel = make_engine(mgr, "parallel:2");
   const Subspace first = back_image(*parallel, sys.operations[0], sys.initial);
   const Subspace second = back_image(*parallel, sys.operations[0], sys.initial);
   EXPECT_TRUE(first.same_subspace(expected));
@@ -346,8 +384,9 @@ TEST(ParallelImage, DestroyedEnginesGiveTheirSlotsBack) {
 }
 
 TEST(ParallelImage, RejectsNestedParallelInner) {
+  // The parallel engine takes a thread count and nothing else.
   tdd::Manager mgr;
-  EXPECT_THROW((void)ParallelImage(mgr, 2, EngineSpec::parse("parallel:2")), InvalidArgument);
+  EXPECT_THROW((void)make_engine(mgr, "parallel:2,parallel:2"), InvalidArgument);
 }
 
 }  // namespace

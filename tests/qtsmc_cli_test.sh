@@ -32,16 +32,16 @@ check 0 "$QTSMC" back --engine addition:1 --steps 4 "$EXAMPLES/ghz.qasm"
 check 0 "$QTSMC" reach --noise bitflip:0.1:0 --steps 8 "$EXAMPLES/ghz.qasm"
 check 0 "$QTSMC" invar "$EXAMPLES/phase_oracle.qasm"
 check 0 "$QTSMC" reach --engine parallel:2 --stats "$EXAMPLES/ghz.qasm"
-check 0 "$QTSMC" reach --engine parallel:4,basic --noise depol:0.1:0 "$EXAMPLES/ghz.qasm"
+check 0 "$QTSMC" reach --engine parallel:4 --noise depol:0.1:0 "$EXAMPLES/ghz.qasm"
 check 0 "$QTSMC" reach --engine parallel:2 --verbose --stats "$EXAMPLES/ghz.qasm"
 check 0 "$QTSMC" invar --engine parallel:2 "$EXAMPLES/phase_oracle.qasm"
 check 0 "$QTSMC" reach --engine statevector "$EXAMPLES/ghz.qasm"
 check 0 "$QTSMC" reach --engine statevector:10 --stats "$EXAMPLES/ghz.qasm"
-check 0 "$QTSMC" reach --engine parallel:2,statevector "$EXAMPLES/ghz.qasm"
+check 0 "$QTSMC" reach --engine "fallback:statevector:2;parallel:2" "$EXAMPLES/ghz.qasm"
 check 0 "$QTSMC" image --engine statevector --noise depol:0.1:0 "$EXAMPLES/ghz.qasm"
 check 0 "$QTSMC" reach --engine sparse "$EXAMPLES/ghz.qasm"
 check 0 "$QTSMC" reach --engine sparse:1024 --stats "$EXAMPLES/ghz.qasm"
-check 0 "$QTSMC" reach --engine parallel:2,sparse "$EXAMPLES/ghz.qasm"
+check 0 "$QTSMC" reach --engine "fallback:sparse:1;parallel:2" "$EXAMPLES/ghz.qasm"
 check 0 "$QTSMC" image --engine sparse --noise depol:0.1:0 "$EXAMPLES/ghz.qasm"
 check 0 "$QTSMC" --engines
 
@@ -233,7 +233,7 @@ check 2 "$QTSMC" reach /nonexistent/circuit.qasm
 check 2 "$QTSMC" reach --engine bogus "$EXAMPLES/ghz.qasm"
 check 2 "$QTSMC" reach --engine contraction:1 "$EXAMPLES/ghz.qasm"
 check 2 "$QTSMC" reach --engine parallel:x "$EXAMPLES/ghz.qasm"
-check 2 "$QTSMC" reach --engine parallel:2,parallel:2 "$EXAMPLES/ghz.qasm"
+check 2 "$QTSMC" reach --engine parallel:2,basic "$EXAMPLES/ghz.qasm"        # no inner spec
 check 2 "$QTSMC" reach --initial 01 "$EXAMPLES/ghz.qasm"   # wrong width
 check 2 "$QTSMC" reach --noise bogus:0.1:0 "$EXAMPLES/ghz.qasm"
 check 2 "$QTSMC" reach --noise bitflip:0.1:99 "$EXAMPLES/ghz.qasm"
@@ -266,7 +266,7 @@ check 5 "$QTSMC" reach --engine "fallback:statevector:2;sparse:1" --noise bitfli
 check 0 "$QTSMC" reach --engine "fallback:statevector:2;basic" --stats "$EXAMPLES/ghz.qasm"
 check 0 "$QTSMC" reach --engine "fallback:sparse:1;basic" --verbose "$EXAMPLES/ghz.qasm"
 check 0 "$QTSMC" reach --engine "fallback:statevector;sparse;basic" "$EXAMPLES/ghz.qasm"
-check 0 "$QTSMC" reach --engine "fallback:parallel:2,statevector:2;parallel:2,basic" "$EXAMPLES/ghz.qasm"
+check 0 "$QTSMC" reach --engine "fallback:statevector:2;parallel:2" --noise depol:0.1:0 "$EXAMPLES/ghz.qasm"
 check 0 "$QTSMC" reach --engine "fallback:contraction:2,2;basic" --inject nodes@iter2 --stats "$EXAMPLES/ghz.qasm"
 check 0 "$QTSMC" invar --engine "fallback:sparse:1;basic" "$EXAMPLES/phase_oracle.qasm"
 check 3 "$QTSMC" reach --engine "fallback:sparse:1;basic" --inject deadline@iter1 "$EXAMPLES/ghz.qasm"  # deadline never degrades

@@ -1,8 +1,8 @@
 /// Tests for the state-representation seam: the ket codec between TDD and
-/// dense representations, the statevector oracle
-/// engine (alone and as a parallel inner engine), the differential-oracle
-/// equivalence against every TDD engine over the fixpoint workloads and the
-/// shipped example QASM files, and the FixpointDriver cross-check mode —
+/// dense representations, the statevector oracle engine (alone and as a
+/// fallback chain's first element), the differential-oracle equivalence
+/// against every TDD engine over the fixpoint workloads and the shipped
+/// example QASM files, and the FixpointDriver cross-check mode —
 /// clean agreement plus detection of an injected divergence.
 #include <gtest/gtest.h>
 
@@ -150,7 +150,8 @@ TEST(StatevectorDifferential, ReachabilityAgreesAcrossEnginesOnWorkloads) {
     const TransitionSystem sys = make_system(mgr);
     const auto dense = make_engine(mgr, "statevector");
     const auto expected = reachable_space(*dense, sys, 64);
-    for (const char* spec : {"basic", "contraction:2,2", "parallel:2", "parallel:2,statevector"}) {
+    for (const char* spec : {"basic", "contraction:2,2", "parallel:2",
+                             "fallback:statevector:2;parallel:2"}) {
       const auto engine = make_engine(mgr, spec);
       const auto got = reachable_space(*engine, sys, 64);
       EXPECT_EQ(got.iterations, expected.iterations) << name << " " << spec;
@@ -280,8 +281,11 @@ class IdentityImage final : public ImageComputer {
   [[nodiscard]] std::string name() const override { return "identity"; }
 
  protected:
-  tdd::Edge apply(const circ::Circuit&, const tdd::Edge& ket, std::uint32_t) override {
-    return ket;
+  /// One empty term: the push of a ket through no operators is the ket.
+  Prepared prepare(const circ::Circuit&) override {
+    Prepared identity;
+    identity.terms.emplace_back();
+    return identity;
   }
 };
 

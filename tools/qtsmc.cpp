@@ -10,11 +10,12 @@
 ///
 /// Options:
 ///   --engine SPEC                          engine spec: basic | addition:k |
-///                                          contraction:k1,k2 | parallel:t[,spec]
+///                                          contraction:k1,k2 | parallel[:t]
 ///                                          | statevector[:maxq] | sparse[:maxnz]
 ///                                          (default contraction:4,4; parallel
-///                                          shards the Kraus×basis loop over t
-///                                          worker threads, 0 = hardware;
+///                                          shards contraction:4,4's
+///                                          Kraus×basis pushes over t worker
+///                                          threads, 0 = hardware;
 ///                                          statevector runs densely, capped at
 ///                                          maxq qubits, default 14; sparse
 ///                                          stores only non-zero amplitudes,
@@ -144,8 +145,11 @@ class NullImage final : public ImageComputer {
   [[nodiscard]] std::string name() const override { return "null"; }
 
  protected:
-  tdd::Edge apply(const circ::Circuit&, const tdd::Edge& ket, std::uint32_t) override {
-    return ket;
+  /// One empty term: the push of a ket through no operators is the ket.
+  Prepared prepare(const circ::Circuit&) override {
+    Prepared identity;
+    identity.terms.emplace_back();
+    return identity;
   }
 };
 
@@ -194,7 +198,8 @@ struct UsageError {
       R"(usage: qtsmc <image|reach|back|invar> [options] circuit.qasm
        qtsmc --batch FILE [--cache DIR] [--timeout S] [--stats] [--verbose]
   --engine SPEC                          basic | addition:k | contraction:k1,k2 |
-                                         parallel:t[,spec] (t threads, 0 = hardware) |
+                                         parallel[:t] (contraction:4,4 on t threads,
+                                         0 = hardware) |
                                          statevector[:maxq] (dense, maxq-qubit cap) |
                                          sparse[:maxnz] (amplitude map, maxnz
                                          non-zeros per ket) |
