@@ -68,7 +68,8 @@ TEST(EngineSpec, RejectsMalformedParallelSpecs) {
   EXPECT_THROW((void)EngineSpec::parse("parallel:2,parallel:2"), InvalidArgument);
   // The workers always run contraction:4,4: any inner spec is refused, and
   // the message names the accepted form.
-  for (const char* text : {"parallel:2,basic", "parallel:2,contraction:4,4", "parallel:0,sparse"}) {
+  for (const char* text : {"parallel:2,basic", "parallel:2,contraction:4,4", "parallel:0,sparse",
+                           "parallel:2,statevector"}) {
     try {
       (void)EngineSpec::parse(text);
       ADD_FAILURE() << text << " parsed";
