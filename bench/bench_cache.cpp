@@ -70,16 +70,19 @@ int main(int argc, char** argv) {
   std::size_t steps = 64;
   std::string qasm_path = "examples/ghz16.qasm";
   std::string parent;
+  const auto fail_usage = [] {
+    std::cerr << "usage: bench_cache [--steps N] [--qasm FILE] [--dir DIR]\n";
+    return 1;
+  };
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--steps") == 0 && i + 1 < argc) {
-      steps = static_cast<std::size_t>(std::atoi(argv[++i]));
+      if (!bench::parse_number(argv[++i], steps)) return fail_usage();
     } else if (std::strcmp(argv[i], "--qasm") == 0 && i + 1 < argc) {
       qasm_path = argv[++i];
     } else if (std::strcmp(argv[i], "--dir") == 0 && i + 1 < argc) {
       parent = argv[++i];
     } else {
-      std::cerr << "usage: bench_cache [--steps N] [--qasm FILE] [--dir DIR]\n";
-      return 1;
+      return fail_usage();
     }
   }
   const std::string dir = fresh_cache_dir(parent.empty()

@@ -13,11 +13,14 @@
 
 #include <algorithm>
 #include <cstddef>
+#include <cstdint>
 #include <functional>
 #include <iostream>
+#include <limits>
 #include <optional>
 #include <string>
 #include <string_view>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -114,21 +117,35 @@ inline Cell run_cell(const std::string& spec, const SystemBuilder& build, const 
   return c;
 }
 
+/// Parses one numeric flag value into `out` with the strict full-match
+/// parsers of common/strings.hpp: "x", "8x", "-1" and a count past `out`'s
+/// range are refused.  Returns false on a refusal, leaving `out` alone.
+template <typename T>
+bool parse_number(std::string_view text, T& out) {
+  if constexpr (std::is_floating_point_v<T>) {
+    const std::optional<double> v = parse_double(text);
+    if (!v) return false;
+    out = *v;
+  } else {
+    const std::optional<std::uint64_t> v = parse_uint(text);
+    if (!v || *v > std::numeric_limits<T>::max()) return false;
+    out = static_cast<T>(*v);
+  }
+  return true;
+}
+
 /// Parses `--threads`' comma-separated list of counts into `out`.  On a
 /// malformed piece, prints why under `bench`'s name and returns false.
 inline bool parse_counts(std::string_view bench, std::string_view text,
                          std::vector<std::size_t>& out) {
   const std::vector<std::string> pieces = split(text, ",");
-  out.clear();
-  out.reserve(pieces.size());
-  for (const auto& piece : pieces) {
-    const auto v = parse_uint(piece);
-    if (!v) {
+  out.assign(pieces.size(), 0);
+  for (std::size_t i = 0; i < pieces.size(); ++i) {
+    if (!parse_number(pieces[i], out[i])) {
       std::cerr << bench << ": --threads expects a comma-separated list of numbers, got '"
-                << piece << "'\n";
+                << pieces[i] << "'\n";
       return false;
     }
-    out.push_back(static_cast<std::size_t>(*v));
   }
   return true;
 }

@@ -61,21 +61,24 @@ int main(int argc, char** argv) {
   std::size_t steps = 64;
   double timeout_s = 600.0;
   std::vector<std::size_t> threads{1, 2, 4, 8};
+  const auto fail_usage = [] {
+    std::cerr << "usage: bench_reachability [--n QUBITS] [--p PROB] [--steps N] "
+                 "[--threads LIST] [--timeout S]\n";
+    return 1;
+  };
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--n") == 0 && i + 1 < argc) {
-      n = static_cast<std::uint32_t>(std::atoi(argv[++i]));
+      if (!bench::parse_number(argv[++i], n)) return fail_usage();
     } else if (std::strcmp(argv[i], "--p") == 0 && i + 1 < argc) {
-      p = std::atof(argv[++i]);
+      if (!bench::parse_number(argv[++i], p)) return fail_usage();
     } else if (std::strcmp(argv[i], "--steps") == 0 && i + 1 < argc) {
-      steps = static_cast<std::size_t>(std::atoi(argv[++i]));
+      if (!bench::parse_number(argv[++i], steps)) return fail_usage();
     } else if (std::strcmp(argv[i], "--timeout") == 0 && i + 1 < argc) {
-      timeout_s = std::atof(argv[++i]);
+      if (!bench::parse_number(argv[++i], timeout_s)) return fail_usage();
     } else if (std::strcmp(argv[i], "--threads") == 0 && i + 1 < argc) {
       if (!bench::parse_counts("bench_reachability", argv[++i], threads)) return 1;
     } else {
-      std::cerr << "usage: bench_reachability [--n QUBITS] [--p PROB] [--steps N] "
-                   "[--threads LIST] [--timeout S]\n";
-      return 1;
+      return fail_usage();
     }
   }
 

@@ -9,7 +9,7 @@
 /// stops winning: the operating envelope of the sparse backend.
 ///
 /// Usage:
-///   bench_sparse [--n N] [--p PROB] [--steps N] [--tdd SPEC] [--timeout S]
+///   bench_sparse [--n N] [--p PROB] [--steps N] [--timeout S]
 ///
 /// Defaults: n = 8 (within the dense cap so all three engines can run),
 /// p = 0.1, TDD reference engine contraction:4,4, 6-step cap, 30 s budget
@@ -50,33 +50,22 @@ int main(int argc, char** argv) {
   double p = 0.1;
   std::size_t steps = 6;
   double timeout_s = 30.0;
-  std::string tdd_spec = "contraction:4,4";
+  const std::string tdd_spec = "contraction:4,4";
   const auto fail_usage = [] {
-    std::cerr << "usage: bench_sparse [--n N] [--p PROB] [--steps N] [--tdd SPEC] "
-                 "[--timeout S]\n";
+    std::cerr << "usage: bench_sparse [--n N] [--p PROB] [--steps N] [--timeout S]\n";
     return 1;
   };
-  // Strict full-match parses (common/strings.hpp): "--n 8x" is an error,
-  // not a silently-truncated 8 producing misleading crossover data.
+  // Strict full-match parses: "--n 8x" is an error, not a silently-truncated
+  // 8 producing misleading crossover data.
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--n") == 0 && i + 1 < argc) {
-      const auto v = parse_uint(argv[++i]);
-      if (!v || *v > 30) return fail_usage();
-      n = static_cast<std::uint32_t>(*v);
+      if (!bench::parse_number(argv[++i], n) || n > 30) return fail_usage();
     } else if (std::strcmp(argv[i], "--p") == 0 && i + 1 < argc) {
-      const auto v = parse_double(argv[++i]);
-      if (!v) return fail_usage();
-      p = *v;
+      if (!bench::parse_number(argv[++i], p)) return fail_usage();
     } else if (std::strcmp(argv[i], "--steps") == 0 && i + 1 < argc) {
-      const auto v = parse_uint(argv[++i]);
-      if (!v) return fail_usage();
-      steps = static_cast<std::size_t>(*v);
+      if (!bench::parse_number(argv[++i], steps)) return fail_usage();
     } else if (std::strcmp(argv[i], "--timeout") == 0 && i + 1 < argc) {
-      const auto v = parse_double(argv[++i]);
-      if (!v) return fail_usage();
-      timeout_s = *v;
-    } else if (std::strcmp(argv[i], "--tdd") == 0 && i + 1 < argc) {
-      tdd_spec = argv[++i];
+      if (!bench::parse_number(argv[++i], timeout_s)) return fail_usage();
     } else {
       return fail_usage();
     }

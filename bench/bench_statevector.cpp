@@ -9,7 +9,7 @@
 ///
 /// Usage:
 ///   bench_statevector [--nmin N] [--nmax N] [--p PROB] [--steps N]
-///                     [--tdd SPEC] [--timeout S]
+///                     [--timeout S]
 ///
 /// Defaults: n = 3..8, p = 0.1, TDD reference engine contraction:4,4,
 /// 64-step cap, 60 s budget per cell.  Results land in
@@ -30,24 +30,25 @@ int main(int argc, char** argv) {
   double p = 0.1;
   std::size_t steps = 64;
   double timeout_s = 60.0;
-  std::string tdd_spec = "contraction:4,4";
+  const std::string tdd_spec = "contraction:4,4";
+  const auto fail_usage = [] {
+    std::cerr << "usage: bench_statevector [--nmin N] [--nmax N] [--p PROB] [--steps N] "
+                 "[--timeout S]\n";
+    return 1;
+  };
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--nmin") == 0 && i + 1 < argc) {
-      nmin = static_cast<std::uint32_t>(std::atoi(argv[++i]));
+      if (!bench::parse_number(argv[++i], nmin)) return fail_usage();
     } else if (std::strcmp(argv[i], "--nmax") == 0 && i + 1 < argc) {
-      nmax = static_cast<std::uint32_t>(std::atoi(argv[++i]));
+      if (!bench::parse_number(argv[++i], nmax)) return fail_usage();
     } else if (std::strcmp(argv[i], "--p") == 0 && i + 1 < argc) {
-      p = std::atof(argv[++i]);
+      if (!bench::parse_number(argv[++i], p)) return fail_usage();
     } else if (std::strcmp(argv[i], "--steps") == 0 && i + 1 < argc) {
-      steps = static_cast<std::size_t>(std::atoi(argv[++i]));
+      if (!bench::parse_number(argv[++i], steps)) return fail_usage();
     } else if (std::strcmp(argv[i], "--timeout") == 0 && i + 1 < argc) {
-      timeout_s = std::atof(argv[++i]);
-    } else if (std::strcmp(argv[i], "--tdd") == 0 && i + 1 < argc) {
-      tdd_spec = argv[++i];
+      if (!bench::parse_number(argv[++i], timeout_s)) return fail_usage();
     } else {
-      std::cerr << "usage: bench_statevector [--nmin N] [--nmax N] [--p PROB] [--steps N] "
-                   "[--tdd SPEC] [--timeout S]\n";
-      return 1;
+      return fail_usage();
     }
   }
   if (nmin < 2) nmin = 2;

@@ -61,14 +61,17 @@ struct FamilyPlan {
 int main(int argc, char** argv) {
   double timeout_s = 3600.0;
   std::string only_family;
+  const auto fail_usage = [] {
+    std::cerr << "usage: bench_table1 [--timeout S] [--family NAME]\n";
+    return 1;
+  };
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--timeout") == 0 && i + 1 < argc) {
-      timeout_s = std::atof(argv[++i]);
+      if (!bench::parse_number(argv[++i], timeout_s)) return fail_usage();
     } else if (std::strcmp(argv[i], "--family") == 0 && i + 1 < argc) {
       only_family = argv[++i];
     } else {
-      std::cerr << "usage: bench_table1 [--timeout S] [--family NAME]\n";
-      return 1;
+      return fail_usage();
     }
   }
 

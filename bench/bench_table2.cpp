@@ -23,21 +23,24 @@ int main(int argc, char** argv) {
   std::uint32_t kmax = 15;
   double timeout_s = 60.0;
   bool primitive = false;
+  const auto fail_usage = [] {
+    std::cerr << "usage: bench_table2 [--full] [--primitive] [--n QUBITS] [--kmax K] "
+                 "[--timeout S]\n";
+    return 1;
+  };
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--full") == 0) {
       timeout_s = 3600.0;
     } else if (std::strcmp(argv[i], "--primitive") == 0) {
       primitive = true;
     } else if (std::strcmp(argv[i], "--n") == 0 && i + 1 < argc) {
-      n = static_cast<std::uint32_t>(std::atoi(argv[++i]));
+      if (!bench::parse_number(argv[++i], n)) return fail_usage();
     } else if (std::strcmp(argv[i], "--kmax") == 0 && i + 1 < argc) {
-      kmax = static_cast<std::uint32_t>(std::atoi(argv[++i]));
+      if (!bench::parse_number(argv[++i], kmax)) return fail_usage();
     } else if (std::strcmp(argv[i], "--timeout") == 0 && i + 1 < argc) {
-      timeout_s = std::atof(argv[++i]);
+      if (!bench::parse_number(argv[++i], timeout_s)) return fail_usage();
     } else {
-      std::cerr << "usage: bench_table2 [--full] [--primitive] [--n QUBITS] [--kmax K] "
-                   "[--timeout S]\n";
-      return 1;
+      return fail_usage();
     }
   }
 

@@ -8,7 +8,7 @@ namespace qts {
 using tdd::Edge;
 
 std::vector<Edge> ImageComputer::image_step(std::span<const QuantumOperation> ops,
-                                            std::span<const Edge> kets, std::uint32_t n,
+                                            std::span<const Edge> kets, std::uint32_t,
                                             std::size_t* shards_used) {
   ScopedTimer timer(ctx_);
   if (shards_used != nullptr) *shards_used = 1;
@@ -18,7 +18,7 @@ std::vector<Edge> ImageComputer::image_step(std::span<const QuantumOperation> op
   out.reserve(kraus_total * kets.size());
   for (const auto& op : ops) {
     for (const auto& kraus : op.kraus) {
-      for (const auto& b : kets) out.push_back(apply_kraus(kraus, b, n));
+      for (const auto& b : kets) out.push_back(apply_kraus(kraus, b));
     }
   }
   return out;
@@ -35,7 +35,7 @@ Subspace ImageComputer::image_of(std::span<const QuantumOperation> ops, const Su
   return out;
 }
 
-Edge ImageComputer::apply_kraus(const circ::Circuit& kraus, const Edge& ket, std::uint32_t) {
+Edge ImageComputer::apply_kraus(const circ::Circuit& kraus, const Edge& ket) {
   return apply(prepared(kraus), ket, ctx_);
 }
 

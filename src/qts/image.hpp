@@ -115,8 +115,7 @@ class ImageComputer {
   /// single Kraus circuit to a ket, reporting to this computer's context.
   /// The seam engines and fallback chains have no per-ket path and throw
   /// InvalidArgument here.
-  tdd::Edge apply_kraus(const circ::Circuit& kraus, const tdd::Edge& ket,
-                        std::uint32_t num_qubits);
+  tdd::Edge apply_kraus(const circ::Circuit& kraus, const tdd::Edge& ket);
 
   /// The run-control spine this computer reports through.
   [[nodiscard]] ExecutionContext& context() const { return *ctx_; }

@@ -396,7 +396,7 @@ TEST(FixpointDriver, ApplyKrausOnStepOnlyEnginesIsAnInvalidArgument) {
   for (const char* spec : {"statevector", "fallback:statevector:2;basic"}) {
     const auto engine = make_engine(mgr, spec);
     try {
-      (void)engine->apply_kraus(kraus, sys.initial.basis().front(), 3);
+      (void)engine->apply_kraus(kraus, sys.initial.basis().front());
       ADD_FAILURE() << spec << ": apply_kraus did not throw";
     } catch (const InvalidArgument& e) {
       const std::string what = e.what();

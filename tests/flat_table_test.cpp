@@ -1,16 +1,14 @@
 /// Tests for the two hash tables of the TDD kernel (tdd/flat_table.hpp).
 /// tdd::FlatCache, the exact memo: random operation sequences against a
-/// std::unordered_map model, growth across index and chunk boundaries,
-/// entry-address stability, O(1) clear through generations (including the
-/// 2^32 wraparound, via the test seam), release, lazy allocation and move.
+/// std::unordered_map model, every entry findable across many index
+/// doublings, insertion-order iteration, release and lazy allocation.
 /// tdd::ComputedTable, the lossy op-cache memo: overwrite on collision,
-/// growth against a direct-mapped model, O(1) clear (wraparound included),
-/// live-only iteration and the byte cap.
+/// growth against a direct-mapped model, live-only iteration, release and
+/// the byte cap.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
-#include <limits>
 #include <random>
 #include <unordered_map>
 #include <utility>
@@ -82,9 +80,6 @@ void run_random_model(std::uint64_t seed, std::uint64_t key_space) {
         ASSERT_EQ(*found, it->second);
       }
       ASSERT_EQ(cache.contains(k), found != nullptr);
-    } else if (roll < 996) {
-      cache.clear();
-      model.clear();
     } else {
       cache.release();
       model.clear();
@@ -111,48 +106,39 @@ TEST(FlatTable, NothingAllocatedBeforeFirstInsert) {
   FlatCache<Key, double, GoodHash> cache;
   EXPECT_EQ(cache.bytes(), 0u);
   EXPECT_EQ(cache.find(Key{1, 0}), nullptr);
-  cache.clear();
   cache.release();
   EXPECT_EQ(cache.bytes(), 0u);
-  EXPECT_EQ(cache.chunks(), 0u);
-  EXPECT_EQ(cache.index_slots(), 0u);
   EXPECT_TRUE(cache.insert(Key{1, 0}, 2.0));
-  EXPECT_EQ(cache.chunks(), 1u);
-  EXPECT_GT(cache.index_slots(), 0u);
+  EXPECT_GT(cache.bytes(), 0u);
 }
 
-TEST(FlatTable, GrowthAcrossIndexAndChunkBoundariesKeepsEntriesInPlace) {
-  using Cache = FlatCache<Key, double, GoodHash>;
-  Cache cache;
-  constexpr std::size_t kN = 5 * Cache::kChunkEntries + 17;
-  ASSERT_TRUE(cache.insert(Key{0, 0}, -1.0));
-  const double* first = cache.find(Key{0, 0});
-  std::size_t last_index = cache.index_slots();
-  std::size_t index_growths = 0;
-  for (std::size_t i = 1; i < kN; ++i) {
+TEST(FlatTable, GrowthKeepsEveryEntryFindable) {
+  FlatCache<Key, double, GoodHash> cache;
+  constexpr std::size_t kN = 5000;  // the index doubles from 64 to 16,384 slots
+  std::size_t last_bytes = 0;
+  std::size_t growths = 0;
+  for (std::size_t i = 0; i < kN; ++i) {
     ASSERT_TRUE(cache.insert(Key{i, 0}, static_cast<double>(i)));
     ASSERT_EQ(cache.size(), i + 1);
-    ASSERT_EQ(cache.chunks(), (i + Cache::kChunkEntries) / Cache::kChunkEntries);
-    ASSERT_LE(2 * cache.size(), cache.index_slots()) << "load above 1/2";
-    if (cache.index_slots() != last_index) {
-      ++index_growths;
-      last_index = cache.index_slots();
-      // Growth re-indexes; it never moves an entry.
-      ASSERT_EQ(cache.find(Key{0, 0}), first);
-      for (std::size_t j = 0; j <= i; ++j) {
-        const double* v = cache.find(Key{j, 0});
-        ASSERT_NE(v, nullptr) << j;
-        ASSERT_EQ(*v, j == 0 ? -1.0 : static_cast<double>(j));
-      }
+    if (cache.bytes() == last_bytes) continue;
+    ++growths;
+    last_bytes = cache.bytes();
+    for (std::size_t j = 0; j <= i; ++j) {
+      const double* v = cache.find(Key{j, 0});
+      ASSERT_NE(v, nullptr) << "growth lost key " << j << " at size " << i + 1;
+      ASSERT_EQ(*v, static_cast<double>(j));
     }
   }
-  EXPECT_GE(index_growths, 6u);
-  EXPECT_EQ(cache.find(Key{0, 0}), first);
+  EXPECT_GE(growths, 8u);
   EXPECT_EQ(cache.find(Key{kN, 0}), nullptr);
 
-  // for_each visits each live entry once, in insertion order.
+  // for_each visits each entry once, in insertion order.
   std::size_t next = 0;
-  cache.for_each([&](const Key& k, const double&) { EXPECT_EQ(k.id, next++); });
+  cache.for_each([&](const Key& k, const double& v) {
+    EXPECT_EQ(k.id, next);
+    EXPECT_EQ(v, static_cast<double>(next));
+    ++next;
+  });
   EXPECT_EQ(next, kN);
 }
 
@@ -164,82 +150,16 @@ TEST(FlatTable, ExistingEntryIsKeptOnReinsert) {
   EXPECT_EQ(cache.size(), 1u);
 }
 
-TEST(FlatTable, ClearForgetsEverythingAndKeepsStorage) {
-  FlatCache<Key, double, GoodHash> cache;
-  for (std::uint64_t i = 0; i < 3000; ++i) cache.insert(Key{i, 0}, 1.0);
-  const std::size_t bytes = cache.bytes();
-  const std::size_t chunks = cache.chunks();
-  cache.clear();
-  EXPECT_EQ(cache.size(), 0u);
-  EXPECT_EQ(cache.bytes(), bytes);
-  EXPECT_EQ(cache.chunks(), chunks);
-  for (std::uint64_t i = 0; i < 3000; ++i) ASSERT_EQ(cache.find(Key{i, 0}), nullptr) << i;
-  std::size_t visited = 0;
-  cache.for_each([&](const Key&, const double&) { ++visited; });
-  EXPECT_EQ(visited, 0u);
-  // Refilling reuses the same chunks and index.
-  for (std::uint64_t i = 0; i < 3000; ++i) ASSERT_TRUE(cache.insert(Key{i, 1}, 2.0));
-  EXPECT_EQ(cache.bytes(), bytes);
-  EXPECT_EQ(cache.find(Key{5, 0}), nullptr);
-  EXPECT_EQ(*cache.find(Key{5, 1}), 2.0);
-}
-
 TEST(FlatTable, ReleaseGivesBackEverything) {
-  using Cache = FlatCache<Key, double, GoodHash>;
-  Cache cache;
-  for (std::uint64_t i = 0; i < 10 * Cache::kChunkEntries; ++i) cache.insert(Key{i, 0}, 1.0);
-  ASSERT_EQ(cache.chunks(), 10u);
+  FlatCache<Key, double, GoodHash> cache;
+  for (std::uint64_t i = 0; i < 10000; ++i) cache.insert(Key{i, 0}, 1.0);
+  ASSERT_GT(cache.bytes(), 0u);
   cache.release();
   EXPECT_EQ(cache.size(), 0u);
   EXPECT_EQ(cache.find(Key{1, 0}), nullptr);
   EXPECT_EQ(cache.bytes(), 0u);
-  EXPECT_EQ(cache.chunks(), 0u);
-  EXPECT_EQ(cache.index_slots(), 0u);
   EXPECT_TRUE(cache.insert(Key{1, 0}, 4.0));
   EXPECT_EQ(*cache.find(Key{1, 0}), 4.0);
-}
-
-TEST(FlatTable, GenerationWraparoundNeverResurrectsStaleEntries) {
-  FlatCache<Key, double, GoodHash> cache;
-  cache.insert(Key{0, 0}, 0.0);  // allocate the index before the seam
-  cache.set_generation_for_testing(std::numeric_limits<std::uint32_t>::max() - 3);
-  EXPECT_EQ(cache.find(Key{0, 0}), nullptr);
-  // Eight rounds straddle the wrap; each writes keys whose index slots the
-  // earlier rounds also used.
-  for (std::uint32_t round = 0; round < 8; ++round) {
-    for (std::uint64_t i = 0; i < 40; ++i) {
-      ASSERT_TRUE(cache.insert(Key{i, round}, static_cast<double>(round)));
-    }
-    for (std::uint32_t past = 0; past < round; ++past) {
-      for (std::uint64_t i = 0; i < 40; ++i) {
-        ASSERT_EQ(cache.find(Key{i, past}), nullptr) << "round " << round << " past " << past;
-      }
-    }
-    for (std::uint64_t i = 0; i < 40; ++i) {
-      const double* v = cache.find(Key{i, round});
-      ASSERT_NE(v, nullptr);
-      ASSERT_EQ(*v, static_cast<double>(round));
-    }
-    ASSERT_EQ(cache.size(), 40u);
-    cache.clear();
-    ASSERT_EQ(cache.size(), 0u);
-  }
-}
-
-TEST(FlatTable, MoveLeavesAnEmptyUsableSource) {
-  FlatCache<Key, double, GoodHash> a;
-  for (std::uint64_t i = 0; i < 100; ++i) a.insert(Key{i, 0}, static_cast<double>(i));
-  FlatCache<Key, double, GoodHash> b = std::move(a);
-  EXPECT_EQ(b.size(), 100u);
-  EXPECT_EQ(*b.find(Key{42, 0}), 42.0);
-  // NOLINTNEXTLINE(bugprone-use-after-move): the moved-from state is the contract here
-  EXPECT_EQ(a.size(), 0u);
-  EXPECT_EQ(a.bytes(), 0u);
-  EXPECT_EQ(a.find(Key{42, 0}), nullptr);
-  EXPECT_TRUE(a.insert(Key{42, 0}, 1.0));
-  a = std::move(b);
-  EXPECT_EQ(a.size(), 100u);
-  EXPECT_EQ(*a.find(Key{42, 0}), 42.0);
 }
 
 TEST(FlatTable, PointerKeysWithEmptyValuesFormASet) {
@@ -313,64 +233,19 @@ TEST(ComputedTable, GrowthKeepsLiveEntriesFindable) {
   EXPECT_EQ(table.slots(), 8 * Table::kInitialSlots);
 
   // A working set that fits stops the churn, and with it the growth.
-  table.clear();
   for (int round = 0; round < 100; ++round) {
     for (std::uint64_t i = 0; i < 64; ++i) table.insert(Key{i, 7}, 1.0);
   }
   EXPECT_EQ(table.slots(), 8 * Table::kInitialSlots);
 }
 
-TEST(ComputedTable, ClearDropsEverythingAndKeepsTheSlots) {
-  Table table;
-  for (std::uint64_t i = 0; i < 3000; ++i) table.insert(Key{i, 0}, 1.0);
-  const std::size_t bytes = table.bytes();
-  const std::size_t slots = table.slots();
-  ASSERT_GT(table.size(), 0u);
-  table.clear();
-  EXPECT_EQ(table.size(), 0u);
-  EXPECT_EQ(table.bytes(), bytes);
-  EXPECT_EQ(table.slots(), slots);
-  for (std::uint64_t i = 0; i < 3000; ++i) ASSERT_EQ(table.find(Key{i, 0}), nullptr) << i;
-  table.release();
-  EXPECT_EQ(table.bytes(), 0u);
-  EXPECT_EQ(table.slots(), 0u);
-  EXPECT_EQ(table.find(Key{1, 0}), nullptr);
-}
-
-TEST(ComputedTable, ClearAcrossAGenerationWrapNeverResurrectsStaleEntries) {
-  Table table;
-  table.insert(Key{0, 0}, 0.0);  // allocate the slots before the seam
-  table.set_generation_for_testing(std::numeric_limits<std::uint32_t>::max() - 3);
-  EXPECT_EQ(table.find(Key{0, 0}), nullptr);
-  EXPECT_EQ(table.size(), 0u);
-  // Eight rounds straddle the wrap; the 40 keys of each round sit in the
-  // same home slots as every other round's, tagged apart.
-  for (std::uint32_t round = 0; round < 8; ++round) {
-    for (std::uint64_t i = 0; i < 40; ++i) {
-      table.insert(Key{i * Table::kInitialSlots, round}, static_cast<double>(round));
-    }
-    for (std::uint32_t past = 0; past < round; ++past) {
-      for (std::uint64_t i = 0; i < 40; ++i) {
-        ASSERT_EQ(table.find(Key{i * Table::kInitialSlots, past}), nullptr)
-            << "round " << round << " past " << past;
-      }
-    }
-    std::size_t visited = 0;
-    table.for_each([&](const Key& k, const double& v) {
-      ++visited;
-      ASSERT_EQ(k.tag, round);
-      ASSERT_EQ(v, static_cast<double>(round));
-    });
-    ASSERT_EQ(visited, table.size());
-    table.clear();
-    ASSERT_EQ(table.size(), 0u);
-  }
-}
-
 TEST(ComputedTable, ForEachVisitsLiveSlotsOnly) {
   ComputedTable<Key, double, CollidingHash> table;
   for (std::uint64_t i = 0; i < 4; ++i) table.insert(Key{i, 0}, 1.0);
-  table.clear();
+  table.release();
+  EXPECT_EQ(table.bytes(), 0u);
+  EXPECT_EQ(table.size(), 0u);
+  EXPECT_EQ(table.find(Key{0, 0}), nullptr);
   table.insert(Key{0, 1}, 2.0);
   table.insert(Key{1, 1}, 3.0);
   table.insert(Key{5, 1}, 4.0);  // evicts {1, 1}

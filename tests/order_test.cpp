@@ -386,8 +386,7 @@ std::pair<std::size_t, std::size_t> prepare_gauges(const std::string& spec,
   mgr.bind_context(&ctx);
   const TransitionSystem sys = make(mgr);
   const auto computer = make_engine(mgr, spec, &ctx);
-  (void)computer->apply_kraus(sys.operations.at(0).kraus.at(0), sys.initial.basis().at(0),
-                              sys.num_qubits);
+  (void)computer->apply_kraus(sys.operations.at(0).kraus.at(0), sys.initial.basis().at(0));
   return {ctx.stats().plan_max_width, ctx.stats().peak_nodes};
 }
 

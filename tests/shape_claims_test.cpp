@@ -110,8 +110,7 @@ TEST(ShapeClaims, ContractionPeakStaysLinearOnWideRegistersByDefault) {
     tdd::Manager mgr;
     const auto sys = make(mgr);
     ContractionImage c(mgr, 4, 4);
-    (void)c.apply_kraus(sys.operations.at(0).kraus.at(0), sys.initial.basis().at(0),
-                        sys.num_qubits);
+    (void)c.apply_kraus(sys.operations.at(0).kraus.at(0), sys.initial.basis().at(0));
     EXPECT_LE(c.stats().peak_nodes, 2 * std::size_t{sys.num_qubits}) << name;
   }
 }

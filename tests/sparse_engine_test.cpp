@@ -89,7 +89,7 @@ TEST(SparseCodec, AgreesWithTheDenseCodec) {
   const TransitionSystem sys = make_ghz_system(mgr, 3);
   const auto engine = make_engine(mgr, "basic");
   const tdd::Edge image =
-      engine->apply_kraus(sys.operations[0].kraus[0], sys.initial.basis()[0], 3);
+      engine->apply_kraus(sys.operations[0].kraus[0], sys.initial.basis()[0]);
   const la::Vector dense = decode_ket(image, 3);
   const sim::SparseState sparse = decode_ket_sparse(image, 3);
   for (std::uint64_t i = 0; i < 8; ++i) {

@@ -90,7 +90,7 @@ TEST(KetCodec, AgreesWithTheSimulatorConvention) {
 
   const auto engine = make_engine(mgr, "basic");
   const tdd::Edge tdd_image =
-      engine->apply_kraus(sys.operations[0].kraus[0], sys.initial.basis()[0], 3);
+      engine->apply_kraus(sys.operations[0].kraus[0], sys.initial.basis()[0]);
   const la::Vector decoded = decode_ket(tdd_image, 3);
   ASSERT_EQ(decoded.size(), dense_image.size());
   EXPECT_TRUE(decoded.approx(dense_image, 1e-9));

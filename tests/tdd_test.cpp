@@ -360,7 +360,7 @@ TEST(Contract, MemoStaysWithinItsBudgetBetweenCalls) {
   // The op caches are lossy tables capped at kMaxSlots slots: contracting
   // far past the cap keeps every result right and each cache within it.
   using Table = ComputedTable<const Node*, Edge, PtrHash>;
-  // The larger op-cache slot: an AddKey, its Edge and a generation.
+  // The larger op-cache slot: an AddKey, its Edge and an occupancy flag.
   constexpr std::size_t kSlotBytes = 64;
   Manager mgr;
   ExecutionContext ctx;
@@ -380,7 +380,7 @@ TEST(Contract, MemoStaysWithinItsBudgetBetweenCalls) {
     ASSERT_LE(st.cont_cache_bytes, Table::kMaxSlots * kSlotBytes);
     ASSERT_LE(st.add_cache_bytes, Table::kMaxSlots * kSlotBytes);
   }
-  // The churn grew the contraction cache to the cap: {ContKey, Edge, gen}
+  // The churn grew the contraction cache to the cap: {ContKey, Edge, used}
   // slots are 56 bytes.
   EXPECT_GE(mgr.storage_stats().cont_cache_bytes, Table::kMaxSlots * 56);
   expect_contract_matches(mgr, first_a, idx, first_b, idx, {});

@@ -417,7 +417,7 @@ TEST(Contract, StateOutViewMatchesRename) {
           sum = mgr.add(sum, expected);
         }
         const auto engine = make_engine(mgr, spec);
-        EXPECT_TRUE(tdd::same_tensor(engine->apply_kraus(c, ket, n), sum));
+        EXPECT_TRUE(tdd::same_tensor(engine->apply_kraus(c, ket), sum));
       }
       EXPECT_TRUE(tdd::same_tensor(apply_circuit_tdd(mgr, c, ket),
                                    renamed(net.tensors, plan_push(net, net.tensors, nullptr))));
