@@ -85,7 +85,8 @@ class FixpointDriver {
 
   /// Extra GC roots: subspaces that live in the computer's manager and must
   /// survive the driver's mark-sweep collections (e.g. the invariant
-  /// subspace a predicate closes over).  Held by pointer; must outlive run().
+  /// subspace a predicate closes over).  A subspace of another manager makes
+  /// gc() throw InvalidArgument.  Held by pointer; must outlive run().
   FixpointDriver& keep_alive(const Subspace& subspace);
 
   struct Result {

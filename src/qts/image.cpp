@@ -53,20 +53,16 @@ const ImageComputer::Prepared& ImageComputer::prepared(const circ::Circuit& krau
 
 Edge ImageComputer::apply(const Prepared& prep, const Edge& ket, ExecutionContext* ctx) const {
   ctx->check_deadline();
-  Edge phi;
-  if (prep.terms.size() == 1) {
-    phi = tn::push(mgr_, ket, prep.terms.front(), prep.push, ctx);
-  } else {
-    // cont(ψ, ϕ) = Σ_i cont(ψ, ϕ_i): each term is pushed independently and
-    // the results, each already on the state levels, are accumulated.
-    phi = mgr_.zero();
-    for (const auto& term : prep.terms) {
-      ctx->check_deadline();
-      phi = mgr_.add(phi, tn::push(mgr_, ket, term, prep.push, ctx));
-      tdd::record_peak(ctx, phi);
-    }
+  // cont(ψ, ϕ) = Σ_i cont(ψ, ϕ_i): each term is pushed independently and
+  // the results, each already on the state levels, are accumulated.  push
+  // records every step (its last is the unscaled image; scaling adds no
+  // node); the loop records each partial sum.
+  Edge phi = tn::push(mgr_, ket, prep.terms.front(), prep.push, ctx);
+  for (std::size_t i = 1; i < prep.terms.size(); ++i) {
+    ctx->check_deadline();
+    phi = mgr_.add(phi, tn::push(mgr_, ket, prep.terms[i], prep.push, ctx));
+    tdd::record_peak(ctx, phi);
   }
-  tdd::record_peak(ctx, phi);
   ++ctx->stats().kraus_applications;
   return phi;
 }

@@ -1,9 +1,9 @@
 #include "qts/states.hpp"
 
 #include <cmath>
-#include <unordered_map>
 
 #include "common/error.hpp"
+#include "tdd/flat_table.hpp"
 
 namespace qts {
 
@@ -121,7 +121,7 @@ class DiagonalTrace {
 
  private:
   cplx of_node(const tdd::Node* node, std::uint32_t p) {
-    if (const auto it = memo_.find(node); it != memo_.end()) return it->second;
+    if (const cplx* hit = memo_.find(node)) return *hit;
     const Edge self{node, cplx{1.0, 0.0}};
     cplx sum{0.0, 0.0};
     for (int bit = 0; bit < 2; ++bit) {
@@ -132,12 +132,12 @@ class DiagonalTrace {
         sum += of(row, p + 1);
       }
     }
-    memo_.emplace(node, sum);
+    memo_.insert(node, sum);
     return sum;
   }
 
   std::uint32_t n_;
-  std::unordered_map<const tdd::Node*, cplx> memo_;
+  tdd::FlatCache<const tdd::Node*, cplx> memo_;
 };
 
 }  // namespace

@@ -4,11 +4,11 @@
 #include <cstddef>
 #include <cstdint>
 #include <string>
-#include <unordered_set>
 #include <utility>
 #include <vector>
 
 #include "common/error.hpp"
+#include "tdd/flat_table.hpp"
 #include "tdd/io.hpp"
 #include "tdd/paths.hpp"
 
@@ -75,13 +75,13 @@ std::vector<Edge> Subspace::add_states(const std::vector<Edge>& states) {
   // only after its state passed the zero-norm test, so a negligible copy
   // never hides a real one, and the zero edge never enters: its null node
   // also stands for the constant ket.
-  std::unordered_set<const tdd::Node*> orthogonalised;
-  orthogonalised.reserve(states.size());
+  struct Seen {};
+  tdd::FlatCache<const tdd::Node*, Seen> orthogonalised;
   for (const auto& v : states) {
     if (orthogonalised.contains(v.node)) continue;
     const double in_norm = norm(mgr, v, n_);
     if (in_norm <= kZeroNormTol) continue;
-    orthogonalised.insert(v.node);
+    orthogonalised.insert(v.node, Seen{});
     Edge u = mgr.scale(v, cplx{1.0 / in_norm, 0.0});
     // Two orthogonalisation passes (CGS2) for numerical robustness, each
     // against the flushed projector and the unflushed survivors:

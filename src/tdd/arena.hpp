@@ -34,7 +34,7 @@ namespace qts::tdd {
 
 class NodeArena {
  public:
-  /// Nodes per slab block (~300 KB of node storage per block).
+  /// Nodes per slab block: 4,096 × 64 B = 256 KB of node storage per block.
   static constexpr std::size_t kBlockNodes = std::size_t{1} << 12;
 
   /// One slab.  `used` counts the placement-new-constructed prefix of

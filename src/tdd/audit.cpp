@@ -104,7 +104,7 @@ class AuditAccess {
 
   // Deliberate corruption of a node reached through a const Edge: the hook
   // exists precisely to violate the structure's contracts.
-  static void mark_freed(const Node* n) { const_cast<Node*>(n)->freed_ = true; }
+  static void flag_freed(const Node* n) { const_cast<Node*>(n)->freed_ = true; }
 };
 
 const char* to_string(AuditCheck check) {
@@ -266,35 +266,38 @@ bool audit(Manager& mgr, AuditReport& report, std::span<const Edge> roots) {
   });
 
   // -- pass 2: reachability from the caller's roots -------------------------
-  struct Seen {};
-  FlatCache<const Node*, Seen> reachable;
-  {
-    std::vector<const Node*> stack;
-    for (const Edge& r : roots) {
-      if (r.node != nullptr && reachable.insert(r.node, Seen{})) stack.push_back(r.node);
-    }
-    while (!stack.empty()) {
-      const Node* n = stack.back();
-      stack.pop_back();
-      if (AuditAccess::freed(*n)) {
-        rec.fail(AuditCheck::kFreedReachable, n, describe(n) + ": reachable node is freed");
-      }
-      if (!interned.contains(n)) {
-        rec.fail(AuditCheck::kResidency, n, describe(n) + ": reachable node not interned");
-      }
-      for (const Node* child : {n->low().node, n->high().node}) {
-        if (child != nullptr && reachable.insert(child, Seen{})) stack.push_back(child);
-      }
+  // Each root must be interned here: ids repeat across managers, so a
+  // foreign root's walk marks this arena's nodes.  The marks stay on this
+  // thread for passes 3 and 4: no other walk may run before the audit ends.
+  for (const Edge& r : roots) {
+    if (r.node != nullptr && !interned.contains(r.node)) {
+      rec.fail(AuditCheck::kResidency, r.node, describe(r.node) + ": root not interned");
     }
   }
-  report.reachable_nodes = reachable.size();
+  report.reachable_nodes = walk(roots);
 
   // -- pass 3: arena bookkeeping --------------------------------------------
-  // At a quiescent point: interned == constructed-and-not-freed == live().
+  // At a quiescent point: interned == constructed-and-not-freed == live(),
+  // and every reachable node is a live, interned node of this arena.
   std::size_t constructed_not_freed = 0;
+  std::size_t reached_here = 0;
   arena.for_each_constructed([&](Node& n) {
-    if (!AuditAccess::freed(n)) ++constructed_not_freed;
+    const bool freed = AuditAccess::freed(n);
+    if (!freed) ++constructed_not_freed;
+    if (!walked(n)) return;
+    ++reached_here;
+    if (freed) {
+      rec.fail(AuditCheck::kFreedReachable, &n, describe(&n) + ": reachable node is freed");
+    }
+    if (!interned.contains(&n)) {
+      rec.fail(AuditCheck::kResidency, &n, describe(&n) + ": reachable node not interned");
+    }
   });
+  if (reached_here != report.reachable_nodes) {
+    rec.fail(AuditCheck::kResidency, nullptr,
+             "walk reached " + std::to_string(report.reachable_nodes) +
+                 " nodes but marked " + std::to_string(reached_here) + " in this arena");
+  }
   report.live_nodes = arena.live();
   report.free_nodes = arena.free_pool();
   if (constructed_not_freed != report.live_nodes) {
@@ -319,7 +322,7 @@ bool audit(Manager& mgr, AuditReport& report, std::span<const Edge> roots) {
       rec.fail(AuditCheck::kResidency, &n,
                describe(&n) + std::string(": free-listed node still interned (") + where + ")");
     }
-    if (reachable.contains(&n)) {
+    if (walked(n)) {
       rec.fail(AuditCheck::kFreedReachable, &n,
                describe(&n) + std::string(": free-listed node reachable from the roots (") +
                    where + ")");
@@ -381,7 +384,7 @@ bool corrupt_rehash_entry(Manager& mgr) { return AuditAccess::rehash_entry(mgr);
 void corrupt_free_reachable_node(Manager& mgr, const Edge& root) {
   require(root.node != nullptr, "corrupt_free_reachable_node: root must be non-terminal");
   (void)mgr;
-  AuditAccess::mark_freed(root.node);
+  AuditAccess::flag_freed(root.node);
 }
 
 }  // namespace qts::tdd

@@ -40,8 +40,8 @@ enum class AuditCheck {
   kRedundantNode,    ///< equal children, equal weights — make_node elides these
   kWeightNorm,       ///< weights not in normal form (no exact-1 pivot, |w| > 1,
                      ///< or a near-zero weight not stored as the canonical zero edge)
-  kResidency,        ///< reachable node not interned, or interned more than once,
-                     ///< or an interned node already freed
+  kResidency,        ///< root or reachable node not interned (a root of another
+                     ///< manager), interned more than once, or already freed
   kShardPlacement,   ///< table entry parked in a shard other than shard_of(stored hash)
   kHashConsistency,  ///< stored hash disagrees with the hash of the node's fields
   kFreedReachable,   ///< free-listed node still reachable from the roots
@@ -77,6 +77,7 @@ struct AuditReport {
 /// Audit `mgr` at a quiescent point.  `roots` seeds the reachability checks
 /// (pass the edges the caller intends to keep using — the same set it would
 /// hand to gc()); with no roots the table/arena/cache checks still run.
+/// Marks reachability with walk() on the calling thread, as gc() does.
 /// Returns report.clean().
 bool audit(Manager& mgr, AuditReport& report, std::span<const Edge> roots = {});
 

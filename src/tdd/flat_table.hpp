@@ -6,7 +6,7 @@
 ///
 /// `FlatCache<K, V, Hash>` is the exact memo: the contraction cache's
 /// gamma-suffix table, and the per-call memos of slice / conjugate / rename,
-/// io, to_dot and the auditor.
+/// io, to_dot, the auditor, qts::operator_trace and Subspace::add_states.
 ///
 ///   * entries sit densely, in insertion order, in one vector, which grows
 ///     (and may move them) on insert: a found pointer is good until the

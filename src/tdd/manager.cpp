@@ -23,6 +23,12 @@ constexpr std::size_t kRefillBatch = 64;
 std::atomic<std::uint64_t> g_next_epoch{1};
 
 std::uint64_t draw_epoch() { return g_next_epoch.fetch_add(1, std::memory_order_relaxed); }
+
+// The calling thread's visit marks: tl_stamps[id] == tl_epoch iff the
+// thread's last walk() reached the node with arena id `id`.
+thread_local std::vector<std::uint32_t> tl_stamps;
+thread_local std::uint32_t tl_epoch = 0;
+thread_local std::vector<const Node*> tl_stack;
 }  // namespace
 
 Manager::Manager() : gc_epoch_(draw_epoch()) {
@@ -65,7 +71,7 @@ Node* Manager::allocate_node(ThreadSlot& sl, Level level, const Edge& low, const
     if (!sl.free_list_.empty()) {
       n = sl.free_list_.back();
       sl.free_list_.pop_back();
-      // Assignment resets mark_ and freed_; the slot keeps its id.
+      // Assignment resets freed_; the slot keeps its id.
       *n = Node(level, low, high, n->id_);
     } else {
       if (sl.block_ == nullptr || sl.bump_ == NodeArena::kBlockNodes) {
@@ -247,48 +253,41 @@ void Manager::clear_caches() {
   for (auto& sl : slots_) sl->release_caches();
 }
 
-void Manager::mark(const Node* n, std::uint64_t epoch) const {
-  // Iterative with an explicit stack: recursion depth equals diagram depth,
-  // which overflows the call stack on deep (high-qubit) diagrams during GC.
-  if (n == nullptr || n->mark_ == epoch) return;
-  n->mark_ = epoch;
-  std::vector<const Node*> stack{n};
-  while (!stack.empty()) {
-    const Node* cur = stack.back();
-    stack.pop_back();
-    for (const Node* child : {cur->low().node, cur->high().node}) {
-      if (child != nullptr && child->mark_ != epoch) {
-        child->mark_ = epoch;
-        stack.push_back(child);
-      }
-    }
-  }
-}
-
 std::size_t Manager::gc(std::span<const Edge> roots) {
   // Quiescent point: no concurrent mutators (the caller joined its workers).
+  // Ids repeat across managers, so a foreign root would mark this manager's
+  // nodes that share its ids: refuse one before anything changes.
+  for (const Edge& r : roots) {
+    if (r.node == nullptr) continue;
+    const NodeKey key = NodeKey::of(*r.node);
+    require(unique_.find(key, NodeKeyHash{}(key)) == r.node,
+            "gc: a root is not a node of this manager");
+  }
   if (ctx_ != nullptr) ++ctx_->stats().gc_runs;
   gc_epoch_ = draw_epoch();
-  const std::uint64_t epoch = gc_epoch_;
-  for (const Edge& r : roots) mark(r.node, epoch);
+  // The mark: the sweep reads it through walked(), so no other walk may run
+  // on this thread before the sweep ends.
+  const std::size_t reached = walk(roots);
 
   clear_caches();
   unique_.clear();
 
-  std::size_t freed = 0;
   std::vector<Node*> dead;
   arena_.for_each_constructed([&](Node& n) {
     if (n.freed_) return;  // already on a free list (GC pool or a thread's)
-    if (n.mark_ == epoch) {
+    if (walked(n)) {
       unique_.rebuild_insert(&n);
     } else {
       n.freed_ = true;
       dead.push_back(&n);
-      ++freed;
     }
   });
+  const std::size_t freed = dead.size();
   arena_.recycle(std::move(dead));
   arena_.note_live(-static_cast<std::ptrdiff_t>(freed));
+  // The survivors are exactly the reached nodes, unless another walk
+  // replaced the marks before the sweep.
+  if (arena_.live() != reached) throw InternalError("gc: the sweep read another walk's marks");
   return freed;
 }
 
@@ -318,16 +317,12 @@ Manager::StorageStats Manager::storage_stats() {
 
 void Manager::sample_storage(RunStats& stats) { stats.table_nodes = unique_.stats().nodes; }
 
-std::size_t node_count(const Edge& root) {
+std::size_t walk(std::span<const Edge> roots) {
   // This runs after every contraction-plan step, every term add and every
   // fixpoint iteration's projector, so it is hot.  Visits are marked in a
   // per-thread array of epoch stamps indexed by arena id: no hashing, no
   // lock, and no allocation once the array covers the ids seen.  A node is
   // new to this walk when its stamp is not the walk's epoch.
-  if (root.node == nullptr) return 0;
-  thread_local std::vector<std::uint32_t> tl_stamps;
-  thread_local std::uint32_t tl_epoch = 0;
-  thread_local std::vector<const Node*> tl_stack;
   if (++tl_epoch == 0) {  // wrapped: stale stamps could equal the new epoch
     std::fill(tl_stamps.begin(), tl_stamps.end(), 0);
     tl_epoch = 1;
@@ -336,28 +331,32 @@ std::size_t node_count(const Edge& root) {
   std::vector<std::uint32_t>& stamps = tl_stamps;
   std::vector<const Node*>& stack = tl_stack;
   const std::uint32_t epoch = tl_epoch;
-  const auto first_visit = [&stamps, epoch](const Node* n) {
+  std::size_t count = 0;
+  const auto visit = [&stamps, &stack, &count, epoch](const Node* n) {
+    if (n == nullptr) return;
     const std::uint32_t id = n->id();
     if (id >= stamps.size()) stamps.resize(std::bit_ceil(std::size_t{id} + 1), 0);
-    if (stamps[id] == epoch) return false;
+    if (stamps[id] == epoch) return;
     stamps[id] = epoch;
-    return true;
+    ++count;
+    stack.push_back(n);
   };
-  std::size_t count = 1;
-  first_visit(root.node);
   stack.clear();
-  stack.push_back(root.node);
+  for (const Edge& r : roots) visit(r.node);
   while (!stack.empty()) {
     const Node* n = stack.back();
     stack.pop_back();
-    for (const Node* child : {n->low().node, n->high().node}) {
-      if (child != nullptr && first_visit(child)) {
-        ++count;
-        stack.push_back(child);
-      }
-    }
+    visit(n->low().node);
+    visit(n->high().node);
   }
   return count;
 }
+
+bool walked(const Node& n) {
+  const std::uint32_t id = n.id();
+  return id < tl_stamps.size() && tl_stamps[id] == tl_epoch;
+}
+
+std::size_t node_count(const Edge& root) { return walk({&root, 1}); }
 
 }  // namespace qts::tdd

@@ -305,10 +305,11 @@ class Manager {
   /// Drop every slot's operation caches (automatically done by gc()).
   void clear_caches();
 
-  /// Mark-and-sweep garbage collection.  Everything not reachable from
-  /// `roots` is recycled into the arena's global free pool and the unique
-  /// table is rebuilt from the survivors.  Quiescent points only.
-  /// Returns the number of nodes freed.
+  /// Mark-and-sweep garbage collection: walk(roots) marks, every node it did
+  /// not reach is recycled into the arena's global free pool, and the unique
+  /// table is rebuilt from the survivors.  Quiescent points only.  A root of
+  /// another manager (ids repeat across managers) throws InvalidArgument
+  /// before anything is freed.  Returns the number of nodes freed.
   std::size_t gc(std::span<const Edge> roots);
 
   /// A stamp unique within the process to this manager and its current GC
@@ -366,8 +367,6 @@ class Manager {
   /// Take back a node that lost an intern race (never published).
   void recycle_candidate(ThreadSlot& sl, Node* n);
 
-  void mark(const Node* n, std::uint64_t epoch) const;
-
   // Recursion helpers; see the .cpp files.
   Edge add_norm(ThreadSlot& sl, const Node* a, const Node* b, const cplx& ratio);
   template <OperandView View>
@@ -384,16 +383,26 @@ class Manager {
   std::deque<std::unique_ptr<ThreadSlot>> slots_ GUARDED_BY(slots_mutex_);
   std::vector<ThreadSlot*> released_ GUARDED_BY(slots_mutex_);  // reused first
   ThreadSlot* main_slot_;
-  // The mark stamp of the last gc() and the manager's generation(): drawn
-  // from one process-wide counter, so no two managers (and no two epochs of
-  // one) share a value, and never 0, the mark of a node no gc() has visited.
+  // generation(): drawn from one process-wide counter at construction and
+  // by every gc(), so no two managers (and no two collections of one) share
+  // a value; never 0.
   std::uint64_t gc_epoch_;
   ExecutionContext* ctx_ = nullptr;
 };
 
-/// Number of non-terminal nodes reachable from `root` (the paper's "#node").
-/// Exact.  Marks visits in per-thread stamps indexed by Node::id(), so
-/// concurrent calls on different threads share nothing.
+/// The kernel's one visit mark: marks every non-terminal node reachable from
+/// `roots` (all of one manager: ids repeat across managers) in the calling
+/// thread's stamps, indexed by Node::id(), and returns how many it reached.
+/// Walks on different threads share nothing.
+std::size_t walk(std::span<const Edge> roots);
+
+/// True iff the calling thread's last walk() reached `n`.  gc()'s sweep and
+/// the auditor read their marks through it, and each checks that it found as
+/// many marked nodes as its walk reached.
+bool walked(const Node& n);
+
+/// Number of non-terminal nodes reachable from `root` (the paper's "#node"):
+/// walk() of that one root.
 std::size_t node_count(const Edge& root);
 
 /// Record the size of `e` as a peak-node candidate on `ctx` (null-safe).

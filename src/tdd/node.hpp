@@ -52,7 +52,7 @@ struct Edge {
 };
 
 /// A hash-consed decision-diagram node.  Immutable after creation except for
-/// the GC mark.
+/// `freed_`, which only the manager's free lists and gc() set.
 class Node {
  public:
   Node(Level level, Edge low, Edge high, std::uint32_t id)
@@ -76,14 +76,13 @@ class Node {
   Level level_;
   Edge low_;
   Edge high_;
-  mutable std::uint64_t mark_ = 0;  // GC epoch stamp
-  bool freed_ = false;              // on the manager's free list
-  std::uint32_t id_;                // arena slot index (see id())
+  bool freed_ = false;  // on the manager's free list
+  std::uint32_t id_;    // arena slot index (see id())
 };
 
-// The id sits in the padding after `freed_`: a node stays 72 bytes, 4,096 to
-// a slab block.
-static_assert(sizeof(Node) == 72, "Node grew past 72 bytes");
+// The id sits in the padding after `freed_`, and walks mark visits by id
+// outside the node (see walk()): a node is 64 bytes, 4,096 to a slab block.
+static_assert(sizeof(Node) == 64, "Node grew past 64 bytes");
 
 inline Level Edge::top_level() const { return node == nullptr ? kTermLevel : node->level(); }
 

@@ -72,10 +72,13 @@ Push plan_push(const CircuitNetwork& net, std::span<const Tensor> ops, Execution
 
 Edge push(tdd::Manager& mgr, const Edge& ket, std::span<const Tensor> ops, const Push& p,
           ExecutionContext* ctx) {
-  const Edge result = ops.empty() ? ket
-                                  : contract_planned(mgr, ket, ops, p.plan, ctx,
-                                                     tdd::OperandView::kStateOut);
-  return mgr.scale(result, p.factor);
+  if (ops.empty()) {
+    const Edge result = mgr.scale(ket, p.factor);
+    tdd::record_peak(ctx, result);  // contract_planned records the steps of the others
+    return result;
+  }
+  return mgr.scale(contract_planned(mgr, ket, ops, p.plan, ctx, tdd::OperandView::kStateOut),
+                   p.factor);
 }
 
 Tensor contract_network(tdd::Manager& mgr, const std::vector<Tensor>& tensors,

@@ -72,6 +72,8 @@ Push plan_push(const CircuitNetwork& net, std::span<const Tensor> ops, Execution
 /// through `ops` per `p.plan` and scaled by the circuit factor.  The last
 /// step runs under tdd::OperandView::kStateOut, so it builds the result on
 /// the state levels, one output per qubit, and no rename pass follows.
+/// Every step's result, or the scaled ket when `ops` is empty, is recorded
+/// as a peak-node candidate on `ctx` (may be null).
 tdd::Edge push(tdd::Manager& mgr, const tdd::Edge& ket, std::span<const Tensor> ops,
                const Push& p, ExecutionContext* ctx);
 

@@ -258,6 +258,21 @@ TEST(AuditCorruption, FreedReachableNodeFires) {
   EXPECT_TRUE(has_check(report, AuditCheck::kFreedReachable)) << report.summary();
 }
 
+TEST(AuditCorruption, RootOfAnotherManagerFiresResidency) {
+  // The two managers' node ids overlap, so the foreign root's walk stamps
+  // ids of this arena's nodes; the root check still names it.
+  tdd::Manager mgr;
+  tdd::Manager other;
+  const TransitionSystem sys = make_ghz_system(mgr, 3);
+  const TransitionSystem foreign = make_ghz_system(other, 3);
+  AuditReport report;
+  const std::vector<Edge> own{sys.initial.projector()};
+  ASSERT_TRUE(tdd::audit(mgr, report, own)) << report.summary();
+  const std::vector<Edge> roots{sys.initial.projector(), foreign.initial.projector()};
+  EXPECT_FALSE(tdd::audit(mgr, report, roots));
+  EXPECT_TRUE(has_check(report, AuditCheck::kResidency)) << report.summary();
+}
+
 TEST(AuditCorruption, AuditOrThrowCarriesTheTypedReport) {
   tdd::Manager mgr;
   (void)make_ghz_system(mgr, 3);

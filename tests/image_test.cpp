@@ -176,6 +176,21 @@ TEST_P(ImageAlgos, StatsArePopulated) {
   EXPECT_EQ(computer->stats().peak_nodes, 0u);
 }
 
+TEST_P(ImageAlgos, GateFreeCircuitRecordsTheKet) {
+  // No tensor to contract: the push is the factor alone, and it records the
+  // (scaled) ket as the peak on the engine's fresh context.
+  tdd::Manager mgr;
+  auto computer = make_computer(mgr, GetParam());
+  Prng rng(7);
+  const tdd::Edge ket = ket_from_dense(mgr, 3, rng.unit_vector(8));
+  circ::Circuit kraus(3);
+  kraus.set_global_factor(cplx{0.0, 0.5});
+  const tdd::Edge image = computer->apply_kraus(kraus, ket);
+  EXPECT_TRUE(tdd::same_tensor(image, mgr.scale(ket, cplx{0.0, 0.5})));
+  EXPECT_EQ(computer->stats().peak_nodes, tdd::node_count(ket));
+  EXPECT_EQ(computer->stats().kraus_applications, 1u);
+}
+
 TEST_P(ImageAlgos, DeadlineAborts) {
   tdd::Manager mgr;
   auto computer = make_computer(mgr, GetParam());

@@ -721,6 +721,26 @@ TEST(NodeCount, ConcurrentWalksAgree) {
   for (const std::size_t m : mismatches) EXPECT_EQ(m, 0u);
 }
 
+TEST(NodeCount, WalkCountsSharedNodesOnceAcrossRoots) {
+  Manager mgr;
+  Prng rng(36);
+  const std::vector<Edge> diagrams = random_diagrams(mgr, rng, 6);
+  // The diagrams share sub-DAGs, so the union is smaller than the sum.
+  std::size_t sum = 0;
+  for (const Edge& e : diagrams) sum += node_count(e);
+  const std::size_t all = walk(diagrams);
+  EXPECT_EQ(all, reference_node_count(diagrams));
+  EXPECT_LT(all, sum);
+  for (const Edge& e : diagrams) EXPECT_TRUE(walked(*e.node));
+  // A prefix and a repeated root; terminal roots count nothing.
+  const std::span<const Edge> prefix(diagrams.data(), 5);
+  EXPECT_EQ(walk(prefix), reference_node_count(prefix));
+  const std::vector<Edge> repeated{diagrams[3], mgr.one(), diagrams[3], mgr.zero()};
+  EXPECT_EQ(walk(repeated), node_count(diagrams[3]));
+  EXPECT_EQ(walk({}), 0u);
+  EXPECT_FALSE(walked(*diagrams[3].node));
+}
+
 TEST(NodeArena, IdsStopAt32Bits) {
   EXPECT_EQ(NodeArena::first_id_of(0), 0u);
   EXPECT_EQ(NodeArena::first_id_of(NodeArena::kMaxBlocks - 1),
@@ -794,6 +814,68 @@ TEST(Gc, InterningAfterGcReusesFreeList) {
   const Edge b = mgr.literal(1, kOne, cplx{0.5, 0.0});
   (void)b;
   EXPECT_EQ(mgr.allocated_nodes(), allocated);  // node reused, no growth
+}
+
+TEST(Gc, TwoManagersOnOneThread) {
+  Manager m1;
+  Manager m2;
+  Prng rng1(37);
+  Prng rng2(38);
+  const std::vector<Edge> d1 = random_diagrams(m1, rng1, 6);
+  const std::vector<Edge> d2 = random_diagrams(m2, rng2, 6);
+  std::unordered_set<std::uint32_t> ids1;
+  std::unordered_set<std::uint32_t> ids2;
+  (void)reference_node_count(d1, &ids1);
+  (void)reference_node_count(d2, &ids2);
+  ASSERT_TRUE(std::ranges::any_of(ids1, [&](std::uint32_t id) { return ids2.contains(id); }));
+  const std::vector<Edge> keep1{d1[1], d1[6]};
+  const std::vector<Edge> keep2{d2[3], d2[4], d2[9]};
+  // The other manager's walk leaves stamps on ids this gc() sweeps.
+  (void)walk(d2);
+  EXPECT_GT(m1.gc(keep1), 0u);
+  EXPECT_EQ(m1.live_nodes(), reference_node_count(keep1));
+  (void)walk(keep1);
+  EXPECT_GT(m2.gc(keep2), 0u);
+  EXPECT_EQ(m2.live_nodes(), reference_node_count(keep2));
+  EXPECT_EQ(m1.live_nodes(), reference_node_count(keep1));
+  for (const Edge& e : keep1) EXPECT_EQ(node_count(e), reference_node_count(e));
+  for (const Edge& e : keep2) EXPECT_EQ(node_count(e), reference_node_count(e));
+}
+
+TEST(Gc, RootOfAnotherManagerIsRefusedBeforeAnythingIsFreed) {
+  Manager m1;
+  Manager m2;
+  Prng rng1(40);
+  Prng rng2(41);
+  const std::vector<Edge> d1 = random_diagrams(m1, rng1, 6);
+  const std::vector<Edge> d2 = random_diagrams(m2, rng2, 6);
+  const std::size_t live = m1.live_nodes();
+  const std::vector<Edge> roots{d1[1], d2[4]};
+  EXPECT_THROW(m1.gc(roots), InvalidArgument);
+  EXPECT_EQ(m1.live_nodes(), live);
+  EXPECT_EQ(m1.gc(std::vector<Edge>{d1[1]}), live - reference_node_count(d1[1]));
+}
+
+TEST(Gc, OnAnotherThread) {
+  // Twin managers build the same diagrams; one collects on a worker thread,
+  // whose stamps start empty, the other on this one.
+  Manager here;
+  Manager there;
+  Prng rng_here(39);
+  Prng rng_there(39);
+  const std::vector<Edge> d_here = random_diagrams(here, rng_here, 6);
+  const std::vector<Edge> d_there = random_diagrams(there, rng_there, 6);
+  ASSERT_EQ(here.live_nodes(), there.live_nodes());
+  const std::vector<Edge> keep_here{d_here[2], d_here[11]};
+  const std::vector<Edge> keep_there{d_there[2], d_there[11]};
+  std::size_t freed_there = 0;
+  std::thread worker([&] { freed_there = there.gc(keep_there); });
+  worker.join();
+  const std::size_t freed_here = here.gc(keep_here);
+  EXPECT_GT(freed_here, 0u);
+  EXPECT_EQ(freed_there, freed_here);
+  EXPECT_EQ(there.live_nodes(), reference_node_count(keep_there));
+  EXPECT_EQ(here.live_nodes(), reference_node_count(keep_here));
 }
 
 TEST(Dot, ContainsLevelsAndWeights) {
